@@ -77,6 +77,7 @@ from .fermion import (
     qfi_scaling_tfim,
     solve_tfim_fermion,
     zz_correlator,
+    zz_correlators,
 )
 from .deformed import (
     DeformationSpec,

@@ -26,7 +26,12 @@ import numpy as np
 
 from . import __version__
 from .channels import ChannelSpec, apply_channel, bitflip_qfi_formula
-from .fermion import fit_power_law, qfi_generator_second_moment, solve_tfim_fermion
+from .fermion import (
+    fit_power_law,
+    qfi_generator_second_moment,
+    solve_tfim_fermion,
+    string_block_bytes,
+)
 from .deformed import (
     averaged_qfi,
     averaged_qfi_decoded,
@@ -45,6 +50,7 @@ from .models import (
     solve_model,
     spin_coherent_state,
 )
+from .policy import POLICY
 from .qcore import MixedState, PauliOperator, PureState, evolve_phase, expectation
 from .subsys import default_theta_grid, make_ising_protocol, parity_theta_curve, window_report
 from .symmetry import build_symmetry, hadamard_test, hadamard_test_povm
@@ -52,6 +58,7 @@ from .symmetry import build_symmetry, hadamard_test, hadamard_test_povm
 SCHEMA_VERSION = 1
 SCENARIOS = ("qfi_scaling", "theta_curves", "channel_sweep", "deformed", "subsystem", "hadamard")
 PROBES = ("critical", "critical_fm", "critical_afm", "ghz", "spin_coherent", "oat")
+FERMION_PROBES = ("critical", "critical_fm")
 
 
 class ConfigError(ValueError):
@@ -134,6 +141,22 @@ class ExperimentConfig:
         staggered = self.scenario == "hadamard" or "critical_afm" in self.probes
         if staggered and any(l % 2 for l in self.L_list):
             raise ConfigError("L_list: the staggered probe needs even sizes")
+        if self.scenario == "qfi_scaling" and any(p in FERMION_PROBES for p in self.probes):
+            fermion_sizes = [l for l in self.L_list if l > self.use_fermion_above]
+            odd = [l for l in fermion_sizes if l % 2]
+            if odd:
+                raise ConfigError(
+                    f"L_list: sizes above use_fermion_above={self.use_fermion_above} take the "
+                    f"periodic free-fermion path, which needs even L; got {odd}"
+                )
+            if fermion_sizes:
+                # qfi_generator_second_moment eliminates one (L/2) x (L/2) string block
+                need = string_block_bytes(max(fermion_sizes) // 2)
+                if need > POLICY.fermion_bytes_cap:
+                    raise ConfigError(
+                        f"L_list: L={max(fermion_sizes)} needs {need} bytes of string-block "
+                        f"work, over the fermion byte cap {POLICY.fermion_bytes_cap}"
+                    )
         if self.scenario == "subsystem" and self.theta_points < 200:
             raise ConfigError("theta_points: window extraction needs >= 200 points")
         if self.scenario == "deformed" and self.L > 7:
@@ -259,7 +282,7 @@ def _run_qfi_scaling(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     for probe in cfg.probes:
         values = []
         for L in cfg.L_list:
-            if probe in ("critical", "critical_fm") and L > cfg.use_fermion_above:
+            if probe in FERMION_PROBES and L > cfg.use_fermion_above:
                 fq = 4.0 * qfi_generator_second_moment(solve_tfim_fermion(L))
             else:
                 state, gen = _probe_state(probe, L)

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from critsense import (
+    CapacityError,
+    FermionSolution,
     ModelSpec,
+    NumericPolicy,
     PauliOperator,
     expectation,
     fit_power_law,
@@ -12,8 +15,14 @@ from critsense import (
     solve_model,
     solve_tfim_fermion,
     zz_correlator,
+    zz_correlators,
 )
-from critsense.fermion import FermionError, qfi_generator_second_moment
+from critsense.fermion import (
+    FermionError,
+    _antiperiodic_momenta,
+    _mode_data,
+    qfi_generator_second_moment,
+)
 
 from conftest import sum_z
 
@@ -63,6 +72,91 @@ def test_majorana_omega_antisymmetric():
     sol = solve_tfim_fermion(8)
     om = sol.majorana_omega
     assert np.max(np.abs(om + om.T)) < 1e-12
+    ref = np.zeros((16, 16))
+    for j in range(8):
+        for l in range(8):
+            ref[2 * j + 1, 2 * l] = -sol.kernel(l - j)
+            ref[2 * l, 2 * j + 1] = sol.kernel(l - j)
+    assert np.array_equal(om, ref)
+
+
+def test_periodic_kernel_matches_momentum_sum():
+    L, J, h = 64, 1.0, 0.7
+    ks = _antiperiodic_momenta(L)
+    _, one_minus_2n, f = _mode_data(J, h, ks)
+    sol = solve_tfim_fermion(L, J=J, h=h)
+    for l in range(-2 * L, 2 * L, 7):
+        want = (2.0 / L) * sum(
+            a * math.cos(l * k) + 2.0 * b * math.sin(l * k)
+            for a, b, k in zip(one_minus_2n, f, ks)
+        )
+        assert abs(sol.kernel(l) - want) < 1e-13
+
+
+# critical, paramagnet, deep paramagnet (minors underflow toward 0), ferromagnet
+REGIMES = [(1.0, 1.0), (0.2, 1.0), (1.0, 50.0), (1.0, 0.3)]
+
+
+def _assert_minors_match(sol, got, rs):
+    for r in rs:
+        want = zz_correlator(sol, r)
+        assert abs(got[r - 1] - want) <= 1e-10 * abs(want) + 1e-15, (r, got[r - 1], want)
+
+
+@pytest.mark.parametrize("J,h", REGIMES)
+@pytest.mark.parametrize("L", [10, 64])
+def test_zz_correlators_match_slogdet_all_r(L, J, h):
+    sol = solve_tfim_fermion(L, J=J, h=h)
+    got = zz_correlators(sol, L - 1)
+    assert got.shape == (L - 1,)
+    _assert_minors_match(sol, got, range(1, L))
+
+
+@pytest.mark.parametrize("J,h", REGIMES)
+def test_zz_correlators_match_slogdet_sampled_r_large_L(J, h):
+    sol = solve_tfim_fermion(768, J=J, h=h)
+    got = zz_correlators(sol, 384)
+    _assert_minors_match(sol, got, (1, 2, 7, 100, 255, 383, 384))
+
+
+@pytest.mark.parametrize("J,h", REGIMES)
+@pytest.mark.parametrize("L", [10, 64, 128])
+def test_second_moment_halving_matches_full_sum(L, J, h):
+    sol = solve_tfim_fermion(L, J=J, h=h)
+    full = L + L * sum(zz_correlator(sol, r) for r in range(1, L))
+    got = qfi_generator_second_moment(sol)
+    assert abs(got - full) <= 1e-10 * abs(full)
+
+
+@pytest.mark.parametrize("bad_pivot", ["first_zero", "second_tiny"])
+def test_zz_correlators_fallback_on_bad_pivot(bad_pivot):
+    base = solve_tfim_fermion(16)
+    g = base._g_array.copy()
+    if bad_pivot == "first_zero":
+        g[1] = 0.0                              # T[0, 0] = g(1)
+    else:
+        g[2] = (g[1] - 1e-12) * g[1] / g[0]     # second pivot g(1) - g(0) g(2) / g(1)
+    sol = FermionSolution(L=16, J=1.0, h=1.0, boundary="periodic", energy=None, _g_array=g)
+    got = zz_correlators(sol, 15)
+    assert np.all(np.isfinite(got))
+    if bad_pivot == "first_zero":
+        assert got[0] == 0.0
+    _assert_minors_match(sol, got, range(1, 16))
+
+
+def test_zz_correlators_input_checks():
+    sol = solve_tfim_fermion(16)
+    with pytest.raises(ValueError):
+        zz_correlators(sol, 16)
+    with pytest.raises(ValueError):
+        zz_correlators(sol, 0)
+    with pytest.raises(FermionError):
+        zz_correlators(solve_tfim_fermion(None), 4)
+    with pytest.raises(FermionError):
+        zz_correlators(solve_tfim_fermion(8, boundary="open"), 4)
+    with pytest.raises(CapacityError):
+        zz_correlators(sol, 8, policy=NumericPolicy(fermion_bytes_cap=16 * 8 * 8 - 1))
+    assert zz_correlators(sol, 8, policy=NumericPolicy(fermion_bytes_cap=16 * 8 * 8)).shape == (8,)
 
 
 def test_thermo_r1_value():

@@ -175,6 +175,18 @@ def test_staggered_probe_needs_even_sizes(tmp_path):
         )
 
 
+@pytest.mark.parametrize("sizes", [[16, 33, 64], [16, 64, 1 << 20]])
+def test_fermion_path_sizes_rejected_before_work(tmp_path, capsys, sizes):
+    # odd L has no periodic free-fermion solution; 2^20 sites is over the byte cap
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": "qfi_scaling", "probes": ["critical"],
+                                    "L_list": sizes}))
+    out = tmp_path / "o"
+    assert main(["qfi_scaling", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "L_list" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_env_thread_override(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "qfi_scaling", "probes": ["ghz"], "L_list": [4, 6, 8]}))
