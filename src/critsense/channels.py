@@ -21,7 +21,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 
 from .policy import POLICY, CapacityError
-from .qcore import MixedState, PauliOperator, PureState, basis_index_bits
+from .qcore import MixedState, PauliOperator, PureState, basis_index_bits, evolve_phase
 
 KINDS = ("bitflip_x", "dephase_z", "zz", "global_dephase")
 
@@ -96,21 +96,27 @@ def apply_channel_matrix(mat: np.ndarray, spec: ChannelSpec, n_qubits: int,
 
     All four kinds commute entrywise with the basis structure: X flips are
     index permutations, Z-type kinds are sign masks, and the global kind is a
-    Gauss-Hermite average over collective Z rotations.
+    Gauss-Hermite average over collective Z rotations.  The per-site kinds
+    keep a real matrix real; the global kind's phase kernel is complex, so it
+    returns complex128.
     """
     if n_qubits > POLICY.dense_cap:
         raise CapacityError(f"{n_qubits} qubits exceeds dense cap {POLICY.dense_cap}")
     dim = 1 << n_qubits
     if mat.shape != (dim, dim):
         raise ValueError("matrix does not match register size")
-    out = np.array(mat, dtype=np.complex128)
-    bits = basis_index_bits(n_qubits)
+    out = np.array(mat, dtype=np.complex128 if np.iscomplexobj(mat) else np.float64, order="C")
     if spec.kind == "bitflip_x":
-        idx = np.arange(dim)
+        # X_j rho X_j flips the row bit and the column bit of site j: axes j
+        # and n + j of the (2,) * 2n view, site 0 being the most significant
+        tens = out.reshape((2,) * (2 * n_qubits))
+        flipped = np.empty_like(tens)
         for j in _sites(spec, n_qubits):
-            perm = idx ^ (1 << (n_qubits - 1 - j))
-            out = (1.0 - spec.p) * out + spec.p * out[np.ix_(perm, perm)]
+            np.multiply(np.flip(tens, axis=(j, n_qubits + j)), spec.p, out=flipped)
+            tens *= 1.0 - spec.p
+            tens += flipped
         return out
+    bits = basis_index_bits(n_qubits)
     if spec.kind in ("dephase_z", "zz"):
         factor = np.ones((dim, dim))
         for j in _sites(spec, n_qubits):
@@ -126,7 +132,7 @@ def apply_channel_matrix(mat: np.ndarray, spec: ChannelSpec, n_qubits: int,
     m = sum(1.0 - 2.0 * b for b in bits)  # sum-Z eigenvalues per basis state
     nodes, weights = hermgauss(n_hermite)
     phis = nodes * math.sqrt(spec.chi)  # sqrt(2 sigma^2) with sigma^2 = chi/2
-    acc = np.zeros_like(out)
+    acc = np.zeros(out.shape, dtype=np.complex128)
     for phi, w in zip(phis, weights):
         kernel = np.exp(-1j * phi * (m[:, None] - m[None, :]))
         acc += w * (out * kernel)
@@ -150,21 +156,8 @@ def noisy_imprinted_state(
     identical states.
     """
     if spec.after_imprint:
-        from .qcore import evolve_phase
-
         return apply_channel(MixedState.from_pure(evolve_phase(probe, gen, theta)), spec)
-    rho = apply_channel(MixedState.from_pure(probe), spec)
-    if theta == 0.0:
-        return rho
-    if gen.is_diagonal:
-        u = np.exp(1j * theta * gen.diagonal())
-        return MixedState(rho.n_qubits, rho.matrix * np.outer(u, u.conj()))
-    from .qcore import to_matrix
-
-    gm = to_matrix(gen)
-    w, v = np.linalg.eigh(gm)
-    uu = (v * np.exp(1j * theta * w)) @ v.conj().T
-    return MixedState(rho.n_qubits, uu @ rho.matrix @ uu.conj().T)
+    return evolve_phase(apply_channel(MixedState.from_pure(probe), spec), gen, theta)
 
 
 def kraus_family(spec: ChannelSpec) -> list[np.ndarray]:

@@ -66,16 +66,30 @@ def qfi_mixed(
     """Spectral QFI: 2 sum_{li+lj>cutoff} (li-lj)^2/(li+lj) |<i|O|j>|^2."""
     w, v = rho.spectrum()
     w = np.clip(w, 0.0, None)
-    ov = gen.to_sparse() @ v
-    m = v.conj().T @ ov
+    m = _generator_elements(gen, v)
     li = w[:, None]
     lj = w[None, :]
     ssum = li + lj
-    mask = ssum > cutoff
-    weights = np.zeros_like(ssum)
-    weights[mask] = (li - lj)[mask] ** 2 / ssum[mask]
+    weights = np.divide(
+        (li - lj) ** 2, ssum, out=np.zeros_like(ssum), where=ssum > cutoff
+    )
     value = 2.0 * float(np.sum(weights * np.abs(m) ** 2))
     return QfiReport(value=value, method="mixed_spectral", spectral_cutoff_used=cutoff)
+
+
+def _generator_elements(gen: PauliOperator, v: np.ndarray) -> np.ndarray:
+    """<i|gen|j> between the eigenvector columns of ``v``.
+
+    A diagonal generator scales the rows of ``v``, so real eigenvectors and
+    a real diagonal keep the product real; other generators go through the
+    sparse matrix.
+    """
+    if gen.is_diagonal:
+        d = gen.diagonal()
+        ov = (d if d.imag.any() else d.real)[:, None] * v
+    else:
+        ov = gen.to_sparse() @ v
+    return v.conj().T @ ov
 
 
 def sld(
@@ -118,31 +132,6 @@ def _signal(state: State, obs) -> float:
         return float(np.real(expectation(state, obs)))
     mat = obs.toarray() if sp.issparse(obs) else np.asarray(obs)
     return float(np.real(np.trace(state.matrix @ mat)))
-
-
-def _evolved(state: State, gen: PauliOperator, theta: float) -> State:
-    if isinstance(state, PureState):
-        return evolve_phase(state, gen, theta)
-    if theta == 0.0:
-        return state
-    if gen.is_diagonal:
-        u = np.exp(1j * theta * gen.diagonal())
-        mat = state.matrix * np.outer(u, u.conj())
-        out = MixedState(state.n_qubits, mat)
-        if state._spectrum is not None:
-            # eigenvalues are imprint invariant; rotate the cached basis
-            w, v = state._spectrum
-            out._spectrum = (w, u[:, None] * v)
-        return out
-    ud = to_matrix(gen)
-    w, vv = np.linalg.eigh(ud)
-    uu = (vv * np.exp(1j * theta * w)) @ vv.conj().T
-    mat = uu @ state.matrix @ uu.conj().T
-    out = MixedState(state.n_qubits, mat)
-    if state._spectrum is not None:
-        lam, v = state._spectrum
-        out._spectrum = (lam, uu @ v)
-    return out
 
 
 def _is_involution(obs) -> bool:
@@ -219,16 +208,16 @@ def theta_derivative(
             # quotient clean when the probe is nearly an A-eigenstate
             if isinstance(state, MixedState):
                 state.spectrum()  # warm the cache once; evolutions inherit it
-            _, m_up = _branch_probs(_evolved(state, gen, theta + fd_step), obs)
-            _, m_dn = _branch_probs(_evolved(state, gen, theta - fd_step), obs)
+            _, m_up = _branch_probs(evolve_phase(state, gen, theta + fd_step), obs)
+            _, m_dn = _branch_probs(evolve_phase(state, gen, theta - fd_step), obs)
             return -(m_up - m_dn) / fd_step
-        up = _signal(_evolved(state, gen, theta + fd_step), obs)
-        dn = _signal(_evolved(state, gen, theta - fd_step), obs)
+        up = _signal(evolve_phase(state, gen, theta + fd_step), obs)
+        dn = _signal(evolve_phase(state, gen, theta - fd_step), obs)
         return (up - dn) / (2.0 * fd_step)
     if method == "analytic":
         if not isinstance(obs, PauliOperator):
             raise ValueError("analytic derivative needs a Pauli-sum observable")
-        st = _evolved(state, gen, theta)
+        st = evolve_phase(state, gen, theta)
         if isinstance(st, PureState):
             vec = st.amplitudes
             avec = obs.apply_vec(vec)
@@ -291,7 +280,7 @@ def error_propagation(
             )
     else:
         deriv = theta_derivative(state, gen, obs, theta, fd_step, method="richardson")
-    st = _evolved(state, gen, theta)
+    st = evolve_phase(state, gen, theta)
     var = max(_variance_at(st, obs), 0.0)
     if abs(deriv) < policy.signal_floor:
         return math.inf
@@ -310,7 +299,7 @@ def precision_curve(
     var = np.empty_like(thetas)
     dth = np.empty_like(thetas)
     for i, th in enumerate(thetas):
-        st = _evolved(state, gen, float(th))
+        st = evolve_phase(state, gen, float(th))
         sig[i] = _signal(st, obs)
         var[i] = max(_variance_at(st, obs), 0.0)
         deriv = theta_derivative(state, gen, obs, float(th), fd_step, method="fd")
@@ -371,7 +360,7 @@ def fn_sequence(rho: MixedState, gen: PauliOperator, n_max: int) -> np.ndarray:
     off = ~np.eye(w.size, dtype=bool)
     if np.any(ssum[off] > 1.0 + 1e-10):
         raise ValueError("distinct eigenvalue pair sums exceed 1; invalid density matrix")
-    m2 = np.abs(v.conj().T @ (gen.to_sparse() @ v)) ** 2
+    m2 = np.abs(_generator_elements(gen, v)) ** 2
     diff2 = (w[:, None] - w[None, :]) ** 2
     base = np.clip(1.0 - ssum, 0.0, 1.0)
     out = np.empty(n_max + 1)

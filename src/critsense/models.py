@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .policy import POLICY, NumericPolicy
+from .policy import POLICY, CapacityError, NumericPolicy
 from .qcore import PauliOperator, PureState, dephase_normalize, linear_expectation
 
 _KINDS = ("tfim", "xxz", "rydberg", "cluster_ladder")
@@ -278,8 +278,15 @@ def solve_model(spec: ModelSpec, sector: str | None = "auto") -> GroundSolution:
 
 # -- reference probe states ------------------------------------------
 
+def _check_probe_size(L: int) -> None:
+    # refuse before allocating 2^L amplitudes
+    if L > POLICY.sparse_cap:
+        raise CapacityError(f"{L} qubits exceeds sparse cap {POLICY.sparse_cap}")
+
+
 def ghz_state(L: int) -> PureState:
     """(|0..0> + |1..1>)/sqrt(2)."""
+    _check_probe_size(L)
     amp = np.zeros(1 << L, dtype=np.complex128)
     amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
     return PureState(L, amp)
@@ -287,6 +294,7 @@ def ghz_state(L: int) -> PureState:
 
 def spin_coherent_state(L: int) -> PureState:
     """|+>^L, the separable equal superposition."""
+    _check_probe_size(L)
     amp = np.full(1 << L, (1 << L) ** -0.5, dtype=np.complex128)
     return PureState(L, amp)
 

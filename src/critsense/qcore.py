@@ -5,6 +5,12 @@ Conventions, fixed globally for reproducible outputs:
   * |0> is the Z = +1 eigenstate;
   * Pauli strings are stored as per-site letter strings over {I, X, Y, Z}.
 
+Dense density matrices follow one dtype rule: real in, real out; complex only
+when the data is.  A real matrix is kept as float64 and anything complex as
+complex128, so real probes and real channels run in real arithmetic end to
+end; an operation whose own factors are complex (a phase imprint, say)
+returns complex128.
+
 All operations are pure functions of immutable inputs and safe for
 concurrent read-only use.  The only internal mutable state is the lazy
 spectral cache on MixedState, which should be populated once (call
@@ -199,7 +205,11 @@ class PureState:
 
 @dataclass
 class MixedState:
-    """Hermitian, PSD, unit-trace matrix with a lazily cached spectral decomposition."""
+    """Hermitian, PSD, unit-trace matrix with a lazily cached spectral decomposition.
+
+    The matrix is stored as float64 when it is real and as complex128
+    otherwise (real in, real out; complex only when the data is).
+    """
 
     n_qubits: int
     matrix: np.ndarray
@@ -209,7 +219,8 @@ class MixedState:
 
     def __post_init__(self):
         dim = 1 << self.n_qubits
-        mat = np.asarray(self.matrix, dtype=np.complex128)
+        mat = np.asarray(self.matrix)
+        mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64, copy=False)
         if mat.shape != (dim, dim):
             raise ValueError("matrix shape does not match register size")
         herm = np.max(np.abs(mat - mat.conj().T))
@@ -222,20 +233,27 @@ class MixedState:
 
     @classmethod
     def from_pure(cls, state: PureState) -> "MixedState":
+        """|psi><psi|; real when the amplitudes have no imaginary part."""
+        if state.n_qubits > POLICY.dense_cap:
+            raise CapacityError(
+                f"{state.n_qubits} qubits exceeds dense cap {POLICY.dense_cap}"
+            )
         amp = state.amplitudes
+        if not amp.imag.any():
+            amp = amp.real
         return cls(state.n_qubits, np.outer(amp, amp.conj()))
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (ascending) and eigenvector columns; cached after first call.
 
-        Uses the real-symmetric solver when the matrix is real, which is
-        substantially faster at the largest register sizes.
+        Uses the real-symmetric solver, and returns real eigenvectors, when
+        the matrix is real-valued, which is substantially faster at the
+        largest register sizes.
         """
         if self._spectrum is None:
             mat = self.matrix
-            if np.max(np.abs(mat.imag)) < 1e-14:
+            if not np.iscomplexobj(mat) or np.max(np.abs(mat.imag)) < 1e-14:
                 w, v = np.linalg.eigh(mat.real)
-                v = v.astype(np.complex128)
             else:
                 w, v = np.linalg.eigh(mat)
             if w.min() < -POLICY.psd_tol:
@@ -305,12 +323,15 @@ def variance(state: State, op: PauliOperator) -> float:
     return second - mean * mean
 
 
-def evolve_phase(state: PureState, gen: PauliOperator, theta: float) -> PureState:
-    """e^{i theta gen}|psi> for a Hermitian generator.
+def evolve_phase(state: State, gen: PauliOperator, theta: float) -> State:
+    """e^{i theta gen}|psi>, or U rho U^dagger with U = e^{i theta gen}, for a
+    Hermitian generator.
 
     Diagonal generators (I/Z letters only) are applied as a pure phase; the
     general case goes through a Krylov evaluation of the matrix exponential
-    action.  The norm is preserved to 1e-12.
+    action (pure states) or the dense unitary (mixed states).  The norm is
+    preserved to 1e-12.  A mixed state's cached spectrum is carried over:
+    the eigenvalues are imprint invariant and the eigenvectors are rotated.
     """
     if not gen.is_hermitian:
         raise ValueError("phase generator must be Hermitian")
@@ -318,6 +339,8 @@ def evolve_phase(state: PureState, gen: PauliOperator, theta: float) -> PureStat
         raise ValueError("register size mismatch")
     if theta == 0.0:
         return state
+    if isinstance(state, MixedState):
+        return _imprint_mixed(state, gen, theta)
     if gen.is_diagonal:
         d = gen.diagonal().real
         amp = np.exp(1j * theta * d) * state.amplitudes
@@ -325,6 +348,21 @@ def evolve_phase(state: PureState, gen: PauliOperator, theta: float) -> PureStat
         amp = spla.expm_multiply(1j * theta * gen.to_sparse(), state.amplitudes)
         amp = amp / np.linalg.norm(amp)
     return PureState(state.n_qubits, amp)
+
+
+def _imprint_mixed(rho: MixedState, gen: PauliOperator, theta: float) -> MixedState:
+    diagonal = gen.is_diagonal
+    if diagonal:
+        u = np.exp(1j * theta * gen.diagonal())
+        out = MixedState(rho.n_qubits, rho.matrix * np.outer(u, u.conj()))
+    else:
+        w, vv = np.linalg.eigh(to_matrix(gen))
+        uu = (vv * np.exp(1j * theta * w)) @ vv.conj().T
+        out = MixedState(rho.n_qubits, uu @ rho.matrix @ uu.conj().T)
+    if rho._spectrum is not None:
+        lam, v = rho._spectrum
+        out._spectrum = (lam, u[:, None] * v if diagonal else uu @ v)
+    return out
 
 
 def apply_exponential(gen: PauliOperator, scale: complex, vec: np.ndarray) -> np.ndarray:

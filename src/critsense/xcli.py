@@ -157,6 +157,21 @@ class ExperimentConfig:
                         f"L_list: L={max(fermion_sizes)} needs {need} bytes of string-block "
                         f"work, over the fermion byte cap {POLICY.fermion_bytes_cap}"
                     )
+        if self.scenario in ("qfi_scaling", "channel_sweep", "hadamard"):
+            # every size goes through exact diagonalization, except qfi_scaling
+            # sizes above use_fermion_above when all probes are fermion probes
+            fermion_only = self.scenario == "qfi_scaling" and all(
+                p in FERMION_PROBES for p in self.probes
+            )
+            ed_sizes = [l for l in self.L_list if not fermion_only or l <= self.use_fermion_above]
+            if self.scenario == "channel_sweep":
+                cap, path = POLICY.dense_cap, "a dense density matrix"
+            else:
+                cap, path = POLICY.sparse_cap, "exact diagonalization"
+            if ed_sizes and max(ed_sizes) > cap:
+                raise ConfigError(
+                    f"L_list: L={max(ed_sizes)} needs {path}, over its cap of {cap} qubits"
+                )
         if self.scenario == "subsystem" and self.theta_points < 200:
             raise ConfigError("theta_points: window extraction needs >= 200 points")
         if self.scenario == "deformed" and self.L > 7:

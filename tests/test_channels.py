@@ -68,13 +68,15 @@ def test_channel_matches_kraus_oracle(rng):
     v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     v /= np.linalg.norm(v)
     rho = np.outer(v, v.conj())
-    for kind, local in (("bitflip_x", XM), ("dephase_z", ZM)):
+    for kind, local, mask in (
+        ("bitflip_x", XM, None), ("dephase_z", ZM, None), ("bitflip_x", XM, (0, 1))
+    ):
         p = 0.37
         want = rho.copy()
-        for j in range(L):
+        for j in (range(L) if mask is None else mask):
             pj = kron_op(L, {j: local})
             want = (1 - p) * want + p * (pj @ want @ pj)
-        got = apply_channel_matrix(rho, ChannelSpec(kind=kind, p=p), L)
+        got = apply_channel_matrix(rho, ChannelSpec(kind=kind, p=p, site_mask=mask), L)
         assert np.max(np.abs(got - want)) < 1e-12
     # bond channel
     p = 0.2
@@ -84,6 +86,29 @@ def test_channel_matches_kraus_oracle(rng):
         want = (1 - p) * want + p * (pj @ want @ pj)
     got = apply_channel_matrix(rho, ChannelSpec(kind="zz", p=p), L)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("L", [4, 5])
+@pytest.mark.parametrize("spec", [
+    ChannelSpec(kind="bitflip_x", p=0.3),
+    ChannelSpec(kind="bitflip_x", p=0.3, site_mask=(0, 2)),
+    ChannelSpec(kind="dephase_z", p=0.2),
+    ChannelSpec(kind="zz", p=0.15),
+    ChannelSpec(kind="global_dephase", chi=0.4, t=1.0),
+], ids=lambda spec: spec.kind + ("_masked" if spec.site_mask else ""))
+def test_real_input_stays_real(rng, L, spec):
+    # the float64 route must give the complex128 route's matrix; only the
+    # global kind, whose phase kernel is complex, returns complex128
+    dim = 1 << L
+    g = rng.standard_normal((dim, dim))
+    rho = g @ g.T
+    rho /= np.trace(rho)
+    real = apply_channel_matrix(rho, spec, L)
+    cplx = apply_channel_matrix(rho.astype(np.complex128), spec, L)
+    assert real.dtype == (np.complex128 if spec.kind == "global_dephase" else np.float64)
+    assert cplx.dtype == np.complex128
+    assert np.max(np.abs(real - cplx)) < 1e-14
+    assert apply_channel(MixedState(L, rho), spec).matrix.dtype == real.dtype
 
 
 def test_trace_and_hermiticity_preserved(rng):

@@ -21,10 +21,13 @@ from critsense import (
     spin_coherent_state,
     to_matrix,
 )
+from critsense.channels import in_plane_spin
 from critsense.metrology import precision_curve, theta_derivative
 from critsense.models import ModelSpec, solve_model
+from critsense.policy import POLICY
 
 from conftest import sum_z
+from oracles import X as XM, Y as YM, kron_op, sum_z_dense
 
 
 def random_mixed(rng, n, rank=None):
@@ -62,6 +65,44 @@ def test_qfi_mixed_bitflip_frozen_value():
         MixedState.from_pure(ghz_state(2)), ChannelSpec(kind="bitflip_x", p=0.25)
     )
     assert abs(qfi_mixed(rho, sum_z(2)).value - 10.0) < 1e-8
+
+
+def spectral_qfi_and_fn(w, v, gen_matrix, n_max):
+    """QFI and F_0..F_n from an eigendecomposition and a generator matrix."""
+    w = np.clip(w, 0.0, None)
+    m2 = np.abs(v.conj().T @ (gen_matrix @ v)) ** 2
+    ssum = w[:, None] + w[None, :]
+    diff2 = (w[:, None] - w[None, :]) ** 2
+    keep = ssum > POLICY.spectral_cutoff
+    qfi = 2.0 * np.sum(diff2[keep] / ssum[keep] * m2[keep])
+    base = np.clip(1.0 - ssum, 0.0, 1.0)
+    fn = [2.0 * np.sum(diff2 * sum(base**k for k in range(n + 1)) * m2) for n in range(n_max + 1)]
+    return qfi, np.array(fn)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real_rho", "complex_rho"])
+@pytest.mark.parametrize("L", [3, 4])
+def test_generator_kernel_matches_sparse_route_and_oracle(rng, L, real):
+    dim = 1 << L
+    g = rng.standard_normal((dim, 3))
+    if not real:
+        g = g + 1j * rng.standard_normal((dim, 3))
+    m = g @ g.conj().T
+    rho = MixedState(L, m / np.trace(m))
+    assert rho.matrix.dtype == (np.float64 if real else np.complex128)
+    w, v = rho.spectrum()
+    assert v.dtype == rho.matrix.dtype
+    oracle_w, oracle_v = np.linalg.eigh(rho.matrix.astype(np.complex128))
+    plane = 0.5 * sum(math.cos(0.4) * kron_op(L, {j: XM}) + math.sin(0.4) * kron_op(L, {j: YM})
+                      for j in range(L))
+    for gen, dense in ((sum_z(L), sum_z_dense(L)), (in_plane_spin(L, 0.4), plane)):
+        got_q = qfi_mixed(rho, gen).value
+        got_f = fn_sequence(rho, gen, 6)
+        # the generic sparse route on the same eigenvectors, and a dense oracle
+        for ref_w, ref_v, mat in ((w, v, gen.to_sparse()), (oracle_w, oracle_v, dense)):
+            ref_q, ref_f = spectral_qfi_and_fn(ref_w, ref_v, mat, 6)
+            assert abs(got_q - ref_q) < 1e-10 * max(1.0, ref_q)
+            assert np.max(np.abs(got_f - ref_f)) < 1e-10 * max(1.0, ref_q)
 
 
 def test_qfi_invariance_under_imprint():

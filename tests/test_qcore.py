@@ -16,8 +16,9 @@ from critsense import (
     to_matrix,
     variance,
 )
+import critsense.qcore as qcore
 from critsense.models import ghz_state, spin_coherent_state
-from critsense.policy import NumericPolicy
+from critsense.policy import POLICY, NumericPolicy
 
 from conftest import sum_z
 from oracles import kron_word, tfim_dense, ground_vec, expect, kron_op, Z
@@ -175,6 +176,58 @@ def test_partial_trace_kept_operator_consistency(rng):
     lhs = np.trace(red.matrix @ to_matrix(op_red))
     rhs = expectation(st, op_full)
     assert abs(lhs - rhs) < 1e-12
+
+
+def test_from_pure_dtype_follows_amplitudes():
+    real = MixedState.from_pure(ghz_state(3))
+    assert real.matrix.dtype == np.float64
+    phased = evolve_phase(ghz_state(3), sum_z(3), 0.3)
+    cplx = MixedState.from_pure(phased)
+    assert cplx.matrix.dtype == np.complex128
+    amp = phased.amplitudes
+    assert np.max(np.abs(cplx.matrix - np.outer(amp, amp.conj()))) == 0.0
+
+
+def test_from_pure_refuses_over_dense_cap(monkeypatch):
+    # a tight cap keeps the refused outer product small should the check regress
+    monkeypatch.setattr(qcore, "POLICY", NumericPolicy(dense_cap=3))
+    with pytest.raises(CapacityError):
+        MixedState.from_pure(spin_coherent_state(4))
+
+
+@pytest.mark.parametrize("make", [ghz_state, spin_coherent_state])
+def test_probe_states_refuse_over_sparse_cap(make):
+    with pytest.raises(CapacityError):
+        make(POLICY.sparse_cap + 1)
+
+
+def test_spectrum_of_real_state_is_real(rng):
+    g = rng.standard_normal((16, 16))
+    m = g @ g.T
+    rho = MixedState(4, m / np.trace(m))
+    w, v = rho.spectrum()
+    assert rho.matrix.dtype == np.float64 and v.dtype == np.float64
+    assert np.max(np.abs(w - np.linalg.eigvalsh(rho.matrix.astype(np.complex128)))) < 1e-13
+    assert np.max(np.abs(rho.matrix @ v - v * w)) < 1e-13
+
+
+@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "general"])
+def test_mixed_imprint_rotates_cached_spectrum(rng, diagonal):
+    L = 3
+    g = rng.standard_normal((8, 8))
+    m = g @ g.T
+    rho = MixedState(L, m / np.trace(m))
+    gen = sum_z(L) if diagonal else PauliOperator(L, [(0.7, "XII"), (0.2, "IYZ")])
+    lam, _ = rho.spectrum()
+    out = evolve_phase(rho, gen, 0.3)
+    assert out.matrix.dtype == np.complex128
+    w, u = np.linalg.eigh(to_matrix(gen))
+    uu = (u * np.exp(0.3j * w)) @ u.conj().T
+    assert np.max(np.abs(out.matrix - uu @ rho.matrix @ uu.conj().T)) < 1e-13
+    assert out._spectrum is not None
+    w_out, v_out = out.spectrum()
+    assert np.array_equal(w_out, lam)
+    assert np.max(np.abs(out.matrix @ v_out - v_out * w_out)) < 1e-13
 
 
 def test_dephase_normalize_zero_vector():

@@ -187,6 +187,32 @@ def test_fermion_path_sizes_rejected_before_work(tmp_path, capsys, sizes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("payload", [
+    # exact diagonalization above the sparse cap
+    {"scenario": "qfi_scaling", "probes": ["critical_afm"], "L_list": [22, 24, 48]},
+    {"scenario": "qfi_scaling", "probes": ["critical"], "L_list": [16, 22, 64],
+     "use_fermion_above": 30},
+    # a density matrix above the dense cap
+    {"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4, 15],
+     "channel": {"kind": "bitflip_x", "p": 0.1}},
+], ids=["afm_over_sparse_cap", "critical_below_fermion_switch", "channel_over_dense_cap"])
+def test_exact_path_sizes_rejected_before_work(tmp_path, capsys, payload):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert main([payload["scenario"], "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "L_list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fermion_path_sizes_skip_the_exact_path_cap():
+    # sizes above use_fermion_above never reach exact diagonalization
+    cfg = ExperimentConfig.from_dict(
+        {"scenario": "qfi_scaling", "probes": ["critical"], "L_list": [8, 64, 768]}
+    )
+    assert cfg.L_list == (8, 64, 768)
+
+
 def test_main_env_thread_override(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "qfi_scaling", "probes": ["ghz"], "L_list": [4, 6, 8]}))
