@@ -21,7 +21,14 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad
 
 from .policy import POLICY, CapacityError
-from .qcore import MixedState, PauliOperator, PureState, basis_index_bits, evolve_phase
+from .qcore import (
+    MixedState,
+    PauliOperator,
+    PureState,
+    basis_index_bits,
+    evolve_phase,
+    pauli_word,
+)
 
 KINDS = ("bitflip_x", "dephase_z", "zz", "global_dephase")
 
@@ -179,12 +186,12 @@ def kraus_family(spec: ChannelSpec) -> list[np.ndarray]:
 def collective_spin(L: int, axis: str, half: bool = True) -> PauliOperator:
     """S_axis = (1/2) sum_j P_j (or the bare sum when half=False)."""
     coeff = 0.5 if half else 1.0
-    terms = []
-    for j in range(L):
-        word = ["I"] * L
-        word[j] = axis
-        terms.append((coeff, "".join(word)))
-    return PauliOperator(L, terms)
+    return PauliOperator(L, [(coeff, pauli_word(L, {j: axis})) for j in range(L)])
+
+
+def staggered_z(L: int) -> PauliOperator:
+    """sum_j (-1)^j Z_j, the staggered magnetization."""
+    return PauliOperator(L, [((-1.0) ** j, pauli_word(L, {j: "Z"})) for j in range(L)])
 
 
 def in_plane_spin(L: int, theta: float) -> PauliOperator:

@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .channels import collective_spin, staggered_z
 from .policy import POLICY, CapacityError, NumericPolicy
-from .qcore import PauliOperator, PureState, dephase_normalize, linear_expectation
+from .qcore import PauliOperator, PureState, dephase_normalize, linear_expectation, pauli_word
+from .symmetry import build_symmetry
 
 _KINDS = ("tfim", "xxz", "rydberg", "cluster_ladder")
 
@@ -96,30 +98,30 @@ def build_hamiltonian(spec: ModelSpec, extra_terms: list[tuple[complex, str]] | 
 
     if spec.kind == "tfim":
         for j, k in bonds():
-            terms.append((-spec.J, _word(n, {j: "Z", k: "Z"})))
+            terms.append((-spec.J, pauli_word(n, {j: "Z", k: "Z"})))
         for j in range(L):
-            terms.append((-spec.h, _word(n, {j: "X"})))
+            terms.append((-spec.h, pauli_word(n, {j: "X"})))
     elif spec.kind == "xxz":
         for j, k in bonds():
-            terms.append((1.0, _word(n, {j: "X", k: "X"})))
-            terms.append((1.0, _word(n, {j: "Y", k: "Y"})))
-            terms.append((spec.delta, _word(n, {j: "Z", k: "Z"})))
+            terms.append((1.0, pauli_word(n, {j: "X", k: "X"})))
+            terms.append((1.0, pauli_word(n, {j: "Y", k: "Y"})))
+            terms.append((spec.delta, pauli_word(n, {j: "Z", k: "Z"})))
     elif spec.kind == "rydberg":
         # n_j = (I - Z_j)/2, b_j + b_j^dag = X_j
         for j in range(L):
-            terms.append((0.5 * spec.omega, _word(n, {j: "X"})))
-            terms.append((-0.5 * spec.detuning, _word(n, {})))
-            terms.append((0.5 * spec.detuning, _word(n, {j: "Z"})))
+            terms.append((0.5 * spec.omega, pauli_word(n, {j: "X"})))
+            terms.append((-0.5 * spec.detuning, pauli_word(n, {})))
+            terms.append((0.5 * spec.detuning, pauli_word(n, {j: "Z"})))
         for v, step in ((spec.v1, 1), (spec.v2, 2)):
             if v == 0.0:
                 continue
             last = L if spec.boundary == "periodic" else L - step
             for j in range(last):
                 k = (j + step) % L
-                terms.append((0.25 * v, _word(n, {})))
-                terms.append((-0.25 * v, _word(n, {j: "Z"})))
-                terms.append((-0.25 * v, _word(n, {k: "Z"})))
-                terms.append((0.25 * v, _word(n, {j: "Z", k: "Z"})))
+                terms.append((0.25 * v, pauli_word(n, {})))
+                terms.append((-0.25 * v, pauli_word(n, {j: "Z"})))
+                terms.append((-0.25 * v, pauli_word(n, {k: "Z"})))
+                terms.append((0.25 * v, pauli_word(n, {j: "Z", k: "Z"})))
     elif spec.kind == "cluster_ladder":
         for j in range(1, L):
             s = lambda jj, yy: ladder_site(jj, yy, L)
@@ -130,7 +132,7 @@ def build_hamiltonian(spec: ModelSpec, extra_terms: list[tuple[complex, str]] | 
                 ({s(j, 1): "Z", s(j + 1, 2): "X", s(j + 1, 1): "Z"}),
             ]
             for tri in triangles:
-                terms.append((-1.0, _word(n, tri)))
+                terms.append((-1.0, pauli_word(n, tri)))
 
     if extra_terms:
         terms.extend(extra_terms)
@@ -138,13 +140,6 @@ def build_hamiltonian(spec: ModelSpec, extra_terms: list[tuple[complex, str]] | 
     if not op.is_hermitian:
         raise ValueError("assembled Hamiltonian is not Hermitian")
     return op
-
-
-def _word(n: int, sites: dict[int, str]) -> str:
-    word = ["I"] * n
-    for site, letter in sites.items():
-        word[site] = letter
-    return "".join(word)
 
 
 def _deterministic_start(dim: int) -> np.ndarray:
@@ -168,8 +163,10 @@ def ground_state(
     ``sector`` lists (symmetry operator, wanted eigenvalue) pairs; when the
     ground level is near-degenerate (splitting below the degeneracy
     tolerance), the returned state is resolved inside the multiplet to the
-    requested symmetry eigenvalues.  Dense diagonalization below 2^10, Lanczos
-    above.
+    requested symmetry eigenvalues.  Dense diagonalization up to 2^10 basis
+    states, Lanczos above, both on ``H.to_sparse()``: a real Hamiltonian
+    (Ising, XXZ, Rydberg) gives a float64 matrix and runs the real-symmetric
+    solvers; a complex one keeps the complex Hermitian path.
     """
     if not H.is_hermitian:
         raise ValueError("ground_state requires a Hermitian Hamiltonian")
@@ -177,7 +174,8 @@ def ground_state(
     dim = 1 << n
     if dim <= 1024:
         mat = H.to_sparse().toarray()
-        mat = mat.real if np.max(np.abs(mat.imag)) < 1e-14 else mat
+        if np.iscomplexobj(mat) and np.max(np.abs(mat.imag)) < 1e-14:
+            mat = mat.real
         evals, evecs = np.linalg.eigh(mat)
     else:
         if n > policy.sparse_cap:
@@ -271,7 +269,7 @@ def solve_model(spec: ModelSpec, sector: str | None = "auto") -> GroundSolution:
         if spec.boundary == "periodic":
             # momentum phase is recorded empirically, never asserted
             sol.sector_labels["translation_re"] = float(
-                np.real(linear_expectation(_translation_perm(n), sol.state))
+                np.real(linear_expectation(build_symmetry("translation", n), sol.state))
             )
     return sol
 
@@ -320,8 +318,8 @@ def oat_optimal_generator(state: PureState) -> tuple[PauliOperator, float]:
     from .qcore import expectation, variance
 
     L = state.n_qubits
-    sz = PauliOperator(L, [(1.0, _word(L, {j: "Z"})) for j in range(L)])
-    sy = PauliOperator(L, [(1.0, _word(L, {j: "Y"})) for j in range(L)])
+    sz = collective_spin(L, "Z", half=False)
+    sy = collective_spin(L, "Y", half=False)
     vz = variance(state, sz)
     vy = variance(state, sy)
     zvec = sz.apply_vec(state.amplitudes)
@@ -373,37 +371,12 @@ class RydbergCrossing:
     pair_crossings: tuple[float, ...]
 
 
-def _staggered_z(L: int) -> PauliOperator:
-    return PauliOperator(
-        L, [((-1.0) ** j, _word(L, {j: "Z"})) for j in range(L)]
-    )
-
-
 def _rydberg_susceptibility(spec: ModelSpec) -> float:
     from .metrology import qfi_pure
 
-    order = _staggered_z(spec.L)
-    sol = ground_state(build_hamiltonian(spec), sector=(_translation_perm(spec.L), +1.0))
+    order = staggered_z(spec.L)
+    sol = ground_state(build_hamiltonian(spec), sector=(build_symmetry("translation", spec.L), +1.0))
     return qfi_pure(sol.state, order) / (4.0 * spec.L ** 1.75)
-
-
-class _PermOp:
-    """Minimal permutation operator wrapper for sector resolution."""
-
-    def __init__(self, perm: np.ndarray, kind: str):
-        self.perm = perm
-        self.kind = kind
-
-    def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        out = np.empty_like(vec)
-        out[self.perm] = vec
-        return out
-
-
-def _translation_perm(L: int) -> _PermOp:
-    idx = np.arange(1 << L, dtype=np.int64)
-    new = (idx >> 1) | ((idx & 1) << (L - 1))
-    return _PermOp(new, "translation")
 
 
 def rydberg_blockade_basis(L: int, boundary: str = "periodic") -> np.ndarray:

@@ -5,6 +5,18 @@ Conventions, fixed globally for reproducible outputs:
   * |0> is the Z = +1 eigenstate;
   * Pauli strings are stored as per-site letter strings over {I, X, Y, Z}.
 
+A Pauli sum is evaluated through one grouped form, built lazily and cached
+on the operator: its terms regrouped by X/Y flip mask m, each group one
+phase vector over the basis (or one scalar when no term of the group has a
+Z or Y letter), so that P|b> = sum_m phase_m[b] |b ^ m>.  The phases come
+from bit arithmetic on the basis index, i^#Y (-1)^popcount(b & zy_mask).
+``apply_vec`` flips ``phase_m * vec`` along the masked axes of the (2,) * n
+tensor view, ``diagonal`` is the mask-0 phase vector (cached, read-only),
+``to_sparse`` writes one entry per group per row, and the mixed-state
+``expectation`` sums phase_m[b] rho[b, b ^ m].  A real operator yields a real
+matrix: when every phase is real (the Ising, XXZ and Rydberg Hamiltonians)
+``to_sparse`` returns float64, so the ground solvers run real-symmetric.
+
 Dense density matrices follow one dtype rule: real in, real out; complex only
 when the data is.  A real matrix is kept as float64 and anything complex as
 complex128, so real probes and real channels run in real arithmetic end to
@@ -12,15 +24,16 @@ end; an operation whose own factors are complex (a phase imprint, say)
 returns complex128.
 
 All operations are pure functions of immutable inputs and safe for
-concurrent read-only use.  The only internal mutable state is the lazy
+concurrent read-only use.  The internal mutable state is lazy caches: the
 spectral cache on MixedState, which should be populated once (call
-``spectrum()``) before sharing across threads.
+``spectrum()``) before sharing across threads, and the grouped form and
+diagonal of a PauliOperator, which two threads may at worst both build.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,7 +52,11 @@ def basis_index_bits(n_qubits: int) -> list[np.ndarray]:
 
 @lru_cache(maxsize=256)
 def _string_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation and phase arrays of a Pauli string: P|b> = phase[b]|perm[b]>."""
+    """Permutation and phase arrays of a Pauli string: P|b> = phase[b]|perm[b]>.
+
+    Built one letter at a time; the per-string reference the grouped form of
+    ``PauliOperator`` is tested against, not used on any numeric path.
+    """
     n = len(letters)
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
@@ -61,15 +78,93 @@ def _string_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     return perm, phase
 
 
+_FLIP_LETTERS = str.maketrans("IXYZ", "0110")
+_SIGN_LETTERS = str.maketrans("IXYZ", "0011")
+_I_POWERS = (1.0, 1j, -1.0, -1j)
+
+
+def pauli_word(n_qubits: int, sites: dict[int, str]) -> str:
+    """Letter string with the given {site: letter} entries, identity elsewhere."""
+    word = ["I"] * n_qubits
+    for site, letter in sites.items():
+        if not 0 <= site < n_qubits:
+            raise ValueError(f"site {site} outside register of {n_qubits} qubits")
+        word[site] = letter
+    return "".join(word)
+
+
+class _Grouped(NamedTuple):
+    """Pauli sum regrouped by X/Y flip mask: P|b> = sum_m phase_m[b] |b ^ m>.
+
+    ``phases[g]`` is a full-length read-only vector, or a Python scalar when
+    no term of the group carries a Z or Y letter; ``axes[g]`` are the axes of
+    the (2,) * n tensor view that mask ``masks[g]`` flips.  ``real`` holds
+    when every phase is real, i.e. when the operator's matrix is real.
+    """
+
+    masks: tuple[int, ...]
+    phases: tuple
+    axes: tuple[tuple[int, ...], ...]
+    real: bool
+
+
+def _group_terms(n_qubits: int, terms: Sequence[tuple[complex, str]]) -> _Grouped:
+    # a string with flip mask f, sign mask s (Z and Y sites) and ny Y letters
+    # acts as P|b> = i^ny (-1)^popcount(b & s) |b ^ f>
+    by_mask: dict[int, list[tuple[complex, int]]] = {}
+    for coeff, letters in terms:
+        flip = int(letters.translate(_FLIP_LETTERS), 2)
+        sign = int(letters.translate(_SIGN_LETTERS), 2)
+        by_mask.setdefault(flip, []).append(
+            (coeff * _I_POWERS[letters.count("Y") % 4], sign)
+        )
+    idx = None
+    masks, phases, axes = [], [], []
+    real = True
+    for flip in sorted(by_mask):
+        group = by_mask[flip]
+        if all(sign == 0 for _, sign in group):
+            scalar = sum(c for c, _ in group)
+            phase = scalar.real if scalar.imag == 0.0 else scalar
+        else:
+            if idx is None:
+                idx = np.arange(1 << n_qubits, dtype=np.int64)
+            re = np.zeros(idx.size)
+            im = None
+            for c, sign in group:
+                s = 1.0 - 2.0 * (np.bitwise_count(idx & sign) & 1) if sign else 1.0
+                re += c.real * s
+                if c.imag != 0.0:
+                    if im is None:
+                        im = np.zeros(idx.size)
+                    im += c.imag * s
+            phase = re if im is None or not im.any() else re + 1j * im
+            phase.setflags(write=False)
+        real = real and not np.iscomplexobj(phase)
+        masks.append(flip)
+        phases.append(phase)
+        axes.append(tuple(j for j in range(n_qubits) if flip >> (n_qubits - 1 - j) & 1))
+    return _Grouped(tuple(masks), tuple(phases), tuple(axes), real)
+
+
 class PauliOperator:
     """Complex-weighted sum of Pauli strings on an n-qubit register.
 
     Terms with identical letter strings are merged; zero coefficients are
     dropped.  The operator is Hermitian iff every merged coefficient is real
     (strings are linearly independent and individually Hermitian).
+
+    The numeric paths (``apply_vec``, ``diagonal``, ``to_sparse`` and the
+    mixed-state ``expectation``) share one grouped form, built on first use
+    and cached: the terms regrouped by X/Y flip mask, one phase vector (or
+    scalar) per mask, from bit arithmetic on the basis index.  A real
+    operator yields a real matrix: ``to_sparse`` returns float64 when every
+    phase is real (the Ising, XXZ and Rydberg Hamiltonians) and complex128
+    otherwise, and ``apply_vec`` keeps a real vector real under a real
+    operator.
     """
 
-    __slots__ = ("n_qubits", "terms")
+    __slots__ = ("n_qubits", "terms", "_form", "_diag")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[complex, str]] = ()):
         if n_qubits < 1:
@@ -87,6 +182,8 @@ class PauliOperator:
         self.terms = tuple(
             (c, s) for s, c in sorted(merged.items()) if abs(c) > 1e-15
         )
+        self._form: _Grouped | None = None
+        self._diag: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -100,12 +197,7 @@ class PauliOperator:
     @classmethod
     def string(cls, n_qubits: int, sites: dict[int, str], coeff: complex = 1.0) -> "PauliOperator":
         """One Pauli string from a {site: letter} mapping (identity elsewhere)."""
-        word = ["I"] * n_qubits
-        for site, letter in sites.items():
-            if not 0 <= site < n_qubits:
-                raise ValueError(f"site {site} outside register of {n_qubits} qubits")
-            word[site] = letter
-        return cls(n_qubits, [(coeff, "".join(word))])
+        return cls(n_qubits, [(coeff, pauli_word(n_qubits, sites))])
 
     # -- algebra -------------------------------------------------------
     def __add__(self, other: "PauliOperator") -> "PauliOperator":
@@ -134,36 +226,82 @@ class PauliOperator:
     def is_diagonal(self) -> bool:
         return all(set(s) <= {"I", "Z"} for _, s in self.terms)
 
+    def _grouped(self) -> _Grouped:
+        if self._form is None:
+            self._form = _group_terms(self.n_qubits, self.terms)
+        return self._form
+
     def diagonal(self) -> np.ndarray:
-        """Eigenvalue vector over the computational basis; requires I/Z letters only."""
-        if not self.is_diagonal:
-            raise ValueError("operator has X/Y letters; not diagonal")
-        dim = 1 << self.n_qubits
-        d = np.zeros(dim, dtype=np.complex128)
-        for coeff, letters in self.terms:
-            _, phase = _string_action(letters)
-            d += coeff * phase
-        return d
+        """Eigenvalue vector over the computational basis; requires I/Z letters only.
+
+        Built once and cached; the returned array is read-only, float64 for
+        a real operator and complex128 otherwise.
+        """
+        if self._diag is None:
+            if not self.is_diagonal:
+                raise ValueError("operator has X/Y letters; not diagonal")
+            form = self._grouped()
+            if form.masks and not np.isscalar(form.phases[0]):
+                d = form.phases[0]
+            else:
+                value = form.phases[0] if form.masks else 0.0
+                d = np.full(1 << self.n_qubits, value)
+                d.setflags(write=False)
+            self._diag = d
+        return self._diag
 
     def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        """Linear action on a state vector (unnormalized result)."""
-        out = np.zeros(vec.shape, dtype=np.complex128)
-        for coeff, letters in self.terms:
-            perm, phase = _string_action(letters)
-            out[perm] += coeff * (phase * vec)
+        """Linear action on a state vector (unnormalized result).
+
+        Each flip-mask group adds ``phase * vec`` flipped along the masked
+        axes of the (2,) * n view; a real vector stays real under a real
+        operator.
+        """
+        form = self._grouped()
+        vec = np.asarray(vec)
+        dtype = np.result_type(vec.dtype, np.float64 if form.real else np.complex128)
+        out = np.zeros(vec.shape, dtype=dtype)
+        shape = (2,) * self.n_qubits
+        out_t = out.reshape(shape)
+        for phase, axes in zip(form.phases, form.axes):
+            term = phase * vec
+            if axes:
+                out_t += np.flip(term.reshape(shape), axis=axes)
+            else:
+                out += term
         return out
 
     def to_sparse(self, policy: NumericPolicy = POLICY) -> sp.csr_matrix:
+        """CSR matrix, float64 for a real operator and complex128 otherwise.
+
+        Built in one pass: row r holds one entry per flip-mask group, at
+        column r ^ mask; exact zeros (a phase vector cancelling on some basis
+        states) are dropped.
+        """
         if self.n_qubits > policy.sparse_cap:
             raise CapacityError(
                 f"{self.n_qubits} qubits exceeds sparse cap {policy.sparse_cap}"
             )
+        form = self._grouped()
         dim = 1 << self.n_qubits
-        mat = sp.csr_matrix((dim, dim), dtype=np.complex128)
-        idx = np.arange(dim, dtype=np.int64)
-        for coeff, letters in self.terms:
-            perm, phase = _string_action(letters)
-            mat = mat + sp.csr_matrix((coeff * phase, (perm, idx)), shape=(dim, dim))
+        dtype = np.float64 if form.real else np.complex128
+        n_groups = len(form.masks)
+        index_dtype = np.int32 if (dim + 1) * n_groups < 2**31 else np.int64
+        idx = np.arange(dim, dtype=index_dtype)
+        cols = np.empty((dim, n_groups), dtype=index_dtype)
+        data = np.empty((dim, n_groups), dtype=dtype)
+        shape = (2,) * self.n_qubits
+        for g, (mask, phase, axes) in enumerate(zip(form.masks, form.phases, form.axes)):
+            # <r|P|r ^ mask> = phase[r ^ mask]
+            np.bitwise_xor(idx, mask, out=cols[:, g])
+            if np.isscalar(phase):
+                data[:, g] = phase
+            else:
+                data[:, g] = np.flip(phase.reshape(shape), axis=axes).reshape(dim)
+        indptr = np.arange(dim + 1, dtype=index_dtype) * n_groups
+        mat = sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(dim, dim))
+        mat.eliminate_zeros()
+        mat.sort_indices()
         return mat
 
 
@@ -174,6 +312,26 @@ def to_matrix(op: PauliOperator, policy: NumericPolicy = POLICY) -> np.ndarray:
             f"{op.n_qubits} qubits exceeds dense cap {policy.dense_cap}"
         )
     return op.to_sparse(policy).toarray()
+
+
+_HERM_TILE = 128
+
+
+def _hermitian_deviation(mat: np.ndarray) -> float:
+    """max |mat - mat^dagger|, over square tiles of the upper block triangle.
+
+    The deviation is symmetric in (i, j), so the upper triangle gives the
+    full-matrix maximum; each tile reads its mirror tile once, without the
+    strided whole-matrix transpose and its two dim^2 temporaries.
+    """
+    b = _HERM_TILE
+    dim = mat.shape[0]
+    tiles = []
+    for i in range(0, dim, b):
+        for j in range(i, dim, b):
+            mirror = mat[j:j + b, i:i + b].T
+            tiles.append(np.max(np.abs(mat[i:i + b, j:j + b] - mirror.conj())))
+    return float(np.max(tiles))
 
 
 @dataclass(frozen=True)
@@ -223,7 +381,7 @@ class MixedState:
         mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64, copy=False)
         if mat.shape != (dim, dim):
             raise ValueError("matrix shape does not match register size")
-        herm = np.max(np.abs(mat - mat.conj().T))
+        herm = _hermitian_deviation(mat)
         if herm > POLICY.herm_tol:
             raise ValueError(f"matrix not Hermitian: max deviation {herm:.3e}")
         tr = np.trace(mat)
@@ -297,12 +455,13 @@ def expectation(state: State, op: PauliOperator) -> complex:
         raise ValueError("register size mismatch")
     if isinstance(state, PureState):
         return complex(np.vdot(state.amplitudes, op.apply_vec(state.amplitudes)))
-    total = 0.0 + 0.0j
+    # Tr(rho P) = sum_m sum_b phase_m[b] rho[b, b ^ m]
+    form = op._grouped()
     rho = state.matrix
-    for coeff, letters in op.terms:
-        perm, phase = _string_action(letters)
-        idx = np.arange(rho.shape[0])
-        total += coeff * np.sum(phase * rho[idx, perm])
+    idx = np.arange(rho.shape[0])
+    total = 0.0 + 0.0j
+    for mask, phase in zip(form.masks, form.phases):
+        total += np.sum(phase * rho[idx, idx ^ mask])
     return complex(total)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .metrology import PrecisionCurve, error_propagation
 from .models import luttinger_K
-from .qcore import PauliOperator, PureState, apply_exponential
+from .qcore import PauliOperator, PureState, apply_exponential, pauli_word
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def make_ising_protocol(L: int, L_sub: int, offset: int | None = None) -> Subsys
     """Block parity with the half-sum Z imprinter on the same block."""
     offset = _resolve_offset(L, L_sub, offset)
     imprinter = PauliOperator(
-        L, [(0.5, _word(L, {offset + j: "Z"})) for j in range(L_sub)]
+        L, [(0.5, pauli_word(L, {offset + j: "Z"})) for j in range(L_sub)]
     )
     return SubsystemProtocol(
         L=L, L_sub=L_sub, offset=offset,
@@ -129,7 +129,7 @@ def make_xxz_protocol(
     """
     offset = _resolve_offset(L, L_sub, offset, span=L_sub + 1)
     imprinter = PauliOperator(
-        L, [(0.5, _word(L, {offset + j: "X"})) for j in range(1, L_sub)]
+        L, [(0.5, pauli_word(L, {offset + j: "X"})) for j in range(1, L_sub)]
     )
     return SubsystemProtocol(
         L=L, L_sub=L_sub, offset=offset,
@@ -137,13 +137,6 @@ def make_xxz_protocol(
         measurement=xxz_string_parity(L, L_sub, alpha, beta, offset),
         kind="xxz_string",
     )
-
-
-def _word(n: int, sites: dict[int, str]) -> str:
-    w = ["I"] * n
-    for s, l in sites.items():
-        w[s] = l
-    return "".join(w)
 
 
 def parity_theta_curve(
@@ -342,8 +335,8 @@ def staggered_density_imprinter(L: int, L_sub: int) -> PauliOperator:
     terms: list[tuple[complex, str]] = []
     for j in range(1, L_sub):
         sign = (-1.0) ** j
-        terms.append((0.25 * sign, _word(L, {j: "Z"})))
-        terms.append((-0.25 * sign, _word(L, {j + 1: "Z"})))
+        terms.append((0.25 * sign, pauli_word(L, {j: "Z"})))
+        terms.append((-0.25 * sign, pauli_word(L, {j + 1: "Z"})))
     return PauliOperator(L, terms)
 
 

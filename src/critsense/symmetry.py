@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .policy import POLICY
-from .qcore import PauliOperator, PureState
+from .qcore import PauliOperator, PureState, pauli_word
 
 KINDS = ("parity_x", "parity_z", "translation", "reflection")
 
@@ -45,11 +45,6 @@ class SymmetryOperator:
         else:
             out[self.perm] = self.phase * vec
         return out
-
-    def dagger_vec(self, vec: np.ndarray) -> np.ndarray:
-        if self.phase is None:
-            return vec[self.perm]
-        return np.conj(self.phase) * vec[self.perm]
 
     def to_sparse(self) -> sp.csr_matrix:
         dim = 1 << self.L
@@ -170,16 +165,9 @@ def rydberg_order_parameter(L: int, boundary: str = "periodic") -> PauliOperator
         k = (j + 1) % L
         sign = (-1.0) ** j
         # (-1)^j (n_k - n_j) = (-1)^j (Z_j - Z_k)/2
-        terms.append((0.5 * sign, _word(L, {j: "Z"})))
-        terms.append((-0.5 * sign, _word(L, {k: "Z"})))
+        terms.append((0.5 * sign, pauli_word(L, {j: "Z"})))
+        terms.append((-0.5 * sign, pauli_word(L, {k: "Z"})))
     return PauliOperator(L, terms)
-
-
-def _word(n: int, sites: dict[int, str]) -> str:
-    w = ["I"] * n
-    for s, l in sites.items():
-        w[s] = l
-    return "".join(w)
 
 
 def hadamard_test(state: PureState, unitary: SymmetryOperator) -> HadamardTestResult:

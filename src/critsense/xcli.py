@@ -21,11 +21,18 @@ import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .channels import ChannelSpec, apply_channel, bitflip_qfi_formula
+from .channels import (
+    ChannelSpec,
+    apply_channel,
+    bitflip_qfi_formula,
+    collective_spin,
+    staggered_z,
+)
 from .fermion import (
     fit_power_law,
     qfi_generator_second_moment,
@@ -47,6 +54,7 @@ from .models import (
     ladder_site,
     optimal_oat_twist,
     oat_squeezed_state,
+    parity_x_operator,
     solve_model,
     spin_coherent_state,
 )
@@ -190,7 +198,7 @@ class ExperimentConfig:
             payload[f.name] = val
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    @property
+    @cached_property
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_canonical_json().encode()).hexdigest()[:16]
 
@@ -261,32 +269,22 @@ def point_seed(global_seed: int, index: int) -> int:
     return splitmix64(global_seed ^ splitmix64(index))
 
 
-def _sum_z(L: int) -> PauliOperator:
-    return PauliOperator(L, [(1.0, "I" * j + "Z" + "I" * (L - 1 - j)) for j in range(L)])
-
-
-def _staggered_z(L: int) -> PauliOperator:
-    return PauliOperator(
-        L, [((-1.0) ** j, "I" * j + "Z" + "I" * (L - 1 - j)) for j in range(L)]
-    )
-
-
 def _probe_state(probe: str, L: int) -> tuple[PureState, PauliOperator]:
     if probe == "ghz":
-        return ghz_state(L), _sum_z(L)
+        return ghz_state(L), collective_spin(L, "Z", half=False)
     if probe == "spin_coherent":
-        return spin_coherent_state(L), _sum_z(L)
+        return spin_coherent_state(L), collective_spin(L, "Z", half=False)
     if probe == "oat":
         t_star, _, gen = optimal_oat_twist(L)
         return oat_squeezed_state(L, t_star), gen
     if probe in ("critical", "critical_fm"):
         sol = solve_model(ModelSpec(kind="tfim", L=L, J=1.0, h=1.0))
-        return sol.state, _sum_z(L)
+        return sol.state, collective_spin(L, "Z", half=False)
     if probe == "critical_afm":
         if L % 2:
             raise ConfigError("L_list: the staggered probe needs even sizes")
         sol = solve_model(ModelSpec(kind="tfim", L=L, J=-1.0, h=1.0))
-        return sol.state, _staggered_z(L)
+        return sol.state, staggered_z(L)
     raise ConfigError(f"probes: unknown probe {probe!r}")
 
 
@@ -332,7 +330,7 @@ def _run_theta_curves(cfg: ExperimentConfig) -> list[ExperimentRecord]:
             scenario=cfg.scenario, probe="critical_fm", model_kind="tfim", L=L,
             theta=float(th), observable="parity_x", value=val,
             variance=max(1 - val * val, 0.0),
-            delta_theta=error_propagation(fm, gen_fm, par_as_pauli(L), float(th)),
+            delta_theta=error_propagation(fm, gen_fm, parity_x_operator(L), float(th)),
             seed=cfg.seed, config_hash=cfg.config_hash,
         ))
     # spatial-symmetry probes on the staggered chain
@@ -361,10 +359,6 @@ def _run_theta_curves(cfg: ExperimentConfig) -> list[ExperimentRecord]:
             seed=cfg.seed, config_hash=cfg.config_hash,
         ))
     return records
-
-
-def par_as_pauli(L: int) -> PauliOperator:
-    return PauliOperator(L, [(1.0, "X" * L)])
 
 
 def _run_channel_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:

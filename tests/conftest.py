@@ -1,10 +1,20 @@
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests replay the same examples on every run: no random seed, no
+# example database, no wall-clock deadline (the first call of a kernel pays
+# for imports and caches).  HYPOTHESIS_PROFILE=<name> selects another profile.
+settings.register_profile(
+    "critsense", derandomize=True, database=None, deadline=None, max_examples=60
+)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "critsense"))
 
 from critsense import ModelSpec, PauliOperator, solve_model
 

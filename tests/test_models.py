@@ -25,7 +25,9 @@ from critsense.models import (
     parity_x_operator,
     rydberg_order_response,
 )
+from critsense.channels import collective_spin, staggered_z
 from critsense.metrology import qfi_pure
+from critsense.qcore import pauli_word
 from critsense.symmetry import build_symmetry
 
 from conftest import sum_z
@@ -227,3 +229,114 @@ def test_rydberg_blockade_matches_large_v1():
 def test_rydberg_no_crossing_error():
     with pytest.raises(NoCrossingError):
         locate_rydberg_critical_detuning(1.0, 50.0, 0.0, [4, 6], window=(3.2, 3.5), coarse_points=4)
+
+
+# -- real-symmetric solves on the grouped operator ------------------------
+
+def _dm_chain(n):
+    """Ising chain plus a Dzyaloshinskii-Moriya term 0.3 sum (X_j Y_k - Y_j X_k):
+    Hermitian, with an imaginary matrix."""
+    terms = []
+    for j in range(n):
+        k = (j + 1) % n
+        terms.append((0.3, pauli_word(n, {j: "X", k: "Y"})))
+        terms.append((-0.3, pauli_word(n, {j: "Y", k: "X"})))
+    return build_hamiltonian(ModelSpec(kind="tfim", L=n)) + PauliOperator(n, terms)
+
+
+_GROUND_CASES = {
+    "tfim_fm": lambda n: build_hamiltonian(ModelSpec(kind="tfim", L=n, J=1.0)),
+    "tfim_afm": lambda n: build_hamiltonian(ModelSpec(kind="tfim", L=n, J=-1.0)),
+    "xxz": lambda n: build_hamiltonian(ModelSpec(kind="xxz", L=n, delta=0.4)),
+    "rydberg": lambda n: build_hamiltonian(
+        ModelSpec(kind="rydberg", L=n, detuning=1.0, v1=5.0)
+    ),
+    "dm_complex": _dm_chain,
+}
+
+
+@pytest.fixture()
+def eigsh_spy(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    seen = []
+    real_eigsh = spla.eigsh
+
+    def spy(A, *args, **kwargs):
+        seen.append(A.dtype)
+        return real_eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "n, name",
+    [(11, name) for name in _GROUND_CASES] + [(12, "tfim_fm")],
+)
+def test_lanczos_ground_state_matches_dense_eigh(eigsh_spy, n, name):
+    import scipy.linalg as sla
+
+    H = _GROUND_CASES[name](n)
+    sol = ground_state(H)
+    assert eigsh_spy == [np.float64 if name != "dm_complex" else np.complex128]
+    w, v = sla.eigh(to_matrix(H), subset_by_index=[0, 3])
+    assert abs(sol.energy - w[0]) < 1e-10
+    # weight of the returned state in the dense ground space (XXZ at odd n
+    # has a degenerate doublet, every other case a unique ground state)
+    ground = v[:, w - w[0] < 1e-8]
+    weight = float(np.sum(np.abs(ground.conj().T @ sol.state.amplitudes) ** 2))
+    assert weight > 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("name", ["tfim_afm", "dm_complex"])
+def test_dense_ground_state_solves_in_operator_dtype(monkeypatch, name):
+    seen = []
+    real_eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    H = _GROUND_CASES[name](8)
+    sol = ground_state(H)
+    assert seen[0] == (np.float64 if name == "tfim_afm" else np.complex128)
+    w, v = real_eigh(to_matrix(H))
+    assert abs(sol.energy - w[0]) < 1e-10
+    assert abs(np.vdot(v[:, 0], sol.state.amplitudes)) ** 2 > 1.0 - 1e-10
+
+
+def _translation_reference(vec, L):
+    # the permutation the sector resolution used before build_symmetry:
+    # out[(b >> 1) | ((b & 1) << (L - 1))] = vec[b]
+    idx = np.arange(1 << L)
+    out = np.empty(vec.shape, dtype=np.complex128)
+    out[(idx >> 1) | ((idx & 1) << (L - 1))] = vec
+    return out
+
+
+def test_translation_sector_operator_matches_reference(rng):
+    from critsense.models import _operator_block
+    from critsense.qcore import linear_expectation
+
+    L = 6
+    T = build_symmetry("translation", L)
+    basis = rng.standard_normal((1 << L, 3)) + 1j * rng.standard_normal((1 << L, 3))
+    basis, _ = np.linalg.qr(basis)
+    ref = basis.conj().T @ np.stack([_translation_reference(basis[:, i], L) for i in range(3)], 1)
+    block = _operator_block(T, basis)
+    assert np.max(np.abs(0.5 * (block + block.conj().T) - 0.5 * (ref + ref.conj().T))) < 1e-14
+    sol = solve_model(ModelSpec(kind="tfim", L=L, J=-1.0))
+    psi = sol.state.amplitudes
+    want = float(np.real(np.vdot(psi, _translation_reference(psi, L))))
+    assert abs(sol.sector_labels["translation_re"] - want) < 1e-14
+    assert abs(np.real(linear_expectation(T, sol.state)) - want) < 1e-14
+
+
+def test_collective_and_staggered_generators_unchanged():
+    import conftest
+
+    for L in (2, 5, 8):
+        assert collective_spin(L, "Z", half=False).terms == sum_z(L).terms
+        assert staggered_z(L).terms == conftest.staggered_z(L).terms

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from critsense import (
     CapacityError,
@@ -262,3 +264,169 @@ def test_pauli_terms_merge():
 def test_pauli_hermitian_flag():
     assert PauliOperator(2, [(1.0, "XY")]).is_hermitian
     assert not PauliOperator(2, [(1j, "XY")]).is_hermitian
+
+
+# -- grouped form against the per-string reference and the Kronecker oracle --
+
+_COEFFS = st.one_of(
+    st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def pauli_sums(draw):
+    """(n, raw terms): up to six strings, optionally a cancelling pair and the identity."""
+    n = draw(st.integers(1, 6))
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    terms = draw(st.lists(st.tuples(_COEFFS, words), max_size=6))
+    if terms and draw(st.booleans()):
+        coeff, word = terms[0]
+        terms.append((-coeff, word))
+    if draw(st.booleans()):
+        terms.append((draw(_COEFFS), "I" * n))
+    return n, terms
+
+
+_EDGE_SUMS = [
+    (1, []),                                      # empty operator
+    (1, [(0.5, "I")]),                            # identity, one qubit
+    (1, [(1.0, "Y"), (0.3j, "Z")]),               # odd-Y string, complex diagonal
+    (3, [(1.0, "XYZ"), (-1.0, "XYZ")]),           # cancels to zero
+    (3, [(0.7, "XYI"), (-0.7, "YXI")]),           # Hermitian with an imaginary matrix
+    (4, [(1.0, "XXII"), (1.0, "YYII"), (0.4, "ZZII"), (2.0, "IIII")]),
+]
+
+
+def _string_sum_apply(op, vec):
+    out = np.zeros(vec.shape, dtype=np.complex128)
+    for coeff, letters in op.terms:
+        perm, phase = qcore._string_action(letters)
+        out[perm] += coeff * (phase * vec)
+    return out
+
+
+def _kron_matrix(op):
+    dim = 1 << op.n_qubits
+    return sum((c * kron_word(w) for c, w in op.terms), np.zeros((dim, dim), dtype=complex))
+
+
+def _with_edges(test):
+    for n, terms in _EDGE_SUMS:
+        test = example((n, terms))(test)
+    return test
+
+
+def _random_state(n, seed):
+    gen = np.random.default_rng(seed)
+    v = gen.standard_normal(1 << n) + 1j * gen.standard_normal(1 << n)
+    g = gen.standard_normal((1 << n, 1 << n)) + 1j * gen.standard_normal((1 << n, 1 << n))
+    rho = g @ g.conj().T
+    return v, 0.5 * (rho + rho.conj().T) / np.trace(rho).real
+
+
+@_with_edges
+@given(pauli_sums())
+def test_grouped_apply_vec_matches_string_sum(case):
+    n, terms = case
+    op = PauliOperator(n, terms)
+    v, _ = _random_state(n, len(terms))
+    want = _string_sum_apply(op, v)
+    assert np.max(np.abs(op.apply_vec(v) - want), initial=0.0) < 1e-12
+    assert np.max(np.abs(op.apply_vec(v) - _kron_matrix(op) @ v), initial=0.0) < 1e-12
+    real = v.real.copy()
+    out = op.apply_vec(real)
+    assert out.dtype == op.to_sparse().dtype
+    assert np.max(np.abs(out - _string_sum_apply(op, real)), initial=0.0) < 1e-12
+
+
+@_with_edges
+@given(pauli_sums())
+def test_grouped_to_sparse_matches_kron_oracle(case):
+    n, terms = case
+    op = PauliOperator(n, terms)
+    mat = op.to_sparse()
+    want = _kron_matrix(op)
+    assert np.max(np.abs(mat.toarray() - want)) < 1e-12
+    # a real operator yields a real matrix, and only a real operator does
+    assert (mat.dtype == np.float64) == (not np.any(want.imag))
+    assert mat.dtype in (np.float64, np.complex128)
+    assert mat.has_canonical_format and not np.any(mat.data == 0)
+
+
+@_with_edges
+@given(pauli_sums())
+def test_grouped_mixed_expectation_matches_trace(case):
+    n, terms = case
+    op = PauliOperator(n, terms)
+    _, rho = _random_state(n, 7 + len(terms))
+    got = expectation(MixedState(n, rho), op)
+    assert abs(got - np.trace(rho @ _kron_matrix(op))) < 1e-12
+    ref = sum(
+        c * np.sum(qcore._string_action(w)[1] * rho[np.arange(1 << n), qcore._string_action(w)[0]])
+        for c, w in op.terms
+    )
+    assert abs(got - ref) < 1e-12
+
+
+@_with_edges
+@given(pauli_sums())
+def test_grouped_diagonal_matches_oracle(case):
+    n, terms = case
+    diag_terms = [(c, w.replace("X", "Z").replace("Y", "I")) for c, w in terms]
+    op = PauliOperator(n, diag_terms)
+    d = op.diagonal()
+    assert np.max(np.abs(d - np.diag(_kron_matrix(op)))) < 1e-12
+    assert d.dtype == op.to_sparse().dtype
+    assert op.diagonal() is d
+    assert not d.flags.writeable
+
+
+def test_diagonal_is_cached_read_only():
+    op = sum_z(4)
+    d = op.diagonal()
+    assert d.dtype == np.float64 and not d.flags.writeable
+    with pytest.raises(ValueError):
+        d[0] = 1.0
+    assert op.diagonal() is d
+    with pytest.raises(ValueError):
+        PauliOperator(2, [(1.0, "XZ")]).diagonal()
+
+
+def test_to_sparse_dtype_follows_operator():
+    real = PauliOperator(3, [(1.0, "XXI"), (1.0, "YYI"), (0.5, "ZZI"), (1j, "XYI")])
+    assert real.to_sparse().dtype == np.float64
+    cplx = PauliOperator(3, [(1.0, "XYI"), (-1.0, "YXI")])
+    assert cplx.to_sparse().dtype == np.complex128
+    assert PauliOperator(2).to_sparse().dtype == np.float64
+    assert PauliOperator(2).to_sparse().nnz == 0
+
+
+def test_string_action_cache_still_reports():
+    info = qcore._string_action.cache_info()
+    assert info.maxsize == 256
+
+
+@pytest.mark.parametrize("dim", [1, 8, 130, 300])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_hermitian_deviation_equals_full_check(rng, dim, cplx):
+    g = rng.standard_normal((dim, dim)) + (1j * rng.standard_normal((dim, dim)) if cplx else 0.0)
+    m = g + g.conj().T
+    # one asymmetric entry per corner tile, the largest in a lower off-diagonal tile
+    m[dim - 1, 0] += 3e-9
+    m[0, dim - 1] += 1e-9
+    m[dim // 2, dim // 2] += 2e-9j if cplx else 0.0
+    want = np.max(np.abs(m - m.conj().T))
+    assert qcore._hermitian_deviation(m) == want
+
+
+def test_mixed_state_rejects_far_tile_asymmetry():
+    dim = 512
+    rho = np.eye(dim) / dim
+    rho[400, 3] = 1e-6  # lower triangle, two tiles away from the diagonal
+    with pytest.raises(ValueError, match="not Hermitian"):
+        MixedState(9, rho)
+    rho = np.eye(dim, dtype=complex) / dim
+    rho[200, 200] += 1e-6j  # diagonal tile, imaginary diagonal entry
+    with pytest.raises(ValueError, match="not Hermitian"):
+        MixedState(9, rho)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -46,6 +47,18 @@ def test_config_validation_names_fields():
         ExperimentConfig.from_dict({"scenario": "qfi_scaling", "model": {"kind": "bad", "L": 4}})
     with pytest.raises(ConfigError, match="ladder rungs"):
         ExperimentConfig.from_dict({"scenario": "deformed", "L": 10})
+
+
+def test_config_hash_computed_once(monkeypatch):
+    cfg = make_cfg()
+    first = cfg.config_hash
+    assert first == hashlib.sha256(cfg.to_canonical_json().encode()).hexdigest()[:16]
+
+    def reserialize(self):
+        raise AssertionError("config re-serialized for its hash")
+
+    monkeypatch.setattr(ExperimentConfig, "to_canonical_json", reserialize)
+    assert cfg.config_hash == first
 
 
 def test_config_hash_stable_and_sensitive():
