@@ -26,8 +26,8 @@ from .qcore import (
     PauliOperator,
     PureState,
     basis_index_bits,
+    collective_spin,
     evolve_phase,
-    pauli_word,
 )
 
 KINDS = ("bitflip_x", "dephase_z", "zz", "global_dephase")
@@ -181,17 +181,6 @@ def kraus_family(spec: ChannelSpec) -> list[np.ndarray]:
         return [math.sqrt(1 - p) * eye, math.sqrt(p) * z]
     zz = np.kron(z, z)
     return [math.sqrt(1 - p) * np.eye(4, dtype=np.complex128), math.sqrt(p) * zz]
-
-
-def collective_spin(L: int, axis: str, half: bool = True) -> PauliOperator:
-    """S_axis = (1/2) sum_j P_j (or the bare sum when half=False)."""
-    coeff = 0.5 if half else 1.0
-    return PauliOperator(L, [(coeff, pauli_word(L, {j: axis})) for j in range(L)])
-
-
-def staggered_z(L: int) -> PauliOperator:
-    """sum_j (-1)^j Z_j, the staggered magnetization."""
-    return PauliOperator(L, [((-1.0) ** j, pauli_word(L, {j: "Z"})) for j in range(L)])
 
 
 def in_plane_spin(L: int, theta: float) -> PauliOperator:

@@ -13,9 +13,17 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .channels import collective_spin, staggered_z
 from .policy import POLICY, CapacityError, NumericPolicy
-from .qcore import PauliOperator, PureState, dephase_normalize, linear_expectation, pauli_word
+from .qcore import (
+    PauliOperator,
+    PureState,
+    collective_spin,
+    dephase_normalize,
+    linear_expectation,
+    parity_x_operator,
+    pauli_word,
+    staggered_z,
+)
 from .symmetry import build_symmetry
 
 _KINDS = ("tfim", "xxz", "rydberg", "cluster_ladder")
@@ -234,10 +242,6 @@ def _operator_block(op, basis: np.ndarray) -> np.ndarray:
             cols.append(np.asarray(op) @ basis[:, i])
     act = np.stack(cols, axis=1)
     return basis.conj().T @ act
-
-
-def parity_x_operator(n: int) -> PauliOperator:
-    return PauliOperator(n, [(1.0, "X" * n)])
 
 
 def solve_model(spec: ModelSpec, sector: str | None = "auto") -> GroundSolution:

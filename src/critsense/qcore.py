@@ -93,6 +93,22 @@ def pauli_word(n_qubits: int, sites: dict[int, str]) -> str:
     return "".join(word)
 
 
+def collective_spin(L: int, axis: str, half: bool = True) -> PauliOperator:
+    """S_axis = (1/2) sum_j P_j (or the bare sum when half=False)."""
+    coeff = 0.5 if half else 1.0
+    return PauliOperator(L, [(coeff, pauli_word(L, {j: axis})) for j in range(L)])
+
+
+def staggered_z(L: int) -> PauliOperator:
+    """sum_j (-1)^j Z_j, the staggered magnetization."""
+    return PauliOperator(L, [((-1.0) ** j, pauli_word(L, {j: "Z"})) for j in range(L)])
+
+
+def parity_x_operator(n: int) -> PauliOperator:
+    """The product-of-X parity X^(x n)."""
+    return PauliOperator(n, [(1.0, "X" * n)])
+
+
 class _Grouped(NamedTuple):
     """Pauli sum regrouped by X/Y flip mask: P|b> = sum_m phase_m[b] |b ^ m>.
 

@@ -90,8 +90,7 @@ def build_symmetry(
         perm = idx ^ (dim - 1)
         return SymmetryOperator(kind, L, perm=perm, hermitian=True, swap_count=0)
     if kind == "parity_z":
-        pop = _popcount(idx, L)
-        phase = (1.0 - 2.0 * (pop % 2)).astype(np.complex128)
+        phase = (1.0 - 2.0 * (np.bitwise_count(idx) & 1)).astype(np.complex128)
         return SymmetryOperator(kind, L, perm=idx.copy(), phase=phase, hermitian=True)
     if kind == "translation":
         if boundary != "periodic":
@@ -124,13 +123,6 @@ def build_symmetry(
         "reflection", L, perm=perm, hermitian=True, bond_center=j,
         swap_count=swaps, anticommuting_safe=safe,
     )
-
-
-def _popcount(idx: np.ndarray, L: int) -> np.ndarray:
-    out = np.zeros_like(idx)
-    for j in range(L):
-        out += (idx >> j) & 1
-    return out
 
 
 def anticommutes(sym: SymmetryOperator, op: PauliOperator, tol: float = POLICY.herm_tol) -> bool:

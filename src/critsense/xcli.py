@@ -30,8 +30,6 @@ from .channels import (
     ChannelSpec,
     apply_channel,
     bitflip_qfi_formula,
-    collective_spin,
-    staggered_z,
 )
 from .fermion import (
     fit_power_law,
@@ -54,12 +52,20 @@ from .models import (
     ladder_site,
     optimal_oat_twist,
     oat_squeezed_state,
-    parity_x_operator,
     solve_model,
     spin_coherent_state,
 )
 from .policy import POLICY
-from .qcore import MixedState, PauliOperator, PureState, evolve_phase, expectation
+from .qcore import (
+    MixedState,
+    PauliOperator,
+    PureState,
+    collective_spin,
+    evolve_phase,
+    expectation,
+    parity_x_operator,
+    staggered_z,
+)
 from .subsys import default_theta_grid, make_ising_protocol, parity_theta_curve, window_report
 from .symmetry import build_symmetry, hadamard_test, hadamard_test_povm
 

@@ -1,4 +1,3 @@
-import os
 import sys
 from pathlib import Path
 
@@ -10,11 +9,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 # Property tests replay the same examples on every run: no random seed, no
 # example database, no wall-clock deadline (the first call of a kernel pays
-# for imports and caches).  HYPOTHESIS_PROFILE=<name> selects another profile.
+# for imports and caches).  ``--hypothesis-profile`` selects another profile.
 settings.register_profile(
     "critsense", derandomize=True, database=None, deadline=None, max_examples=60
 )
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "critsense"))
+settings.load_profile("critsense")
 
 from critsense import ModelSpec, PauliOperator, solve_model
 

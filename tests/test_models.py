@@ -22,12 +22,10 @@ from critsense.models import (
     ladder_site,
     locate_rydberg_critical_detuning,
     optimal_oat_twist,
-    parity_x_operator,
     rydberg_order_response,
 )
-from critsense.channels import collective_spin, staggered_z
 from critsense.metrology import qfi_pure
-from critsense.qcore import pauli_word
+from critsense.qcore import collective_spin, parity_x_operator, pauli_word, staggered_z
 from critsense.symmetry import build_symmetry
 
 from conftest import sum_z
