@@ -13,7 +13,6 @@ from .qcore import (
     MixedState,
     PauliOperator,
     PureState,
-    apply_operator,
     dephase_normalize,
     evolve_phase,
     expectation,
@@ -94,7 +93,6 @@ from .subsys import (
     SubsystemProtocol,
     WindowReport,
     parity_theta_curve,
-    rydberg_disorder_operator,
     subsystem_parity,
     window_report,
     xxz_string_parity,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .models import ladder_site
 from .policy import POLICY
-from .qcore import PauliOperator, PureState, dephase_normalize
+from .qcore import PauliOperator, PureState, dephase_normalize, expectation
 from .metrology import qfi_pure, _pauli_product
 
 EXHAUSTIVE_CAP = 16
@@ -66,7 +66,7 @@ def deform(psi: PureState, spec: DeformationSpec) -> PureState:
     n = psi.n_qubits
     for site, kind, s in zip(spec.target_sites, spec.kinds, spec.outcomes):
         gamma = PauliOperator.single(n, site, kind)
-        gvec = gamma.apply_vec(vec)
+        gvec = gamma @ vec
         if math.isinf(spec.beta):
             vec = 0.5 * (vec + s * gvec)
         else:
@@ -120,7 +120,7 @@ def enumerate_outcomes(psi: PureState, measured_ops: list[PauliOperator]) -> Out
     for op in measured_ops:
         nxt = []
         for signs, vec in branches:
-            gvec = op.apply_vec(vec)
+            gvec = op @ vec
             for s in (+1, -1):
                 proj = 0.5 * (vec + s * gvec)
                 if np.vdot(proj, proj).real > 1e-14:
@@ -158,7 +158,7 @@ def sample_outcomes(
     for row in range(n_samples):
         vec = psi.amplitudes
         for col, op in enumerate(measured_ops):
-            gvec = op.apply_vec(vec)
+            gvec = op @ vec
             plus = 0.5 * (vec + gvec)
             p_plus = float(np.vdot(plus, plus).real / np.vdot(vec, vec).real)
             s = 1 if rng.random() < p_plus else -1
@@ -198,7 +198,7 @@ def decoded_correlator(
     n = 2 * L
     obs = _chain2_zz(n, L, j, k)
     per_outcome = {
-        s: float(np.real(np.vdot(st.amplitudes, obs.apply_vec(st.amplitudes))))
+        s: expectation(st, obs).real
         * _sign_string(s, j, k)
         for s, st in zip(ensemble.outcomes, ensemble.states)
     }
@@ -226,7 +226,7 @@ def decoded_correlator_insertion(psi: PureState, L: int, j: int, k: int) -> floa
     for m in range(j + 1, k + 1):
         sites[ladder_site(m, 1, L)] = "X"
     op = PauliOperator.string(n, sites)
-    return float(np.real(np.vdot(psi.amplitudes, op.apply_vec(psi.amplitudes))))
+    return expectation(psi, op).real
 
 
 def decoded_generator(s: tuple[int, ...], L: int) -> PauliOperator:
@@ -307,7 +307,7 @@ def uniform_outcome_lro_check(
             outcomes=tuple(1 for _ in chain1),
         )
         st = deform(psi_ladder, spec)
-        values.append(float(np.real(np.vdot(st.amplitudes, obs.apply_vec(st.amplitudes)))))
+        values.append(expectation(st, obs).real)
     monotone = all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
     if not monotone:
         raise AssertionError(f"long-range order not monotone in beta: {values}")

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .policy import POLICY, NumericPolicy
 from .qcore import (
@@ -20,10 +19,10 @@ from .qcore import (
     State,
     evolve_phase,
     expectation,
-    linear_expectation,
     to_matrix,
     variance,
 )
+from .symmetry import SymmetryOperator
 
 
 @dataclass(frozen=True)
@@ -80,16 +79,10 @@ def qfi_mixed(
 def _generator_elements(gen: PauliOperator, v: np.ndarray) -> np.ndarray:
     """<i|gen|j> between the eigenvector columns of ``v``.
 
-    A diagonal generator scales the rows of ``v``, so real eigenvectors and
-    a real diagonal keep the product real; other generators go through the
-    sparse matrix.
+    A real generator keeps real eigenvectors real; a diagonal one scales the
+    rows of ``v`` with a single dim^2 temporary.
     """
-    if gen.is_diagonal:
-        d = gen.diagonal()
-        ov = (d if d.imag.any() else d.real)[:, None] * v
-    else:
-        ov = gen.to_sparse() @ v
-    return v.conj().T @ ov
+    return v.conj().T @ (gen @ v)
 
 
 def sld(
@@ -125,25 +118,16 @@ def optimal_observable(
     return theta * np.eye(dim) + sld(rho_theta, drho) / fq
 
 
-def _signal(state: State, obs) -> float:
-    if isinstance(state, PureState):
-        return float(np.real(linear_expectation(obs, state)))
-    if isinstance(obs, PauliOperator):
-        return float(np.real(expectation(state, obs)))
-    mat = obs.toarray() if sp.issparse(obs) else np.asarray(obs)
-    return float(np.real(np.trace(state.matrix @ mat)))
-
-
 def _is_involution(obs) -> bool:
     """Observables with obs^2 = I: +-1-weighted single Pauli strings and the
-    Hermitian symmetry permutations."""
+    Hermitian symmetry permutations (unitary, so Hermitian means obs^2 = I)."""
     if isinstance(obs, PauliOperator):
         return (
             len(obs.terms) == 1
             and abs(obs.terms[0][0].imag) < 1e-15
             and abs(abs(obs.terms[0][0].real) - 1.0) < 1e-15
         )
-    return getattr(obs, "hermitian", False) and hasattr(obs, "apply_vec")
+    return isinstance(obs, SymmetryOperator) and obs.is_hermitian
 
 
 def _branch_probs(state: State, obs) -> tuple[float, float]:
@@ -156,7 +140,7 @@ def _branch_probs(state: State, obs) -> tuple[float, float]:
     """
     if isinstance(state, PureState):
         vec = state.amplitudes
-        ovec = obs.apply_vec(vec)
+        ovec = obs @ vec
         plus = 0.5 * (vec + ovec)
         minus = 0.5 * (vec - ovec)
         return float(np.vdot(plus, plus).real), float(np.vdot(minus, minus).real)
@@ -164,7 +148,7 @@ def _branch_probs(state: State, obs) -> tuple[float, float]:
     keep = w > POLICY.spectral_cutoff  # noise-level weights carry O(1) branch
     w = w[keep] / np.sum(w[keep])      # norms and would swamp tiny outcomes
     v = v[:, keep]
-    ov = np.stack([obs.apply_vec(v[:, i]) for i in range(v.shape[1])], axis=1)
+    ov = obs @ v
     minus = 0.5 * (v - ov)
     p_minus = float(np.dot(w, np.sum(np.abs(minus) ** 2, axis=0)))
     plus = 0.5 * (v + ov)
@@ -177,10 +161,7 @@ def _variance_at(state: State, obs) -> float:
         p_plus, p_minus = _branch_probs(state, obs)
         total = p_plus + p_minus
         return 4.0 * p_plus * p_minus / (total * total)
-    if isinstance(obs, PauliOperator):
-        return variance(state, obs)
-    mean = _signal(state, obs)
-    return 1.0 - mean * mean
+    return variance(state, obs)
 
 
 def theta_derivative(
@@ -211,8 +192,8 @@ def theta_derivative(
             _, m_up = _branch_probs(evolve_phase(state, gen, theta + fd_step), obs)
             _, m_dn = _branch_probs(evolve_phase(state, gen, theta - fd_step), obs)
             return -(m_up - m_dn) / fd_step
-        up = _signal(evolve_phase(state, gen, theta + fd_step), obs)
-        dn = _signal(evolve_phase(state, gen, theta - fd_step), obs)
+        up = expectation(evolve_phase(state, gen, theta + fd_step), obs).real
+        dn = expectation(evolve_phase(state, gen, theta - fd_step), obs).real
         return (up - dn) / (2.0 * fd_step)
     if method == "analytic":
         if not isinstance(obs, PauliOperator):
@@ -220,8 +201,8 @@ def theta_derivative(
         st = evolve_phase(state, gen, theta)
         if isinstance(st, PureState):
             vec = st.amplitudes
-            avec = obs.apply_vec(vec)
-            gvec = gen.apply_vec(vec)
+            avec = obs @ vec
+            gvec = gen @ vec
             # i<[A, O]> = i(<psi|A O|psi> - <psi|O A|psi>)
             val = 1j * (np.vdot(avec, gvec) - np.vdot(gvec, avec))
             return float(np.real(val))
@@ -300,7 +281,7 @@ def precision_curve(
     dth = np.empty_like(thetas)
     for i, th in enumerate(thetas):
         st = evolve_phase(state, gen, float(th))
-        sig[i] = _signal(st, obs)
+        sig[i] = expectation(st, obs).real
         var[i] = max(_variance_at(st, obs), 0.0)
         deriv = theta_derivative(state, gen, obs, float(th), fd_step, method="fd")
         dth[i] = math.inf if abs(deriv) < POLICY.signal_floor else math.sqrt(var[i]) / abs(deriv)
@@ -326,26 +307,18 @@ def classical_fisher(
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         total = np.zeros(dim, dtype=np.complex128)
         for eff in povm:
-            total += _effect_apply(eff, vec)
+            total += eff @ vec
         if np.max(np.abs(total - vec)) > policy.herm_tol * np.linalg.norm(vec):
             raise ValueError("POVM effects do not sum to the identity")
 
     def probs(th: float) -> np.ndarray:
         st = state_family(th)
-        return np.array([_signal(st, eff) for eff in povm])
+        return np.array([expectation(st, eff).real for eff in povm])
 
     p = probs(theta)
     dp = (probs(theta + fd_step) - probs(theta - fd_step)) / (2.0 * fd_step)
     keep = p > policy.signal_floor
     return float(np.sum(dp[keep] ** 2 / p[keep]))
-
-
-def _effect_apply(eff, vec: np.ndarray) -> np.ndarray:
-    if isinstance(eff, PauliOperator) or hasattr(eff, "apply_vec"):
-        return eff.apply_vec(vec)
-    if sp.issparse(eff):
-        return eff @ vec
-    return np.asarray(eff) @ vec
 
 
 def fn_sequence(rho: MixedState, gen: PauliOperator, n_max: int) -> np.ndarray:

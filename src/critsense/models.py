@@ -19,10 +19,11 @@ from .qcore import (
     PureState,
     collective_spin,
     dephase_normalize,
-    linear_expectation,
+    expectation,
     parity_x_operator,
     pauli_word,
     staggered_z,
+    variance,
 )
 from .symmetry import build_symmetry
 
@@ -210,7 +211,7 @@ def ground_state(
         for op, want in pairs:
             if basis.shape[1] == 1:
                 break
-            block = _operator_block(op, basis)
+            block = basis.conj().T @ (op @ basis)
             w, u = np.linalg.eigh(0.5 * (block + block.conj().T))
             pick = np.where(np.abs(w - want) < 1e-6)[0]
             if pick.size == 0:
@@ -219,29 +220,18 @@ def ground_state(
     vec = basis[:, 0]
     state = dephase_normalize(vec, n)
 
-    resid = np.linalg.norm(H.apply_vec(state.amplitudes) - e0 * state.amplitudes)
+    resid = np.linalg.norm(H @ state.amplitudes - e0 * state.amplitudes)
     if resid > policy.residual_tol * max(1.0, abs(e0)):
         raise EigensolverError(f"ground-state residual {resid:.3e} too large")
     if sector is not None:
         pairs = [sector] if isinstance(sector, tuple) else list(sector)
         for i, (op, want) in enumerate(pairs):
             key = getattr(op, "kind", None) or f"sector_{i}"
-            labels[key] = float(np.real(linear_expectation(op, state)))
+            labels[key] = expectation(state, op).real
     gap = max(gap, 0.0) if not math.isnan(gap) else gap
     if len(multiplet) > 1:
         gap = float(evals[multiplet[1]] - e0)  # splitting inside the multiplet
     return GroundSolution(energy=e0, state=state, gap=gap, sector_labels=labels)
-
-
-def _operator_block(op, basis: np.ndarray) -> np.ndarray:
-    cols = []
-    for i in range(basis.shape[1]):
-        if isinstance(op, PauliOperator) or hasattr(op, "apply_vec"):
-            cols.append(op.apply_vec(basis[:, i]))
-        else:
-            cols.append(np.asarray(op) @ basis[:, i])
-    act = np.stack(cols, axis=1)
-    return basis.conj().T @ act
 
 
 def solve_model(spec: ModelSpec, sector: str | None = "auto") -> GroundSolution:
@@ -267,14 +257,12 @@ def solve_model(spec: ModelSpec, sector: str | None = "auto") -> GroundSolution:
     sol = ground_state(H, sector=sector_ops)
     if spec.kind == "tfim":
         par = parity_x_operator(n)
-        sol.sector_labels["parity_x"] = float(
-            np.real(linear_expectation(par, sol.state))
-        )
+        sol.sector_labels["parity_x"] = expectation(sol.state, par).real
         if spec.boundary == "periodic":
             # momentum phase is recorded empirically, never asserted
-            sol.sector_labels["translation_re"] = float(
-                np.real(linear_expectation(build_symmetry("translation", n), sol.state))
-            )
+            sol.sector_labels["translation_re"] = expectation(
+                sol.state, build_symmetry("translation", n)
+            ).real
     return sol
 
 
@@ -319,15 +307,13 @@ def oat_optimal_generator(state: PureState) -> tuple[PauliOperator, float]:
     anti-squeezed transverse quadrature: maximize 4 Var(cos a sum Z +
     sin a sum Y) through the 2x2 collective covariance matrix.
     """
-    from .qcore import expectation, variance
-
     L = state.n_qubits
     sz = collective_spin(L, "Z", half=False)
     sy = collective_spin(L, "Y", half=False)
     vz = variance(state, sz)
     vy = variance(state, sy)
-    zvec = sz.apply_vec(state.amplitudes)
-    yvec = sy.apply_vec(state.amplitudes)
+    zvec = sz @ state.amplitudes
+    yvec = sy @ state.amplitudes
     cross = float(np.real(np.vdot(zvec, yvec)))
     cov = cross - float(
         np.real(expectation(state, sz)) * np.real(expectation(state, sy))

@@ -5,6 +5,13 @@ Conventions, fixed globally for reproducible outputs:
   * |0> is the Z = +1 eigenstate;
   * Pauli strings are stored as per-site letter strings over {I, X, Y, Z}.
 
+One operator protocol: an observable is anything that supports ``op @ x``
+on a state vector or on a (2^n, k) block of columns, with ``op.shape`` the
+(2^n, 2^n) register size.  PauliOperator and the symmetry operators
+implement it through ``apply_vec``; numpy arrays and scipy sparse matrices
+already do.  ``expectation`` and ``variance`` take any such operator, and
+only the operator classes know how they act on a vector.
+
 A Pauli sum is evaluated through one grouped form, built lazily and cached
 on the operator: its terms regrouped by X/Y flip mask m, each group one
 phase vector over the basis (or one scalar when no term of the group has a
@@ -266,26 +273,40 @@ class PauliOperator:
             self._diag = d
         return self._diag
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = 1 << self.n_qubits
+        return dim, dim
+
     def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        """Linear action on a state vector (unnormalized result).
+        """Linear action on a state vector or a (2^n, k) column block.
 
         Each flip-mask group adds ``phase * vec`` flipped along the masked
-        axes of the (2,) * n view; a real vector stays real under a real
-        operator.
+        axes of the (2,) * n (+ (k,)) view; a real input stays real under a
+        real operator.  An operator with a single, diagonal group returns
+        ``phase * vec`` itself, with no accumulation buffer.
         """
         form = self._grouped()
         vec = np.asarray(vec)
         dtype = np.result_type(vec.dtype, np.float64 if form.real else np.complex128)
+        phases = form.phases
+        if vec.ndim == 2:  # broadcast each phase vector over the columns
+            phases = [p if np.isscalar(p) else p[:, None] for p in phases]
+        if form.masks == (0,):
+            return np.multiply(phases[0], vec, dtype=dtype)
         out = np.zeros(vec.shape, dtype=dtype)
-        shape = (2,) * self.n_qubits
+        shape = (2,) * self.n_qubits + vec.shape[1:]
         out_t = out.reshape(shape)
-        for phase, axes in zip(form.phases, form.axes):
+        for phase, axes in zip(phases, form.axes):
             term = phase * vec
             if axes:
                 out_t += np.flip(term.reshape(shape), axis=axes)
             else:
                 out += term
         return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply_vec(x)
 
     def to_sparse(self, policy: NumericPolicy = POLICY) -> sp.csr_matrix:
         """CSR matrix, float64 for a real operator and complex128 otherwise.
@@ -439,13 +460,6 @@ class MixedState:
 State = PureState | MixedState
 
 
-def apply_operator(op: PauliOperator, state: PureState) -> np.ndarray:
-    """Linear (generally unnormalized) action op|psi> as a raw vector."""
-    if op.n_qubits != state.n_qubits:
-        raise ValueError("register size mismatch")
-    return op.apply_vec(state.amplitudes)
-
-
 def dephase_normalize(vec: np.ndarray, n_qubits: int | None = None) -> PureState:
     """Rescale to unit norm and fix the global phase deterministically.
 
@@ -465,15 +479,25 @@ def dephase_normalize(vec: np.ndarray, n_qubits: int | None = None) -> PureState
     return PureState(n_qubits, vec / phase)
 
 
-def expectation(state: State, op: PauliOperator) -> complex:
-    """<psi|op|psi> or Tr(rho op)."""
-    if op.n_qubits != state.n_qubits:
+def _check_register(state: State, op) -> None:
+    dim = 1 << state.n_qubits
+    if op.shape != (dim, dim):
         raise ValueError("register size mismatch")
+
+
+def expectation(state: State, op) -> complex:
+    """<psi|op|psi> or Tr(op rho), for any operator that supports ``op @ x``.
+
+    A PauliOperator on a mixed state sums phase_m[b] rho[b, b ^ m] over its
+    flip-mask groups instead of forming op @ rho.
+    """
+    _check_register(state, op)
     if isinstance(state, PureState):
-        return complex(np.vdot(state.amplitudes, op.apply_vec(state.amplitudes)))
-    # Tr(rho P) = sum_m sum_b phase_m[b] rho[b, b ^ m]
-    form = op._grouped()
+        return complex(np.vdot(state.amplitudes, op @ state.amplitudes))
     rho = state.matrix
+    if not isinstance(op, PauliOperator):
+        return complex(np.trace(op @ rho))
+    form = op._grouped()
     idx = np.arange(rho.shape[0])
     total = 0.0 + 0.0j
     for mask, phase in zip(form.masks, form.phases):
@@ -481,20 +505,23 @@ def expectation(state: State, op: PauliOperator) -> complex:
     return complex(total)
 
 
-def variance(state: State, op: PauliOperator) -> float:
-    """<op^2> - <op>^2 for a Hermitian op; guaranteed >= -1e-10 numerically."""
-    if not op.is_hermitian:
+def variance(state: State, op) -> float:
+    """<op^2> - <op>^2 for a Hermitian op; guaranteed >= -1e-10 numerically.
+
+    Refuses an operator that declares ``is_hermitian`` False (a non-Hermitian
+    Pauli sum, the translation); plain matrices are taken as given.
+    """
+    if not getattr(op, "is_hermitian", True):
         raise ValueError("variance requires a Hermitian operator")
+    _check_register(state, op)
     if isinstance(state, PureState):
-        ovec = op.apply_vec(state.amplitudes)
+        ovec = op @ state.amplitudes
         mean = np.vdot(state.amplitudes, ovec).real
         second = np.vdot(ovec, ovec).real
     else:
-        rho = state.matrix
-        osp = op.to_sparse()
-        orho = osp @ rho
+        orho = op @ state.matrix
         mean = np.trace(orho).real
-        second = np.trace(osp @ orho).real
+        second = np.trace(op @ orho).real
     return second - mean * mean
 
 
@@ -516,11 +543,8 @@ def evolve_phase(state: State, gen: PauliOperator, theta: float) -> State:
         return state
     if isinstance(state, MixedState):
         return _imprint_mixed(state, gen, theta)
-    if gen.is_diagonal:
-        d = gen.diagonal().real
-        amp = np.exp(1j * theta * d) * state.amplitudes
-    else:
-        amp = spla.expm_multiply(1j * theta * gen.to_sparse(), state.amplitudes)
+    amp = apply_exponential(gen, 1j * theta, state.amplitudes)
+    if not gen.is_diagonal:
         amp = amp / np.linalg.norm(amp)
     return PureState(state.n_qubits, amp)
 
@@ -563,18 +587,3 @@ def partial_trace(rho: MixedState, kept_sites: Sequence[int]) -> MixedState:
     perm = [int(p) for p in np.argsort(np.argsort(kept))]
     tens = np.transpose(tens, axes=perm + [p + k for p in perm])
     return MixedState(k, tens.reshape(1 << k, 1 << k))
-
-
-def linear_expectation(obj, state: PureState) -> complex:
-    """<psi|obj|psi> for any supported linear-operator representation.
-
-    Accepts PauliOperator, anything exposing ``apply_vec``, numpy arrays and
-    scipy sparse matrices.
-    """
-    vec = state.amplitudes
-    if isinstance(obj, PauliOperator) or hasattr(obj, "apply_vec"):
-        return complex(np.vdot(vec, obj.apply_vec(vec)))
-    if sp.issparse(obj):
-        return complex(np.vdot(vec, obj @ vec))
-    arr = np.asarray(obj)
-    return complex(np.vdot(vec, arr @ vec))

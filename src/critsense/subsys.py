@@ -20,7 +20,7 @@ import numpy as np
 
 from .metrology import PrecisionCurve, error_propagation
 from .models import luttinger_K
-from .qcore import PauliOperator, PureState, apply_exponential, pauli_word
+from .qcore import PauliOperator, PureState, apply_exponential, expectation, pauli_word
 
 
 @dataclass(frozen=True)
@@ -156,13 +156,13 @@ def parity_theta_curve(
     pi_op = protocol.measurement
     gen = protocol.imprinter
     vec = psi.amplitudes
-    pi_vec = pi_op.apply_vec(vec)
+    pi_vec = pi_op @ vec
     sig = np.empty_like(thetas)
     var = np.empty_like(thetas)
     dth = np.empty_like(thetas)
     for i, th in enumerate(thetas):
         evolved = apply_exponential(gen, 1j * th, vec)
-        direct = np.vdot(evolved, pi_op.apply_vec(evolved))
+        direct = np.vdot(evolved, pi_op @ evolved)
         sig[i] = float(np.real(direct))
         if check_pull_through:
             pulled = np.vdot(apply_exponential(gen, 2j * th, vec), pi_vec)
@@ -325,10 +325,6 @@ class DisorderOperator:
         return moved
 
 
-def rydberg_disorder_operator(L: int, j: int, mean_occupation: float) -> DisorderOperator:
-    return DisorderOperator(L, j, mean_occupation)
-
-
 def staggered_density_imprinter(L: int, L_sub: int) -> PauliOperator:
     """O_sub = (1/2) sum_{0<j<L_sub} sigma_j with sigma_j the staggered
     density difference; diagonal in the computational basis."""
@@ -372,5 +368,5 @@ def mean_occupation(psi: PureState, sites: list[int] | None = None) -> float:
     total = 0.0
     for j in sites:
         z = PauliOperator.single(L, j, "Z")
-        total += 0.5 * (1.0 - float(np.real(np.vdot(psi.amplitudes, z.apply_vec(psi.amplitudes)))))
+        total += 0.5 * (1.0 - expectation(psi, z).real)
     return total / len(sites)

@@ -28,7 +28,7 @@ class SymmetryOperator:
     L: int
     perm: np.ndarray = field(repr=False)
     phase: np.ndarray | None = field(repr=False, default=None)
-    hermitian: bool = True
+    is_hermitian: bool = True
     bond_center: int | None = None
     swap_count: int = 0
     anticommuting_safe: bool = True  # False flags the odd-L open-chain reflection
@@ -38,13 +38,22 @@ class SymmetryOperator:
         """Gates of the controlled version: three Toffolis per controlled swap."""
         return 3 * self.swap_count
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = 1 << self.L
+        return dim, dim
+
     def apply_vec(self, vec: np.ndarray) -> np.ndarray:
+        """Action on a state vector or a (2^L, k) column block."""
         out = np.empty(vec.shape, dtype=np.complex128)
         if self.phase is None:
             out[self.perm] = vec
         else:
-            out[self.perm] = self.phase * vec
+            out[self.perm] = (self.phase if vec.ndim == 1 else self.phase[:, None]) * vec
         return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply_vec(x)
 
     def to_sparse(self) -> sp.csr_matrix:
         dim = 1 << self.L
@@ -88,16 +97,16 @@ def build_symmetry(
     idx = np.arange(dim, dtype=np.int64)
     if kind == "parity_x":
         perm = idx ^ (dim - 1)
-        return SymmetryOperator(kind, L, perm=perm, hermitian=True, swap_count=0)
+        return SymmetryOperator(kind, L, perm=perm, is_hermitian=True, swap_count=0)
     if kind == "parity_z":
         phase = (1.0 - 2.0 * (np.bitwise_count(idx) & 1)).astype(np.complex128)
-        return SymmetryOperator(kind, L, perm=idx.copy(), phase=phase, hermitian=True)
+        return SymmetryOperator(kind, L, perm=idx.copy(), phase=phase, is_hermitian=True)
     if kind == "translation":
         if boundary != "periodic":
             raise ValueError("translation requires a periodic chain")
         perm = (idx >> 1) | ((idx & 1) << (L - 1))
         return SymmetryOperator(
-            kind, L, perm=perm, hermitian=False, swap_count=L - 1
+            kind, L, perm=perm, is_hermitian=False, swap_count=L - 1
         )
     # reflection about the midpoint of bond (j, j+1)
     if bond_center is None:
@@ -120,7 +129,7 @@ def build_symmetry(
         perm |= ((idx >> (L - 1 - r)) & 1) << (L - 1 - i)
     swaps = sum(1 for i, r in enumerate(site_map) if i < r)
     return SymmetryOperator(
-        "reflection", L, perm=perm, hermitian=True, bond_center=j,
+        "reflection", L, perm=perm, is_hermitian=True, bond_center=j,
         swap_count=swaps, anticommuting_safe=safe,
     )
 
@@ -137,7 +146,7 @@ def anticommutes(sym: SymmetryOperator, op: PauliOperator, tol: float = POLICY.h
 
 def symmetry_eigenvalue(state: PureState, sym: SymmetryOperator) -> tuple[bool, complex]:
     """(is_eigenstate, s) with s = <psi|A|psi>; eigenstate iff |A psi - s psi| < 1e-8."""
-    avec = sym.apply_vec(state.amplitudes)
+    avec = sym @ state.amplitudes
     s = complex(np.vdot(state.amplitudes, avec))
     resid = float(np.linalg.norm(avec - s * state.amplitudes))
     return resid < 1e-8, s
@@ -170,7 +179,7 @@ def hadamard_test(state: PureState, unitary: SymmetryOperator) -> HadamardTestRe
     (1 + Re<psi|U|psi>)/2.  The phased variant gives the imaginary part.
     """
     psi = state.amplitudes
-    upsi = unitary.apply_vec(psi)
+    upsi = unitary @ psi
     if abs(np.linalg.norm(upsi) - 1.0) > 1e-10:
         raise ValueError("controlled operator must be unitary")
     plus_branch = 0.5 * (psi + upsi)

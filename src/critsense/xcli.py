@@ -328,15 +328,15 @@ def _run_theta_curves(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     records = []
     # internal-symmetry probe: product-of-X parity on the uniform-coupling chain
     fm, gen_fm = _probe_state("critical_fm", L)
-    par = build_symmetry("parity_x", L)
+    par = parity_x_operator(L)
     for th in grid:
         st = evolve_phase(fm, gen_fm, float(th))
-        val = float(np.real(np.vdot(st.amplitudes, par.apply_vec(st.amplitudes))))
+        val = expectation(st, par).real
         records.append(ExperimentRecord(
             scenario=cfg.scenario, probe="critical_fm", model_kind="tfim", L=L,
             theta=float(th), observable="parity_x", value=val,
             variance=max(1 - val * val, 0.0),
-            delta_theta=error_propagation(fm, gen_fm, parity_x_operator(L), float(th)),
+            delta_theta=error_propagation(fm, gen_fm, par, float(th)),
             seed=cfg.seed, config_hash=cfg.config_hash,
         ))
     # spatial-symmetry probes on the staggered chain
@@ -348,7 +348,7 @@ def _run_theta_curves(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     povm = hadamard_test_povm(trans)
     for th in grid:
         st = evolve_phase(afm, gen_afm, float(th))
-        rv = float(np.real(np.vdot(st.amplitudes, refl.apply_vec(st.amplitudes))))
+        rv = expectation(st, refl).real
         records.append(ExperimentRecord(
             scenario=cfg.scenario, probe="critical_afm", model_kind="tfim", L=L,
             theta=float(th), observable="reflection", value=rv,

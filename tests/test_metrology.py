@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from critsense import (
     MixedState,
     PauliOperator,
+    PureState,
     classical_fisher,
     d2,
     error_propagation,
@@ -20,8 +23,9 @@ from critsense import (
     sld,
     spin_coherent_state,
     to_matrix,
+    variance,
 )
-from critsense.channels import in_plane_spin
+from critsense.channels import ChannelSpec, apply_channel, in_plane_spin
 from critsense.metrology import precision_curve, theta_derivative
 from critsense.models import ModelSpec, solve_model
 from critsense.policy import POLICY
@@ -349,3 +353,84 @@ def test_d2_is_jeffreys_curvature(rng):
         jeffreys_n(rho, sigma(eps), 2) + jeffreys_n(rho, sigma(-eps), 2)
     ) / eps**2
     assert abs(curv - d2(rho, gen)) < 1e-4 * max(1.0, abs(d2(rho, gen)))
+
+
+# -- one operator protocol: Pauli, CSR and dense forms agree ---------------
+
+@st.composite
+def hermitian_sums(draw):
+    """(n, terms): one to five real-weighted Pauli strings on n <= 4 qubits."""
+    n = draw(st.integers(1, 4))
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    return n, draw(st.lists(st.tuples(coeffs, words), min_size=1, max_size=5))
+
+
+def _forms(op):
+    return op, op.to_sparse(), to_matrix(op)
+
+
+@given(hermitian_sums(), st.integers(0, 2**32 - 1))
+def test_expectation_and_variance_agree_across_forms(case, seed):
+    n, terms = case
+    op = PauliOperator(n, terms)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    pure = PureState(n, v / np.linalg.norm(v))
+    mixed = random_mixed(rng, n)
+    m = to_matrix(op)
+    scale = 1.0 + sum(abs(c) for c, _ in op.terms) ** 2
+    for state in (pure, mixed):
+        if isinstance(state, PureState):
+            mv = m @ state.amplitudes
+            mean = np.vdot(state.amplitudes, mv)
+            second = np.vdot(mv, mv).real
+        else:
+            mean = np.trace(m @ state.matrix)
+            second = np.trace(m @ m @ state.matrix).real
+        for form in _forms(op):
+            assert abs(expectation(state, form) - mean) < 1e-12 * scale
+            assert abs(variance(state, form) - (second - mean.real**2)) < 1e-12 * scale
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_classical_fisher_agrees_across_forms(mixed):
+    L = 4
+    probe = spin_coherent_state(L)
+    if mixed:
+        probe = apply_channel(MixedState.from_pure(probe), ChannelSpec("dephase_z", p=0.05))
+    gen = sum_z(L)
+    half = PauliOperator.identity(L, 0.5)
+    obs = PauliOperator.string(L, {0: "X", 2: "Y"})
+    plus, minus = half + 0.5 * obs, half + (-0.5) * obs
+    pauli, csr, dense = (list(pair) for pair in zip(_forms(plus), _forms(minus)))
+    for theta in (0.1, 0.3):
+        want = classical_fisher(pauli, lambda t: evolve_phase(probe, gen, t), theta)
+        assert want > 0.1
+        for povm in (csr, dense):
+            got = classical_fisher(povm, lambda t: evolve_phase(probe, gen, t), theta)
+            assert abs(got - want) < 1e-9 * want
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_error_propagation_dense_and_sparse_readouts(mixed):
+    """A matrix readout gets <A^2> - <A>^2 as its variance, like its Pauli form.
+
+    The Pauli form differentiates by centered differences cross-checked
+    against the commutator, the matrix forms by Richardson extrapolation, so
+    those two agree to the ~1e-10 truncation error of the centered step;
+    the CSR and dense forms share one route and agree to 1e-12.
+    """
+    L = 4
+    probe = spin_coherent_state(L)
+    if mixed:
+        probe = apply_channel(MixedState.from_pure(probe), ChannelSpec("dephase_z", p=0.05))
+    gen = sum_z(L)
+    sx = PauliOperator(L, [(1.0, "I" * j + "X" + "I" * (L - 1 - j)) for j in range(L)])
+    for theta in (0.1, 0.3):
+        pauli = error_propagation(probe, gen, sx, theta)
+        sparse = error_propagation(probe, gen, sx.to_sparse(), theta)
+        dense = error_propagation(probe, gen, to_matrix(sx), theta)
+        assert pauli > 0.1
+        assert abs(sparse - dense) < 1e-12 * pauli
+        assert abs(sparse - pauli) < 1e-9 * pauli

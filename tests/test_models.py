@@ -315,21 +315,18 @@ def _translation_reference(vec, L):
 
 
 def test_translation_sector_operator_matches_reference(rng):
-    from critsense.models import _operator_block
-    from critsense.qcore import linear_expectation
-
     L = 6
     T = build_symmetry("translation", L)
     basis = rng.standard_normal((1 << L, 3)) + 1j * rng.standard_normal((1 << L, 3))
     basis, _ = np.linalg.qr(basis)
     ref = basis.conj().T @ np.stack([_translation_reference(basis[:, i], L) for i in range(3)], 1)
-    block = _operator_block(T, basis)
+    block = basis.conj().T @ (T @ basis)
     assert np.max(np.abs(0.5 * (block + block.conj().T) - 0.5 * (ref + ref.conj().T))) < 1e-14
     sol = solve_model(ModelSpec(kind="tfim", L=L, J=-1.0))
     psi = sol.state.amplitudes
     want = float(np.real(np.vdot(psi, _translation_reference(psi, L))))
     assert abs(sol.sector_labels["translation_re"] - want) < 1e-14
-    assert abs(np.real(linear_expectation(T, sol.state)) - want) < 1e-14
+    assert abs(expectation(sol.state, T).real - want) < 1e-14
 
 
 def test_collective_and_staggered_generators_unchanged():

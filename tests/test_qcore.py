@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from critsense import (
     MixedState,
     PauliOperator,
     PureState,
-    apply_operator,
     dephase_normalize,
     evolve_phase,
     expectation,
@@ -21,6 +21,7 @@ from critsense import (
 import critsense.qcore as qcore
 from critsense.models import ghz_state, spin_coherent_state
 from critsense.policy import POLICY, NumericPolicy
+from critsense.symmetry import build_symmetry
 
 from conftest import sum_z
 from oracles import kron_word, tfim_dense, ground_vec, expect, kron_op, Z
@@ -72,8 +73,14 @@ def test_expectation_tfim8_z0z3_frozen_oracle():
 
 
 def test_expectation_dimension_mismatch():
-    with pytest.raises(ValueError):
-        expectation(ghz_state(3), sum_z(4))
+    rho = MixedState.from_pure(ghz_state(3))
+    op = sum_z(4)
+    for form in (op, op.to_sparse(), to_matrix(op), build_symmetry("parity_x", 4)):
+        for state in (ghz_state(3), rho):
+            with pytest.raises(ValueError, match="register size mismatch"):
+                expectation(state, form)
+            with pytest.raises(ValueError, match="register size mismatch"):
+                variance(state, form)
 
 
 def test_expectation_linearity(rng):
@@ -98,6 +105,8 @@ def test_variance_eigenstate_zero():
 def test_variance_rejects_non_hermitian():
     with pytest.raises(ValueError):
         variance(ghz_state(2), PauliOperator.string(2, {0: "X"}, coeff=1j))
+    with pytest.raises(ValueError, match="Hermitian"):
+        variance(ghz_state(4), build_symmetry("translation", 4))
 
 
 def test_variance_nonnegative_random(rng):
@@ -141,7 +150,7 @@ def test_evolve_phase_general_generator_matches_dense():
 
 def test_apply_operator_identity():
     st = ghz_state(3)
-    assert np.allclose(apply_operator(PauliOperator.identity(3), st), st.amplitudes)
+    assert np.allclose(PauliOperator.identity(3) @ st.amplitudes, st.amplitudes)
 
 
 def test_partial_trace_ghz():
@@ -430,3 +439,55 @@ def test_mixed_state_rejects_far_tile_asymmetry():
     rho[200, 200] += 1e-6j  # diagonal tile, imaginary diagonal entry
     with pytest.raises(ValueError, match="not Hermitian"):
         MixedState(9, rho)
+
+
+# -- the operator protocol: op @ x on a vector or a column block ----------
+
+@_with_edges
+@given(pauli_sums())
+def test_matmul_block_matches_columns_and_matrix(case):
+    n, terms = case
+    op = PauliOperator(n, terms)
+    gen = np.random.default_rng(len(terms))
+    for k in (1, 3):
+        real = gen.standard_normal((1 << n, k))
+        for block in (real, real + 1j * gen.standard_normal((1 << n, k))):
+            got = op @ block
+            cols = np.stack([op.apply_vec(block[:, i]) for i in range(k)], axis=1)
+            assert got.shape == block.shape and got.dtype == cols.dtype
+            assert np.array_equal(got, cols)
+            assert np.max(np.abs(got - to_matrix(op) @ block), initial=0.0) < 1e-12
+
+
+def test_single_diagonal_group_allocates_only_its_result(rng):
+    # the spectral QFI applies a diagonal generator to all dim eigenvectors:
+    # one dim x k result, no accumulation buffer beside it
+    op = sum_z(10)
+    vec = rng.standard_normal(1 << 10)
+    block = rng.standard_normal((1 << 10, 64))
+    d = op.diagonal()
+    assert np.array_equal(op @ vec, d * vec) and (op @ vec).dtype == np.float64
+    assert np.array_equal(PauliOperator.identity(10, 0.5) @ vec, 0.5 * vec)
+    tracemalloc.start()
+    try:
+        got = op @ block
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, d[:, None] * block)
+    assert peak < 1.5 * block.nbytes
+
+
+@pytest.mark.parametrize("L", [3, 4, 5])
+def test_symmetry_matmul_block_matches_sparse(rng, L):
+    syms = [build_symmetry(k, L) for k in ("parity_x", "parity_z", "translation")]
+    syms.append(build_symmetry("reflection", L, bond_center=1))
+    dim = 1 << L
+    for sym in syms:
+        mat = sym.to_sparse()
+        assert sym.shape == mat.shape
+        for k in (1, 3):
+            real = rng.standard_normal((dim, k))
+            for block in (real, real + 1j * rng.standard_normal((dim, k))):
+                assert np.max(np.abs(sym @ block - mat @ block)) < 1e-15
+                assert np.max(np.abs(sym @ block[:, 0] - mat @ block[:, 0])) < 1e-15

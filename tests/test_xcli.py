@@ -1,7 +1,14 @@
+import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import critsense
 
 from critsense.xcli import (
     COLUMNS,
@@ -315,3 +322,43 @@ def test_hadamard_scenario_runs():
     fit_rows = [r for r in records if r.observable == "cfi_vs_L_fit"]
     assert len(fit_rows) == 1
     assert 1.4 < fit_rows[0].value < 2.0
+
+
+# -- golden outputs of the scenarios the benchmark does not run -----------
+
+GOLDEN = Path(__file__).parent / "golden"
+_VALUE_COLUMNS = {"value", "variance", "delta_theta", "qfi", "fit_exponent", "fit_r2"}
+
+
+@pytest.mark.parametrize("scenario", ["theta_curves", "hadamard", "deformed", "channel_sweep"])
+def test_golden_outputs(tmp_path, scenario):
+    """The CLI reproduces ``tests/golden/<scenario>.csv`` (recorded with one
+    BLAS thread): every row and label cell exactly, every value cell to
+    1e-12 relative plus 1e-15 absolute.
+
+    The child process pins BLAS to one thread, as the benchmark does: a
+    threaded eigh moves the L = 8 ground state in its last bits, which the
+    differenced reflection rows of theta_curves amplify to ~1e-10.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("CRITSENSE_THREADS", None)
+    src = str(Path(critsense.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-m", "critsense.xcli", scenario,
+         "--config", str(GOLDEN / f"{scenario}.json"), "--out", str(tmp_path)],
+        env=env, check=True, timeout=300,
+    )
+    with open(GOLDEN / f"{scenario}.csv", newline="") as handle:
+        want = list(csv.reader(handle))
+    with open(tmp_path / f"{scenario}.csv", newline="") as handle:
+        got = list(csv.reader(handle))
+    header = want[0]
+    assert got[0] == header
+    assert len(got) == len(want)
+    for g_row, w_row in zip(got[1:], want[1:]):
+        for name, g, w in zip(header, g_row, w_row):
+            if name in _VALUE_COLUMNS and w not in ("", "inf"):
+                assert abs(float(g) - float(w)) <= 1e-12 * abs(float(w)) + 1e-15, (name, w_row)
+            else:
+                assert g == w, (name, w_row)
