@@ -16,7 +16,7 @@ import numpy as np
 from .models import ladder_site
 from .policy import POLICY
 from .qcore import PauliOperator, PureState, dephase_normalize, expectation
-from .metrology import qfi_pure, _pauli_product
+from .metrology import qfi_pure
 
 EXHAUSTIVE_CAP = 16
 
@@ -94,6 +94,30 @@ class OutcomeEnsemble:
         if np.any(self.probabilities < 0.0):
             raise ValueError("negative Born probability")
         self.index_of = {s: i for i, s in enumerate(self.outcomes)}
+
+
+_PAULI_MUL = {
+    ("I", "I"): (1.0, "I"), ("I", "X"): (1.0, "X"), ("I", "Y"): (1.0, "Y"), ("I", "Z"): (1.0, "Z"),
+    ("X", "I"): (1.0, "X"), ("Y", "I"): (1.0, "Y"), ("Z", "I"): (1.0, "Z"),
+    ("X", "X"): (1.0, "I"), ("Y", "Y"): (1.0, "I"), ("Z", "Z"): (1.0, "I"),
+    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
+    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
+    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
+}
+
+
+def _pauli_product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
+    terms = []
+    for ca, sa in a.terms:
+        for cb, sb in b.terms:
+            coeff = ca * cb
+            word = []
+            for la, lb in zip(sa, sb):
+                f, l = _PAULI_MUL[(la, lb)]
+                coeff *= f
+                word.append(l)
+            terms.append((coeff, "".join(word)))
+    return PauliOperator(a.n_qubits, terms)
 
 
 def _check_measurement_set(ops: list[PauliOperator], n: int) -> None:

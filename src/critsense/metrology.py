@@ -2,6 +2,16 @@
 
 Phase is always imprinted as |psi_theta> = e^{i theta O}|psi>; quantum Fisher
 information (QFI) values follow the convention F_Q = 4 Var(O) for pure probes.
+
+Error propagation, delta theta = sqrt(Var_theta(A)) / |d<A>/dtheta|, has one
+theta loop, ``precision_curve``; ``error_propagation`` is its one-point case.
+Each grid point evolves the probe once and reads from that state the signal
+<A>, the variance (branch probabilities for an involution A, A^2 = I) and the
+exact derivative i<[A, O]>: i(<A psi|O psi> - c.c.) on a pure state,
+i tr(A [O, rho]) from ``gen @ rho`` on a mixed one.  The reported derivative
+depends on the readout's form: centered differences for a PauliOperator,
+Richardson extrapolation of two centered steps for any other operator.  The
+commutator value cross-checks it to ``derivative_agree_tol``.
 """
 from __future__ import annotations
 
@@ -164,108 +174,43 @@ def _variance_at(state: State, obs) -> float:
     return variance(state, obs)
 
 
-def theta_derivative(
-    state: State,
-    gen: PauliOperator,
-    obs,
-    theta: float,
-    fd_step: float = POLICY.fd_step,
-    method: str = "fd",
-) -> float:
-    """d<obs>/dtheta along the imprint family.
+def _centered(state: State, gen: PauliOperator, obs, theta: float, step: float) -> float:
+    """Centered difference of <obs> across theta +- step.
 
-    Methods: ``fd`` (centered differences), ``richardson`` (two-step
-    extrapolated differences, the fallback when no exact commutator route
-    exists), ``analytic`` (i<[obs, gen]>_theta, Pauli observables only).
+    An involution differences only its minus-branch probability:
+    d<A>/dtheta = -2 dp_minus/dtheta exactly (the normalization is imprint
+    invariant), which keeps the quotient clean when the probe is nearly an
+    A-eigenstate.
     """
-    if method == "richardson":
-        coarse = theta_derivative(state, gen, obs, theta, fd_step, "fd")
-        fine = theta_derivative(state, gen, obs, theta, 0.5 * fd_step, "fd")
-        return (4.0 * fine - coarse) / 3.0
-    if method == "fd":
-        if _is_involution(obs):
-            # d<A>/dtheta = -2 dp_minus/dtheta exactly (normalization is
-            # imprint invariant); differencing only the small branch keeps the
-            # quotient clean when the probe is nearly an A-eigenstate
-            if isinstance(state, MixedState):
-                state.spectrum()  # warm the cache once; evolutions inherit it
-            _, m_up = _branch_probs(evolve_phase(state, gen, theta + fd_step), obs)
-            _, m_dn = _branch_probs(evolve_phase(state, gen, theta - fd_step), obs)
-            return -(m_up - m_dn) / fd_step
-        up = expectation(evolve_phase(state, gen, theta + fd_step), obs).real
-        dn = expectation(evolve_phase(state, gen, theta - fd_step), obs).real
-        return (up - dn) / (2.0 * fd_step)
-    if method == "analytic":
-        if not isinstance(obs, PauliOperator):
-            raise ValueError("analytic derivative needs a Pauli-sum observable")
-        st = evolve_phase(state, gen, theta)
-        if isinstance(st, PureState):
-            vec = st.amplitudes
-            avec = obs @ vec
-            gvec = gen @ vec
-            # i<[A, O]> = i(<psi|A O|psi> - <psi|O A|psi>)
-            val = 1j * (np.vdot(avec, gvec) - np.vdot(gvec, avec))
-            return float(np.real(val))
-        ao = expectation(st, _pauli_product(obs, gen))
-        oa = expectation(st, _pauli_product(gen, obs))
-        return float(np.real(1j * (ao - oa)))
-    raise ValueError(f"unknown derivative method {method!r}")
+    if _is_involution(obs):
+        _, m_up = _branch_probs(evolve_phase(state, gen, theta + step), obs)
+        _, m_dn = _branch_probs(evolve_phase(state, gen, theta - step), obs)
+        return -(m_up - m_dn) / step
+    up = expectation(evolve_phase(state, gen, theta + step), obs).real
+    dn = expectation(evolve_phase(state, gen, theta - step), obs).real
+    return (up - dn) / (2.0 * step)
 
 
-_PAULI_MUL = {
-    ("I", "I"): (1.0, "I"), ("I", "X"): (1.0, "X"), ("I", "Y"): (1.0, "Y"), ("I", "Z"): (1.0, "Z"),
-    ("X", "I"): (1.0, "X"), ("Y", "I"): (1.0, "Y"), ("Z", "I"): (1.0, "Z"),
-    ("X", "X"): (1.0, "I"), ("Y", "Y"): (1.0, "I"), ("Z", "Z"): (1.0, "I"),
-    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
-}
-
-
-def _pauli_product(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    terms = []
-    for ca, sa in a.terms:
-        for cb, sb in b.terms:
-            coeff = ca * cb
-            word = []
-            for la, lb in zip(sa, sb):
-                f, l = _PAULI_MUL[(la, lb)]
-                coeff *= f
-                word.append(l)
-            terms.append((coeff, "".join(word)))
-    return PauliOperator(a.n_qubits, terms)
-
-
-def error_propagation(
-    state: State,
-    gen: PauliOperator,
-    obs,
-    theta: float,
-    fd_step: float = POLICY.fd_step,
-    policy: NumericPolicy = POLICY,
-) -> float:
-    """delta theta = sqrt(Var_theta(obs)) / |d<obs>/dtheta|.
-
-    Pauli-sum observables use centered finite differences cross-checked
-    against the exact commutator route (both must agree within the policy
-    tolerance); other observables fall back to Richardson-extrapolated
-    differences.  A vanishing signal returns the +inf sentinel rather than
-    raising, so sweeps tolerate dead points.
-    """
+def _reported_derivative(state: State, gen: PauliOperator, obs, theta: float, step: float) -> float:
+    """d<obs>/dtheta by centered differences for a Pauli-sum readout, by
+    Richardson extrapolation of two centered steps for any other form."""
+    coarse = _centered(state, gen, obs, theta, step)
     if isinstance(obs, PauliOperator):
-        deriv = theta_derivative(state, gen, obs, theta, fd_step, method="fd")
-        exact = theta_derivative(state, gen, obs, theta, method="analytic")
-        if abs(exact - deriv) > policy.derivative_agree_tol * max(1.0, abs(exact)):
-            raise ArithmeticError(
-                f"derivative routes disagree: fd={deriv!r} analytic={exact!r}"
-            )
-    else:
-        deriv = theta_derivative(state, gen, obs, theta, fd_step, method="richardson")
-    st = evolve_phase(state, gen, theta)
-    var = max(_variance_at(st, obs), 0.0)
-    if abs(deriv) < policy.signal_floor:
-        return math.inf
-    return math.sqrt(var) / abs(deriv)
+        return coarse
+    fine = _centered(state, gen, obs, theta, 0.5 * step)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _commutator_derivative(evolved: State, gen: PauliOperator, obs) -> float:
+    """Exact d<obs>/dtheta = i<[obs, gen]> on the already evolved state."""
+    if isinstance(evolved, PureState):
+        vec = evolved.amplitudes
+        avec = obs @ vec
+        gvec = gen @ vec
+        # i(<psi|A G|psi> - <psi|G A|psi>)
+        return float(np.real(1j * (np.vdot(avec, gvec) - np.vdot(gvec, avec))))
+    g_rho = gen @ evolved.matrix  # (G rho)^dagger = rho G
+    return float(np.real(1j * np.trace(obs @ (g_rho - g_rho.conj().T))))
 
 
 def precision_curve(
@@ -275,17 +220,48 @@ def precision_curve(
     theta_grid: Sequence[float],
     fd_step: float = POLICY.fd_step,
 ) -> PrecisionCurve:
-    thetas = np.asarray(list(theta_grid), dtype=float)
+    """Signal, variance and delta theta of ``obs`` at each grid angle.
+
+    Each point evolves the probe once.  That state gives the signal, the
+    variance and the commutator derivative, which must agree with the
+    reported derivative to ``derivative_agree_tol`` (ArithmeticError
+    otherwise).  A vanishing derivative gives the +inf sentinel, so sweeps
+    tolerate dead points.
+    """
+    thetas = np.asarray(theta_grid, dtype=float)
+    if isinstance(state, MixedState) and _is_involution(obs):
+        state.spectrum()  # warm the cache once; evolutions inherit it
     sig = np.empty_like(thetas)
     var = np.empty_like(thetas)
     dth = np.empty_like(thetas)
     for i, th in enumerate(thetas):
-        st = evolve_phase(state, gen, float(th))
+        th = float(th)
+        st = evolve_phase(state, gen, th)
         sig[i] = expectation(st, obs).real
         var[i] = max(_variance_at(st, obs), 0.0)
-        deriv = theta_derivative(state, gen, obs, float(th), fd_step, method="fd")
+        deriv = _reported_derivative(state, gen, obs, th, fd_step)
+        exact = _commutator_derivative(st, gen, obs)
+        miss = abs(exact - deriv)
+        tol = POLICY.derivative_agree_tol * max(1.0, abs(exact))
+        if miss > tol:
+            raise ArithmeticError(
+                f"derivative routes disagree at theta={th!r}: reported {deriv!r}, "
+                f"commutator {exact!r}; off by {miss:.3e}, over the tolerance {tol:.3e}"
+            )
         dth[i] = math.inf if abs(deriv) < POLICY.signal_floor else math.sqrt(var[i]) / abs(deriv)
     return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)
+
+
+def error_propagation(
+    state: State,
+    gen: PauliOperator,
+    obs,
+    theta: float,
+    fd_step: float = POLICY.fd_step,
+) -> float:
+    """delta theta = sqrt(Var_theta(obs)) / |d<obs>/dtheta| at one angle: the
+    one-point ``precision_curve``."""
+    return float(precision_curve(state, gen, obs, [theta], fd_step).delta_theta[0])
 
 
 def classical_fisher(

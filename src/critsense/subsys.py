@@ -14,11 +14,11 @@ and monotone trends while exponent fits are emitted as indicative data only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrology import PrecisionCurve, error_propagation
+from .metrology import PrecisionCurve, precision_curve
 from .models import luttinger_K
 from .qcore import PauliOperator, PureState, apply_exponential, expectation, pauli_word
 
@@ -147,32 +147,25 @@ def parity_theta_curve(
 ) -> PrecisionCurve:
     """Signal, variance, and precision of the restricted parity along theta.
 
-    Every grid point is evaluated both by direct conjugation U^dag Pi U and by
-    the anticommutation pull-through Pi e^{-2 i theta O}; the two must agree
-    to 1e-12.  The measurement squares to the identity, so the variance is
+    The curve is ``precision_curve`` of the block parity.  Each signal is
+    also checked against the anticommutation pull-through <psi|e^{-2 i theta O}
+    Pi|psi>, one exponential per point; the two must agree to 1e-12.  The
+    measurement squares to the identity, so the variance column is
     1 - <Pi>^2.
     """
-    thetas = np.asarray(theta_grid, dtype=float)
     pi_op = protocol.measurement
     gen = protocol.imprinter
-    vec = psi.amplitudes
-    pi_vec = pi_op @ vec
-    sig = np.empty_like(thetas)
-    var = np.empty_like(thetas)
-    dth = np.empty_like(thetas)
-    for i, th in enumerate(thetas):
-        evolved = apply_exponential(gen, 1j * th, vec)
-        direct = np.vdot(evolved, pi_op @ evolved)
-        sig[i] = float(np.real(direct))
-        if check_pull_through:
-            pulled = np.vdot(apply_exponential(gen, 2j * th, vec), pi_vec)
+    curve = precision_curve(psi, gen, pi_op, theta_grid)
+    if check_pull_through:
+        pi_vec = pi_op @ psi.amplitudes
+        for th, direct in zip(curve.theta, curve.signal):
+            pulled = np.vdot(apply_exponential(gen, 2j * th, psi.amplitudes), pi_vec)
             if abs(direct - pulled) > 1e-12:
                 raise AssertionError(
                     f"pull-through mismatch at theta={th}: {direct} vs {pulled}"
                 )
-        var[i] = max(1.0 - sig[i] ** 2, 0.0)
-        dth[i] = error_propagation(psi, gen, pi_op, float(th))
-    return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)
+    var = np.maximum(1.0 - curve.signal ** 2, 0.0)
+    return replace(curve, variance=var)
 
 
 def default_theta_grid(n_points: int = 256, lo: float = 1e-3, hi: float = 1.0) -> np.ndarray:

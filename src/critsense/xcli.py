@@ -45,7 +45,7 @@ from .deformed import (
     sample_outcomes,
     uniform_outcome_lro_check,
 )
-from .metrology import classical_fisher, error_propagation, qfi_mixed, qfi_pure
+from .metrology import classical_fisher, precision_curve, qfi_mixed, qfi_pure
 from .models import (
     ModelSpec,
     ghz_state,
@@ -299,24 +299,15 @@ def _probe_state(probe: str, L: int) -> tuple[PureState, PauliOperator]:
 def _run_qfi_scaling(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     records = []
     for probe in cfg.probes:
-        values = []
         for L in cfg.L_list:
             if probe in FERMION_PROBES and L > cfg.use_fermion_above:
                 fq = 4.0 * qfi_generator_second_moment(solve_tfim_fermion(L))
             else:
                 state, gen = _probe_state(probe, L)
                 fq = qfi_pure(state, gen)
-            values.append(fq)
             records.append(ExperimentRecord(
                 scenario=cfg.scenario, probe=probe, model_kind="tfim" if "critical" in probe else "",
                 L=L, observable="qfi_pure", value=fq, qfi=fq,
-                seed=cfg.seed, config_hash=cfg.config_hash,
-            ))
-        if len(cfg.L_list) >= 3:
-            fit = fit_power_law(np.array(cfg.L_list, float), np.array(values))
-            records.append(ExperimentRecord(
-                scenario=cfg.scenario, probe=probe, observable="qfi_vs_L_fit",
-                value=fit.exponent, fit_exponent=fit.exponent, fit_r2=fit.r_squared,
                 seed=cfg.seed, config_hash=cfg.config_hash,
             ))
     return records
@@ -328,15 +319,12 @@ def _run_theta_curves(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     records = []
     # internal-symmetry probe: product-of-X parity on the uniform-coupling chain
     fm, gen_fm = _probe_state("critical_fm", L)
-    par = parity_x_operator(L)
-    for th in grid:
-        st = evolve_phase(fm, gen_fm, float(th))
-        val = expectation(st, par).real
+    curve = precision_curve(fm, gen_fm, parity_x_operator(L), grid)
+    for th, val, dth in zip(curve.theta, curve.signal, curve.delta_theta):
         records.append(ExperimentRecord(
             scenario=cfg.scenario, probe="critical_fm", model_kind="tfim", L=L,
-            theta=float(th), observable="parity_x", value=val,
-            variance=max(1 - val * val, 0.0),
-            delta_theta=error_propagation(fm, gen_fm, par, float(th)),
+            theta=float(th), observable="parity_x", value=float(val),
+            variance=max(1 - val * val, 0.0), delta_theta=float(dth),
             seed=cfg.seed, config_hash=cfg.config_hash,
         ))
     # spatial-symmetry probes on the staggered chain
@@ -346,16 +334,16 @@ def _run_theta_curves(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     t0 = hadamard_test(afm, trans)
     sign = 1.0 if t0.re_value >= 0 else -1.0  # measured translation eigenvalue
     povm = hadamard_test_povm(trans)
-    for th in grid:
-        st = evolve_phase(afm, gen_afm, float(th))
-        rv = expectation(st, refl).real
+    curve = precision_curve(afm, gen_afm, refl, grid)
+    for th, rv, dth in zip(curve.theta, curve.signal, curve.delta_theta):
         records.append(ExperimentRecord(
             scenario=cfg.scenario, probe="critical_afm", model_kind="tfim", L=L,
-            theta=float(th), observable="reflection", value=rv,
-            variance=max(1 - rv * rv, 0.0),
-            delta_theta=error_propagation(afm, gen_afm, refl, float(th)),
+            theta=float(th), observable="reflection", value=float(rv),
+            variance=max(1 - rv * rv, 0.0), delta_theta=float(dth),
             seed=cfg.seed, config_hash=cfg.config_hash,
         ))
+    for th in grid:
+        st = evolve_phase(afm, gen_afm, float(th))
         ht = hadamard_test(st, trans)
         cfi = classical_fisher(povm, lambda t: evolve_phase(afm, gen_afm, t), float(th))
         records.append(ExperimentRecord(
@@ -466,23 +454,14 @@ def _run_subsystem(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 
 def _run_hadamard(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     records = []
-    values = []
     for L in cfg.L_list:
         state, gen = _probe_state("critical_afm", L)
         trans = build_symmetry("translation", L)
         povm = hadamard_test_povm(trans)
         cfi = classical_fisher(povm, lambda th: evolve_phase(state, gen, th), cfg.theta0)
-        values.append(cfi)
         records.append(ExperimentRecord(
             scenario=cfg.scenario, probe="critical_afm", model_kind="tfim", L=L,
             theta=cfg.theta0, observable="translation_cfi", value=cfi,
-            seed=cfg.seed, config_hash=cfg.config_hash,
-        ))
-    if len(cfg.L_list) >= 3:
-        fit = fit_power_law(np.array(cfg.L_list, float), np.array(values))
-        records.append(ExperimentRecord(
-            scenario=cfg.scenario, probe="critical_afm", observable="cfi_vs_L_fit",
-            value=fit.exponent, fit_exponent=fit.exponent, fit_r2=fit.r_squared,
             seed=cfg.seed, config_hash=cfg.config_hash,
         ))
     return records
@@ -502,7 +481,9 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRecord]:
     """Execute one scenario; rows come back in canonical deterministic order.
 
     Sweep points run concurrently when ``threads`` exceeds one; ordering never
-    depends on scheduling because rows are sorted before returning.
+    depends on scheduling because rows are sorted before returning.  The
+    power-law fit rows are computed once, from the point rows, on either
+    path.
     """
     runner = _SCENARIO_RUNNERS[cfg.scenario]
     if threads > 1 and cfg.scenario in ("qfi_scaling", "channel_sweep", "hadamard"):
@@ -518,11 +499,9 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRecord]:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(lambda c: _SCENARIO_RUNNERS[c.scenario](c), tasks))
         records = [r for chunk in chunks for r in chunk]
-        # per-chunk fits are meaningless; recompute whole-sweep fit rows
-        records = [r for r in records if not r.observable.endswith("_fit")]
-        records += _fit_rows(cfg, records)
     else:
         records = runner(cfg)
+    records += _fit_rows(cfg, records)
     for rec in records:
         rec.config_hash = cfg.config_hash
         rec.seed = cfg.seed
@@ -530,13 +509,10 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRecord]:
 
 
 def _fit_rows(cfg: ExperimentConfig, records: list[ExperimentRecord]) -> list[ExperimentRecord]:
+    """One log-log power-law fit per probe of the point rows, in ascending L."""
     rows = []
-    if len(cfg.L_list) < 3:
-        return rows
     y_name = {"qfi_scaling": "qfi_pure", "hadamard": "translation_cfi"}.get(cfg.scenario)
-    if y_name is None:
-        return rows
-    for probe in cfg.probes:
+    for probe in dict.fromkeys(r.probe for r in records if r.observable == y_name):
         pts = sorted(
             (r.L, r.value) for r in records if r.probe == probe and r.observable == y_name
         )
@@ -634,16 +610,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    env_threads = os.environ.get("CRITSENSE_THREADS")
-    if env_threads is not None:
-        try:
-            threads = int(env_threads)
-        except ValueError:
-            print("config error: CRITSENSE_THREADS must be an integer", file=sys.stderr)
-            return 2
+    # the flag wins over the environment; either must name at least one thread
+    threads, source = args.threads, "--threads"
     if threads is None:
-        threads = 1
+        source = "CRITSENSE_THREADS"
+        try:
+            threads = int(os.environ.get(source, "1"))
+        except ValueError:
+            print(f"config error: {source} must be an integer", file=sys.stderr)
+            return 2
+    if threads < 1:
+        print(f"config error: {source} must be >= 1, got {threads}", file=sys.stderr)
+        return 2
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:

@@ -26,11 +26,12 @@ from critsense import (
     variance,
 )
 from critsense.channels import ChannelSpec, apply_channel, in_plane_spin
-from critsense.metrology import precision_curve, theta_derivative
+from critsense.metrology import precision_curve
 from critsense.models import ModelSpec, solve_model
 from critsense.policy import POLICY
+from critsense.symmetry import build_symmetry
 
-from conftest import sum_z
+from conftest import staggered_z, sum_z
 from oracles import X as XM, Y as YM, kron_op, sum_z_dense
 
 
@@ -214,13 +215,18 @@ def test_error_propagation_commuting_observable_sentinel():
 
 
 def test_error_propagation_derivative_routes_agree(critical_states):
+    # the reported centered difference matches the commutator i<[A, G]>,
+    # evaluated here on the evolved state independently of the library
     st = critical_states(8).state
     gen = sum_z(8)
     par = PauliOperator(8, [(1.0, "X" * 8)])
     for theta in (1e-3, 0.2):
-        fd = theta_derivative(st, gen, par, theta, method="fd")
-        an = theta_derivative(st, gen, par, theta, method="analytic")
-        assert abs(fd - an) < 1e-6 * max(1.0, abs(an))
+        vec = evolve_phase(st, gen, theta).amplitudes
+        avec, gvec = par @ vec, gen @ vec
+        an = float(np.real(1j * (np.vdot(avec, gvec) - np.vdot(gvec, avec))))
+        spread = math.sqrt(max(1.0 - np.vdot(vec, avec).real ** 2, 0.0))
+        dth = error_propagation(st, gen, par, theta)
+        assert abs(dth * abs(an) - spread) < 1e-6 * spread
 
 
 def test_error_propagation_small_theta_saturates_bound(critical_states):
@@ -298,6 +304,47 @@ def test_precision_curve_shape(critical_states):
     assert curve.theta.size == 20
     assert np.all(curve.delta_theta >= 0)
     assert np.all(curve.variance >= 0)
+
+
+def _afm_readouts(mixed):
+    """The L = 6 staggered critical probe, its generator and one readout of
+    each form: a Pauli string, the reflection, and its CSR and dense forms."""
+    L = 6
+    probe = solve_model(ModelSpec(kind="tfim", L=L, J=-1.0, h=1.0)).state
+    if mixed:
+        probe = apply_channel(MixedState.from_pure(probe), ChannelSpec("dephase_z", p=0.05))
+    refl = build_symmetry("reflection", L, bond_center=(L - 2) // 2)
+    readouts = {
+        "pauli": PauliOperator.string(L, {0: "X", 1: "Y"}),
+        "symmetry": refl,
+        "csr": refl.to_sparse(),
+        "dense": refl.to_matrix(),
+    }
+    return probe, staggered_z(L), readouts
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("form", ["pauli", "symmetry", "csr", "dense"])
+def test_precision_curve_is_pointwise_error_propagation(form, mixed):
+    # one kernel: a curve cell is exactly the one-point error propagation
+    probe, gen, readouts = _afm_readouts(mixed)
+    obs = readouts[form]
+    grid = [0.05, 0.2, 0.4]
+    curve = precision_curve(probe, gen, obs, grid)
+    assert np.all(np.isfinite(curve.delta_theta))
+    for th, dth in zip(grid, curve.delta_theta):
+        assert dth == error_propagation(probe, gen, obs, th)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+@pytest.mark.parametrize("form", ["pauli", "symmetry", "csr", "dense"])
+def test_error_propagation_rejects_mismatched_derivative(form, mixed):
+    # a 0.3 step puts the differenced derivative 17-94% off the commutator
+    probe, gen, readouts = _afm_readouts(mixed)
+    obs = readouts[form]
+    assert math.isfinite(error_propagation(probe, gen, obs, 0.2))
+    with pytest.raises(ArithmeticError, match="over the tolerance"):
+        error_propagation(probe, gen, obs, 0.2, fd_step=0.3)
 
 
 def test_fn_sequence_monotone_sandwich(rng):

@@ -88,6 +88,28 @@ def test_parity_theta_curve_pull_through(critical_states):
     assert np.max(np.abs(curve.signal - neg.signal[::-1])) < 1e-10
 
 
+@pytest.mark.parametrize("check, per_point", [(True, 4), (False, 3)])
+def test_parity_theta_curve_exponentials_per_point(critical_states, monkeypatch, check, per_point):
+    # one evolution for signal, variance and commutator, two for the centered
+    # difference, and one 2 theta exponential for the pull-through check
+    import critsense.qcore as qcore
+    import critsense.subsys as subsys
+
+    calls = []
+    original = qcore.apply_exponential
+
+    def counted(gen, scale, vec):
+        calls.append(scale)
+        return original(gen, scale, vec)
+
+    monkeypatch.setattr(qcore, "apply_exponential", counted)
+    monkeypatch.setattr(subsys, "apply_exponential", counted)
+    grid = np.linspace(0.05, 0.5, 7)
+    parity_theta_curve(critical_states(8).state, make_ising_protocol(8, 4), grid,
+                       check_pull_through=check)
+    assert len(calls) == per_point * grid.size
+
+
 def test_block_parity_expectation_in_unit_interval(critical_states):
     sol = critical_states(12)
     for L_sub in (4, 6):

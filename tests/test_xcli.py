@@ -90,11 +90,28 @@ def test_run_qfi_scaling_ordering():
     assert fits["spin_coherent"] == pytest.approx(1.0, abs=1e-9)
 
 
+_SPLIT_SCENARIOS = {
+    "qfi_scaling": {"probes": ["ghz", "critical_fm", "spin_coherent"]},
+    "hadamard": {},
+    "channel_sweep": {"probes": ["ghz", "critical_fm"],
+                      "channel": {"kind": "bitflip_x", "p": 0.1}},
+}
+
+
 def test_run_threaded_matches_serial():
-    cfg = make_cfg(L_list=[4, 6, 8])
-    serial = run(cfg, threads=1)
-    threaded = run(cfg, threads=3)
-    assert [r.row() for r in serial] == [r.row() for r in threaded]
+    # the threaded path splits by (probe, L); both paths fit once, in ascending L
+    n_fits = {"channel_sweep": 0, "hadamard": 1, "qfi_scaling": 3}
+    for scenario, extra in _SPLIT_SCENARIOS.items():
+        for L_list in ([4, 6, 8], [8, 4, 6]):
+            cfg = ExperimentConfig.from_dict(
+                {"scenario": scenario, "L_list": L_list, "seed": 5, **extra}
+            )
+            serial = run(cfg, threads=1)
+            assert sum(r.observable.endswith("_fit") for r in serial) == n_fits[scenario]
+            for threads in (2, 3):
+                threaded = run(cfg, threads=threads)
+                assert [r.row() for r in threaded] == [r.row() for r in serial], (
+                    scenario, L_list, threads)
 
 
 def test_channel_sweep_formula_column():
@@ -233,13 +250,41 @@ def test_fermion_path_sizes_skip_the_exact_path_cap():
     assert cfg.L_list == (8, 64, 768)
 
 
-def test_main_env_thread_override(tmp_path, monkeypatch):
+def test_main_env_thread_override(tmp_path, monkeypatch, capsys):
+    import critsense.xcli as xc
+
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "qfi_scaling", "probes": ["ghz"], "L_list": [4, 6, 8]}))
+    seen = []
+    real_run = xc.run
+
+    def spy(cfg, threads=1):
+        seen.append(threads)
+        return real_run(cfg, threads=threads)
+
+    monkeypatch.setattr(xc, "run", spy)
+    argv = ["qfi_scaling", "--config", str(cfg_path), "--out", str(tmp_path / "t")]
+    monkeypatch.delenv("CRITSENSE_THREADS", raising=False)
+    assert main(argv) == 0
     monkeypatch.setenv("CRITSENSE_THREADS", "2")
-    assert main(["qfi_scaling", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
+    assert main(argv) == 0
+    # the flag wins over the environment, an invalid one included
+    assert main(argv + ["--threads", "1"]) == 0
     monkeypatch.setenv("CRITSENSE_THREADS", "no")
-    assert main(["qfi_scaling", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 2
+    assert main(argv + ["--threads", "1"]) == 0
+    assert seen == [1, 2, 1, 1]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "CRITSENSE_THREADS" in capsys.readouterr().err
+    # fewer than one thread is refused, naming where the count came from
+    for value in ("0", "-2"):
+        monkeypatch.setenv("CRITSENSE_THREADS", value)
+        assert main(argv) == 2
+        assert "CRITSENSE_THREADS must be >= 1" in capsys.readouterr().err
+        monkeypatch.setenv("CRITSENSE_THREADS", "2")
+        assert main(argv + ["--threads", value]) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
+    assert seen == [1, 2, 1, 1]
 
 
 def test_seed_override(tmp_path):
@@ -330,7 +375,9 @@ GOLDEN = Path(__file__).parent / "golden"
 _VALUE_COLUMNS = {"value", "variance", "delta_theta", "qfi", "fit_exponent", "fit_r2"}
 
 
-@pytest.mark.parametrize("scenario", ["theta_curves", "hadamard", "deformed", "channel_sweep"])
+@pytest.mark.parametrize(
+    "scenario", ["theta_curves", "hadamard", "deformed", "channel_sweep", "subsystem"]
+)
 def test_golden_outputs(tmp_path, scenario):
     """The CLI reproduces ``tests/golden/<scenario>.csv`` (recorded with one
     BLAS thread): every row and label cell exactly, every value cell to
