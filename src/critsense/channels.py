@@ -97,8 +97,7 @@ def _sites(spec: ChannelSpec, L: int) -> Sequence[int]:
     return spec.site_mask if spec.site_mask is not None else range(L)
 
 
-def apply_channel_matrix(mat: np.ndarray, spec: ChannelSpec, n_qubits: int,
-                         n_hermite: int = 41) -> np.ndarray:
+def apply_channel_matrix(mat: np.ndarray, spec: ChannelSpec, n_qubits: int) -> np.ndarray:
     """Channel action on an arbitrary matrix (state or observable).
 
     All four kinds commute entrywise with the basis structure: X flips are
@@ -135,9 +134,9 @@ def apply_channel_matrix(mat: np.ndarray, spec: ChannelSpec, n_qubits: int,
             factor *= (1.0 - spec.p) + spec.p * np.outer(s, s)
         return out * factor
     # global dephasing: average exp(-i phi sum Z) rho exp(+i phi sum Z) over
-    # the Gaussian phase phi ~ N(0, chi/2)
+    # the Gaussian phase phi ~ N(0, chi/2), on 41 Gauss-Hermite nodes
     m = sum(1.0 - 2.0 * b for b in bits)  # sum-Z eigenvalues per basis state
-    nodes, weights = hermgauss(n_hermite)
+    nodes, weights = hermgauss(41)
     phis = nodes * math.sqrt(spec.chi)  # sqrt(2 sigma^2) with sigma^2 = chi/2
     acc = np.zeros(out.shape, dtype=np.complex128)
     for phi, w in zip(phis, weights):

@@ -164,7 +164,6 @@ class EigensolverError(RuntimeError):
 def ground_state(
     H: PauliOperator,
     sector: list[tuple[object, float]] | tuple[object, float] | None = None,
-    k: int = 8,
     policy: NumericPolicy = POLICY,
 ) -> GroundSolution:
     """Lowest-energy state of a Hermitian Pauli sum.
@@ -189,10 +188,9 @@ def ground_state(
     else:
         if n > policy.sparse_cap:
             raise ValueError(f"{n} qubits exceeds sparse cap {policy.sparse_cap}")
-        kk = min(k, dim - 2)
-        try:
+        try:  # eight levels show a near-degenerate ground multiplet and its gap
             evals, evecs = spla.eigsh(
-                H.to_sparse(), k=kk, which="SA", v0=_deterministic_start(dim)
+                H.to_sparse(), k=8, which="SA", v0=_deterministic_start(dim)
             )
         except spla.ArpackNoConvergence as exc:  # pragma: no cover
             raise EigensolverError(f"Lanczos failed to converge: {exc}") from exc
@@ -234,26 +232,24 @@ def ground_state(
     return GroundSolution(energy=e0, state=state, gap=gap, sector_labels=labels)
 
 
-def solve_model(spec: ModelSpec, sector: str | None = "auto") -> GroundSolution:
+def solve_model(spec: ModelSpec) -> GroundSolution:
     """Build and solve a model, resolving near-degeneracies in its natural sector.
 
-    For the Ising chain the default sector is the +1 eigenstate of the
-    product-of-X parity.  For the cluster ladder, both chain parities are
-    fixed to +1.  ``sector=None`` skips resolution.
+    For the Ising chain the sector is the +1 eigenstate of the product-of-X
+    parity.  For the cluster ladder, both chain parities are fixed to +1.
     """
     H = build_hamiltonian(spec)
     n = spec.n_qubits
     sector_ops: list[tuple[object, float]] | None = None
-    if sector == "auto":
-        if spec.kind == "tfim":
-            sector_ops = [(parity_x_operator(n), +1.0)]
-        elif spec.kind == "cluster_ladder":
-            chain1 = {ladder_site(j, 1, spec.L): "X" for j in range(1, spec.L + 1)}
-            chain2 = {ladder_site(j, 2, spec.L): "X" for j in range(1, spec.L + 1)}
-            sector_ops = [
-                (PauliOperator.string(n, chain1), +1.0),
-                (PauliOperator.string(n, chain2), +1.0),
-            ]
+    if spec.kind == "tfim":
+        sector_ops = [(parity_x_operator(n), +1.0)]
+    elif spec.kind == "cluster_ladder":
+        chain1 = {ladder_site(j, 1, spec.L): "X" for j in range(1, spec.L + 1)}
+        chain2 = {ladder_site(j, 2, spec.L): "X" for j in range(1, spec.L + 1)}
+        sector_ops = [
+            (PauliOperator.string(n, chain1), +1.0),
+            (PauliOperator.string(n, chain2), +1.0),
+        ]
     sol = ground_state(H, sector=sector_ops)
     if spec.kind == "tfim":
         par = parity_x_operator(n)
@@ -451,11 +447,17 @@ def locate_rydberg_critical_detuning(
         raise ValueError("need at least two sizes to locate a crossing")
     lo, hi = window if window is not None else (0.25 * omega, 3.5 * omega)
 
+    # consecutive pairs share a size and the same coarse grid: solve each
+    # (L, detuning) point once per call
+    solved: dict[tuple[int, float], float] = {}
+
     def chi(L: int, detuning: float) -> float:
-        spec = ModelSpec(
-            kind="rydberg", L=L, omega=omega, detuning=detuning, v1=v1, v2=v2
-        )
-        return _rydberg_susceptibility(spec)
+        if (L, detuning) not in solved:
+            spec = ModelSpec(
+                kind="rydberg", L=L, omega=omega, detuning=detuning, v1=v1, v2=v2
+            )
+            solved[L, detuning] = _rydberg_susceptibility(spec)
+        return solved[L, detuning]
 
     crossings = []
     width = 0.0
@@ -465,17 +467,16 @@ def locate_rydberg_critical_detuning(
         bracket = None
         for a, b, ga, gb in zip(grid, grid[1:], g, g[1:]):
             if ga == 0.0:
-                bracket = (a, a)
+                bracket = (a, a, ga)
                 break
             if ga * gb < 0.0:
-                bracket = (a, b)
+                bracket = (a, b, ga)
                 break
         if bracket is None:
             raise NoCrossingError(
                 f"no susceptibility crossing for sizes {L1},{L2} in [{lo}, {hi}]"
             )
-        a, b = bracket
-        ga = chi(L2, a) - chi(L1, a)
+        a, b, ga = bracket
         while b - a > 1e-2 * omega:
             mid = 0.5 * (a + b)
             gm = chi(L2, mid) - chi(L1, mid)

@@ -6,9 +6,14 @@ imprint angle), ``channel_sweep`` (noisy Fisher information vs size),
 ``deformed`` (outcome-decoded ladder protocol), ``subsystem`` (restricted
 parity windows), and ``hadamard`` (translation-readout Fisher information).
 
-Outputs are bit-reproducible: fixed column set (schema version in every row),
+Every scenario is a list of point tasks run through one thread pool; serial
+is a pool of one worker.  For a fixed BLAS thread count the output bytes do
+not depend on the pool size: fixed column set (schema version in every row),
 17-significant-digit decimals, canonical row ordering, per-point seeds derived
 from the global seed by a splitmix64 mix, and write-to-temp + atomic rename.
+The BLAS thread count itself can move differenced columns in their last bits
+(up to ~1e-10 relative between one and two OpenBLAS threads), so byte
+comparisons pin it, e.g. ``OPENBLAS_NUM_THREADS=1``.
 """
 from __future__ import annotations
 
@@ -19,9 +24,10 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -178,16 +184,22 @@ class ExperimentConfig:
                 p in FERMION_PROBES for p in self.probes
             )
             ed_sizes = [l for l in self.L_list if not fermion_only or l <= self.use_fermion_above]
-            if self.scenario == "channel_sweep":
-                cap, path = POLICY.dense_cap, "a dense density matrix"
-            else:
-                cap, path = POLICY.sparse_cap, "exact diagonalization"
-            if ed_sizes and max(ed_sizes) > cap:
-                raise ConfigError(
-                    f"L_list: L={max(ed_sizes)} needs {path}, over its cap of {cap} qubits"
-                )
-        if self.scenario == "subsystem" and self.theta_points < 200:
-            raise ConfigError("theta_points: window extraction needs >= 200 points")
+            if ed_sizes:
+                _check_cap("L_list", max(ed_sizes), dense=self.scenario == "channel_sweep")
+        if self.scenario == "theta_curves":
+            _check_cap("L", self.L)
+            if self.L % 2:
+                raise ConfigError("L: the staggered probe needs an even size")
+        if self.scenario == "subsystem":
+            if self.model is not None and self.model.kind != "tfim":
+                raise ConfigError("model: the subsystem scenario runs on the tfim kind")
+            name, L = ("L", self.L) if self.model is None else ("model", self.model.L)
+            _check_cap(name, L)
+            outside = [l for l in self.L_sub_list if l > L]
+            if outside:
+                raise ConfigError(f"L_sub_list: blocks {outside} do not fit in the {L}-site chain")
+            if self.theta_points < 200:
+                raise ConfigError("theta_points: window extraction needs >= 200 points")
         if self.scenario == "deformed" and self.L > 7:
             raise ConfigError("L: ladder rungs capped at 7 in exact outcome mode")
 
@@ -216,6 +228,14 @@ class ExperimentConfig:
         return np.linspace(self.theta_lo, self.theta_hi, self.theta_points)
 
 
+def _check_cap(name: str, L: int, dense: bool = False) -> None:
+    """``L`` qubits fit the exact path: a dense density matrix or a ground solve."""
+    cap, path = ((POLICY.dense_cap, "a dense density matrix") if dense
+                 else (POLICY.sparse_cap, "exact diagonalization"))
+    if L > cap:
+        raise ConfigError(f"{name}: L={L} needs {path}, over its cap of {cap} qubits")
+
+
 COLUMNS = (
     "schema_version", "scenario", "probe", "model_kind", "boundary", "L", "L_sub",
     "channel_kind", "p", "chi", "theta", "beta", "observable", "value",
@@ -226,11 +246,8 @@ COLUMNS = (
 
 @dataclass
 class ExperimentRecord:
-    scenario: str
     observable: str
     value: float
-    seed: int
-    config_hash: str
     probe: str = ""
     model_kind: str = ""
     boundary: str = ""
@@ -247,6 +264,10 @@ class ExperimentRecord:
     fit_exponent: float | None = None
     fit_r2: float | None = None
     point_seed: int | None = None
+    # run-level columns, stamped by ``run``
+    scenario: str = ""
+    seed: int | None = None
+    config_hash: str = ""
     schema_version: int = SCHEMA_VERSION
     code_version: str = __version__
 
@@ -287,156 +308,140 @@ def _probe_state(probe: str, L: int) -> tuple[PureState, PauliOperator]:
         sol = solve_model(ModelSpec(kind="tfim", L=L, J=1.0, h=1.0))
         return sol.state, collective_spin(L, "Z", half=False)
     if probe == "critical_afm":
-        if L % 2:
-            raise ConfigError("L_list: the staggered probe needs even sizes")
         sol = solve_model(ModelSpec(kind="tfim", L=L, J=-1.0, h=1.0))
         return sol.state, staggered_z(L)
     raise ConfigError(f"probes: unknown probe {probe!r}")
 
 
 # -- scenarios -------------------------------------------------------
+#
+# Each scenario turns a config into a list of zero-argument point tasks, each
+# returning its rows.  A task builds its own probe state or density matrix, so
+# nothing large outlives it; a solve shared by several tasks runs once, before
+# them.  ``run`` stamps the run-level columns on every row.
 
-def _run_qfi_scaling(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    records = []
-    for probe in cfg.probes:
-        for L in cfg.L_list:
-            if probe in FERMION_PROBES and L > cfg.use_fermion_above:
-                fq = 4.0 * qfi_generator_second_moment(solve_tfim_fermion(L))
-            else:
-                state, gen = _probe_state(probe, L)
-                fq = qfi_pure(state, gen)
-            records.append(ExperimentRecord(
-                scenario=cfg.scenario, probe=probe, model_kind="tfim" if "critical" in probe else "",
-                L=L, observable="qfi_pure", value=fq, qfi=fq,
-                seed=cfg.seed, config_hash=cfg.config_hash,
-            ))
-    return records
+Task = Callable[[], list[ExperimentRecord]]
 
 
-def _run_theta_curves(cfg: ExperimentConfig) -> list[ExperimentRecord]:
+def _curve_rows(curve, observable: str, **labels) -> list[ExperimentRecord]:
+    """One row per grid point of a two-outcome (+-1) precision curve."""
+    return [
+        ExperimentRecord(
+            theta=float(th), observable=observable, value=float(val),
+            variance=max(1 - val * val, 0.0), delta_theta=float(dth), **labels,
+        )
+        for th, val, dth in zip(curve.theta, curve.signal, curve.delta_theta)
+    ]
+
+
+def _qfi_scaling_tasks(cfg: ExperimentConfig) -> list[Task]:
+    def point(probe: str, L: int) -> list[ExperimentRecord]:
+        if probe in FERMION_PROBES and L > cfg.use_fermion_above:
+            fq = 4.0 * qfi_generator_second_moment(solve_tfim_fermion(L))
+        else:
+            fq = qfi_pure(*_probe_state(probe, L))
+        return [ExperimentRecord(
+            probe=probe, model_kind="tfim" if "critical" in probe else "",
+            L=L, observable="qfi_pure", value=fq, qfi=fq,
+        )]
+
+    return [partial(point, probe, L) for probe in cfg.probes for L in cfg.L_list]
+
+
+def _theta_curves_tasks(cfg: ExperimentConfig) -> list[Task]:
     L = cfg.L
     grid = cfg.theta_grid()
-    records = []
-    # internal-symmetry probe: product-of-X parity on the uniform-coupling chain
-    fm, gen_fm = _probe_state("critical_fm", L)
-    curve = precision_curve(fm, gen_fm, parity_x_operator(L), grid)
-    for th, val, dth in zip(curve.theta, curve.signal, curve.delta_theta):
-        records.append(ExperimentRecord(
-            scenario=cfg.scenario, probe="critical_fm", model_kind="tfim", L=L,
-            theta=float(th), observable="parity_x", value=float(val),
-            variance=max(1 - val * val, 0.0), delta_theta=float(dth),
-            seed=cfg.seed, config_hash=cfg.config_hash,
-        ))
-    # spatial-symmetry probes on the staggered chain
-    afm, gen_afm = _probe_state("critical_afm", L)
-    refl = build_symmetry("reflection", L, bond_center=(L - 2) // 2)
-    trans = build_symmetry("translation", L)
-    t0 = hadamard_test(afm, trans)
-    sign = 1.0 if t0.re_value >= 0 else -1.0  # measured translation eigenvalue
-    povm = hadamard_test_povm(trans)
-    curve = precision_curve(afm, gen_afm, refl, grid)
-    for th, rv, dth in zip(curve.theta, curve.signal, curve.delta_theta):
-        records.append(ExperimentRecord(
-            scenario=cfg.scenario, probe="critical_afm", model_kind="tfim", L=L,
-            theta=float(th), observable="reflection", value=float(rv),
-            variance=max(1 - rv * rv, 0.0), delta_theta=float(dth),
-            seed=cfg.seed, config_hash=cfg.config_hash,
-        ))
-    for th in grid:
-        st = evolve_phase(afm, gen_afm, float(th))
-        ht = hadamard_test(st, trans)
-        cfi = classical_fisher(povm, lambda t: evolve_phase(afm, gen_afm, t), float(th))
-        records.append(ExperimentRecord(
-            scenario=cfg.scenario, probe="critical_afm", model_kind="tfim", L=L,
-            theta=float(th), observable="translation_re", value=sign * ht.re_value,
-            delta_theta=cfi ** -0.5 if cfi > 0 else math.inf,
-            seed=cfg.seed, config_hash=cfg.config_hash,
-        ))
-    return records
 
+    def parity() -> list[ExperimentRecord]:
+        # internal-symmetry probe: product-of-X parity on the uniform-coupling chain
+        fm, gen = _probe_state("critical_fm", L)
+        curve = precision_curve(fm, gen, parity_x_operator(L), grid)
+        return _curve_rows(curve, "parity_x", probe="critical_fm", model_kind="tfim", L=L)
 
-def _run_channel_sweep(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    chan = cfg.channel
-    records = []
-    for probe in cfg.probes:
-        for L in cfg.L_list:
-            state, gen = _probe_state(probe, L)
-            rho = apply_channel(MixedState.from_pure(state), chan)
-            report = qfi_mixed(rho, gen)
-            rec = ExperimentRecord(
-                scenario=cfg.scenario, probe=probe, L=L,
-                channel_kind=chan.kind, p=chan.p, chi=chan.chi,
-                observable="qfi_mixed", value=report.value, qfi=report.value,
-                seed=cfg.seed, config_hash=cfg.config_hash,
-            )
-            records.append(rec)
-            if chan.kind == "bitflip_x":
-                second = float(np.real(expectation(state, gen)) ** 2)
-                second = qfi_pure(state, gen) / 4.0 + second  # <O^2>
-                formula = bitflip_qfi_formula(L, chan.p, second)
-                records.append(ExperimentRecord(
-                    scenario=cfg.scenario, probe=probe, L=L,
-                    channel_kind=chan.kind, p=chan.p,
-                    observable="qfi_bitflip_formula", value=formula, qfi=formula,
-                    seed=cfg.seed, config_hash=cfg.config_hash,
-                ))
-    return records
-
-
-def _run_deformed(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    L = cfg.L
-    sol = solve_model(ModelSpec(kind="cluster_ladder", L=L))
-    ops = [PauliOperator.single(2 * L, ladder_site(j, 1, L), "X") for j in range(1, L + 1)]
-    ens = enumerate_outcomes(sol.state, ops)
-    pseed = point_seed(cfg.seed, 0)
-    samples = sample_outcomes(sol.state, ops, seed=pseed, n_samples=cfg.n_samples)
-    records = []
-    exact = decoded_correlator(ens, L, 1, L)
-    mean, stderr = decoded_correlator(ens, L, 1, L, samples=samples)
-    records.append(ExperimentRecord(
-        scenario=cfg.scenario, model_kind="cluster_ladder", L=L,
-        observable="decoded_corr_exact", value=exact, point_seed=pseed,
-        seed=cfg.seed, config_hash=cfg.config_hash,
-    ))
-    records.append(ExperimentRecord(
-        scenario=cfg.scenario, model_kind="cluster_ladder", L=L,
-        observable="decoded_corr_sampled", value=mean, variance=stderr**2,
-        point_seed=pseed, seed=cfg.seed, config_hash=cfg.config_hash,
-    ))
-    records.append(ExperimentRecord(
-        scenario=cfg.scenario, model_kind="cluster_ladder", L=L,
-        observable="averaged_qfi", value=averaged_qfi(ens, L),
-        qfi=averaged_qfi_decoded(ens, L),
-        seed=cfg.seed, config_hash=cfg.config_hash,
-    ))
-    lro = uniform_outcome_lro_check(sol.state, L, list(cfg.beta_list))
-    for b, v in zip(lro.beta_grid, lro.long_range_value):
-        records.append(ExperimentRecord(
-            scenario=cfg.scenario, model_kind="cluster_ladder", L=L, beta=b,
-            observable="uniform_lro", value=v,
-            seed=cfg.seed, config_hash=cfg.config_hash,
-        ))
-    return records
-
-
-def _run_subsystem(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    spec = cfg.model if cfg.model is not None else ModelSpec(kind="tfim", L=cfg.L)
-    if spec.kind != "tfim":
-        raise ConfigError("model: the subsystem scenario runs on the tfim kind")
-    L = spec.L
-    sol = solve_model(spec)
-    grid = default_theta_grid(cfg.theta_points, cfg.theta_lo, cfg.theta_hi)
-    records = []
-    for L_sub in cfg.L_sub_list:
-        proto = make_ising_protocol(L, L_sub)
-        curve = parity_theta_curve(sol.state, proto, grid)
-        for th, sig, var, dth in zip(curve.theta, curve.signal, curve.variance, curve.delta_theta):
+    def spatial() -> list[ExperimentRecord]:
+        # spatial-symmetry probes on the staggered chain
+        afm, gen = _probe_state("critical_afm", L)
+        refl = build_symmetry("reflection", L, bond_center=(L - 2) // 2)
+        trans = build_symmetry("translation", L)
+        t0 = hadamard_test(afm, trans)
+        sign = 1.0 if t0.re_value >= 0 else -1.0  # measured translation eigenvalue
+        povm = hadamard_test_povm(trans)
+        curve = precision_curve(afm, gen, refl, grid)
+        records = _curve_rows(curve, "reflection", probe="critical_afm", model_kind="tfim", L=L)
+        for th in grid:
+            ht = hadamard_test(evolve_phase(afm, gen, float(th)), trans)
+            cfi = classical_fisher(povm, lambda t: evolve_phase(afm, gen, t), float(th))
             records.append(ExperimentRecord(
-                scenario=cfg.scenario, probe="critical_fm", model_kind="tfim",
-                L=L, L_sub=L_sub, theta=float(th), observable="subsystem_parity",
-                value=float(sig), variance=float(var), delta_theta=float(dth),
-                seed=cfg.seed, config_hash=cfg.config_hash,
+                probe="critical_afm", model_kind="tfim", L=L,
+                theta=float(th), observable="translation_re", value=sign * ht.re_value,
+                delta_theta=cfi ** -0.5 if cfi > 0 else math.inf,
             ))
+        return records
+
+    return [parity, spatial]
+
+
+def _channel_sweep_tasks(cfg: ExperimentConfig) -> list[Task]:
+    chan = cfg.channel
+
+    def point(probe: str, L: int) -> list[ExperimentRecord]:
+        state, gen = _probe_state(probe, L)
+        rho = apply_channel(MixedState.from_pure(state), chan)
+        fq = qfi_mixed(rho, gen).value
+        row = partial(ExperimentRecord, probe=probe, L=L, channel_kind=chan.kind, p=chan.p)
+        records = [row(chi=chan.chi, observable="qfi_mixed", value=fq, qfi=fq)]
+        if chan.kind == "bitflip_x":
+            second = float(np.real(expectation(state, gen)) ** 2)
+            second = qfi_pure(state, gen) / 4.0 + second  # <O^2>
+            formula = bitflip_qfi_formula(L, chan.p, second)
+            records.append(row(observable="qfi_bitflip_formula", value=formula, qfi=formula))
+        return records
+
+    return [partial(point, probe, L) for probe in cfg.probes for L in cfg.L_list]
+
+
+def _deformed_tasks(cfg: ExperimentConfig) -> list[Task]:
+    def ladder() -> list[ExperimentRecord]:
+        L = cfg.L
+        sol = solve_model(ModelSpec(kind="cluster_ladder", L=L))
+        ops = [PauliOperator.single(2 * L, ladder_site(j, 1, L), "X") for j in range(1, L + 1)]
+        ens = enumerate_outcomes(sol.state, ops)
+        pseed = point_seed(cfg.seed, 0)
+        samples = sample_outcomes(sol.state, ops, seed=pseed, n_samples=cfg.n_samples)
+        mean, stderr = decoded_correlator(ens, L, 1, L, samples=samples)
+        lro = uniform_outcome_lro_check(sol.state, L, list(cfg.beta_list))
+        row = partial(ExperimentRecord, model_kind="cluster_ladder", L=L)
+        return [
+            row(observable="decoded_corr_exact", value=decoded_correlator(ens, L, 1, L),
+                point_seed=pseed),
+            row(observable="decoded_corr_sampled", value=mean, variance=stderr**2,
+                point_seed=pseed),
+            row(observable="averaged_qfi", value=averaged_qfi(ens, L),
+                qfi=averaged_qfi_decoded(ens, L)),
+        ] + [
+            row(beta=b, observable="uniform_lro", value=v)
+            for b, v in zip(lro.beta_grid, lro.long_range_value)
+        ]
+
+    return [ladder]
+
+
+def _subsystem_tasks(cfg: ExperimentConfig) -> list[Task]:
+    spec = cfg.model if cfg.model is not None else ModelSpec(kind="tfim", L=cfg.L)
+    L = spec.L
+    state = solve_model(spec).state  # shared by every block
+    grid = default_theta_grid(cfg.theta_points, cfg.theta_lo, cfg.theta_hi)
+
+    def block(L_sub: int) -> list[ExperimentRecord]:
+        curve = parity_theta_curve(state, make_ising_protocol(L, L_sub), grid)
+        row = partial(ExperimentRecord, probe="critical_fm", model_kind="tfim", L=L, L_sub=L_sub)
+        records = [
+            row(theta=float(th), observable="subsystem_parity", value=float(sig),
+                variance=float(var), delta_theta=float(dth))
+            for th, sig, var, dth in zip(
+                curve.theta, curve.signal, curve.variance, curve.delta_theta
+            )
+        ]
         rep = window_report(curve, L_sub)
         for name, val in (
             ("window_theta_l", rep.theta_l), ("window_theta_min", rep.theta_min),
@@ -444,86 +449,66 @@ def _run_subsystem(cfg: ExperimentConfig) -> list[ExperimentRecord]:
             ("window_sql", rep.sql_reference),
         ):
             if val is not None:
-                records.append(ExperimentRecord(
-                    scenario=cfg.scenario, probe="critical_fm", model_kind="tfim",
-                    L=L, L_sub=L_sub, observable=name, value=float(val),
-                    seed=cfg.seed, config_hash=cfg.config_hash,
-                ))
-    return records
+                records.append(row(observable=name, value=float(val)))
+        return records
+
+    return [partial(block, L_sub) for L_sub in cfg.L_sub_list]
 
 
-def _run_hadamard(cfg: ExperimentConfig) -> list[ExperimentRecord]:
-    records = []
-    for L in cfg.L_list:
+def _hadamard_tasks(cfg: ExperimentConfig) -> list[Task]:
+    def point(L: int) -> list[ExperimentRecord]:
         state, gen = _probe_state("critical_afm", L)
-        trans = build_symmetry("translation", L)
-        povm = hadamard_test_povm(trans)
+        povm = hadamard_test_povm(build_symmetry("translation", L))
         cfi = classical_fisher(povm, lambda th: evolve_phase(state, gen, th), cfg.theta0)
-        records.append(ExperimentRecord(
-            scenario=cfg.scenario, probe="critical_afm", model_kind="tfim", L=L,
+        return [ExperimentRecord(
+            probe="critical_afm", model_kind="tfim", L=L,
             theta=cfg.theta0, observable="translation_cfi", value=cfi,
-            seed=cfg.seed, config_hash=cfg.config_hash,
-        ))
-    return records
+        )]
+
+    return [partial(point, L) for L in cfg.L_list]
 
 
-_SCENARIO_RUNNERS = {
-    "qfi_scaling": _run_qfi_scaling,
-    "theta_curves": _run_theta_curves,
-    "channel_sweep": _run_channel_sweep,
-    "deformed": _run_deformed,
-    "subsystem": _run_subsystem,
-    "hadamard": _run_hadamard,
+_SCENARIO_TASKS = {
+    "qfi_scaling": _qfi_scaling_tasks,
+    "theta_curves": _theta_curves_tasks,
+    "channel_sweep": _channel_sweep_tasks,
+    "deformed": _deformed_tasks,
+    "subsystem": _subsystem_tasks,
+    "hadamard": _hadamard_tasks,
 }
 
 
 def run(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRecord]:
     """Execute one scenario; rows come back in canonical deterministic order.
 
-    Sweep points run concurrently when ``threads`` exceeds one; ordering never
-    depends on scheduling because rows are sorted before returning.  The
-    power-law fit rows are computed once, from the point rows, on either
-    path.
+    The point tasks run through one pool of ``threads`` workers (serial is a
+    pool of one) and their rows are sorted, so scheduling never shows.  The
+    power-law fit rows are computed once, from the point rows.
     """
-    runner = _SCENARIO_RUNNERS[cfg.scenario]
-    if threads > 1 and cfg.scenario in ("qfi_scaling", "channel_sweep", "hadamard"):
-        # split by probe x size through configs with singleton lists
-        tasks = []
-        for probe in cfg.probes:
-            for L in cfg.L_list:
-                sub = ExperimentConfig(**{
-                    **{f.name: getattr(cfg, f.name) for f in fields(ExperimentConfig)},
-                    "probes": (probe,), "L_list": (L,),
-                })
-                tasks.append(sub)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda c: _SCENARIO_RUNNERS[c.scenario](c), tasks))
-        records = [r for chunk in chunks for r in chunk]
-    else:
-        records = runner(cfg)
+    tasks = _SCENARIO_TASKS[cfg.scenario](cfg)
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        records = [rec for rows in pool.map(lambda task: task(), tasks) for rec in rows]
+    finally:
+        pool.shutdown(cancel_futures=True)  # a failed task stops the queued ones
     records += _fit_rows(cfg, records)
     for rec in records:
-        rec.config_hash = cfg.config_hash
-        rec.seed = cfg.seed
+        rec.scenario, rec.seed, rec.config_hash = cfg.scenario, cfg.seed, cfg.config_hash
     return sorted(records, key=_sort_key)
 
 
 def _fit_rows(cfg: ExperimentConfig, records: list[ExperimentRecord]) -> list[ExperimentRecord]:
     """One log-log power-law fit per probe of the point rows, in ascending L."""
-    rows = []
     y_name = {"qfi_scaling": "qfi_pure", "hadamard": "translation_cfi"}.get(cfg.scenario)
-    for probe in dict.fromkeys(r.probe for r in records if r.observable == y_name):
-        pts = sorted(
-            (r.L, r.value) for r in records if r.probe == probe and r.observable == y_name
-        )
-        if len(pts) < 3:
+    points = [r.probe for r in records if r.observable == y_name]
+    rows = []
+    for probe in dict.fromkeys(points):
+        if points.count(probe) < 3:
             continue
-        fit = fit_power_law(np.array([p[0] for p in pts], float), np.array([p[1] for p in pts]))
+        f = fit(records, y_name, probe)
         rows.append(ExperimentRecord(
-            scenario=cfg.scenario, probe=probe,
-            observable=("qfi_vs_L_fit" if cfg.scenario == "qfi_scaling" else "cfi_vs_L_fit"),
-            value=fit.exponent, fit_exponent=fit.exponent, fit_r2=fit.r_squared,
-            seed=cfg.seed, config_hash=cfg.config_hash,
+            probe=probe, observable=("qfi_vs_L_fit" if cfg.scenario == "qfi_scaling" else "cfi_vs_L_fit"),
+            value=f.exponent, fit_exponent=f.exponent, fit_r2=f.r_squared,
         ))
     return rows
 

@@ -194,6 +194,25 @@ def test_rydberg_crossing_location_and_response():
     assert abs(peak - res.detuning) < 0.35
 
 
+def test_rydberg_crossing_solves_each_point_once(monkeypatch):
+    import critsense.models as models
+
+    real = models._rydberg_susceptibility
+    solved = []
+
+    def counting(spec):
+        solved.append((spec.L, spec.detuning))
+        return real(spec)
+
+    monkeypatch.setattr(models, "_rydberg_susceptibility", counting)
+    res = locate_rydberg_critical_detuning(1.0, 50.0, 0.0, [4, 6, 8])
+    # both pairs share L = 6 on the same coarse grid, and each bisection
+    # starts from its coarse-grid bracket end
+    assert len(solved) == len(set(solved))
+    assert {L for L, _ in solved} == {4, 6, 8}
+    assert res.bracket_width <= 1e-2
+
+
 def test_rydberg_blockade_basis_counts():
     from critsense.models import rydberg_blockade_basis
 

@@ -90,28 +90,46 @@ def test_run_qfi_scaling_ordering():
     assert fits["spin_coherent"] == pytest.approx(1.0, abs=1e-9)
 
 
-_SPLIT_SCENARIOS = {
-    "qfi_scaling": {"probes": ["ghz", "critical_fm", "spin_coherent"]},
-    "hadamard": {},
-    "channel_sweep": {"probes": ["ghz", "critical_fm"],
-                      "channel": {"kind": "bitflip_x", "p": 0.1}},
-}
+_THREAD_CASES = [
+    # (config, fit rows)
+    ({"scenario": "qfi_scaling", "probes": ["ghz", "critical_fm", "spin_coherent"],
+      "L_list": [4, 6, 8]}, 3),
+    ({"scenario": "qfi_scaling", "probes": ["ghz", "critical_fm", "spin_coherent"],
+      "L_list": [8, 4, 6]}, 3),
+    ({"scenario": "hadamard", "L_list": [4, 6, 8]}, 1),
+    ({"scenario": "hadamard", "L_list": [8, 4, 6]}, 1),
+    # hadamard reads only the staggered probe, whatever ``probes`` lists
+    ({"scenario": "hadamard", "probes": ["ghz", "spin_coherent"], "L_list": [4, 6, 8]}, 1),
+    ({"scenario": "channel_sweep", "probes": ["ghz", "critical_fm"], "L_list": [4, 6, 8],
+      "channel": {"kind": "bitflip_x", "p": 0.1}}, 0),
+    ({"scenario": "channel_sweep", "probes": ["ghz", "critical_fm"], "L_list": [8, 4, 6],
+      "channel": {"kind": "bitflip_x", "p": 0.1}}, 0),
+    ({"scenario": "theta_curves", "L": 6, "theta_lo": 0.05, "theta_hi": 0.4,
+      "theta_points": 5, "theta_spacing": "linear"}, 0),
+    ({"scenario": "subsystem", "L": 8, "L_sub_list": [4, 6], "theta_points": 200}, 0),
+    ({"scenario": "deformed", "L": 4, "n_samples": 200, "beta_list": [0.0, 0.5]}, 0),
+]
 
 
 def test_run_threaded_matches_serial():
-    # the threaded path splits by (probe, L); both paths fit once, in ascending L
-    n_fits = {"channel_sweep": 0, "hadamard": 1, "qfi_scaling": 3}
-    for scenario, extra in _SPLIT_SCENARIOS.items():
-        for L_list in ([4, 6, 8], [8, 4, 6]):
-            cfg = ExperimentConfig.from_dict(
-                {"scenario": scenario, "L_list": L_list, "seed": 5, **extra}
-            )
+    # every scenario runs its point tasks through one pool; the pool size
+    # changes neither the rows nor their order, and no row comes out twice.
+    # A short switch interval interleaves the workers inside the lazy
+    # operator caches they share.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for payload, n_fits in _THREAD_CASES:
+            cfg = ExperimentConfig.from_dict({"seed": 5, **payload})
             serial = run(cfg, threads=1)
-            assert sum(r.observable.endswith("_fit") for r in serial) == n_fits[scenario]
+            rows = [r.row() for r in serial]
+            assert len({tuple(row) for row in rows}) == len(rows), payload
+            assert sum(r.observable.endswith("_fit") for r in serial) == n_fits, payload
             for threads in (2, 3):
                 threaded = run(cfg, threads=threads)
-                assert [r.row() for r in threaded] == [r.row() for r in serial], (
-                    scenario, L_list, threads)
+                assert [r.row() for r in threaded] == rows, (payload, threads)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_channel_sweep_formula_column():
@@ -195,7 +213,7 @@ def test_main_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
     def boom(cfg):
         raise np.linalg.LinAlgError("eigensolver did not converge")
 
-    monkeypatch.setitem(xc._SCENARIO_RUNNERS, "qfi_scaling", boom)
+    monkeypatch.setitem(xc._SCENARIO_TASKS, "qfi_scaling", boom)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "qfi_scaling", "probes": ["ghz"], "L_list": [4, 6, 8]}))
     assert main(["qfi_scaling", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
@@ -224,22 +242,38 @@ def test_fermion_path_sizes_rejected_before_work(tmp_path, capsys, sizes):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("payload", [
+@pytest.mark.parametrize("payload, field", [
     # exact diagonalization above the sparse cap
-    {"scenario": "qfi_scaling", "probes": ["critical_afm"], "L_list": [22, 24, 48]},
-    {"scenario": "qfi_scaling", "probes": ["critical"], "L_list": [16, 22, 64],
-     "use_fermion_above": 30},
+    ({"scenario": "qfi_scaling", "probes": ["critical_afm"], "L_list": [22, 24, 48]}, "L_list"),
+    ({"scenario": "qfi_scaling", "probes": ["critical"], "L_list": [16, 22, 64],
+      "use_fermion_above": 30}, "L_list"),
     # a density matrix above the dense cap
-    {"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4, 15],
-     "channel": {"kind": "bitflip_x", "p": 0.1}},
-], ids=["afm_over_sparse_cap", "critical_below_fermion_switch", "channel_over_dense_cap"])
-def test_exact_path_sizes_rejected_before_work(tmp_path, capsys, payload):
+    ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4, 15],
+      "channel": {"kind": "bitflip_x", "p": 0.1}}, "L_list"),
+    # single-chain scenarios: the chain size, its parity and its blocks
+    ({"scenario": "theta_curves", "L": 21}, "L"),
+    ({"scenario": "theta_curves", "L": 22}, "L"),
+    ({"scenario": "theta_curves", "L": 9, "theta_points": 8}, "L"),
+    ({"scenario": "subsystem", "L": 21, "L_sub_list": [4]}, "L"),
+    ({"scenario": "subsystem", "model": {"kind": "tfim", "L": 22}, "L_sub_list": [4]}, "model"),
+    ({"scenario": "subsystem", "L": 10, "L_sub_list": [4, 12]}, "L_sub_list"),
+    ({"scenario": "subsystem", "model": {"kind": "tfim", "L": 8}, "L_sub_list": [4, 10]},
+     "L_sub_list"),
+    ({"scenario": "subsystem", "model": {"kind": "xxz", "L": 8}, "L_sub_list": [4]}, "model"),
+], ids=["afm_over_sparse_cap", "critical_below_fermion_switch", "channel_over_dense_cap",
+        "theta_curves_over_sparse_cap", "theta_curves_even_over_sparse_cap",
+        "theta_curves_odd", "subsystem_over_sparse_cap", "subsystem_model_over_sparse_cap",
+        "subsystem_block_too_long", "subsystem_block_longer_than_model",
+        "subsystem_model_kind"])
+def test_exact_path_sizes_rejected_before_work(tmp_path, capsys, payload, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(payload))
     out = tmp_path / "o"
     assert main([payload["scenario"], "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "L_list" in capsys.readouterr().err
+    assert f"config error: {field}:" in capsys.readouterr().err
     assert not out.exists()
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        ExperimentConfig.from_dict(payload)
 
 
 def test_fermion_path_sizes_skip_the_exact_path_cap():
