@@ -13,7 +13,7 @@ against exact diagonalization must use that generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -69,12 +69,14 @@ class ChannelSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ChannelSpec":
+        """Spec from a JSON object; a key that is not a field is refused."""
+        if not isinstance(payload, dict):
+            raise TypeError(f"must be an object, got {payload!r}")
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown key(s) {unknown}")
         mask = payload.get("site_mask")
-        return cls(
-            kind=payload["kind"], p=payload.get("p"), chi=payload.get("chi"),
-            t=payload.get("t"), site_mask=tuple(mask) if mask else None,
-            after_imprint=bool(payload.get("after_imprint", False)),
-        )
+        return cls(**{**payload, "site_mask": tuple(mask) if mask else None})
 
 
 @dataclass(frozen=True)

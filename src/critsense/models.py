@@ -8,12 +8,12 @@ laid out interleaved: rung j (1-based), chain y in {1, 2} -> qubit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .policy import POLICY, CapacityError, NumericPolicy
+from .policy import POLICY, CapacityError
 from .qcore import (
     PauliOperator,
     PureState,
@@ -72,6 +72,12 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ModelSpec":
+        """Spec from a JSON object; a key that is not a field is refused."""
+        if not isinstance(payload, dict):
+            raise TypeError(f"must be an object, got {payload!r}")
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown key(s) {unknown}")
         return cls(**payload)
 
 
@@ -161,10 +167,20 @@ class EigensolverError(RuntimeError):
     pass
 
 
+def _check_residual(H, vec: np.ndarray, energy: float, what: str) -> None:
+    """|H v - E v| within ``POLICY.residual_tol`` x max(1, |E|), else EigensolverError."""
+    resid = float(np.linalg.norm(H @ vec - energy * vec))
+    tol = POLICY.residual_tol * max(1.0, abs(energy))
+    if resid > tol:
+        raise EigensolverError(
+            f"{what} residual {resid:.3e} exceeds its tolerance {tol:.3e} "
+            f"(residual_tol {POLICY.residual_tol:g} x max(1, |E|)) by {resid - tol:.3e}"
+        )
+
+
 def ground_state(
     H: PauliOperator,
     sector: list[tuple[object, float]] | tuple[object, float] | None = None,
-    policy: NumericPolicy = POLICY,
 ) -> GroundSolution:
     """Lowest-energy state of a Hermitian Pauli sum.
 
@@ -186,8 +202,8 @@ def ground_state(
             mat = mat.real
         evals, evecs = np.linalg.eigh(mat)
     else:
-        if n > policy.sparse_cap:
-            raise ValueError(f"{n} qubits exceeds sparse cap {policy.sparse_cap}")
+        if n > POLICY.sparse_cap:
+            raise ValueError(f"{n} qubits exceeds sparse cap {POLICY.sparse_cap}")
         try:  # eight levels show a near-degenerate ground multiplet and its gap
             evals, evecs = spla.eigsh(
                 H.to_sparse(), k=8, which="SA", v0=_deterministic_start(dim)
@@ -198,7 +214,7 @@ def ground_state(
         evals, evecs = evals[order], evecs[:, order]
 
     e0 = float(evals[0])
-    multiplet = np.where(evals - e0 < policy.degeneracy_tol)[0]
+    multiplet = np.where(evals - e0 < POLICY.degeneracy_tol)[0]
     gap_idx = multiplet[-1] + 1
     gap = float(evals[gap_idx] - e0) if gap_idx < len(evals) else float("nan")
 
@@ -218,9 +234,7 @@ def ground_state(
     vec = basis[:, 0]
     state = dephase_normalize(vec, n)
 
-    resid = np.linalg.norm(H @ state.amplitudes - e0 * state.amplitudes)
-    if resid > policy.residual_tol * max(1.0, abs(e0)):
-        raise EigensolverError(f"ground-state residual {resid:.3e} too large")
+    _check_residual(H, state.amplitudes, e0, "ground-state")
     if sector is not None:
         pairs = [sector] if isinstance(sector, tuple) else list(sector)
         for i, (op, want) in enumerate(pairs):
@@ -289,8 +303,8 @@ def oat_squeezed_state(L: int, twist_time: float) -> PureState:
     """One-axis-twisted state exp(-i t (sum Z / 2)^2)|+>^L."""
     if twist_time < 0.0:
         raise ValueError("twist_time must be >= 0")
-    idx = np.arange(1 << L)
-    popcount = np.array([bin(b).count("1") for b in idx])
+    _check_probe_size(L)
+    popcount = np.bitwise_count(np.arange(1 << L)).astype(np.int64)
     m = (L - 2 * popcount) / 2.0
     amp = np.exp(-1j * twist_time * m**2) * spin_coherent_state(L).amplitudes
     return PureState(L, amp)
@@ -399,6 +413,7 @@ def solve_rydberg_blockaded(spec: ModelSpec) -> GroundSolution:
                                   v0=_deterministic_start(dim))
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
+    _check_residual(H, evecs[:, 0], float(evals[0]), "blockaded ground-state")
     full = np.zeros(1 << spec.L, dtype=np.complex128)
     full[basis] = evecs[:, 0]
     gap = float(evals[1] - evals[0]) if evals.size > 1 else float("nan")

@@ -5,6 +5,8 @@ comparison vs system size), ``theta_curves`` (symmetry expectation values vs
 imprint angle), ``channel_sweep`` (noisy Fisher information vs size),
 ``deformed`` (outcome-decoded ladder protocol), ``subsystem`` (restricted
 parity windows), and ``hadamard`` (translation-readout Fisher information).
+Everything the CLI knows about a scenario (the config fields it reads, its
+checks, its point tasks and its fit) is one entry of ``_SCENARIOS``.
 
 Every scenario is a list of point tasks run through one thread pool; serial
 is a pool of one worker.  For a fixed BLAS thread count the output bytes do
@@ -72,17 +74,69 @@ from .qcore import (
     parity_x_operator,
     staggered_z,
 )
-from .subsys import default_theta_grid, make_ising_protocol, parity_theta_curve, window_report
+from .subsys import make_ising_protocol, parity_theta_curve, window_report
 from .symmetry import build_symmetry, hadamard_test, hadamard_test_povm
 
 SCHEMA_VERSION = 1
-SCENARIOS = ("qfi_scaling", "theta_curves", "channel_sweep", "deformed", "subsystem", "hadamard")
-PROBES = ("critical", "critical_fm", "critical_afm", "ghz", "spin_coherent", "oat")
-FERMION_PROBES = ("critical", "critical_fm")
+PROBES = ("critical_fm", "critical_afm", "ghz", "spin_coherent", "oat")
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field."""
+    """Invalid experiment configuration; the message starts with the field."""
+
+
+# The JSON shape of every settable config field: a type (int excludes bool,
+# float takes any finite number), a one-element list for a non-empty list of
+# that type, a dict of the keys an object may hold (unknown keys are refused
+# by the spec it becomes), or a ``(shape, None)`` pair that also takes null.
+_MODEL_SHAPE = {
+    "kind": str, "L": int, "boundary": str,
+    **dict.fromkeys(("J", "h", "delta", "omega", "detuning", "v1", "v2"), float),
+}
+_CHANNEL_SHAPE = {
+    "kind": str, "p": (float, None), "chi": (float, None), "t": (float, None),
+    "site_mask": ([int], None), "after_imprint": bool,
+}
+_FIELD_SHAPES = {
+    "seed": int, "probes": [str], "L_list": [int], "L": int, "L_sub_list": [int],
+    "model": (_MODEL_SHAPE, None), "channel": (_CHANNEL_SHAPE, None),
+    "theta_lo": float, "theta_hi": float, "theta_points": int, "theta_spacing": str,
+    "theta0": float, "beta_list": [float], "n_samples": int, "use_fermion_above": int,
+}
+_SHAPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", bool: "true or false"}
+
+
+def _fits(value, kind) -> bool:
+    if kind is float:
+        return type(value) in (int, float) and math.isfinite(value)
+    return type(value) is kind
+
+
+def _typed(name: str, value, shape, what: str = ""):
+    """``value`` checked against ``shape`` (see ``_FIELD_SHAPES``); lists come back as tuples."""
+    if isinstance(shape, tuple):
+        if value is None:
+            return None
+        shape = shape[0]
+    if isinstance(shape, list):
+        if type(value) is not list or not value:
+            raise ConfigError(f"{name}: {what}must be a non-empty list, got {value!r}")
+        bad = [v for v in value if not _fits(v, shape[0])]
+        if bad:
+            raise ConfigError(
+                f"{name}: {what}entries must each be {_SHAPE_NAMES[shape[0]]}, got {bad[0]!r}"
+            )
+        return tuple(value)
+    if isinstance(shape, dict):
+        if type(value) is not dict:
+            raise ConfigError(f"{name}: must be an object, got {value!r}")
+        for key, val in value.items():
+            if key in shape:
+                _typed(name, val, shape[key], f"{key} ")
+        return value
+    if not _fits(value, shape):
+        raise ConfigError(f"{name}: {what}must be {_SHAPE_NAMES[shape]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -106,102 +160,63 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        """A validated config from its JSON object.
+
+        Every key must be a field its scenario reads, in its JSON shape;
+        fields left out keep their defaults.
+        """
         data = dict(payload)
-        if "probe" in data:  # singular form is an accepted alias
-            if "probes" in data:
-                raise ConfigError("probe: give either probe or probes, not both")
-            data["probes"] = [data.pop("probe")]
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-        if "scenario" not in data:
+        name = data.pop("scenario", None)
+        if name is None:
             raise ConfigError("scenario: required field is missing")
-        if data["scenario"] not in SCENARIOS:
-            raise ConfigError(f"scenario: must be one of {SCENARIOS}")
-        for key in ("probes", "L_list", "L_sub_list", "beta_list"):
-            if key in data:
-                data[key] = tuple(data[key])
-        if "model" in data and data["model"] is not None:
-            try:
-                data["model"] = ModelSpec.from_dict(data["model"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"model: {exc}") from exc
-        if "channel" in data and data["channel"] is not None:
-            try:
-                data["channel"] = ChannelSpec.from_dict(data["channel"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"channel: {exc}") from exc
-        cfg = cls(**data)
+        if not isinstance(name, str) or name not in _SCENARIOS:
+            raise ConfigError(f"scenario: must be one of {tuple(_SCENARIOS)}, got {name!r}")
+        scenario = _SCENARIOS[name]
+        for key in data:
+            if key not in _FIELD_SHAPES:
+                raise ConfigError(f"{key}: unknown config field")
+            if key not in scenario.reads:
+                raise ConfigError(f"{key}: not read by the {name} scenario")
+        given = [key for key in scenario.exclusive if data.get(key) is not None]
+        if len(given) > 1:
+            raise ConfigError(f"{given[1]}: not read when {given[0]} is given")
+        for key, value in data.items():
+            data[key] = _typed(key, value, _FIELD_SHAPES[key])
+        for key, spec_cls in (("model", ModelSpec), ("channel", ChannelSpec)):
+            if data.get(key) is not None:
+                try:
+                    data[key] = spec_cls.from_dict(data[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{key}: {exc}") from exc
+        cfg = cls(scenario=name, **data)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        """Range checks on every field, then the scenario's own checks."""
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed: must be a 64-bit unsigned integer")
         for probe in self.probes:
             if probe not in PROBES:
-                raise ConfigError(f"probes: unknown probe {probe!r}")
-        if any(l < 2 for l in self.L_list):
-            raise ConfigError("L_list: sizes must be >= 2")
+                raise ConfigError(f"probes: unknown probe {probe!r}; known: {PROBES}")
+        for name in ("L_list", "L_sub_list"):
+            if min(getattr(self, name)) < 2:
+                raise ConfigError(f"{name}: sizes must be >= 2")
         if self.L < 2:
             raise ConfigError("L: must be >= 2")
-        if any(l < 2 for l in self.L_sub_list):
-            raise ConfigError("L_sub_list: sizes must be >= 2")
-        if not (0 < self.theta_lo < self.theta_hi):
-            raise ConfigError("theta_lo/theta_hi: need 0 < lo < hi")
+        if self.theta_lo <= 0:
+            raise ConfigError("theta_lo: must be > 0")
+        if self.theta_hi <= self.theta_lo:
+            raise ConfigError("theta_hi: must be greater than theta_lo")
         if self.theta_points < 2:
             raise ConfigError("theta_points: need at least 2 points")
         if self.theta_spacing not in ("log", "linear"):
             raise ConfigError("theta_spacing: must be log or linear")
+        if min(self.beta_list) < 0:
+            raise ConfigError("beta_list: deformation strengths must be >= 0")
         if self.n_samples < 1:
             raise ConfigError("n_samples: must be positive")
-        if self.scenario == "channel_sweep" and self.channel is None:
-            raise ConfigError("channel: required for the channel_sweep scenario")
-        staggered = self.scenario == "hadamard" or "critical_afm" in self.probes
-        if staggered and any(l % 2 for l in self.L_list):
-            raise ConfigError("L_list: the staggered probe needs even sizes")
-        if self.scenario == "qfi_scaling" and any(p in FERMION_PROBES for p in self.probes):
-            fermion_sizes = [l for l in self.L_list if l > self.use_fermion_above]
-            odd = [l for l in fermion_sizes if l % 2]
-            if odd:
-                raise ConfigError(
-                    f"L_list: sizes above use_fermion_above={self.use_fermion_above} take the "
-                    f"periodic free-fermion path, which needs even L; got {odd}"
-                )
-            if fermion_sizes:
-                # qfi_generator_second_moment eliminates one (L/2) x (L/2) string block
-                need = string_block_bytes(max(fermion_sizes) // 2)
-                if need > POLICY.fermion_bytes_cap:
-                    raise ConfigError(
-                        f"L_list: L={max(fermion_sizes)} needs {need} bytes of string-block "
-                        f"work, over the fermion byte cap {POLICY.fermion_bytes_cap}"
-                    )
-        if self.scenario in ("qfi_scaling", "channel_sweep", "hadamard"):
-            # every size goes through exact diagonalization, except qfi_scaling
-            # sizes above use_fermion_above when all probes are fermion probes
-            fermion_only = self.scenario == "qfi_scaling" and all(
-                p in FERMION_PROBES for p in self.probes
-            )
-            ed_sizes = [l for l in self.L_list if not fermion_only or l <= self.use_fermion_above]
-            if ed_sizes:
-                _check_cap("L_list", max(ed_sizes), dense=self.scenario == "channel_sweep")
-        if self.scenario == "theta_curves":
-            _check_cap("L", self.L)
-            if self.L % 2:
-                raise ConfigError("L: the staggered probe needs an even size")
-        if self.scenario == "subsystem":
-            if self.model is not None and self.model.kind != "tfim":
-                raise ConfigError("model: the subsystem scenario runs on the tfim kind")
-            name, L = ("L", self.L) if self.model is None else ("model", self.model.L)
-            _check_cap(name, L)
-            outside = [l for l in self.L_sub_list if l > L]
-            if outside:
-                raise ConfigError(f"L_sub_list: blocks {outside} do not fit in the {L}-site chain")
-            if self.theta_points < 200:
-                raise ConfigError("theta_points: window extraction needs >= 200 points")
-        if self.scenario == "deformed" and self.L > 7:
-            raise ConfigError("L: ladder rungs capped at 7 in exact outcome mode")
+        _SCENARIOS[self.scenario].check(self)
 
     def to_canonical_json(self) -> str:
         payload = {}
@@ -234,6 +249,12 @@ def _check_cap(name: str, L: int, dense: bool = False) -> None:
                  else (POLICY.sparse_cap, "exact diagonalization"))
     if L > cap:
         raise ConfigError(f"{name}: L={L} needs {path}, over its cap of {cap} qubits")
+
+
+def _check_even(name: str, sizes) -> None:
+    odd = [l for l in sizes if l % 2]
+    if odd:
+        raise ConfigError(f"{name}: the staggered probe needs even sizes; got {odd}")
 
 
 COLUMNS = (
@@ -304,7 +325,7 @@ def _probe_state(probe: str, L: int) -> tuple[PureState, PauliOperator]:
     if probe == "oat":
         t_star, _, gen = optimal_oat_twist(L)
         return oat_squeezed_state(L, t_star), gen
-    if probe in ("critical", "critical_fm"):
+    if probe == "critical_fm":
         sol = solve_model(ModelSpec(kind="tfim", L=L, J=1.0, h=1.0))
         return sol.state, collective_spin(L, "Z", half=False)
     if probe == "critical_afm":
@@ -318,7 +339,8 @@ def _probe_state(probe: str, L: int) -> tuple[PureState, PauliOperator]:
 # Each scenario turns a config into a list of zero-argument point tasks, each
 # returning its rows.  A task builds its own probe state or density matrix, so
 # nothing large outlives it; a solve shared by several tasks runs once, before
-# them.  ``run`` stamps the run-level columns on every row.
+# them.  ``run`` stamps the run-level columns on every row.  Each scenario's
+# check refuses, before any work, a config its tasks cannot run.
 
 Task = Callable[[], list[ExperimentRecord]]
 
@@ -334,9 +356,34 @@ def _curve_rows(curve, observable: str, **labels) -> list[ExperimentRecord]:
     ]
 
 
+def _qfi_scaling_check(cfg: ExperimentConfig) -> None:
+    if "critical_afm" in cfg.probes:
+        _check_even("L_list", cfg.L_list)
+    fermion_sizes = [l for l in cfg.L_list if l > cfg.use_fermion_above]
+    if "critical_fm" in cfg.probes and fermion_sizes:
+        odd = [l for l in fermion_sizes if l % 2]
+        if odd:
+            raise ConfigError(
+                f"L_list: sizes above use_fermion_above={cfg.use_fermion_above} take the "
+                f"periodic free-fermion path, which needs even L; got {odd}"
+            )
+        # qfi_generator_second_moment eliminates one (L/2) x (L/2) string block
+        need = string_block_bytes(max(fermion_sizes) // 2)
+        if need > POLICY.fermion_bytes_cap:
+            raise ConfigError(
+                f"L_list: L={max(fermion_sizes)} needs {need} bytes of string-block "
+                f"work, over the fermion byte cap {POLICY.fermion_bytes_cap}"
+            )
+    # every other (probe, size) point goes through exact diagonalization
+    fermion_only = set(cfg.probes) == {"critical_fm"}
+    ed_sizes = [l for l in cfg.L_list if not fermion_only or l <= cfg.use_fermion_above]
+    if ed_sizes:
+        _check_cap("L_list", max(ed_sizes))
+
+
 def _qfi_scaling_tasks(cfg: ExperimentConfig) -> list[Task]:
     def point(probe: str, L: int) -> list[ExperimentRecord]:
-        if probe in FERMION_PROBES and L > cfg.use_fermion_above:
+        if probe == "critical_fm" and L > cfg.use_fermion_above:
             fq = 4.0 * qfi_generator_second_moment(solve_tfim_fermion(L))
         else:
             fq = qfi_pure(*_probe_state(probe, L))
@@ -346,6 +393,12 @@ def _qfi_scaling_tasks(cfg: ExperimentConfig) -> list[Task]:
         )]
 
     return [partial(point, probe, L) for probe in cfg.probes for L in cfg.L_list]
+
+
+def _theta_curves_check(cfg: ExperimentConfig) -> None:
+    _check_cap("L", cfg.L)
+    if cfg.L % 2:
+        raise ConfigError("L: the staggered probe needs an even size")
 
 
 def _theta_curves_tasks(cfg: ExperimentConfig) -> list[Task]:
@@ -381,6 +434,22 @@ def _theta_curves_tasks(cfg: ExperimentConfig) -> list[Task]:
     return [parity, spatial]
 
 
+def _channel_sweep_check(cfg: ExperimentConfig) -> None:
+    chan = cfg.channel
+    if chan is None:
+        raise ConfigError("channel: required for the channel_sweep scenario")
+    if chan.after_imprint:
+        raise ConfigError("channel: after_imprint must be false; channel_sweep imprints no phase")
+    outside = [j for j in chan.site_mask or () if not 0 <= j < min(cfg.L_list)]
+    if outside:
+        raise ConfigError(
+            f"channel: site_mask sites {outside} are outside the {min(cfg.L_list)}-site chain"
+        )
+    if "critical_afm" in cfg.probes:
+        _check_even("L_list", cfg.L_list)
+    _check_cap("L_list", max(cfg.L_list), dense=True)
+
+
 def _channel_sweep_tasks(cfg: ExperimentConfig) -> list[Task]:
     chan = cfg.channel
 
@@ -398,6 +467,11 @@ def _channel_sweep_tasks(cfg: ExperimentConfig) -> list[Task]:
         return records
 
     return [partial(point, probe, L) for probe in cfg.probes for L in cfg.L_list]
+
+
+def _deformed_check(cfg: ExperimentConfig) -> None:
+    if cfg.L > 7:
+        raise ConfigError("L: ladder rungs capped at 7 in exact outcome mode")
 
 
 def _deformed_tasks(cfg: ExperimentConfig) -> list[Task]:
@@ -426,11 +500,23 @@ def _deformed_tasks(cfg: ExperimentConfig) -> list[Task]:
     return [ladder]
 
 
+def _subsystem_check(cfg: ExperimentConfig) -> None:
+    if cfg.model is not None and cfg.model.kind != "tfim":
+        raise ConfigError("model: the subsystem scenario runs on the tfim kind")
+    name, L = ("L", cfg.L) if cfg.model is None else ("model", cfg.model.L)
+    _check_cap(name, L)
+    outside = [l for l in cfg.L_sub_list if l > L]
+    if outside:
+        raise ConfigError(f"L_sub_list: blocks {outside} do not fit in the {L}-site chain")
+    if cfg.theta_points < 200:
+        raise ConfigError("theta_points: window extraction needs >= 200 points")
+
+
 def _subsystem_tasks(cfg: ExperimentConfig) -> list[Task]:
     spec = cfg.model if cfg.model is not None else ModelSpec(kind="tfim", L=cfg.L)
     L = spec.L
     state = solve_model(spec).state  # shared by every block
-    grid = default_theta_grid(cfg.theta_points, cfg.theta_lo, cfg.theta_hi)
+    grid = cfg.theta_grid()
 
     def block(L_sub: int) -> list[ExperimentRecord]:
         curve = parity_theta_curve(state, make_ising_protocol(L, L_sub), grid)
@@ -455,6 +541,11 @@ def _subsystem_tasks(cfg: ExperimentConfig) -> list[Task]:
     return [partial(block, L_sub) for L_sub in cfg.L_sub_list]
 
 
+def _hadamard_check(cfg: ExperimentConfig) -> None:
+    _check_even("L_list", cfg.L_list)
+    _check_cap("L_list", max(cfg.L_list))
+
+
 def _hadamard_tasks(cfg: ExperimentConfig) -> list[Task]:
     def point(L: int) -> list[ExperimentRecord]:
         state, gen = _probe_state("critical_afm", L)
@@ -468,13 +559,46 @@ def _hadamard_tasks(cfg: ExperimentConfig) -> list[Task]:
     return [partial(point, L) for L in cfg.L_list]
 
 
-_SCENARIO_TASKS = {
-    "qfi_scaling": _qfi_scaling_tasks,
-    "theta_curves": _theta_curves_tasks,
-    "channel_sweep": _channel_sweep_tasks,
-    "deformed": _deformed_tasks,
-    "subsystem": _subsystem_tasks,
-    "hadamard": _hadamard_tasks,
+@dataclass(frozen=True)
+class Scenario:
+    """Everything the CLI knows about one scenario.
+
+    ``reads`` names the config fields the scenario reads; ``from_dict``
+    refuses any other.  ``fit`` is the (point observable, fit observable)
+    pair of its per-probe power-law fit, if it has one.  ``exclusive``
+    names fields a config may not give together: once the first is given,
+    the others are not read.
+    """
+
+    reads: tuple[str, ...]
+    check: Callable[[ExperimentConfig], None]
+    tasks: Callable[[ExperimentConfig], list[Task]]
+    fit: tuple[str, str] | None = None
+    exclusive: tuple[str, ...] = ()
+
+
+_THETA_GRID = ("theta_lo", "theta_hi", "theta_points", "theta_spacing")
+
+_SCENARIOS = {
+    "qfi_scaling": Scenario(
+        ("seed", "probes", "L_list", "use_fermion_above"),
+        _qfi_scaling_check, _qfi_scaling_tasks, fit=("qfi_pure", "qfi_vs_L_fit"),
+    ),
+    "theta_curves": Scenario(("seed", "L", *_THETA_GRID), _theta_curves_check, _theta_curves_tasks),
+    "channel_sweep": Scenario(
+        ("seed", "probes", "L_list", "channel"), _channel_sweep_check, _channel_sweep_tasks,
+    ),
+    "deformed": Scenario(
+        ("seed", "L", "beta_list", "n_samples"), _deformed_check, _deformed_tasks,
+    ),
+    "subsystem": Scenario(
+        ("seed", "L", "model", "L_sub_list", *_THETA_GRID), _subsystem_check, _subsystem_tasks,
+        exclusive=("model", "L"),
+    ),
+    "hadamard": Scenario(
+        ("seed", "L_list", "theta0"), _hadamard_check, _hadamard_tasks,
+        fit=("translation_cfi", "cfi_vs_L_fit"),
+    ),
 }
 
 
@@ -485,7 +609,7 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRecord]:
     pool of one) and their rows are sorted, so scheduling never shows.  The
     power-law fit rows are computed once, from the point rows.
     """
-    tasks = _SCENARIO_TASKS[cfg.scenario](cfg)
+    tasks = _SCENARIOS[cfg.scenario].tasks(cfg)
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         records = [rec for rows in pool.map(lambda task: task(), tasks) for rec in rows]
@@ -499,7 +623,10 @@ def run(cfg: ExperimentConfig, threads: int = 1) -> list[ExperimentRecord]:
 
 def _fit_rows(cfg: ExperimentConfig, records: list[ExperimentRecord]) -> list[ExperimentRecord]:
     """One log-log power-law fit per probe of the point rows, in ascending L."""
-    y_name = {"qfi_scaling": "qfi_pure", "hadamard": "translation_cfi"}.get(cfg.scenario)
+    fit_of = _SCENARIOS[cfg.scenario].fit
+    if fit_of is None:
+        return []
+    y_name, fit_name = fit_of
     points = [r.probe for r in records if r.observable == y_name]
     rows = []
     for probe in dict.fromkeys(points):
@@ -507,8 +634,8 @@ def _fit_rows(cfg: ExperimentConfig, records: list[ExperimentRecord]) -> list[Ex
             continue
         f = fit(records, y_name, probe)
         rows.append(ExperimentRecord(
-            probe=probe, observable=("qfi_vs_L_fit" if cfg.scenario == "qfi_scaling" else "cfi_vs_L_fit"),
-            value=f.exponent, fit_exponent=f.exponent, fit_r2=f.r_squared,
+            probe=probe, observable=fit_name, value=f.exponent,
+            fit_exponent=f.exponent, fit_r2=f.r_squared,
         ))
     return rows
 
@@ -588,7 +715,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="critsense",
         description="Critical-chain interferometric sensing experiments",
     )
-    parser.add_argument("scenario", choices=SCENARIOS)
+    parser.add_argument("scenario", choices=tuple(_SCENARIOS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -611,6 +738,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
+        if not isinstance(payload, dict):
+            raise ConfigError("config: must be a JSON object")
         if payload.get("scenario", args.scenario) != args.scenario:
             raise ConfigError("scenario: config disagrees with the command line")
         payload["scenario"] = args.scenario

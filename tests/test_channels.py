@@ -43,6 +43,17 @@ def test_channel_spec_validation():
         ChannelSpec(kind="unknown", p=0.1)
 
 
+def test_channel_spec_from_dict_refuses_what_it_would_drop():
+    spec = ChannelSpec(kind="zz", p=0.2, site_mask=(0, 2), after_imprint=True)
+    assert ChannelSpec.from_dict(spec.to_dict()) == spec
+    with pytest.raises(ValueError, match=r"unknown key\(s\) \['probability'\]"):
+        ChannelSpec.from_dict({"kind": "bitflip_x", "probability": 0.1})
+    with pytest.raises(TypeError, match="'kind'"):
+        ChannelSpec.from_dict({"p": 0.1})
+    with pytest.raises(TypeError, match="must be an object"):
+        ChannelSpec.from_dict([1])
+
+
 def test_kraus_completeness():
     for kind in ("bitflip_x", "dephase_z", "zz"):
         fam = kraus_family(ChannelSpec(kind=kind, p=0.3))

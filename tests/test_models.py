@@ -354,3 +354,49 @@ def test_collective_and_staggered_generators_unchanged():
     for L in (2, 5, 8):
         assert collective_spin(L, "Z", half=False).terms == sum_z(L).terms
         assert staggered_z(L).terms == conftest.staggered_z(L).terms
+
+
+@pytest.mark.parametrize("solve, spec", [
+    ("ground_state", ModelSpec(kind="tfim", L=6)),            # dense eigh
+    ("ground_state", ModelSpec(kind="tfim", L=11)),           # Lanczos
+    ("blockaded", ModelSpec(kind="rydberg", L=8, detuning=1.2)),   # 47 states: dense
+    ("blockaded", ModelSpec(kind="rydberg", L=14, detuning=1.2)),  # 843 states: Lanczos
+], ids=["dense", "lanczos", "blockaded_dense", "blockaded_lanczos"])
+def test_residual_failure_names_tolerance_and_excess(monkeypatch, solve, spec):
+    import dataclasses
+
+    import critsense.models as models
+    from critsense.models import EigensolverError, solve_rydberg_blockaded
+
+    def run():
+        if solve == "ground_state":
+            return ground_state(build_hamiltonian(spec))
+        return solve_rydberg_blockaded(spec)
+
+    run()  # within the default tolerance
+    monkeypatch.setattr(models, "POLICY", dataclasses.replace(models.POLICY, residual_tol=0.0))
+    with pytest.raises(EigensolverError) as info:
+        run()
+    message = str(info.value)
+    assert "residual" in message
+    assert "exceeds its tolerance 0.000e+00" in message
+    assert "residual_tol 0 x max(1, |E|)" in message
+    resid = float(message.split("residual ")[1].split()[0])
+    excess = float(message.rsplit("by ", 1)[1])
+    assert resid > 0 and excess == resid
+
+
+def test_oat_state_refuses_oversized_register_before_allocating():
+    import tracemalloc
+
+    from critsense.policy import POLICY, CapacityError
+
+    L = POLICY.sparse_cap + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"{L} qubits"):
+            oat_squeezed_state(L, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

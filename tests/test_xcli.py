@@ -1,12 +1,18 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import critsense
 
@@ -98,8 +104,6 @@ _THREAD_CASES = [
       "L_list": [8, 4, 6]}, 3),
     ({"scenario": "hadamard", "L_list": [4, 6, 8]}, 1),
     ({"scenario": "hadamard", "L_list": [8, 4, 6]}, 1),
-    # hadamard reads only the staggered probe, whatever ``probes`` lists
-    ({"scenario": "hadamard", "probes": ["ghz", "spin_coherent"], "L_list": [4, 6, 8]}, 1),
     ({"scenario": "channel_sweep", "probes": ["ghz", "critical_fm"], "L_list": [4, 6, 8],
       "channel": {"kind": "bitflip_x", "p": 0.1}}, 0),
     ({"scenario": "channel_sweep", "probes": ["ghz", "critical_fm"], "L_list": [8, 4, 6],
@@ -204,16 +208,24 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["qfi_scaling", "--config", str(mismatch), "--out", str(tmp_path / "x")]) == 2
     missing = tmp_path / "nope.json"
     assert main(["qfi_scaling", "--config", str(missing), "--out", str(tmp_path / "x")]) == 2
+    capsys.readouterr()
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1]")
+    assert main(["qfi_scaling", "--config", str(not_object), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config:")
 
 
 def test_main_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
+    import dataclasses
+
     import critsense.xcli as xc
     import numpy as np
 
     def boom(cfg):
         raise np.linalg.LinAlgError("eigensolver did not converge")
 
-    monkeypatch.setitem(xc._SCENARIO_TASKS, "qfi_scaling", boom)
+    entry = dataclasses.replace(xc._SCENARIOS["qfi_scaling"], tasks=boom)
+    monkeypatch.setitem(xc._SCENARIOS, "qfi_scaling", entry)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"scenario": "qfi_scaling", "probes": ["ghz"], "L_list": [4, 6, 8]}))
     assert main(["qfi_scaling", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
@@ -234,7 +246,7 @@ def test_staggered_probe_needs_even_sizes(tmp_path):
 def test_fermion_path_sizes_rejected_before_work(tmp_path, capsys, sizes):
     # odd L has no periodic free-fermion solution; 2^20 sites is over the byte cap
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"scenario": "qfi_scaling", "probes": ["critical"],
+    cfg_path.write_text(json.dumps({"scenario": "qfi_scaling", "probes": ["critical_fm"],
                                     "L_list": sizes}))
     out = tmp_path / "o"
     assert main(["qfi_scaling", "--config", str(cfg_path), "--out", str(out)]) == 2
@@ -245,7 +257,7 @@ def test_fermion_path_sizes_rejected_before_work(tmp_path, capsys, sizes):
 @pytest.mark.parametrize("payload, field", [
     # exact diagonalization above the sparse cap
     ({"scenario": "qfi_scaling", "probes": ["critical_afm"], "L_list": [22, 24, 48]}, "L_list"),
-    ({"scenario": "qfi_scaling", "probes": ["critical"], "L_list": [16, 22, 64],
+    ({"scenario": "qfi_scaling", "probes": ["critical_fm"], "L_list": [16, 22, 64],
       "use_fermion_above": 30}, "L_list"),
     # a density matrix above the dense cap
     ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4, 15],
@@ -279,9 +291,185 @@ def test_exact_path_sizes_rejected_before_work(tmp_path, capsys, payload, field)
 def test_fermion_path_sizes_skip_the_exact_path_cap():
     # sizes above use_fermion_above never reach exact diagonalization
     cfg = ExperimentConfig.from_dict(
-        {"scenario": "qfi_scaling", "probes": ["critical"], "L_list": [8, 64, 768]}
+        {"scenario": "qfi_scaling", "probes": ["critical_fm"], "L_list": [8, 64, 768]}
     )
     assert cfg.L_list == (8, 64, 768)
+
+
+# -- the scenario table: each scenario accepts exactly the fields it reads ---
+
+_READS = {
+    "qfi_scaling": {"seed", "probes", "L_list", "use_fermion_above"},
+    "theta_curves": {"seed", "L", "theta_lo", "theta_hi", "theta_points", "theta_spacing"},
+    "channel_sweep": {"seed", "probes", "L_list", "channel"},
+    "deformed": {"seed", "L", "beta_list", "n_samples"},
+    "subsystem": {"seed", "L", "model", "L_sub_list",
+                  "theta_lo", "theta_hi", "theta_points", "theta_spacing"},
+    "hadamard": {"seed", "L_list", "theta0"},
+}
+
+
+def test_scenario_table_lists_the_fields_each_scenario_reads():
+    import dataclasses
+
+    import critsense.xcli as xc
+
+    assert {name: set(entry.reads) for name, entry in xc._SCENARIOS.items()} == _READS
+    assert sum(len(reads) for reads in _READS.values()) == 29
+    settable = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"scenario"}
+    assert set(xc._FIELD_SHAPES) == settable == set().union(*_READS.values())
+
+
+_BITFLIP = {"kind": "bitflip_x", "p": 0.1}
+
+
+@pytest.mark.parametrize("payload, field", [
+    # a field the scenario does not read
+    ({"scenario": "hadamard", "probes": ["ghz"], "L_list": [4, 6, 8]}, "probes"),
+    ({"scenario": "hadamard", "probes": ["ghz", "spin_coherent"], "L_list": [4, 6, 8]},
+     "probes"),
+    ({"scenario": "subsystem", "probes": ["critical_afm"], "L": 8, "L_sub_list": [4]},
+     "probes"),
+    ({"scenario": "subsystem", "L_list": [5], "L": 8, "L_sub_list": [4]}, "L_list"),
+    ({"scenario": "subsystem", "L": 8, "model": {"kind": "tfim", "L": 10},
+      "L_sub_list": [4]}, "L"),
+    # one name per thing
+    ({"scenario": "qfi_scaling", "probe": "ghz", "L_list": [4, 6, 8]}, "probe"),
+    ({"scenario": "qfi_scaling", "probes": ["critical"], "L_list": [4, 6, 8]}, "probes"),
+    # the wrong JSON type
+    ({"scenario": "qfi_scaling", "probes": "ghz", "L_list": [4, 6, 8]}, "probes"),
+    ({"scenario": "theta_curves", "L": "ten"}, "L"),
+    ({"scenario": "qfi_scaling", "probes": ["ghz"], "L_list": 5}, "L_list"),
+    ({"scenario": "qfi_scaling", "probes": ["ghz"], "L_list": [4.0, 6, 8]}, "L_list"),
+    ({"scenario": "theta_curves", "L": 6, "theta_points": 2.5}, "theta_points"),
+    ({"scenario": "qfi_scaling", "probes": ["ghz"], "L_list": [4, 6, 8], "seed": True}, "seed"),
+    ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4], "channel": [1]},
+     "channel"),
+    # a channel key that is not a field, or that channel_sweep never applies
+    ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4],
+      "channel": {**_BITFLIP, "probability": 0.1}}, "channel"),
+    ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4],
+      "channel": {**_BITFLIP, "after_imprint": True}}, "channel"),
+    ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4, 6],
+      "channel": {**_BITFLIP, "site_mask": [0, 5]}}, "channel"),
+    # out of range: refused up front, not as a numeric failure at run time
+    ({"scenario": "deformed", "L": 4, "beta_list": [-1.0]}, "beta_list"),
+    ({"scenario": "deformed", "L": 4, "beta_list": [0.5, math.inf]}, "beta_list"),
+], ids=["hadamard_probes", "hadamard_two_probes", "subsystem_probes", "subsystem_L_list",
+        "subsystem_L_and_model", "probe_alias", "critical_alias", "probes_string",
+        "L_string", "L_list_int", "L_list_float_entry", "theta_points_float", "seed_bool",
+        "channel_list", "channel_unknown_key", "channel_after_imprint",
+        "channel_site_outside", "beta_negative", "beta_infinite"])
+def test_configs_refused_naming_the_field(tmp_path, capsys, payload, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert main([payload["scenario"], "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}:")
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=f"^{field}:"):
+        ExperimentConfig.from_dict(payload)
+
+
+def test_subsystem_honours_linear_theta_spacing():
+    cfg = ExperimentConfig.from_dict({
+        "scenario": "subsystem", "L": 8, "L_sub_list": [4], "theta_points": 200,
+        "theta_lo": 0.02, "theta_hi": 0.9, "theta_spacing": "linear",
+    })
+    theta = [r.theta for r in run(cfg) if r.observable == "subsystem_parity"]
+    assert theta == np.linspace(0.02, 0.9, 200).tolist()
+
+
+# A small valid payload of every scenario, a valid value of every field, and
+# per field the values of the wrong JSON type and the values out of range.
+_BASE = {
+    "qfi_scaling": {"probes": ["ghz"], "L_list": [4, 6, 8]},
+    "theta_curves": {"L": 6, "theta_points": 5},
+    "channel_sweep": {"probes": ["ghz"], "L_list": [4], "channel": _BITFLIP},
+    "deformed": {"L": 4, "n_samples": 10},
+    "subsystem": {"L": 8, "L_sub_list": [4], "theta_points": 200},
+    "hadamard": {"L_list": [4, 6, 8]},
+}
+_VALID = {
+    "seed": 5, "probes": ["ghz"], "L_list": [4, 6, 8], "L": 6, "L_sub_list": [4],
+    "model": {"kind": "tfim", "L": 8}, "channel": _BITFLIP, "theta_lo": 0.01,
+    "theta_hi": 0.5, "theta_points": 200, "theta_spacing": "linear", "theta0": 0.01,
+    "beta_list": [0.0, 0.5], "n_samples": 100, "use_fermion_above": 14,
+    "probe": "ghz", "critical": True, "bogus": 1,
+}
+_NUMBER_WRONG = ["0.1", True, None, [0.1], math.nan, math.inf, -math.inf]
+_WRONG_TYPE = {
+    "seed": ["5", 5.0, True, None, [5]],
+    "probes": ["ghz", 5, [], [1], None],
+    "L_list": [5, "4", [], [4.0, 6, 8], [True, 4], None],
+    "L": ["ten", 6.0, True, None, [6]],
+    "L_sub_list": [4, [4.0], [], ["4"], None],
+    "model": [[1], "tfim", 3, {"kind": "tfim", "L": 8.0}, {"kind": "tfim", "L": 8, "J": "1"},
+              {"kind": "tfim", "L": 8, "bogus": 1}],
+    "channel": [[1], "bitflip_x", 3, {"kind": 1, "p": 0.1}, {**_BITFLIP, "p": "0.1"},
+                {**_BITFLIP, "bogus": 1}, {**_BITFLIP, "after_imprint": 1},
+                {**_BITFLIP, "site_mask": [0.5]}],
+    "theta_lo": _NUMBER_WRONG, "theta_hi": _NUMBER_WRONG, "theta0": _NUMBER_WRONG,
+    "theta_points": [2.5, "5", True, None],
+    "theta_spacing": [1, None, ["log"]],
+    "beta_list": [0.5, ["0.5"], [True], [], [math.nan], [math.inf], None],
+    "n_samples": [10.0, "10", True, None],
+    "use_fermion_above": [14.5, "14", True, None],
+}
+_OUT_OF_RANGE = {
+    "seed": [-1, 2**64],
+    "probes": [["nope"], ["critical"], ["ghz", "critical_fm", "Ghz"]],
+    "L_list": [[1], [0, 4], [4, 1 << 20]],
+    "L": [1, 0, -3, 99],
+    "L_sub_list": [[1], [4, 99]],
+    "model": [{"kind": "xxz", "L": 8}, {"kind": "tfim", "L": 99},
+              {"kind": "tfim", "L": 8, "h": 0.0}, {"kind": "tfim", "L": 8, "boundary": "twisted"}],
+    "channel": [None, {**_BITFLIP, "p": 1.5}, {"kind": "nope", "p": 0.1},
+                {"kind": "global_dephase"}, {"p": 0.1}, {**_BITFLIP, "after_imprint": True},
+                {**_BITFLIP, "site_mask": [7]}],
+    "theta_lo": [0.0, -1.0],
+    "theta_hi": [1e-4, 0.0, -1.0],
+    "theta_points": [1, 0, -5],
+    "theta_spacing": ["cubic", "LOG"],
+    "beta_list": [[-1.0], [0.5, -0.25]],
+    "n_samples": [0, -1],
+}
+
+
+@st.composite
+def _bad_payloads(draw):
+    """(field, payload): a small valid payload with one field unread, mistyped or out of range."""
+    scenario = draw(st.sampled_from(sorted(_BASE)))
+    payload = {"scenario": scenario, **_BASE[scenario]}
+    how = draw(st.sampled_from(["unread", "type", "range"]))
+    if how == "unread":
+        field = draw(st.sampled_from(sorted(set(_VALID) - _READS[scenario])))
+        value = _VALID[field]
+    else:
+        table = _WRONG_TYPE if how == "type" else _OUT_OF_RANGE
+        field = draw(st.sampled_from(sorted(_READS[scenario] & set(table))))
+        value = draw(st.sampled_from(table[field]))
+    if field == "model":
+        payload.pop("L", None)  # a model sets the chain size itself
+    payload[field] = value
+    return field, payload
+
+
+@given(_bad_payloads())
+def test_config_fuzz_refused_before_work(case):
+    field, payload = case
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig.from_dict(payload)
+    assert str(info.value).startswith(f"{field}:"), str(info.value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "o"
+        cfg_path.write_text(json.dumps(payload))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([payload["scenario"], "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert err.getvalue().startswith(f"config error: {field}:"), err.getvalue()
+        assert not out.exists()
 
 
 def test_main_env_thread_override(tmp_path, monkeypatch, capsys):
