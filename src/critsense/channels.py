@@ -270,10 +270,10 @@ class InvarianceReport:
 
 
 def zz_channel_invariance_check(
-    rho_pristine: MixedState | PureState, gen: PauliOperator, p: float,
-    tol: float = 1e-8,
+    rho_pristine: MixedState | PureState, gen: PauliOperator, p: float
 ) -> InvarianceReport:
-    """QFI before/after the bond-ZZ channel must match for a Z-sum generator."""
+    """QFI before/after the bond-ZZ channel must match, to 1e-8 relative, for a
+    Z-sum generator."""
     from .metrology import qfi_mixed
 
     rho = (
@@ -286,7 +286,7 @@ def zz_channel_invariance_check(
     before = qfi_mixed(rho, gen).value
     after = qfi_mixed(apply_channel(rho, ChannelSpec(kind="zz", p=p)), gen).value
     report = InvarianceReport(qfi_before=before, qfi_after=after)
-    if report.difference > tol * max(1.0, abs(before)):
+    if report.difference > 1e-8 * max(1.0, abs(before)):
         raise AssertionError(
             f"ZZ-channel changed the QFI: before={before!r} after={after!r}"
         )

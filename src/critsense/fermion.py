@@ -37,7 +37,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.integrate import IntegrationWarning, quad
 
-from .policy import POLICY, CapacityError, NumericPolicy
+from .policy import POLICY, CapacityError
 
 QUAD_TOL = 1e-10
 
@@ -256,14 +256,12 @@ def string_block_bytes(r_max: int) -> int:
     return 16 * r_max * r_max
 
 
-def zz_correlators(
-    sol: FermionSolution, r_max: int, policy: NumericPolicy = POLICY
-) -> np.ndarray:
+def zz_correlators(sol: FermionSolution, r_max: int) -> np.ndarray:
     """<Z_0 Z_r> for r = 1..r_max on a finite periodic chain, from one elimination.
 
     Entry r - 1 is the r x r leading minor of T[a, b] = g(b - a + 1), i.e. the
     product of the first r pivots of an unpivoted elimination of T.  A pivot
-    that is not finite or has magnitude below ``policy.toeplitz_pivot_floor``
+    that is not finite or has magnitude below ``POLICY.toeplitz_pivot_floor``
     ends the elimination, and every r from that pivot on falls back to the
     ``slogdet`` of its own block (``zz_correlator``).
     """
@@ -272,10 +270,10 @@ def zz_correlators(
     if not 1 <= r_max < sol.L:
         raise ValueError(f"r_max {r_max} out of range for L={sol.L}")
     need = string_block_bytes(r_max)
-    if need > policy.fermion_bytes_cap:
+    if need > POLICY.fermion_bytes_cap:
         raise CapacityError(
             f"string block for r_max={r_max} needs {need} bytes, "
-            f"over the fermion byte cap {policy.fermion_bytes_cap}"
+            f"over the fermion byte cap {POLICY.fermion_bytes_cap}"
         )
     offs = np.arange(r_max)
     t = sol.kernels(offs[None, :] - offs[:, None] + 1)
@@ -284,7 +282,7 @@ def zz_correlators(
     for k in range(r_max):
         p = t[k, k]
         # |g| <= 1, so the floor is relative to the scale of the block
-        if not (math.isfinite(p) and abs(p) >= policy.toeplitz_pivot_floor):
+        if not (math.isfinite(p) and abs(p) >= POLICY.toeplitz_pivot_floor):
             done = k
             break
         pivots[k] = p

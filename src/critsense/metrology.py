@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .policy import POLICY, NumericPolicy
+from .policy import POLICY
 from .qcore import (
     MixedState,
     PauliOperator,
@@ -67,12 +67,10 @@ def qfi_pure(state: PureState, gen: PauliOperator) -> float:
     return 4.0 * variance(state, gen)
 
 
-def qfi_mixed(
-    rho: MixedState,
-    gen: PauliOperator,
-    cutoff: float = POLICY.spectral_cutoff,
-) -> QfiReport:
-    """Spectral QFI: 2 sum_{li+lj>cutoff} (li-lj)^2/(li+lj) |<i|O|j>|^2."""
+def qfi_mixed(rho: MixedState, gen: PauliOperator) -> QfiReport:
+    """Spectral QFI: 2 sum_{li+lj>cutoff} (li-lj)^2/(li+lj) |<i|O|j>|^2, with
+    ``POLICY.spectral_cutoff``."""
+    cutoff = POLICY.spectral_cutoff
     w, v = rho.spectrum()
     w = np.clip(w, 0.0, None)
     m = _generator_elements(gen, v)
@@ -95,15 +93,11 @@ def _generator_elements(gen: PauliOperator, v: np.ndarray) -> np.ndarray:
     return v.conj().T @ (gen @ v)
 
 
-def sld(
-    rho_theta: MixedState,
-    drho: np.ndarray,
-    cutoff: float = POLICY.spectral_cutoff,
-) -> np.ndarray:
+def sld(rho_theta: MixedState, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative solving d_theta rho = (L rho + rho L)/2.
 
-    Matrix elements on eigenvalue pairs with li + lj <= cutoff are set to 0
-    (the derivative carries no weight there).
+    Matrix elements on eigenvalue pairs with li + lj <= ``POLICY.spectral_cutoff``
+    are set to 0 (the derivative carries no weight there).
     """
     drho = np.asarray(drho, dtype=np.complex128)
     if np.max(np.abs(drho - drho.conj().T)) > 1e-8:
@@ -113,7 +107,7 @@ def sld(
     d = v.conj().T @ drho @ v
     ssum = w[:, None] + w[None, :]
     elem = np.zeros_like(d)
-    mask = ssum > cutoff
+    mask = ssum > POLICY.spectral_cutoff
     elem[mask] = 2.0 * d[mask] / ssum[mask]
     return v @ elem @ v.conj().T
 
@@ -218,7 +212,6 @@ def precision_curve(
     gen: PauliOperator,
     obs,
     theta_grid: Sequence[float],
-    fd_step: float = POLICY.fd_step,
 ) -> PrecisionCurve:
     """Signal, variance and delta theta of ``obs`` at each grid angle.
 
@@ -239,7 +232,7 @@ def precision_curve(
         st = evolve_phase(state, gen, th)
         sig[i] = expectation(st, obs).real
         var[i] = max(_variance_at(st, obs), 0.0)
-        deriv = _reported_derivative(state, gen, obs, th, fd_step)
+        deriv = _reported_derivative(state, gen, obs, th, POLICY.fd_step)
         exact = _commutator_derivative(st, gen, obs)
         miss = abs(exact - deriv)
         tol = POLICY.derivative_agree_tol * max(1.0, abs(exact))
@@ -252,26 +245,20 @@ def precision_curve(
     return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)
 
 
-def error_propagation(
-    state: State,
-    gen: PauliOperator,
-    obs,
-    theta: float,
-    fd_step: float = POLICY.fd_step,
-) -> float:
+def error_propagation(state: State, gen: PauliOperator, obs, theta: float) -> float:
     """delta theta = sqrt(Var_theta(obs)) / |d<obs>/dtheta| at one angle: the
     one-point ``precision_curve``."""
-    return float(precision_curve(state, gen, obs, [theta], fd_step).delta_theta[0])
+    return float(precision_curve(state, gen, obs, [theta]).delta_theta[0])
 
 
 def classical_fisher(
     povm: Sequence,
     state_family: Callable[[float], State],
     theta: float,
-    fd_step: float = POLICY.fd_step,
-    policy: NumericPolicy = POLICY,
 ) -> float:
     """sum_k (d_theta P_k)^2 / P_k over outcomes with P_k above the floor.
+
+    The derivative is a centered difference with ``POLICY.fd_step``.
 
     POVM completeness (effects summing to the identity) is verified by action
     on a few deterministic probe vectors.
@@ -284,16 +271,17 @@ def classical_fisher(
         total = np.zeros(dim, dtype=np.complex128)
         for eff in povm:
             total += eff @ vec
-        if np.max(np.abs(total - vec)) > policy.herm_tol * np.linalg.norm(vec):
+        if np.max(np.abs(total - vec)) > POLICY.herm_tol * np.linalg.norm(vec):
             raise ValueError("POVM effects do not sum to the identity")
 
     def probs(th: float) -> np.ndarray:
         st = state_family(th)
         return np.array([expectation(st, eff).real for eff in povm])
 
+    step = POLICY.fd_step
     p = probs(theta)
-    dp = (probs(theta + fd_step) - probs(theta - fd_step)) / (2.0 * fd_step)
-    keep = p > policy.signal_floor
+    dp = (probs(theta + step) - probs(theta - step)) / (2.0 * step)
+    keep = p > POLICY.signal_floor
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 

@@ -167,82 +167,83 @@ class EigensolverError(RuntimeError):
     pass
 
 
-def _check_residual(H, vec: np.ndarray, energy: float, what: str) -> None:
-    """|H v - E v| within ``POLICY.residual_tol`` x max(1, |E|), else EigensolverError."""
-    resid = float(np.linalg.norm(H @ vec - energy * vec))
+def _check_residual(mat, vec: np.ndarray, energy: float) -> None:
+    """|M v - E v| within ``POLICY.residual_tol`` x max(1, |E|), else EigensolverError."""
+    # a real matrix takes the two parts of v apart: no complex copy of the matrix
+    hv = mat @ vec if np.iscomplexobj(mat) else mat @ vec.real + 1j * (mat @ vec.imag)
+    resid = float(np.linalg.norm(hv - energy * vec))
     tol = POLICY.residual_tol * max(1.0, abs(energy))
     if resid > tol:
         raise EigensolverError(
-            f"{what} residual {resid:.3e} exceeds its tolerance {tol:.3e} "
+            f"ground-state residual {resid:.3e} exceeds its tolerance {tol:.3e} "
             f"(residual_tol {POLICY.residual_tol:g} x max(1, |E|)) by {resid - tol:.3e}"
         )
 
 
 def ground_state(
     H: PauliOperator,
-    sector: list[tuple[object, float]] | tuple[object, float] | None = None,
+    sector: list[tuple[str, object, float]] | None = None,
+    basis: np.ndarray | None = None,
 ) -> GroundSolution:
     """Lowest-energy state of a Hermitian Pauli sum.
 
-    ``sector`` lists (symmetry operator, wanted eigenvalue) pairs; when the
-    ground level is near-degenerate (splitting below the degeneracy
-    tolerance), the returned state is resolved inside the multiplet to the
-    requested symmetry eigenvalues.  Dense diagonalization up to 2^10 basis
-    states, Lanczos above, both on ``H.to_sparse()``: a real Hamiltonian
-    (Ising, XXZ, Rydberg) gives a float64 matrix and runs the real-symmetric
-    solvers; a complex one keeps the complex Hermitian path.
+    ``basis`` is a sorted array of basis indices the solve is restricted to
+    (``None``: the whole register); the matrix is ``H.to_sparse()`` on those
+    rows and columns.  Dense diagonalization up to 2^10 restricted states,
+    Lanczos above: a real Hamiltonian (Ising, XXZ, Rydberg) gives a float64
+    matrix and runs the real-symmetric solvers; a complex one keeps the
+    complex Hermitian path.  The ground multiplet (levels within
+    ``POLICY.degeneracy_tol``) is embedded into the full register, so the
+    state is a full-register vector whatever the basis.
+
+    ``sector`` lists (label, symmetry operator, wanted eigenvalue) triples;
+    a multiplet is resolved to the requested eigenvalues in that order, and
+    ``sector_labels[label]`` records Re<op> of the returned state.  ``gap``
+    is E1 - E0 of the diagonalized matrix, the splitting inside the multiplet
+    when it has several members.
     """
     if not H.is_hermitian:
         raise ValueError("ground_state requires a Hermitian Hamiltonian")
     n = H.n_qubits
-    dim = 1 << n
+    mat = H.to_sparse()
+    if basis is not None:
+        mat = mat[np.ix_(basis, basis)]
+    dim = mat.shape[0]
     if dim <= 1024:
-        mat = H.to_sparse().toarray()
-        if np.iscomplexobj(mat) and np.max(np.abs(mat.imag)) < 1e-14:
-            mat = mat.real
-        evals, evecs = np.linalg.eigh(mat)
+        dense = mat.toarray()
+        if np.iscomplexobj(dense) and np.max(np.abs(dense.imag)) < 1e-14:
+            dense = dense.real
+        evals, evecs = np.linalg.eigh(dense)
     else:
-        if n > POLICY.sparse_cap:
-            raise ValueError(f"{n} qubits exceeds sparse cap {POLICY.sparse_cap}")
         try:  # eight levels show a near-degenerate ground multiplet and its gap
-            evals, evecs = spla.eigsh(
-                H.to_sparse(), k=8, which="SA", v0=_deterministic_start(dim)
-            )
+            evals, evecs = spla.eigsh(mat, k=8, which="SA", v0=_deterministic_start(dim))
         except spla.ArpackNoConvergence as exc:  # pragma: no cover
             raise EigensolverError(f"Lanczos failed to converge: {exc}") from exc
         order = np.argsort(evals)
         evals, evecs = evals[order], evecs[:, order]
 
     e0 = float(evals[0])
-    multiplet = np.where(evals - e0 < POLICY.degeneracy_tol)[0]
-    gap_idx = multiplet[-1] + 1
-    gap = float(evals[gap_idx] - e0) if gap_idx < len(evals) else float("nan")
+    gap = float(evals[1] - e0) if evals.size > 1 else math.nan
+    multiplet = evecs[:, evals - e0 < POLICY.degeneracy_tol]
+    if basis is None:
+        full = multiplet.astype(np.complex128)
+    else:
+        full = np.zeros((1 << n, multiplet.shape[1]), dtype=np.complex128)
+        full[basis] = multiplet
+    for _, op, want in sector or ():
+        if full.shape[1] == 1:
+            break
+        block = full.conj().T @ (op @ full)
+        w, u = np.linalg.eigh(0.5 * (block + block.conj().T))
+        pick = np.where(np.abs(w - want) < 1e-6)[0]
+        if pick.size == 0:
+            pick = np.array([int(np.argmin(np.abs(w - want)))])
+        full = full @ u[:, pick]
+    state = dephase_normalize(full[:, 0], n)
 
-    basis = evecs[:, multiplet].astype(np.complex128)
-    labels: dict = {}
-    if sector is not None and basis.shape[1] > 1:
-        pairs = [sector] if isinstance(sector, tuple) else list(sector)
-        for op, want in pairs:
-            if basis.shape[1] == 1:
-                break
-            block = basis.conj().T @ (op @ basis)
-            w, u = np.linalg.eigh(0.5 * (block + block.conj().T))
-            pick = np.where(np.abs(w - want) < 1e-6)[0]
-            if pick.size == 0:
-                pick = np.array([int(np.argmin(np.abs(w - want)))])
-            basis = basis @ u[:, pick]
-    vec = basis[:, 0]
-    state = dephase_normalize(vec, n)
-
-    _check_residual(H, state.amplitudes, e0, "ground-state")
-    if sector is not None:
-        pairs = [sector] if isinstance(sector, tuple) else list(sector)
-        for i, (op, want) in enumerate(pairs):
-            key = getattr(op, "kind", None) or f"sector_{i}"
-            labels[key] = expectation(state, op).real
-    gap = max(gap, 0.0) if not math.isnan(gap) else gap
-    if len(multiplet) > 1:
-        gap = float(evals[multiplet[1]] - e0)  # splitting inside the multiplet
+    amps = state.amplitudes if basis is None else state.amplitudes[basis]
+    _check_residual(mat, amps, e0)
+    labels = {label: expectation(state, op).real for label, op, _ in sector or ()}
     return GroundSolution(energy=e0, state=state, gap=gap, sector_labels=labels)
 
 
@@ -250,29 +251,26 @@ def solve_model(spec: ModelSpec) -> GroundSolution:
     """Build and solve a model, resolving near-degeneracies in its natural sector.
 
     For the Ising chain the sector is the +1 eigenstate of the product-of-X
-    parity.  For the cluster ladder, both chain parities are fixed to +1.
+    parity (label ``parity_x``); on a periodic chain ``translation_re``
+    records Re<T> as well.  For the cluster ladder, both chain parities are
+    fixed to +1 (labels ``parity_x_chain1`` and ``parity_x_chain2``).
     """
     H = build_hamiltonian(spec)
     n = spec.n_qubits
-    sector_ops: list[tuple[object, float]] | None = None
+    sector: list[tuple[str, object, float]] | None = None
     if spec.kind == "tfim":
-        sector_ops = [(parity_x_operator(n), +1.0)]
+        sector = [("parity_x", parity_x_operator(n), +1.0)]
     elif spec.kind == "cluster_ladder":
-        chain1 = {ladder_site(j, 1, spec.L): "X" for j in range(1, spec.L + 1)}
-        chain2 = {ladder_site(j, 2, spec.L): "X" for j in range(1, spec.L + 1)}
-        sector_ops = [
-            (PauliOperator.string(n, chain1), +1.0),
-            (PauliOperator.string(n, chain2), +1.0),
-        ]
-    sol = ground_state(H, sector=sector_ops)
-    if spec.kind == "tfim":
-        par = parity_x_operator(n)
-        sol.sector_labels["parity_x"] = expectation(sol.state, par).real
-        if spec.boundary == "periodic":
-            # momentum phase is recorded empirically, never asserted
-            sol.sector_labels["translation_re"] = expectation(
-                sol.state, build_symmetry("translation", n)
-            ).real
+        sector = []
+        for y in (1, 2):
+            chain = {ladder_site(j, y, spec.L): "X" for j in range(1, spec.L + 1)}
+            sector.append((f"parity_x_chain{y}", PauliOperator.string(n, chain), +1.0))
+    sol = ground_state(H, sector=sector)
+    if spec.kind == "tfim" and spec.boundary == "periodic":
+        # momentum phase is recorded empirically, never asserted
+        sol.sector_labels["translation_re"] = expectation(
+            sol.state, build_symmetry("translation", n)
+        ).real
     return sol
 
 
@@ -375,7 +373,8 @@ def _rydberg_susceptibility(spec: ModelSpec) -> float:
     from .metrology import qfi_pure
 
     order = staggered_z(spec.L)
-    sol = ground_state(build_hamiltonian(spec), sector=(build_symmetry("translation", spec.L), +1.0))
+    translation = build_symmetry("translation", spec.L)
+    sol = ground_state(build_hamiltonian(spec), sector=[("translation_re", translation, +1.0)])
     return qfi_pure(sol.state, order) / (4.0 * spec.L ** 1.75)
 
 
@@ -395,34 +394,18 @@ def rydberg_blockade_basis(L: int, boundary: str = "periodic") -> np.ndarray:
 def solve_rydberg_blockaded(spec: ModelSpec) -> GroundSolution:
     """Ground state in the hard-blockade subspace (adjacent pairs excluded).
 
-    The Hamiltonian is restricted to the constrained basis (the drive then
-    only connects blockade-respecting configurations); the returned state is
-    embedded back into the full register so downstream operators apply
+    ``ground_state`` restricted to ``rydberg_blockade_basis``: the drive then
+    only connects blockade-respecting configurations, and the state comes
+    back embedded in the full register so downstream operators apply
     unchanged.  This is the optional alternative to the default finite-V1
     treatment on the full space.
     """
     if spec.kind != "rydberg":
         raise ValueError("blockade solve applies to the rydberg kind")
     basis = rydberg_blockade_basis(spec.L, spec.boundary)
-    H = build_hamiltonian(spec).to_sparse()[np.ix_(basis, basis)]
-    dim = basis.size
-    if dim <= 512:
-        evals, evecs = np.linalg.eigh(H.toarray())
-    else:
-        evals, evecs = spla.eigsh(H.tocsc(), k=min(6, dim - 2), which="SA",
-                                  v0=_deterministic_start(dim))
-        order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
-    _check_residual(H, evecs[:, 0], float(evals[0]), "blockaded ground-state")
-    full = np.zeros(1 << spec.L, dtype=np.complex128)
-    full[basis] = evecs[:, 0]
-    gap = float(evals[1] - evals[0]) if evals.size > 1 else float("nan")
-    return GroundSolution(
-        energy=float(evals[0]),
-        state=dephase_normalize(full, spec.L),
-        gap=max(gap, 0.0),
-        sector_labels={"blockade_dim": float(dim)},
-    )
+    sol = ground_state(build_hamiltonian(spec), basis=basis)
+    sol.sector_labels["blockade_dim"] = float(basis.size)
+    return sol
 
 
 def rydberg_order_response(

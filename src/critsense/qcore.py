@@ -46,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .policy import POLICY, CapacityError, NumericPolicy
+from .policy import POLICY, CapacityError
 
 LETTERS = "IXYZ"
 
@@ -308,16 +308,16 @@ class PauliOperator:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.apply_vec(x)
 
-    def to_sparse(self, policy: NumericPolicy = POLICY) -> sp.csr_matrix:
+    def to_sparse(self) -> sp.csr_matrix:
         """CSR matrix, float64 for a real operator and complex128 otherwise.
 
         Built in one pass: row r holds one entry per flip-mask group, at
         column r ^ mask; exact zeros (a phase vector cancelling on some basis
         states) are dropped.
         """
-        if self.n_qubits > policy.sparse_cap:
+        if self.n_qubits > POLICY.sparse_cap:
             raise CapacityError(
-                f"{self.n_qubits} qubits exceeds sparse cap {policy.sparse_cap}"
+                f"{self.n_qubits} qubits exceeds sparse cap {POLICY.sparse_cap}"
             )
         form = self._grouped()
         dim = 1 << self.n_qubits
@@ -342,13 +342,13 @@ class PauliOperator:
         return mat
 
 
-def to_matrix(op: PauliOperator, policy: NumericPolicy = POLICY) -> np.ndarray:
+def to_matrix(op: PauliOperator) -> np.ndarray:
     """Dense matrix of a Pauli sum; refuses registers above the dense cap."""
-    if op.n_qubits > policy.dense_cap:
+    if op.n_qubits > POLICY.dense_cap:
         raise CapacityError(
-            f"{op.n_qubits} qubits exceeds dense cap {policy.dense_cap}"
+            f"{op.n_qubits} qubits exceeds dense cap {POLICY.dense_cap}"
         )
-    return op.to_sparse(policy).toarray()
+    return op.to_sparse().toarray()
 
 
 _HERM_TILE = 128

@@ -14,7 +14,7 @@ and monotone trends while exponent fits are emitted as indicative data only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,9 +149,7 @@ def parity_theta_curve(
 
     The curve is ``precision_curve`` of the block parity.  Each signal is
     also checked against the anticommutation pull-through <psi|e^{-2 i theta O}
-    Pi|psi>, one exponential per point; the two must agree to 1e-12.  The
-    measurement squares to the identity, so the variance column is
-    1 - <Pi>^2.
+    Pi|psi>, one exponential per point; the two must agree to 1e-12.
     """
     pi_op = protocol.measurement
     gen = protocol.imprinter
@@ -164,8 +162,7 @@ def parity_theta_curve(
                 raise AssertionError(
                     f"pull-through mismatch at theta={th}: {direct} vs {pulled}"
                 )
-    var = np.maximum(1.0 - curve.signal ** 2, 0.0)
-    return replace(curve, variance=var)
+    return curve
 
 
 def default_theta_grid(n_points: int = 256, lo: float = 1e-3, hi: float = 1.0) -> np.ndarray:

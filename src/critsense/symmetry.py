@@ -134,14 +134,14 @@ def build_symmetry(
     )
 
 
-def anticommutes(sym: SymmetryOperator, op: PauliOperator, tol: float = POLICY.herm_tol) -> bool:
-    """True iff the max matrix entry of A O + O A is below tolerance."""
+def anticommutes(sym: SymmetryOperator, op: PauliOperator) -> bool:
+    """True iff the max matrix entry of A O + O A is below ``POLICY.herm_tol``."""
     if op.n_qubits != sym.L:
         raise ValueError("register size mismatch")
     a = sym.to_sparse()
     o = op.to_sparse()
     anti = a @ o + o @ a
-    return anti.nnz == 0 or float(np.max(np.abs(anti.data))) < tol
+    return anti.nnz == 0 or float(np.max(np.abs(anti.data))) < POLICY.herm_tol
 
 
 def symmetry_eigenvalue(state: PureState, sym: SymmetryOperator) -> tuple[bool, complex]:

@@ -199,6 +199,11 @@ class ExperimentConfig:
         for probe in self.probes:
             if probe not in PROBES:
                 raise ConfigError(f"probes: unknown probe {probe!r}; known: {PROBES}")
+        for name in ("probes", "L_list", "L_sub_list", "beta_list"):
+            values = getattr(self, name)
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(f"{name}: each entry may appear once; repeated: {repeated}")
         for name in ("L_list", "L_sub_list"):
             if min(getattr(self, name)) < 2:
                 raise ConfigError(f"{name}: sizes must be >= 2")
@@ -520,14 +525,8 @@ def _subsystem_tasks(cfg: ExperimentConfig) -> list[Task]:
 
     def block(L_sub: int) -> list[ExperimentRecord]:
         curve = parity_theta_curve(state, make_ising_protocol(L, L_sub), grid)
-        row = partial(ExperimentRecord, probe="critical_fm", model_kind="tfim", L=L, L_sub=L_sub)
-        records = [
-            row(theta=float(th), observable="subsystem_parity", value=float(sig),
-                variance=float(var), delta_theta=float(dth))
-            for th, sig, var, dth in zip(
-                curve.theta, curve.signal, curve.variance, curve.delta_theta
-            )
-        ]
+        labels = dict(probe="critical_fm", model_kind="tfim", L=L, L_sub=L_sub)
+        records = _curve_rows(curve, "subsystem_parity", **labels)
         rep = window_report(curve, L_sub)
         for name, val in (
             ("window_theta_l", rep.theta_l), ("window_theta_min", rep.theta_min),
@@ -535,7 +534,7 @@ def _subsystem_tasks(cfg: ExperimentConfig) -> list[Task]:
             ("window_sql", rep.sql_reference),
         ):
             if val is not None:
-                records.append(row(observable=name, value=float(val)))
+                records.append(ExperimentRecord(observable=name, value=float(val), **labels))
         return records
 
     return [partial(block, L_sub) for L_sub in cfg.L_sub_list]

@@ -59,3 +59,22 @@ def sum_z_dense(L):
 
 def expect(vec, mat):
     return float(np.real(vec.conj() @ mat @ vec))
+
+
+def rydberg_blockade_dense(L, omega, detuning):
+    """Sorted hard-blockade configurations of the periodic chain and the dense
+    Rydberg Hamiltonian between them (no V2).  Site j is bit L - 1 - j,
+    occupied when set; no two neighbours are occupied, so the V1 bonds never
+    contribute."""
+    occ = lambda b, j: (b >> (L - 1 - j)) & 1
+    states = [b for b in range(2**L)
+              if not any(occ(b, j) and occ(b, (j + 1) % L) for j in range(L))]
+    row = {b: i for i, b in enumerate(states)}
+    H = np.zeros((len(states), len(states)))
+    for i, b in enumerate(states):
+        H[i, i] = -detuning * sum(occ(b, j) for j in range(L))
+        for j in range(L):
+            k = row.get(b ^ (1 << (L - 1 - j)))
+            if k is not None:
+                H[i, k] += 0.5 * omega
+    return np.array(states), H

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from critsense import (
     CapacityError,
     FermionSolution,
     ModelSpec,
-    NumericPolicy,
     PauliOperator,
     expectation,
     fit_power_law,
@@ -17,6 +17,7 @@ from critsense import (
     zz_correlator,
     zz_correlators,
 )
+import critsense.fermion as fermion
 from critsense.fermion import (
     FermionError,
     _antiperiodic_momenta,
@@ -144,7 +145,7 @@ def test_zz_correlators_fallback_on_bad_pivot(bad_pivot):
     _assert_minors_match(sol, got, range(1, 16))
 
 
-def test_zz_correlators_input_checks():
+def test_zz_correlators_input_checks(monkeypatch):
     sol = solve_tfim_fermion(16)
     with pytest.raises(ValueError):
         zz_correlators(sol, 16)
@@ -154,9 +155,11 @@ def test_zz_correlators_input_checks():
         zz_correlators(solve_tfim_fermion(None), 4)
     with pytest.raises(FermionError):
         zz_correlators(solve_tfim_fermion(8, boundary="open"), 4)
+    monkeypatch.setattr(fermion, "POLICY", replace(fermion.POLICY, fermion_bytes_cap=16 * 8 * 8 - 1))
     with pytest.raises(CapacityError):
-        zz_correlators(sol, 8, policy=NumericPolicy(fermion_bytes_cap=16 * 8 * 8 - 1))
-    assert zz_correlators(sol, 8, policy=NumericPolicy(fermion_bytes_cap=16 * 8 * 8)).shape == (8,)
+        zz_correlators(sol, 8)
+    monkeypatch.setattr(fermion, "POLICY", replace(fermion.POLICY, fermion_bytes_cap=16 * 8 * 8))
+    assert zz_correlators(sol, 8).shape == (8,)
 
 
 def test_thermo_r1_value():

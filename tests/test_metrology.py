@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from critsense import (
     to_matrix,
     variance,
 )
+import critsense.metrology as metrology
 from critsense.channels import ChannelSpec, apply_channel, in_plane_spin
 from critsense.metrology import precision_curve
 from critsense.models import ModelSpec, solve_model
@@ -338,13 +340,14 @@ def test_precision_curve_is_pointwise_error_propagation(form, mixed):
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
 @pytest.mark.parametrize("form", ["pauli", "symmetry", "csr", "dense"])
-def test_error_propagation_rejects_mismatched_derivative(form, mixed):
+def test_error_propagation_rejects_mismatched_derivative(monkeypatch, form, mixed):
     # a 0.3 step puts the differenced derivative 17-94% off the commutator
     probe, gen, readouts = _afm_readouts(mixed)
     obs = readouts[form]
     assert math.isfinite(error_propagation(probe, gen, obs, 0.2))
+    monkeypatch.setattr(metrology, "POLICY", replace(metrology.POLICY, fd_step=0.3))
     with pytest.raises(ArithmeticError, match="over the tolerance"):
-        error_propagation(probe, gen, obs, 0.2, fd_step=0.3)
+        error_propagation(probe, gen, obs, 0.2)
 
 
 def test_fn_sequence_monotone_sandwich(rng):

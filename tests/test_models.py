@@ -25,11 +25,12 @@ from critsense.models import (
     rydberg_order_response,
 )
 from critsense.metrology import qfi_pure
+from critsense.policy import POLICY
 from critsense.qcore import collective_spin, parity_x_operator, pauli_word, staggered_z
 from critsense.symmetry import build_symmetry
 
 from conftest import sum_z
-from oracles import ground_vec, xxz_dense
+from oracles import ground_vec, rydberg_blockade_dense, xxz_dense
 
 
 def test_tfim_l2_merged_bond():
@@ -243,6 +244,56 @@ def test_rydberg_blockade_matches_large_v1():
         solve_rydberg_blockaded(ModelSpec(kind="tfim", L=4))
 
 
+@pytest.mark.parametrize("L", [8, 15], ids=["dense_47", "lanczos_1364"])
+def test_blockade_solve_matches_restricted_dense_oracle(eigsh_spy, L):
+    from critsense.models import rydberg_blockade_basis, solve_rydberg_blockaded
+
+    spec = ModelSpec(kind="rydberg", L=L, omega=1.0, detuning=1.2, v1=50.0)
+    sol = solve_rydberg_blockaded(spec)
+    states, H = rydberg_blockade_dense(L, 1.0, 1.2)
+    assert np.array_equal(rydberg_blockade_basis(L), states)
+    assert sol.sector_labels == {"blockade_dim": float(states.size)}
+    assert len(eigsh_spy) == (states.size > 1024)
+    w, v = np.linalg.eigh(H)
+    assert abs(sol.energy - w[0]) < 1e-10
+    assert abs(sol.gap - (w[1] - w[0])) < 1e-10
+    amps = sol.state.amplitudes
+    assert np.linalg.norm(np.delete(amps, states)) == 0.0
+    assert abs(np.vdot(v[:, 0], amps[states])) ** 2 > 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("n", [6, 11], ids=["dense", "lanczos"])
+def test_full_register_basis_matches_no_basis(n):
+    H = build_hamiltonian(ModelSpec(kind="tfim", L=n, J=-1.0, h=0.8))
+    plain = ground_state(H)
+    full = ground_state(H, basis=np.arange(1 << n))
+    assert abs(full.energy - plain.energy) < 1e-12
+    assert abs(full.gap - plain.gap) < 1e-10
+    assert abs(np.vdot(plain.state.amplitudes, full.state.amplitudes)) ** 2 > 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("h", [0.1, 0.2, 1.0], ids=["multiplet", "near_degenerate", "unique"])
+def test_gap_is_first_excitation(h):
+    # splittings 4e-9 (under degeneracy_tol: a two-member multiplet), 1e-6, O(1)
+    spec = ModelSpec(kind="tfim", L=8, h=h)
+    w = np.linalg.eigvalsh(to_matrix(build_hamiltonian(spec)))
+    assert (w[1] - w[0] < POLICY.degeneracy_tol) == (h == 0.1)
+    for sol in (ground_state(build_hamiltonian(spec)), solve_model(spec)):
+        assert abs(sol.gap - (w[1] - w[0])) < 1e-10
+
+
+def test_sector_labels_are_named():
+    tfim = solve_model(ModelSpec(kind="tfim", L=6))
+    assert set(tfim.sector_labels) == {"parity_x", "translation_re"}
+    assert abs(tfim.sector_labels["parity_x"] - 1.0) < 1e-10
+    open_chain = solve_model(ModelSpec(kind="tfim", L=6, boundary="open"))
+    assert set(open_chain.sector_labels) == {"parity_x"}
+    ladder = solve_model(ModelSpec(kind="cluster_ladder", L=3))
+    assert set(ladder.sector_labels) == {"parity_x_chain1", "parity_x_chain2"}
+    for val in ladder.sector_labels.values():
+        assert abs(val - 1.0) < 1e-8
+
+
 def test_rydberg_no_crossing_error():
     with pytest.raises(NoCrossingError):
         locate_rydberg_critical_detuning(1.0, 50.0, 0.0, [4, 6], window=(3.2, 3.5), coarse_points=4)
@@ -360,7 +411,7 @@ def test_collective_and_staggered_generators_unchanged():
     ("ground_state", ModelSpec(kind="tfim", L=6)),            # dense eigh
     ("ground_state", ModelSpec(kind="tfim", L=11)),           # Lanczos
     ("blockaded", ModelSpec(kind="rydberg", L=8, detuning=1.2)),   # 47 states: dense
-    ("blockaded", ModelSpec(kind="rydberg", L=14, detuning=1.2)),  # 843 states: Lanczos
+    ("blockaded", ModelSpec(kind="rydberg", L=15, detuning=1.2)),  # 1364 states: Lanczos
 ], ids=["dense", "lanczos", "blockaded_dense", "blockaded_lanczos"])
 def test_residual_failure_names_tolerance_and_excess(monkeypatch, solve, spec):
     import dataclasses
@@ -389,7 +440,7 @@ def test_residual_failure_names_tolerance_and_excess(monkeypatch, solve, spec):
 def test_oat_state_refuses_oversized_register_before_allocating():
     import tracemalloc
 
-    from critsense.policy import POLICY, CapacityError
+    from critsense.policy import CapacityError
 
     L = POLICY.sparse_cap + 1
     tracemalloc.start()

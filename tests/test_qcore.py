@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,10 +47,11 @@ def test_to_matrix_matches_kron_expansion(rng):
         assert np.allclose(to_matrix(op), want, atol=1e-13)
 
 
-def test_to_matrix_dense_cap():
-    tight = NumericPolicy(dense_cap=3)
+def test_to_matrix_dense_cap(monkeypatch):
+    monkeypatch.setattr(qcore, "POLICY", replace(qcore.POLICY, dense_cap=3))
     with pytest.raises(CapacityError):
-        to_matrix(PauliOperator.identity(4), policy=tight)
+        to_matrix(PauliOperator.identity(4))
+    to_matrix(PauliOperator.identity(3))
 
 
 def test_expectation_basis_state():

@@ -355,11 +355,19 @@ _BITFLIP = {"kind": "bitflip_x", "p": 0.1}
     # out of range: refused up front, not as a numeric failure at run time
     ({"scenario": "deformed", "L": 4, "beta_list": [-1.0]}, "beta_list"),
     ({"scenario": "deformed", "L": 4, "beta_list": [0.5, math.inf]}, "beta_list"),
+    # a repeated entry would run, and weigh in the fits, twice
+    ({"scenario": "qfi_scaling", "probes": ["ghz", "ghz"], "L_list": [4, 6]}, "probes"),
+    ({"scenario": "qfi_scaling", "probes": ["ghz"], "L_list": [4, 4, 6]}, "L_list"),
+    ({"scenario": "subsystem", "L": 8, "L_sub_list": [4, 6, 4], "theta_points": 200},
+     "L_sub_list"),
+    ({"scenario": "deformed", "L": 4, "beta_list": [0.5, 0.5]}, "beta_list"),
+    ({"scenario": "deformed", "L": 4, "beta_list": [1, 1.0]}, "beta_list"),
 ], ids=["hadamard_probes", "hadamard_two_probes", "subsystem_probes", "subsystem_L_list",
         "subsystem_L_and_model", "probe_alias", "critical_alias", "probes_string",
         "L_string", "L_list_int", "L_list_float_entry", "theta_points_float", "seed_bool",
         "channel_list", "channel_unknown_key", "channel_after_imprint",
-        "channel_site_outside", "beta_negative", "beta_infinite"])
+        "channel_site_outside", "beta_negative", "beta_infinite", "probes_repeated",
+        "L_list_repeated", "L_sub_list_repeated", "beta_list_repeated", "beta_list_int_float"])
 def test_configs_refused_naming_the_field(tmp_path, capsys, payload, field):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(payload))
@@ -434,17 +442,28 @@ _OUT_OF_RANGE = {
     "beta_list": [[-1.0], [0.5, -0.25]],
     "n_samples": [0, -1],
 }
+_REPEATED = {
+    "probes": [["ghz", "ghz"], ["ghz", "spin_coherent", "ghz"]],
+    "L_list": [[4, 4], [4, 6, 4]],
+    "L_sub_list": [[4, 4], [2, 4, 2]],
+    "beta_list": [[0.5, 0.5], [0, 0.5, 0.0]],
+}
 
 
 @st.composite
 def _bad_payloads(draw):
-    """(field, payload): a small valid payload with one field unread, mistyped or out of range."""
+    """(field, payload): a small valid payload with one field unread, mistyped, out of
+    range or repeating an entry."""
     scenario = draw(st.sampled_from(sorted(_BASE)))
     payload = {"scenario": scenario, **_BASE[scenario]}
-    how = draw(st.sampled_from(["unread", "type", "range"]))
+    hows = ["unread", "type", "range"] + (["repeat"] if _READS[scenario] & set(_REPEATED) else [])
+    how = draw(st.sampled_from(hows))
     if how == "unread":
         field = draw(st.sampled_from(sorted(set(_VALID) - _READS[scenario])))
         value = _VALID[field]
+    elif how == "repeat":
+        field = draw(st.sampled_from(sorted(_READS[scenario] & set(_REPEATED))))
+        value = draw(st.sampled_from(_REPEATED[field]))
     else:
         table = _WRONG_TYPE if how == "type" else _OUT_OF_RANGE
         field = draw(st.sampled_from(sorted(_READS[scenario] & set(table))))
