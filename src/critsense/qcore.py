@@ -24,6 +24,14 @@ tensor view, ``diagonal`` is the mask-0 phase vector (cached, read-only),
 matrix: when every phase is real (the Ising, XXZ and Rydberg Hamiltonians)
 ``to_sparse`` returns float64, so the ground solvers run real-symmetric.
 
+A diagonal operator also caches its phase table: the distinct diagonal
+values and, per basis state, the index of its value (``np.unique`` with
+``return_inverse``).  A Z-sum imprinter on L sites with one weight up to
+sign takes at most L + 1 values, so ``apply_exponential`` and the mixed-state imprint exponentiate
+the table and gather it, e^{s d_b} = exp(s * values)[inverse[b]], instead of
+exponentiating all 2^n entries.  Each entry is the same elementwise exp of
+the same float, so the result is bit for bit the direct one.
+
 Dense density matrices follow one dtype rule: real in, real out; complex only
 when the data is.  A real matrix is kept as float64 and anything complex as
 complex128, so real probes and real channels run in real arithmetic end to
@@ -33,8 +41,9 @@ returns complex128.
 All operations are pure functions of immutable inputs and safe for
 concurrent read-only use.  The internal mutable state is lazy caches: the
 spectral cache on MixedState, which should be populated once (call
-``spectrum()``) before sharing across threads, and the grouped form and
-diagonal of a PauliOperator, which two threads may at worst both build.
+``spectrum()``) before sharing across threads, and the grouped form,
+diagonal and phase table of a PauliOperator, which two threads may at worst
+both build.
 """
 from __future__ import annotations
 
@@ -185,9 +194,14 @@ class PauliOperator:
     phase is real (the Ising, XXZ and Rydberg Hamiltonians) and complex128
     otherwise, and ``apply_vec`` keeps a real vector real under a real
     operator.
+
+    A diagonal operator (I/Z letters only, ``is_diagonal``, fixed at
+    construction) also caches its phase table on first use: its distinct
+    diagonal values and each basis state's index into them, the table every
+    diagonal exponential reads.
     """
 
-    __slots__ = ("n_qubits", "terms", "_form", "_diag")
+    __slots__ = ("n_qubits", "terms", "is_diagonal", "_form", "_diag", "_table")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[complex, str]] = ()):
         if n_qubits < 1:
@@ -205,8 +219,10 @@ class PauliOperator:
         self.terms = tuple(
             (c, s) for s, c in sorted(merged.items()) if abs(c) > 1e-15
         )
+        self.is_diagonal = all(set(s) <= {"I", "Z"} for _, s in self.terms)
         self._form: _Grouped | None = None
         self._diag: np.ndarray | None = None
+        self._table: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -245,10 +261,6 @@ class PauliOperator:
     def is_hermitian(self) -> bool:
         return all(abs(c.imag) <= POLICY.pauli_herm_tol for c, _ in self.terms)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return all(set(s) <= {"I", "Z"} for _, s in self.terms)
-
     def _grouped(self) -> _Grouped:
         if self._form is None:
             self._form = _group_terms(self.n_qubits, self.terms)
@@ -272,6 +284,23 @@ class PauliOperator:
                 d.setflags(write=False)
             self._diag = d
         return self._diag
+
+    def phase_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, inverse)`` with ``values[inverse] == diagonal()``.
+
+        ``values`` are the distinct diagonal entries: at most L + 1 for a
+        sum of single-site Z terms on L sites with one weight up to sign,
+        such as the imprinters.  ``inverse`` holds each basis state's index
+        into them, in the smallest unsigned dtype that fits.  Built once
+        and cached, both read-only.
+        """
+        if self._table is None:
+            values, inverse = np.unique(self.diagonal(), return_inverse=True)
+            inverse = inverse.astype(np.min_scalar_type(values.size))
+            values.setflags(write=False)
+            inverse.setflags(write=False)
+            self._table = (values, inverse)
+        return self._table
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -552,7 +581,8 @@ def evolve_phase(state: State, gen: PauliOperator, theta: float) -> State:
 def _imprint_mixed(rho: MixedState, gen: PauliOperator, theta: float) -> MixedState:
     diagonal = gen.is_diagonal
     if diagonal:
-        u = np.exp(1j * theta * gen.diagonal())
+        values, inverse = gen.phase_table()
+        u = np.exp(1j * theta * values).take(inverse)
         out = MixedState(rho.n_qubits, rho.matrix * np.outer(u, u.conj()))
     else:
         w, vv = np.linalg.eigh(to_matrix(gen))
@@ -565,9 +595,16 @@ def _imprint_mixed(rho: MixedState, gen: PauliOperator, theta: float) -> MixedSt
 
 
 def apply_exponential(gen: PauliOperator, scale: complex, vec: np.ndarray) -> np.ndarray:
-    """Raw action e^{scale * gen} vec, without any normalization."""
+    """Raw action e^{scale * gen} vec, without any normalization.
+
+    A diagonal generator exponentiates its phase table, one exp per
+    distinct eigenvalue, and gathers it over the basis; the product with
+    ``vec`` is bit for bit ``np.exp(scale * gen.diagonal()) * vec``.  Any
+    other generator goes through a Krylov ``expm_multiply``.
+    """
     if gen.is_diagonal:
-        return np.exp(scale * gen.diagonal()) * vec
+        values, inverse = gen.phase_table()
+        return np.exp(scale * values).take(inverse) * vec
     return spla.expm_multiply(scale * gen.to_sparse(), vec)
 
 

@@ -445,11 +445,15 @@ def _channel_sweep_check(cfg: ExperimentConfig) -> None:
         raise ConfigError("channel: required for the channel_sweep scenario")
     if chan.after_imprint:
         raise ConfigError("channel: after_imprint must be false; channel_sweep imprints no phase")
-    outside = [j for j in chan.site_mask or () if not 0 <= j < min(cfg.L_list)]
+    mask = chan.site_mask or ()
+    outside = [j for j in mask if not 0 <= j < min(cfg.L_list)]
     if outside:
         raise ConfigError(
             f"channel: site_mask sites {outside} are outside the {min(cfg.L_list)}-site chain"
         )
+    repeated = sorted({j for j in mask if mask.count(j) > 1})
+    if repeated:  # a repeat would apply the channel to that site again
+        raise ConfigError(f"channel: site_mask may name each site once; repeated: {repeated}")
     if "critical_afm" in cfg.probes:
         _check_even("L_list", cfg.L_list)
     _check_cap("L_list", max(cfg.L_list), dense=True)
@@ -464,7 +468,8 @@ def _channel_sweep_tasks(cfg: ExperimentConfig) -> list[Task]:
         fq = qfi_mixed(rho, gen).value
         row = partial(ExperimentRecord, probe=probe, L=L, channel_kind=chan.kind, p=chan.p)
         records = [row(chi=chan.chi, observable="qfi_mixed", value=fq, qfi=fq)]
-        if chan.kind == "bitflip_x":
+        uniform = chan.site_mask is None or set(chan.site_mask) >= set(range(L))
+        if chan.kind == "bitflip_x" and uniform:  # the formula holds for a uniform flip only
             second = float(np.real(expectation(state, gen)) ** 2)
             second = qfi_pure(state, gen) / 4.0 + second  # <O^2>
             formula = bitflip_qfi_formula(L, chan.p, second)

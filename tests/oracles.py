@@ -78,3 +78,14 @@ def rydberg_blockade_dense(L, omega, detuning):
             if k is not None:
                 H[i, k] += 0.5 * omega
     return np.array(states), H
+
+
+def diagonal_exponential(diag, scale, vec):
+    """e^{scale D} vec for D = diag(diag), one exp per basis entry."""
+    return np.exp(scale * diag) * vec
+
+
+def diagonal_imprint(rho, diag, theta):
+    """U rho U^dagger for U = e^{i theta D}, D = diag(diag), entry by entry."""
+    u = np.exp(1j * theta * diag)
+    return rho * np.outer(u, u.conj())

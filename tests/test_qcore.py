@@ -25,7 +25,10 @@ from critsense.policy import POLICY, NumericPolicy
 from critsense.symmetry import build_symmetry
 
 from conftest import sum_z
-from oracles import kron_word, tfim_dense, ground_vec, expect, kron_op, Z
+from oracles import (
+    kron_word, tfim_dense, ground_vec, expect, kron_op, Z,
+    diagonal_exponential, diagonal_imprint,
+)
 
 
 def test_to_matrix_single_z():
@@ -402,6 +405,58 @@ def test_diagonal_is_cached_read_only():
     assert op.diagonal() is d
     with pytest.raises(ValueError):
         PauliOperator(2, [(1.0, "XZ")]).diagonal()
+    with pytest.raises(ValueError):
+        PauliOperator(2, [(1.0, "XZ")]).phase_table()
+
+
+# -- the phase table of a diagonal operator ------------------------------
+
+_SCALES = st.one_of(
+    st.floats(-3.0, 3.0, allow_nan=False),
+    st.floats(-3.0, 3.0, allow_nan=False).map(lambda x: 1j * x),
+    st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def diagonal_sums(draw, coeffs=_COEFFS):
+    """(n, raw terms): up to six I/Z strings on n <= 6 qubits."""
+    n = draw(st.integers(1, 6))
+    words = st.text(alphabet="IZ", min_size=n, max_size=n)
+    return n, draw(st.lists(st.tuples(coeffs, words), max_size=6))
+
+
+def _same_bits(got, want):
+    """Equal dtype and equal bit patterns, so that signed zeros count."""
+    return got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@example((1, []), 0.5j)
+@example((4, [(0.5, "ZIII"), (0.5, "IZII"), (0.5, "IIZI"), (0.5, "IIIZ")]), -0.3j)
+@given(diagonal_sums(), _SCALES)
+def test_phase_table_exponential_is_bit_exact(case, scale):
+    n, terms = case
+    op = PauliOperator(n, terms)
+    d = op.diagonal()
+    values, inverse = op.phase_table()
+    assert op.phase_table()[0] is values
+    assert np.array_equal(values[inverse], d) and len(set(values.tolist())) == values.size
+    assert inverse.dtype == np.uint8
+    gen = np.random.default_rng(len(terms))
+    real = gen.standard_normal(1 << n)
+    for vec in (real, real + 1j * gen.standard_normal(1 << n)):
+        got = qcore.apply_exponential(op, scale, vec)
+        assert _same_bits(got, diagonal_exponential(d, scale, vec))
+
+
+@given(diagonal_sums(st.floats(-2.0, 2.0, allow_nan=False)),
+       st.floats(-3.0, 3.0, allow_nan=False).filter(lambda t: t != 0.0))
+def test_phase_table_mixed_imprint_is_bit_exact(case, theta):
+    n, terms = case
+    op = PauliOperator(n, terms)
+    _, rho = _random_state(n, 11 + len(terms))
+    got = evolve_phase(MixedState(n, rho), op, theta).matrix
+    assert _same_bits(got, diagonal_imprint(rho, op.diagonal(), theta))
 
 
 def test_to_sparse_dtype_follows_operator():

@@ -110,6 +110,32 @@ def test_parity_theta_curve_exponentials_per_point(critical_states, monkeypatch,
     assert len(calls) == per_point * grid.size
 
 
+@pytest.mark.parametrize("L_sub", [2, 4, 6, 8, 14])
+def test_ising_imprinter_phase_table_has_L_sub_plus_one_values(L_sub):
+    gen = make_ising_protocol(14, L_sub).imprinter
+    values, inverse = gen.phase_table()
+    assert values.size == L_sub + 1
+    assert inverse.dtype == np.uint8
+    assert np.array_equal(values[inverse], gen.diagonal())
+
+
+def test_parity_theta_curve_exponentiates_only_the_phase_table(critical_states, monkeypatch):
+    # every exponential of the Z-sum imprinter runs over its L_sub + 1 distinct
+    # eigenvalues, never over the 2^L basis states
+    L, L_sub = 8, 4
+    psi = critical_states(L).state
+    sizes = []
+    original = np.exp
+
+    def spy(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    parity_theta_curve(psi, make_ising_protocol(L, L_sub), np.linspace(0.05, 0.5, 7))
+    assert sizes and max(sizes) <= L_sub + 1
+
+
 def test_block_parity_expectation_in_unit_interval(critical_states):
     sol = critical_states(12)
     for L_sub in (4, 6):
