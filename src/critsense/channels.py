@@ -59,6 +59,10 @@ class ChannelSpec:
         else:
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError("per-site channels need p in [0, 1]")
+        mask = self.site_mask or ()
+        repeated = sorted({j for j in mask if mask.count(j) > 1})
+        if repeated:  # a repeat would apply the channel to that site again
+            raise ValueError(f"site_mask may name each site once; repeated: {repeated}")
 
     def to_dict(self) -> dict:
         return {

@@ -11,10 +11,13 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .policy import POLICY, CapacityError
 from .qcore import (
+    _FLIP_LETTERS,
+    _SIGN_LETTERS,
     PauliOperator,
     PureState,
     collective_spin,
@@ -180,6 +183,90 @@ def _check_residual(mat, vec: np.ndarray, energy: float) -> None:
         )
 
 
+def _selection(n: int, basis: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, float]:
+    """Isometry onto the sorted basis states ``basis``: column i is |basis[i]>."""
+    cols = np.arange(basis.size)
+    P = sp.csr_matrix((np.ones(basis.size), (basis, cols)), shape=(1 << n, basis.size))
+    return P, basis, 1.0
+
+
+def _flip_block(
+    H: PauliOperator, sector: list[tuple[str, object, float]]
+) -> tuple[tuple[sp.csr_matrix, np.ndarray, float] | None, set[int]]:
+    """Orbit isometry of the flip group the X-string sector entries generate.
+
+    An entry joins when its op is a single X-string (I/X letters, coefficient
+    1), its wanted eigenvalue is +-1, and it commutes with every term of H:
+    a Pauli term commutes with the string when it has an even count of Z/Y
+    letters on the string's sites.  A group element g (an XOR of the joined
+    masks) carries the character chi(g), the product of their eigenvalues.
+    The column of orbit representative s is sum_g chi(g)|s ^ g> / sqrt(|G|);
+    the action is free, so every orbit gives one column.  Returns
+    ``(P, reps, sqrt(|G|))`` (``None`` when no entry joins) and the indices
+    of the joined entries.  The group stops short of a single orbit.
+    """
+    n = H.n_qubits
+    # sign masks: Z/Y letters of each term, bit n - 1 - j for site j
+    signs = [int(w.translate(_SIGN_LETTERS), 2) for _, w in H.terms]
+    group = {0: 1.0}
+    joined: set[int] = set()
+    for i, (_, op, want) in enumerate(sector):
+        if not (isinstance(op, PauliOperator) and len(op.terms) == 1 and want in (1.0, -1.0)):
+            continue
+        coeff, word = op.terms[0]
+        if coeff != 1.0 or "X" not in word or set(word) - {"I", "X"}:
+            continue
+        mask = int(word.translate(_FLIP_LETTERS), 2)
+        if any((s & mask).bit_count() % 2 for s in signs):
+            continue
+        if mask in group:  # already an element: joins only if its character agrees
+            if group[mask] == want:
+                joined.add(i)
+            continue
+        if 2 * len(group) > 1 << (n - 1):  # keep two states: eigsh needs k < dim
+            continue
+        group.update({g ^ mask: c * want for g, c in list(group.items())})
+        joined.add(i)
+    if len(group) == 1:
+        return None, set()
+    idx = np.arange(1 << n, dtype=np.int64)
+    rep = idx.copy()
+    chi = np.ones(idx.size)
+    for g, c in group.items():  # rep = min over the orbit, chi = chi(b ^ rep)
+        other = idx ^ g
+        lower = other < rep
+        rep[lower] = other[lower]
+        chi[lower] = c
+    is_rep = rep == idx
+    col = (np.cumsum(is_rep) - 1)[rep]
+    scale = math.sqrt(len(group))
+    P = sp.csr_matrix(
+        (chi / scale, col, np.arange(idx.size + 1)), shape=(idx.size, idx.size // len(group))
+    )
+    return (P, np.flatnonzero(is_rep), scale), joined
+
+
+def _lowest_levels(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenpairs from Lanczos, enough to hold the whole ground multiplet.
+
+    Asks for k = 2 levels and doubles k while the highest returned level is
+    still within ``POLICY.degeneracy_tol`` of E0, capped at dim - 1.
+    """
+    dim = mat.shape[0]
+    v0 = _deterministic_start(dim)
+    k = min(2, dim - 1)
+    while True:
+        try:
+            evals, evecs = spla.eigsh(mat, k=k, which="SA", v0=v0)
+        except spla.ArpackNoConvergence as exc:  # pragma: no cover
+            raise EigensolverError(f"Lanczos failed to converge: {exc}") from exc
+        order = np.argsort(evals)
+        evals, evecs = evals[order], evecs[:, order]
+        if k == dim - 1 or evals[-1] - evals[0] >= POLICY.degeneracy_tol:
+            return evals, evecs
+        k = min(2 * k, dim - 1)
+
+
 def ground_state(
     H: PauliOperator,
     sector: list[tuple[str, object, float]] | None = None,
@@ -187,52 +274,69 @@ def ground_state(
 ) -> GroundSolution:
     """Lowest-energy state of a Hermitian Pauli sum.
 
-    ``basis`` is a sorted array of basis indices the solve is restricted to
-    (``None``: the whole register); the matrix is ``H.to_sparse()`` on those
-    rows and columns.  Dense diagonalization up to 2^10 restricted states,
-    Lanczos above: a real Hamiltonian (Ising, XXZ, Rydberg) gives a float64
-    matrix and runs the real-symmetric solvers; a complex one keeps the
-    complex Hermitian path.  The ground multiplet (levels within
-    ``POLICY.degeneracy_tol``) is embedded into the full register, so the
-    state is a full-register vector whatever the basis.
+    The solve runs on P^T H P for an isometry P out of the full register
+    (``H.to_sparse()``), and the state comes back as P v, a full-register
+    vector whatever P is:
 
-    ``sector`` lists (label, symmetry operator, wanted eigenvalue) triples;
-    a multiplet is resolved to the requested eigenvalues in that order, and
+    * with ``basis``, a sorted array of basis indices (the hard Rydberg
+      blockade of ``solve_rydberg_blockaded``), P selects those states;
+    * without it, on a register above 2^10 states, P spans the sector block
+      of the flip group the X-string ``sector`` entries generate (see
+      ``_flip_block``): the product-of-X parity of the Ising chain, the two
+      chain parities of the cluster ladder;
+    * otherwise there is no P: the whole register.
+
+    Up to 2^10 states (of the register, or of ``basis``) the solve is dense
+    ``eigh``; above, Lanczos on the restricted matrix, asking for two levels
+    and for twice as many while all of them sit within
+    ``POLICY.degeneracy_tol`` of E0.  A real Hamiltonian (Ising, XXZ,
+    Rydberg) gives a float64 matrix and runs the real-symmetric solvers; a
+    complex one keeps the complex Hermitian path.  The ground multiplet is
+    the levels within ``POLICY.degeneracy_tol`` of E0.
+
+    ``sector`` lists (label, symmetry operator, wanted eigenvalue) triples.
+    The entries outside the block (those that are not X-strings, such as a
+    translation, and every entry of a dense solve) resolve the multiplet
+    after the solve, to the requested eigenvalues in that order.
     ``sector_labels[label]`` records Re<op> of the returned state.  ``gap``
-    is E1 - E0 of the diagonalized matrix, the splitting inside the multiplet
-    when it has several members.
+    is E1 - E0 of the matrix that was diagonalized: in-sector when the block
+    was used, the splitting inside the multiplet when it has several
+    members.  The residual is checked against that matrix.
     """
     if not H.is_hermitian:
         raise ValueError("ground_state requires a Hermitian Hamiltonian")
     n = H.n_qubits
-    mat = H.to_sparse()
+    sector = list(sector or ())
+    lanczos = (1 << n if basis is None else basis.size) > 1024
+    # (P, rows, scale): P^T v == scale * v[rows] for every v in the range of P
+    restriction, joined = None, set()
     if basis is not None:
-        mat = mat[np.ix_(basis, basis)]
-    dim = mat.shape[0]
-    if dim <= 1024:
+        restriction = _selection(n, basis)
+    elif lanczos:
+        restriction, joined = _flip_block(H, sector)
+    mat = H.to_sparse()
+    if restriction is not None:
+        P, rows, scale = restriction
+        # P^T H P = scale * H[rows] P: a selection reads its rows from any
+        # vector, and H maps a flip block into itself
+        mat = scale * (mat[rows] @ P)
+    if lanczos:
+        evals, evecs = _lowest_levels(mat)
+    else:
         dense = mat.toarray()
         if np.iscomplexobj(dense) and np.max(np.abs(dense.imag)) < 1e-14:
             dense = dense.real
         evals, evecs = np.linalg.eigh(dense)
-    else:
-        try:  # eight levels show a near-degenerate ground multiplet and its gap
-            evals, evecs = spla.eigsh(mat, k=8, which="SA", v0=_deterministic_start(dim))
-        except spla.ArpackNoConvergence as exc:  # pragma: no cover
-            raise EigensolverError(f"Lanczos failed to converge: {exc}") from exc
-        order = np.argsort(evals)
-        evals, evecs = evals[order], evecs[:, order]
 
     e0 = float(evals[0])
     gap = float(evals[1] - e0) if evals.size > 1 else math.nan
     multiplet = evecs[:, evals - e0 < POLICY.degeneracy_tol]
-    if basis is None:
-        full = multiplet.astype(np.complex128)
-    else:
-        full = np.zeros((1 << n, multiplet.shape[1]), dtype=np.complex128)
-        full[basis] = multiplet
-    for _, op, want in sector or ():
+    full = (multiplet if restriction is None else P @ multiplet).astype(np.complex128)
+    for i, (_, op, want) in enumerate(sector):
         if full.shape[1] == 1:
             break
+        if i in joined:
+            continue
         block = full.conj().T @ (op @ full)
         w, u = np.linalg.eigh(0.5 * (block + block.conj().T))
         pick = np.where(np.abs(w - want) < 1e-6)[0]
@@ -241,9 +345,9 @@ def ground_state(
         full = full @ u[:, pick]
     state = dephase_normalize(full[:, 0], n)
 
-    amps = state.amplitudes if basis is None else state.amplitudes[basis]
+    amps = state.amplitudes if restriction is None else scale * state.amplitudes[rows]
     _check_residual(mat, amps, e0)
-    labels = {label: expectation(state, op).real for label, op, _ in sector or ()}
+    labels = {label: expectation(state, op).real for label, op, _ in sector}
     return GroundSolution(energy=e0, state=state, gap=gap, sector_labels=labels)
 
 

@@ -451,9 +451,6 @@ def _channel_sweep_check(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"channel: site_mask sites {outside} are outside the {min(cfg.L_list)}-site chain"
         )
-    repeated = sorted({j for j in mask if mask.count(j) > 1})
-    if repeated:  # a repeat would apply the channel to that site again
-        raise ConfigError(f"channel: site_mask may name each site once; repeated: {repeated}")
     if "critical_afm" in cfg.probes:
         _check_even("L_list", cfg.L_list)
     _check_cap("L_list", max(cfg.L_list), dense=True)

@@ -89,3 +89,26 @@ def diagonal_imprint(rho, diag, theta):
     """U rho U^dagger for U = e^{i theta D}, D = diag(diag), entry by entry."""
     u = np.exp(1j * theta * diag)
     return rho * np.outer(u, u.conj())
+
+
+def sector_ground_space(H, flips, levels=8, degeneracy_tol=1e-8):
+    """Lowest level of the dense Hermitian H that reaches the joint eigenspace
+    of X-strings, and an orthonormal basis of that level projected onto it.
+
+    ``flips`` lists (I/X letter string, eigenvalue +-1) pairs.  Each string
+    acts as the permutation b -> b ^ mask (site 0 the most significant bit);
+    the projector prod (I + eigenvalue X)/2 is applied to the lowest
+    ``levels`` dense eigenvectors, and the first level whose eigenvectors
+    keep any weight is the sector ground level."""
+    import scipy.linalg as sla
+
+    w, v = sla.eigh(H, subset_by_index=[0, levels - 1])
+    idx = np.arange(H.shape[0])
+    for word, want in flips:
+        mask = int(word.translate(str.maketrans("IX", "01")), 2)
+        v = 0.5 * (v + want * v[idx ^ mask])
+    for e in w:
+        u, s, _ = np.linalg.svd(v[:, np.abs(w - e) < degeneracy_tol], full_matrices=False)
+        if s[0] > 1e-6:
+            return float(e), u[:, s > 1e-6]
+    raise ValueError(f"none of the lowest {levels} levels reaches the sector")

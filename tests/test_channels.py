@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ def test_channel_spec_from_dict_refuses_what_it_would_drop():
         ChannelSpec.from_dict({"p": 0.1})
     with pytest.raises(TypeError, match="must be an object"):
         ChannelSpec.from_dict([1])
+
+
+@pytest.mark.parametrize("mask, repeated", [((0, 0), "[0]"), ((2, 0, 3, 2), "[2]")])
+def test_channel_spec_refuses_a_repeated_site(mask, repeated):
+    # a repeat would apply the channel to that site once per entry
+    message = re.escape(f"site_mask may name each site once; repeated: {repeated}")
+    with pytest.raises(ValueError, match=message):
+        ChannelSpec(kind="bitflip_x", p=0.1, site_mask=mask)
+    with pytest.raises(ValueError, match=message):
+        ChannelSpec.from_dict({"kind": "zz", "p": 0.1, "site_mask": list(mask)})
 
 
 def test_kraus_completeness():

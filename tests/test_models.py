@@ -30,7 +30,7 @@ from critsense.qcore import collective_spin, parity_x_operator, pauli_word, stag
 from critsense.symmetry import build_symmetry
 
 from conftest import sum_z
-from oracles import ground_vec, rydberg_blockade_dense, xxz_dense
+from oracles import ground_vec, rydberg_blockade_dense, sector_ground_space, xxz_dense
 
 
 def test_tfim_l2_merged_bond():
@@ -325,14 +325,15 @@ _GROUND_CASES = {
 
 @pytest.fixture()
 def eigsh_spy(monkeypatch):
+    """(dtype, dim, k) of every ``eigsh`` call, in order."""
     import scipy.sparse.linalg as spla
 
     seen = []
     real_eigsh = spla.eigsh
 
-    def spy(A, *args, **kwargs):
-        seen.append(A.dtype)
-        return real_eigsh(A, *args, **kwargs)
+    def spy(A, k=6, *args, **kwargs):
+        seen.append((A.dtype, A.shape[0], k))
+        return real_eigsh(A, k, *args, **kwargs)
 
     monkeypatch.setattr(spla, "eigsh", spy)
     return seen
@@ -347,7 +348,9 @@ def test_lanczos_ground_state_matches_dense_eigh(eigsh_spy, n, name):
 
     H = _GROUND_CASES[name](n)
     sol = ground_state(H)
-    assert eigsh_spy == [np.float64 if name != "dm_complex" else np.complex128]
+    # one call per k; the XXZ doublet at odd n takes k = 2, then k = 4
+    dtype = np.float64 if name != "dm_complex" else np.complex128
+    assert eigsh_spy and all(seen == dtype for seen, _, _ in eigsh_spy)
     w, v = sla.eigh(to_matrix(H), subset_by_index=[0, 3])
     assert abs(sol.energy - w[0]) < 1e-10
     # weight of the returned state in the dense ground space (XXZ at odd n
@@ -355,6 +358,73 @@ def test_lanczos_ground_state_matches_dense_eigh(eigsh_spy, n, name):
     ground = v[:, w - w[0] < 1e-8]
     weight = float(np.sum(np.abs(ground.conj().T @ sol.state.amplitudes) ** 2))
     assert weight > 1.0 - 1e-10
+
+
+# -- sector-block Lanczos ------------------------------------------------
+
+def _ladder_parities(rungs):
+    n = 2 * rungs
+    return [
+        pauli_word(n, {ladder_site(j, y, rungs): "X" for j in range(1, rungs + 1)})
+        for y in (1, 2)
+    ]
+
+
+_SECTOR_CASES = {
+    "fm_periodic": ModelSpec(kind="tfim", L=11),
+    "fm_open": ModelSpec(kind="tfim", L=11, boundary="open"),
+    "afm_periodic": ModelSpec(kind="tfim", L=11, J=-1.0),
+    "afm_open": ModelSpec(kind="tfim", L=11, J=-1.0, boundary="open"),
+    "ordered": ModelSpec(kind="tfim", L=11, h=0.2),   # doublet split across the sectors
+    "ladder": ModelSpec(kind="cluster_ladder", L=6),  # Z2 x Z2 of the chain parities
+}
+
+
+@pytest.mark.parametrize("name", list(_SECTOR_CASES))
+def test_sector_block_matches_projected_dense_ground_space(eigsh_spy, name):
+    spec = _SECTOR_CASES[name]
+    n = spec.n_qubits
+    words = _ladder_parities(spec.L) if spec.kind == "cluster_ladder" else ["X" * n]
+    sol = solve_model(spec)
+    # Lanczos ran on the sector block only, never on the full register
+    assert eigsh_spy and {dim for _, dim, _ in eigsh_spy} == {1 << (n - len(words))}
+    e0, space = sector_ground_space(to_matrix(build_hamiltonian(spec)), [(w, 1.0) for w in words])
+    assert abs(sol.energy - e0) < 1e-10
+    weight = float(np.sum(np.abs(space.conj().T @ sol.state.amplitudes) ** 2))
+    assert weight > 1.0 - 1e-10
+    parities = [v for label, v in sol.sector_labels.items() if label.startswith("parity")]
+    assert len(parities) == len(words)
+    assert all(abs(v - 1.0) < 1e-10 for v in parities)
+
+
+def test_non_commuting_parity_falls_back_to_full_register(eigsh_spy):
+    # a longitudinal field on site 0 anticommutes with the product-of-X parity
+    n = 11
+    H = build_hamiltonian(ModelSpec(kind="tfim", L=n), extra_terms=[(-0.3, pauli_word(n, {0: "Z"}))])
+    sol = ground_state(H, sector=[("parity_x", parity_x_operator(n), +1.0)])
+    assert eigsh_spy and {dim for _, dim, _ in eigsh_spy} == {1 << n}
+    e0, space = sector_ground_space(to_matrix(H), [])
+    assert abs(sol.energy - e0) < 1e-10
+    assert abs(np.vdot(space[:, 0], sol.state.amplitudes)) ** 2 > 1.0 - 1e-10
+    assert sol.sector_labels["parity_x"] < 1.0 - 1e-3  # the field mixes the sectors
+
+
+def test_lanczos_grows_k_until_the_multiplet_is_resolved(eigsh_spy):
+    import scipy.linalg as sla
+
+    n = 11
+    H = build_hamiltonian(ModelSpec(kind="tfim", L=n, h=0.1))
+    w, v = sla.eigh(to_matrix(H), subset_by_index=[0, 3])
+    assert w[1] - w[0] < POLICY.degeneracy_tol < w[2] - w[0]
+    sol = ground_state(H)
+    assert eigsh_spy == [(np.float64, 1 << n, 2), (np.float64, 1 << n, 4)]
+    assert abs(sol.gap - (w[1] - w[0])) < 1e-10
+    doublet = v[:, :2]
+    assert float(np.sum(np.abs(doublet.conj().T @ sol.state.amplitudes) ** 2)) > 1.0 - 1e-10
+    # both members came back: a sector outside the block resolves the doublet
+    parity = build_symmetry("parity_x", n)
+    resolved = ground_state(H, sector=[("parity", parity, -1.0)])
+    assert abs(resolved.sector_labels["parity"] + 1.0) < 1e-8
 
 
 @pytest.mark.parametrize("name", ["tfim_afm", "dm_complex"])
