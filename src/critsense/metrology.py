@@ -69,28 +69,54 @@ def qfi_pure(state: PureState, gen: PauliOperator) -> float:
 
 def qfi_mixed(rho: MixedState, gen: PauliOperator) -> QfiReport:
     """Spectral QFI: 2 sum_{li+lj>cutoff} (li-lj)^2/(li+lj) |<i|O|j>|^2, with
-    ``POLICY.spectral_cutoff``."""
+    ``POLICY.spectral_cutoff``.
+
+    The sum runs over the block pairs of ``rho.sector_spectrum()`` whose
+    block of O is non-zero (see ``_block_pairs``): for a parity-symmetric
+    rho and Sum Z, the + block with the - block only.
+    """
     cutoff = POLICY.spectral_cutoff
-    w, v = rho.spectrum()
-    w = np.clip(w, 0.0, None)
-    m = _generator_elements(gen, v)
-    li = w[:, None]
-    lj = w[None, :]
-    ssum = li + lj
-    weights = np.divide(
-        (li - lj) ** 2, ssum, out=np.zeros_like(ssum), where=ssum > cutoff
-    )
-    value = 2.0 * float(np.sum(weights * np.abs(m) ** 2))
+    total = 0.0
+    for wa, wb, m, mult in _block_pairs(rho, gen):
+        li = wa[:, None]
+        lj = wb[None, :]
+        ssum = li + lj
+        weights = np.divide(
+            (li - lj) ** 2, ssum, out=np.zeros_like(ssum), where=ssum > cutoff
+        )
+        total += mult * np.sum(weights * np.abs(m) ** 2)
+    value = 2.0 * float(total)
     return QfiReport(value=value, method="mixed_spectral", spectral_cutoff_used=cutoff)
 
 
-def _generator_elements(gen: PauliOperator, v: np.ndarray) -> np.ndarray:
-    """<i|gen|j> between the eigenvector columns of ``v``.
+def _block_pairs(rho: MixedState, gen: PauliOperator):
+    """(w_a, w_b, <i|gen|j>, multiplicity) per block pair (a, b), a <= b,
+    whose block of ``gen`` is non-zero; eigenvalues clipped at 0.
 
-    A real generator keeps real eigenvectors real; a diagonal one scales the
-    rows of ``v`` with a single dim^2 temporary.
+    The whole register (one block, P = I) applies ``gen`` itself to the
+    eigenvectors.  Parity blocks read P_a^T G P_b from ``gen.to_sparse()``.
+    A term with an odd count of Z/Y letters anticommutes with the product
+    of X and maps one block into the other; an even count keeps each block.
+    So Sum Z and the staggered Z pair + with - only, Sum X pairs each block
+    with itself, and a generator with both kinds of terms pairs both ways.
+    A pair a < b stands for (b, a) too: multiplicity 2, as every sum over it
+    is symmetric in i and j.
     """
-    return v.conj().T @ (gen @ v)
+    blocks = rho.sector_spectrum()
+    w = [np.clip(block.values, 0.0, None) for block in blocks]
+    if blocks[0].isometry is None:
+        v = blocks[0].vectors
+        yield w[0], w[0], v.conj().T @ (gen @ v), 1
+        return
+    parities = {sum(c in "ZY" for c in word) % 2 for _, word in gen.terms}
+    G = gen.to_sparse()
+    for a in range(len(blocks)):
+        for b in range(a, len(blocks)):
+            if int(a != b) not in parities:
+                continue
+            g_ab = blocks[a].isometry.T @ G @ blocks[b].isometry
+            m = blocks[a].vectors.conj().T @ (g_ab @ blocks[b].vectors)
+            yield w[a], w[b], m, 1 if a == b else 2
 
 
 def sld(rho_theta: MixedState, drho: np.ndarray) -> np.ndarray:
@@ -289,25 +315,31 @@ def fn_sequence(rho: MixedState, gen: PauliOperator, n_max: int) -> np.ndarray:
     """Monotone lower-bound sequence F_0..F_n for the mixed-state QFI.
 
     F_n = 2 sum_{ij} (li-lj)^2 [sum_{l=0}^{n} (1-li-lj)^l] |<i|O|j>|^2; the
-    series telescopes to the spectral QFI as n grows.
+    series telescopes to the spectral QFI as n grows.  The sum runs over the
+    same block pairs as ``qfi_mixed``.  Every pair of distinct eigenvalues,
+    inside a block or across two, must sum to at most 1 + ``POLICY.trace_tol``
+    (ValueError otherwise); the largest such sum is that of the two largest.
     """
-    w, v = rho.spectrum()
-    w = np.clip(w, 0.0, None)
-    ssum = w[:, None] + w[None, :]
-    off = ~np.eye(w.size, dtype=bool)
-    if np.any(ssum[off] > 1.0 + 1e-10):
-        raise ValueError("distinct eigenvalue pair sums exceed 1; invalid density matrix")
-    m2 = np.abs(_generator_elements(gen, v)) ** 2
-    diff2 = (w[:, None] - w[None, :]) ** 2
-    base = np.clip(1.0 - ssum, 0.0, 1.0)
-    out = np.empty(n_max + 1)
-    power = np.ones_like(base)
-    acc = np.zeros_like(base)
-    for l in range(n_max + 1):
-        acc = acc + power
-        out[l] = 2.0 * float(np.sum(diff2 * acc * m2))
-        power = power * base
-    return out
+    w = np.sort(np.concatenate([b.values for b in rho.sector_spectrum()]))
+    top = float(np.clip(w[-2:], 0.0, None).sum())
+    if top > 1.0 + POLICY.trace_tol:
+        raise ValueError(
+            f"invalid density matrix: a distinct eigenvalue pair sums to {top!r}, over "
+            f"1 + trace_tol ({POLICY.trace_tol:g}) by {top - 1.0 - POLICY.trace_tol:.3e}"
+        )
+    out = np.zeros(n_max + 1)
+    for wa, wb, m, mult in _block_pairs(rho, gen):
+        ssum = wa[:, None] + wb[None, :]
+        m2 = np.abs(m) ** 2
+        diff2 = (wa[:, None] - wb[None, :]) ** 2
+        base = np.clip(1.0 - ssum, 0.0, 1.0)
+        power = np.ones_like(base)
+        acc = np.zeros_like(base)
+        for l in range(n_max + 1):
+            acc = acc + power
+            out[l] += mult * np.sum(diff2 * acc * m2)
+            power = power * base
+    return 2.0 * out
 
 
 def d2(rho: MixedState, gen: PauliOperator) -> float:

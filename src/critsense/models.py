@@ -20,6 +20,7 @@ from .qcore import (
     _SIGN_LETTERS,
     PauliOperator,
     PureState,
+    _orbit_isometry,
     collective_spin,
     dephase_normalize,
     expectation,
@@ -200,10 +201,10 @@ def _flip_block(
     a Pauli term commutes with the string when it has an even count of Z/Y
     letters on the string's sites.  A group element g (an XOR of the joined
     masks) carries the character chi(g), the product of their eigenvalues.
-    The column of orbit representative s is sum_g chi(g)|s ^ g> / sqrt(|G|);
-    the action is free, so every orbit gives one column.  Returns
-    ``(P, reps, sqrt(|G|))`` (``None`` when no entry joins) and the indices
-    of the joined entries.  The group stops short of a single orbit.
+    The isometry is ``qcore._orbit_isometry`` of that group: one column
+    sum_g chi(g)|s ^ g> / sqrt(|G|) per orbit.  Returns ``(P, reps,
+    sqrt(|G|))`` (``None`` when no entry joins) and the indices of the joined
+    entries.  The group stops short of a single orbit.
     """
     n = H.n_qubits
     # sign masks: Z/Y letters of each term, bit n - 1 - j for site j
@@ -229,21 +230,7 @@ def _flip_block(
         joined.add(i)
     if len(group) == 1:
         return None, set()
-    idx = np.arange(1 << n, dtype=np.int64)
-    rep = idx.copy()
-    chi = np.ones(idx.size)
-    for g, c in group.items():  # rep = min over the orbit, chi = chi(b ^ rep)
-        other = idx ^ g
-        lower = other < rep
-        rep[lower] = other[lower]
-        chi[lower] = c
-    is_rep = rep == idx
-    col = (np.cumsum(is_rep) - 1)[rep]
-    scale = math.sqrt(len(group))
-    P = sp.csr_matrix(
-        (chi / scale, col, np.arange(idx.size + 1)), shape=(idx.size, idx.size // len(group))
-    )
-    return (P, np.flatnonzero(is_rep), scale), joined
+    return _orbit_isometry(n, group), joined
 
 
 def _lowest_levels(mat) -> tuple[np.ndarray, np.ndarray]:

@@ -38,15 +38,26 @@ complex128, so real probes and real channels run in real arithmetic end to
 end; an operation whose own factors are complex (a phase imprint, say)
 returns complex128.
 
+A density matrix that commutes with the product-of-X parity X (to
+``herm_tol`` in max |rho - X rho X|) is diagonalized in its two parity
+blocks P_+-^T rho P_+- of 2^(n-1) states each, with P_+- the orbit
+isometries (|s> +- |s ^ 1...1>)/sqrt(2) of ``_orbit_isometry``, the builder
+the sector-block ground solves of ``models`` use too.  Any other matrix is
+one whole-register block, the full ``eigh``.  The spectral kernels of
+``metrology`` read the blocks; ``spectrum()`` embeds them in the register.
+
 All operations are pure functions of immutable inputs and safe for
 concurrent read-only use.  The internal mutable state is lazy caches: the
-spectral cache on MixedState, which should be populated once (call
-``spectrum()``) before sharing across threads, and the grouped form,
-diagonal and phase table of a PauliOperator, which two threads may at worst
-both build.
+spectral cache on MixedState, which holds the sector blocks and, once
+``spectrum()`` asks for it, their full-register embedding, and which should
+be populated once (call ``sector_spectrum()``, or ``spectrum()`` when the
+embedded form is read too) before sharing across threads; and the grouped
+form, diagonal and phase table of a PauliOperator, which two threads may at
+worst both build.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
@@ -123,6 +134,33 @@ def staggered_z(L: int) -> PauliOperator:
 def parity_x_operator(n: int) -> PauliOperator:
     """The product-of-X parity X^(x n)."""
     return PauliOperator(n, [(1.0, "X" * n)])
+
+
+def _orbit_isometry(n_qubits: int, group: dict[int, float]) -> tuple[sp.csr_matrix, np.ndarray, float]:
+    """Orbit isometry of a group of X-string flips with a +-1 character.
+
+    ``group`` maps each element, an XOR mask on the basis index, to its
+    character chi(g) (the identity 0 maps to 1).  The action b -> b ^ g is
+    free, so every orbit gives one column, sum_g chi(g)|s ^ g> / sqrt(|G|)
+    with s the orbit minimum (Sandvik, AIP Conf. Proc. 1297, 135 (2010),
+    section 4).  Returns ``(P, reps, sqrt(|G|))``: the (2^n, 2^n / |G|) CSR
+    isometry and the sorted orbit minima, one per column.
+    """
+    idx = np.arange(1 << n_qubits, dtype=np.int64)
+    rep = idx.copy()
+    chi = np.ones(idx.size)
+    for g, c in group.items():  # rep = min over the orbit, chi = chi(b ^ rep)
+        other = idx ^ g
+        lower = other < rep
+        rep[lower] = other[lower]
+        chi[lower] = c
+    is_rep = rep == idx
+    col = (np.cumsum(is_rep) - 1)[rep]
+    scale = math.sqrt(len(group))
+    P = sp.csr_matrix(
+        (chi / scale, col, np.arange(idx.size + 1)), shape=(idx.size, idx.size // len(group))
+    )
+    return P, np.flatnonzero(is_rep), scale
 
 
 class _Grouped(NamedTuple):
@@ -427,16 +465,50 @@ class PureState:
         return cls(n_qubits, amp)
 
 
+def _parity_symmetric(mat: np.ndarray) -> bool:
+    """max |mat - X mat X| <= ``POLICY.herm_tol`` for X the product of X.
+
+    X flips every bit of the index, so X mat X is ``mat[::-1, ::-1]``.  The
+    deviation D obeys X D X = -D, so the upper half of the rows holds its
+    maximum; they are read in row tiles, and the first tile over the
+    tolerance ends the check.
+    """
+    flipped = mat[::-1, ::-1]
+    half = mat.shape[0] // 2
+    return all(
+        np.max(np.abs(mat[i:i + _HERM_TILE] - flipped[i:i + _HERM_TILE])) <= POLICY.herm_tol
+        for i in range(0, half, _HERM_TILE)
+    )
+
+
+class SectorBlock(NamedTuple):
+    """Eigenpairs of one symmetry block P^T rho P of a density matrix.
+
+    ``isometry`` is the (2^n, d) CSR matrix P, or None for the whole
+    register (P = I); ``values`` ascend, and the columns of ``vectors`` are
+    the eigenvectors in the block, so rho P v = w P v for each pair.
+    """
+
+    isometry: sp.csr_matrix | None
+    values: np.ndarray
+    vectors: np.ndarray
+
+
 @dataclass
 class MixedState:
     """Hermitian, PSD, unit-trace matrix with a lazily cached spectral decomposition.
 
     The matrix is stored as float64 when it is real and as complex128
     otherwise (real in, real out; complex only when the data is).
+
+    The cache holds the sector spectrum (``sector_spectrum``): two parity
+    blocks when rho commutes with the product of X, else the whole register.
+    ``spectrum()`` embeds it in the full register, once, on demand.
     """
 
     n_qubits: int
     matrix: np.ndarray
+    _blocks: tuple[SectorBlock, ...] | None = field(default=None, repr=False, compare=False)
     _spectrum: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
@@ -467,22 +539,66 @@ class MixedState:
             amp = amp.real
         return cls(state.n_qubits, np.outer(amp, amp.conj()))
 
-    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (ascending) and eigenvector columns; cached after first call.
+    def sector_spectrum(self) -> tuple[SectorBlock, ...]:
+        """Eigenpairs of rho, one ``SectorBlock`` per symmetry sector; cached.
 
-        Uses the real-symmetric solver, and returns real eigenvectors, when
-        the matrix is real-valued, which is substantially faster at the
-        largest register sizes.
+        When rho commutes with X = prod X, to ``POLICY.herm_tol`` in
+        max |rho - X rho X|, the two parity blocks P_+-^T rho P_+- of
+        2^(n-1) states are diagonalized, with P_+- the orbit isometries
+        (|s> +- |s ^ 1...1>)/sqrt(2) of ``_orbit_isometry``.  Otherwise one
+        block spans the whole register (P = I): one full ``eigh``.  A
+        spectrum carried over by a phase imprint is such a block too.  The
+        real-symmetric solver runs when the matrix is real-valued.  A block
+        eigenvalue below -``POLICY.psd_tol`` raises ValueError naming the
+        minimum eigenvalue.
+        """
+        if self._blocks is None:
+            if self._spectrum is not None:
+                self._blocks = (SectorBlock(None, *self._spectrum),)
+            else:
+                self._blocks = self._diagonalize()
+        return self._blocks
+
+    def _diagonalize(self) -> tuple[SectorBlock, ...]:
+        mat = self.matrix
+        if np.iscomplexobj(mat) and np.max(np.abs(mat.imag)) < 1e-14:
+            mat = mat.real
+        isometries = [None]
+        if _parity_symmetric(mat):
+            flip = (1 << self.n_qubits) - 1
+            isometries = [_orbit_isometry(self.n_qubits, {0: 1.0, flip: chi})[0]
+                          for chi in (1.0, -1.0)]
+        blocks = []
+        for P in isometries:
+            w, v = np.linalg.eigh(mat if P is None else P.T @ mat @ P)
+            blocks.append(SectorBlock(P, w, v))
+        low = min(b.values.min() for b in blocks)
+        if low < -POLICY.psd_tol:
+            raise ValueError(f"matrix not PSD: min eigenvalue {low:.3e}")
+        return tuple(blocks)
+
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and full-register eigenvector columns; cached.
+
+        The sector spectrum embedded in the register: each block's
+        eigenvectors as P v, the blocks merged by eigenvalue (a stable sort,
+        so ties keep the + block first).  With one whole-register block this
+        is that block itself.  Real-valued matrices give real eigenvectors.
         """
         if self._spectrum is None:
-            mat = self.matrix
-            if not np.iscomplexobj(mat) or np.max(np.abs(mat.imag)) < 1e-14:
-                w, v = np.linalg.eigh(mat.real)
+            blocks = self.sector_spectrum()
+            if blocks[0].isometry is None:
+                self._spectrum = (blocks[0].values, blocks[0].vectors)
             else:
-                w, v = np.linalg.eigh(mat)
-            if w.min() < -POLICY.psd_tol:
-                raise ValueError(f"matrix not PSD: min eigenvalue {w.min():.3e}")
-            self._spectrum = (w, v)
+                w = np.concatenate([b.values for b in blocks])
+                order = np.argsort(w, kind="stable")
+                column = np.argsort(order)  # merged position of each block eigenpair
+                v = np.empty((w.size, w.size), dtype=np.result_type(*(b.vectors for b in blocks)))
+                start = 0
+                for b in blocks:
+                    v[:, column[start:start + b.values.size]] = b.isometry @ b.vectors
+                    start += b.values.size
+                self._spectrum = (w[order], v)
         return self._spectrum
 
 
@@ -588,7 +704,7 @@ def _imprint_mixed(rho: MixedState, gen: PauliOperator, theta: float) -> MixedSt
         w, vv = np.linalg.eigh(to_matrix(gen))
         uu = (vv * np.exp(1j * theta * w)) @ vv.conj().T
         out = MixedState(rho.n_qubits, uu @ rho.matrix @ uu.conj().T)
-    if rho._spectrum is not None:
+    if rho._spectrum is not None:  # the full-register form only: an imprint breaks the parity
         lam, v = rho._spectrum
         out._spectrum = (lam, u[:, None] * v if diagonal else uu @ v)
     return out

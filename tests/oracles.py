@@ -112,3 +112,33 @@ def sector_ground_space(H, flips, levels=8, degeneracy_tol=1e-8):
         if s[0] > 1e-6:
             return float(e), u[:, s > 1e-6]
     raise ValueError(f"none of the lowest {levels} levels reaches the sector")
+
+
+def spectral_qfi_and_fn(w, v, gen, n_max, cutoff):
+    """Spectral QFI and F_0..F_n as one sum over the whole register.
+
+    ``w, v`` are an eigendecomposition of rho; ``gen`` is any operator with
+    ``gen @ v`` (a dense or sparse matrix, or the library's operator).  With
+    O_ij = <i|gen|j> and clipped eigenvalues,
+    QFI = 2 sum_{li+lj>cutoff} (li-lj)^2/(li+lj) |O_ij|^2 and
+    F_n = 2 sum (li-lj)^2 [sum_{l<=n} (1-li-lj)^l] |O_ij|^2.  The operations
+    follow the full-register path the parity blocks replace, in its order,
+    so that path reproduces both bit for bit.
+    """
+    w = np.clip(w, 0.0, None)
+    m2 = np.abs(v.conj().T @ (gen @ v)) ** 2
+    li = w[:, None]
+    lj = w[None, :]
+    ssum = li + lj
+    weights = np.divide((li - lj) ** 2, ssum, out=np.zeros_like(ssum), where=ssum > cutoff)
+    qfi = 2.0 * float(np.sum(weights * m2))
+    diff2 = (li - lj) ** 2
+    base = np.clip(1.0 - ssum, 0.0, 1.0)
+    fn = np.empty(n_max + 1)
+    power = np.ones_like(base)
+    acc = np.zeros_like(base)
+    for l in range(n_max + 1):
+        acc = acc + power
+        fn[l] = 2.0 * float(np.sum(diff2 * acc * m2))
+        power = power * base
+    return qfi, fn

@@ -1,5 +1,7 @@
+import contextlib
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,10 +33,11 @@ from critsense.channels import ChannelSpec, apply_channel, in_plane_spin
 from critsense.metrology import precision_curve
 from critsense.models import ModelSpec, solve_model
 from critsense.policy import POLICY
+from critsense.qcore import collective_spin
 from critsense.symmetry import build_symmetry
 
 from conftest import staggered_z, sum_z
-from oracles import X as XM, Y as YM, kron_op, sum_z_dense
+from oracles import X as XM, Y as YM, kron_op, spectral_qfi_and_fn, sum_z_dense
 
 
 def random_mixed(rng, n, rank=None):
@@ -74,19 +77,6 @@ def test_qfi_mixed_bitflip_frozen_value():
     assert abs(qfi_mixed(rho, sum_z(2)).value - 10.0) < 1e-8
 
 
-def spectral_qfi_and_fn(w, v, gen_matrix, n_max):
-    """QFI and F_0..F_n from an eigendecomposition and a generator matrix."""
-    w = np.clip(w, 0.0, None)
-    m2 = np.abs(v.conj().T @ (gen_matrix @ v)) ** 2
-    ssum = w[:, None] + w[None, :]
-    diff2 = (w[:, None] - w[None, :]) ** 2
-    keep = ssum > POLICY.spectral_cutoff
-    qfi = 2.0 * np.sum(diff2[keep] / ssum[keep] * m2[keep])
-    base = np.clip(1.0 - ssum, 0.0, 1.0)
-    fn = [2.0 * np.sum(diff2 * sum(base**k for k in range(n + 1)) * m2) for n in range(n_max + 1)]
-    return qfi, np.array(fn)
-
-
 @pytest.mark.parametrize("real", [True, False], ids=["real_rho", "complex_rho"])
 @pytest.mark.parametrize("L", [3, 4])
 def test_generator_kernel_matches_sparse_route_and_oracle(rng, L, real):
@@ -107,9 +97,153 @@ def test_generator_kernel_matches_sparse_route_and_oracle(rng, L, real):
         got_f = fn_sequence(rho, gen, 6)
         # the generic sparse route on the same eigenvectors, and a dense oracle
         for ref_w, ref_v, mat in ((w, v, gen.to_sparse()), (oracle_w, oracle_v, dense)):
-            ref_q, ref_f = spectral_qfi_and_fn(ref_w, ref_v, mat, 6)
+            ref_q, ref_f = spectral_qfi_and_fn(ref_w, ref_v, mat, 6, POLICY.spectral_cutoff)
             assert abs(got_q - ref_q) < 1e-10 * max(1.0, ref_q)
             assert np.max(np.abs(got_f - ref_f)) < 1e-10 * max(1.0, ref_q)
+
+
+# -- parity blocks against the whole-register oracle -----------------------
+
+PARITY_GENERATORS = {  # by their terms' Z/Y-letter parity: odd, odd, even, both
+    "sum_z": sum_z,
+    "staggered_z": staggered_z,
+    "sum_x": lambda n: collective_spin(n, "X", half=False),
+    "z0_plus_z0z1": lambda n: PauliOperator(n, [(1.0, "Z" + "I" * (n - 1)),
+                                                (1.0, "ZZ" + "I" * (n - 2))]),
+}
+
+
+def parity_symmetric_rho(rng, n, rank, real):
+    """(sigma + X sigma X)/2 for a random rank-``rank`` state sigma, X = prod X."""
+    dim = 1 << n
+    g = rng.standard_normal((dim, rank))
+    if not real:
+        g = g + 1j * rng.standard_normal((dim, rank))
+    sigma = g @ g.conj().T
+    rho = 0.5 * (sigma + sigma[::-1, ::-1])
+    return rho / np.trace(rho).real
+
+
+@contextlib.contextmanager
+def eigh_sizes():
+    """Dimensions of the matrices np.linalg.eigh is called on inside the block."""
+    sizes = []
+    real_eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real_eigh(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "eigh", spy):
+        yield sizes
+
+
+@given(
+    n=st.integers(2, 8),
+    rank=st.integers(1, 6),
+    real=st.booleans(),
+    name=st.sampled_from(sorted(PARITY_GENERATORS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_parity_blocks_match_whole_register_oracle(n, rank, real, name, seed):
+    rng = np.random.default_rng(np.random.Philox(seed))
+    rho_matrix = parity_symmetric_rho(rng, n, rank, real)
+    gen = PARITY_GENERATORS[name](n)
+    oracle_w, oracle_v = np.linalg.eigh(rho_matrix)
+    ref_q, ref_f = spectral_qfi_and_fn(oracle_w, oracle_v, gen.to_sparse(), 6,
+                                       POLICY.spectral_cutoff)
+    rho = MixedState(n, rho_matrix)
+    with eigh_sizes() as sizes:
+        got_q = qfi_mixed(rho, gen).value
+        got_f = fn_sequence(rho, gen, 6)
+        w, v = rho.spectrum()
+    assert sizes == [1 << (n - 1)] * 2
+    tol = 1e-10 * max(1.0, ref_q)
+    assert abs(got_q - ref_q) <= tol
+    assert np.max(np.abs(got_f - ref_f)) <= tol
+    assert np.max(np.abs(w - oracle_w)) <= 1e-10
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.max(np.abs(rho.matrix @ v - v * w)) <= 1e-10
+    assert np.max(np.abs(v.conj().T @ v - np.eye(1 << n))) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_GENERATORS))
+@pytest.mark.parametrize("real", [True, False], ids=["real_rho", "complex_rho"])
+@pytest.mark.parametrize("offset", [10.0, 0.5], ids=["over_herm_tol", "under_herm_tol"])
+def test_parity_certification_decides_the_path(rng, name, real, offset):
+    """A rho off the product-of-X symmetry by more than herm_tol takes the
+    whole-register path, one 2^n eigh and the oracle bit for bit; below
+    herm_tol the two blocks run."""
+    n = 5
+    rho_matrix = parity_symmetric_rho(rng, n, 1 << n, real)
+    shift = offset * POLICY.herm_tol  # |rho - X rho X| = shift, trace kept
+    rho_matrix[0, 0] += shift
+    rho_matrix[1, 1] -= shift
+    gen = PARITY_GENERATORS[name](n)
+    rho = MixedState(n, rho_matrix)
+    with eigh_sizes() as sizes:
+        got_q = qfi_mixed(rho, gen).value
+        got_f = fn_sequence(rho, gen, 6)
+    ref_q, ref_f = spectral_qfi_and_fn(*np.linalg.eigh(rho_matrix), gen, 6,
+                                       POLICY.spectral_cutoff)
+    if offset > 1.0:
+        assert sizes == [1 << n]
+        assert got_q == ref_q
+        assert np.array_equal(got_f, ref_f)
+    else:
+        assert sizes == [1 << (n - 1)] * 2
+        assert abs(got_q - ref_q) <= 1e-10 * max(1.0, ref_q)
+        assert np.max(np.abs(got_f - ref_f)) <= 1e-10 * max(1.0, ref_q)
+
+
+def test_parity_blocks_refuse_a_non_psd_matrix():
+    # prod X symmetric and unit trace; each block holds 0.3, 0.2, 0.1 and -0.1
+    rho = MixedState(3, np.diag([0.3, 0.2, 0.1, -0.1, -0.1, 0.1, 0.2, 0.3]))
+    with eigh_sizes() as sizes, pytest.raises(ValueError, match="min eigenvalue -1.000e-01"):
+        qfi_mixed(rho, sum_z(3))
+    assert sizes == [4, 4]
+    for call in (rho.spectrum, lambda: fn_sequence(rho, sum_z(3), 2)):
+        with pytest.raises(ValueError, match="min eigenvalue -1.000e-01"):
+            call()
+
+
+def test_imprint_carries_the_whole_register_spectrum_only(rng):
+    """e^{i 0.3 Sum Z} breaks the parity: the imprinted state carries the
+    full-register spectrum, which must give what a fresh state of the same
+    matrix gives (Sum X and the parity readouts see the imprint)."""
+    n = 4
+    rho = MixedState(n, parity_symmetric_rho(rng, n, 5, True))
+    rho.spectrum()
+    out = evolve_phase(rho, sum_z(n), 0.3)
+    assert [b.isometry for b in out.sector_spectrum()] == [None]
+    fresh = MixedState(n, out.matrix)
+    for gen in (sum_z(n), collective_spin(n, "X", half=False), PARITY_GENERATORS["z0_plus_z0z1"](n)):
+        want = qfi_mixed(fresh, gen).value
+        assert abs(qfi_mixed(out, gen).value - want) <= 1e-10 * max(1.0, want)
+    for obs in (PauliOperator(n, [(1.0, "X" * n)]), PauliOperator.single(n, 0, "X")):
+        got = metrology._branch_probs(out, obs)
+        want = metrology._branch_probs(fresh, obs)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-10
+
+
+@pytest.mark.parametrize("where", ["within_block", "across_blocks"])
+def test_fn_sequence_pair_sum_check_reads_trace_tol(monkeypatch, where):
+    """Two eigenvalues 1/2 + eps and two at -eps (inside psd_tol): the top
+    pair sums to 1 + 2 eps, under trace_tol at its default and over it at
+    1e-12.  The top pair sits in one parity block or one in each."""
+    eps = 3e-11
+    bell = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]]) / math.sqrt(2.0)
+    # columns: Phi+ and Psi+ are prod-X even, Psi- and Phi- odd
+    top = (0, 1) if where == "within_block" else (0, 3)
+    lam = np.full(4, -eps)
+    lam[list(top)] = 0.5 + eps
+    rho = MixedState(2, (bell * lam) @ bell.T)
+    with eigh_sizes() as sizes:
+        fn_sequence(rho, sum_z(2), 3)
+    assert sizes == [2, 2]
+    monkeypatch.setattr(metrology, "POLICY", replace(POLICY, trace_tol=1e-12))
+    with pytest.raises(ValueError, match="over 1 \\+ trace_tol"):
+        fn_sequence(rho, sum_z(2), 3)
 
 
 def test_qfi_invariance_under_imprint():
