@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.integrate import quad
 
 from .policy import POLICY, CapacityError
 from .qcore import (
@@ -95,6 +94,8 @@ class NoiseKernel:
             raise ValueError("t must be >= 0")
         if t == 0.0:
             return 0.0
+        from scipy.integrate import quad  # loaded on first use: it pulls in scipy.optimize
+
         val, _ = quad(lambda tau: (t - tau) * self.correlation(tau), 0.0, t)
         return val
 

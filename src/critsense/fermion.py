@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import IntegrationWarning, quad
 
 from .policy import POLICY, CapacityError
 
@@ -194,6 +193,7 @@ def _ground_covariance(m: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _thermo_kernel(J: float, h: float, l: int) -> float:
     """g(l) by oscillatory-weight quadrature over (0, pi), target 1e-10."""
+    from scipy.integrate import IntegrationWarning, quad  # loaded on first use
 
     def fc(k):
         # QUADPACK touches k = 0, where the Bogoliubov fraction is 0/0; the

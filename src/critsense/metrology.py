@@ -26,7 +26,9 @@ from .qcore import (
     MixedState,
     PauliOperator,
     PureState,
+    SectorBlock,
     State,
+    _hermitian_deviation,
     evolve_phase,
     expectation,
     to_matrix,
@@ -72,8 +74,9 @@ def qfi_mixed(rho: MixedState, gen: PauliOperator) -> QfiReport:
     ``POLICY.spectral_cutoff``.
 
     The sum runs over the block pairs of ``rho.sector_spectrum()`` whose
-    block of O is non-zero (see ``_block_pairs``): for a parity-symmetric
-    rho and Sum Z, the + block with the - block only.
+    block of O is non-zero (see ``_block_pairs``): for a rho symmetric under
+    translation and the product of X and for Sum Z, the block (k, +) with
+    (k, -) only.
     """
     cutoff = POLICY.spectral_cutoff
     total = 0.0
@@ -89,18 +92,41 @@ def qfi_mixed(rho: MixedState, gen: PauliOperator) -> QfiReport:
     return QfiReport(value=value, method="mixed_spectral", spectral_cutoff_used=cutoff)
 
 
+def _charge_shift(gen: PauliOperator, name: str, order: int) -> int | None:
+    """q with g G g^dagger = exp(2 pi i q / N) G for the symmetry g of order N,
+    or None when G is no multiple of its conjugate.
+
+    Conjugation acts on each Pauli term exactly: the product-of-X parity
+    flips the sign of a term with an odd count of Z/Y letters; the
+    translation moves the letter at site j to site j + 1.  A Hermitian G
+    can only pick up a real factor, +1 (q = 0) or -1 (q = N/2).
+    """
+    terms = {word: c for c, word in gen.terms}
+    if name == "parity_x":
+        moved = {w: -c if sum(ch in "ZY" for ch in w) % 2 else c for w, c in terms.items()}
+    else:
+        moved = {w[-1] + w[:-1]: c for w, c in terms.items()}
+    if moved == terms:
+        return 0
+    if order % 2 == 0 and moved == {w: -c for w, c in terms.items()}:
+        return order // 2
+    return None
+
+
 def _block_pairs(rho: MixedState, gen: PauliOperator):
     """(w_a, w_b, <i|gen|j>, multiplicity) per block pair (a, b), a <= b,
     whose block of ``gen`` is non-zero; eigenvalues clipped at 0.
 
     The whole register (one block, P = I) applies ``gen`` itself to the
-    eigenvectors.  Parity blocks read P_a^T G P_b from ``gen.to_sparse()``.
-    A term with an odd count of Z/Y letters anticommutes with the product
-    of X and maps one block into the other; an even count keeps each block.
-    So Sum Z and the staggered Z pair + with - only, Sum X pairs each block
-    with itself, and a generator with both kinds of terms pairs both ways.
-    A pair a < b stands for (b, a) too: multiplicity 2, as every sum over it
-    is symmetric in i and j.
+    eigenvectors.  Symmetry blocks read P_a^dagger G P_b from
+    ``gen.to_sparse()``.  For each generator g of the group, if
+    g G g^dagger = c G (``_charge_shift``), G moves that charge by c: the
+    pair needs chi_a(g) = c chi_b(g).  If no such c exists, G couples every
+    value of the charge.  So Sum Z pairs (k, +) with (k, -); the staggered
+    Z pairs (k, +-) with (k + pi, -+) on an even chain, and with every
+    (k', -+) on an odd one; Sum X keeps each block; and Z_0 + Z_0 Z_1 pairs
+    all of them.  A pair a < b stands for (b, a) too: multiplicity 2, as every
+    sum over it is symmetric in i and j.
     """
     blocks = rho.sector_spectrum()
     w = [np.clip(block.values, 0.0, None) for block in blocks]
@@ -108,13 +134,19 @@ def _block_pairs(rho: MixedState, gen: PauliOperator):
         v = blocks[0].vectors
         yield w[0], w[0], v.conj().T @ (gen @ v), 1
         return
-    parities = {sum(c in "ZY" for c in word) % 2 for _, word in gen.terms}
+    shifts = [_charge_shift(gen, name, order) for name, _, order in blocks[0].sector]
+
+    def coupled(a: SectorBlock, b: SectorBlock) -> bool:
+        return all(q is None or (ma - mb) % order == q
+                   for q, (_, ma, order), (_, mb, _) in zip(shifts, a.sector, b.sector))
+
     G = gen.to_sparse()
     for a in range(len(blocks)):
+        left = blocks[a].isometry.conj().T @ G
         for b in range(a, len(blocks)):
-            if int(a != b) not in parities:
+            if not coupled(blocks[a], blocks[b]):
                 continue
-            g_ab = blocks[a].isometry.T @ G @ blocks[b].isometry
+            g_ab = left @ blocks[b].isometry
             m = blocks[a].vectors.conj().T @ (g_ab @ blocks[b].vectors)
             yield w[a], w[b], m, 1 if a == b else 2
 
@@ -123,11 +155,17 @@ def sld(rho_theta: MixedState, drho: np.ndarray) -> np.ndarray:
     """Symmetric logarithmic derivative solving d_theta rho = (L rho + rho L)/2.
 
     Matrix elements on eigenvalue pairs with li + lj <= ``POLICY.spectral_cutoff``
-    are set to 0 (the derivative carries no weight there).
+    are set to 0 (the derivative carries no weight there).  ``drho`` must be
+    Hermitian to ``POLICY.herm_tol`` in max |drho - drho^dagger| (ValueError
+    naming the deviation otherwise).
     """
     drho = np.asarray(drho, dtype=np.complex128)
-    if np.max(np.abs(drho - drho.conj().T)) > 1e-8:
-        raise ValueError("drho must be Hermitian")
+    herm = _hermitian_deviation(drho)
+    if herm > POLICY.herm_tol:
+        raise ValueError(
+            f"drho must be Hermitian: max |drho - drho^dagger| is {herm:.3e}, "
+            f"over herm_tol ({POLICY.herm_tol:g})"
+        )
     w, v = rho_theta.spectrum()
     w = np.clip(w, 0.0, None)
     d = v.conj().T @ drho @ v

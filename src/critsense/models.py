@@ -201,15 +201,18 @@ def _flip_block(
     a Pauli term commutes with the string when it has an even count of Z/Y
     letters on the string's sites.  A group element g (an XOR of the joined
     masks) carries the character chi(g), the product of their eigenvalues.
-    The isometry is ``qcore._orbit_isometry`` of that group: one column
-    sum_g chi(g)|s ^ g> / sqrt(|G|) per orbit.  Returns ``(P, reps,
-    sqrt(|G|))`` (``None`` when no entry joins) and the indices of the joined
-    entries.  The group stops short of a single orbit.
+    The isometry is ``qcore._orbit_isometry`` of the joined masks: one
+    column sum_g chi(g)|s ^ g> / sqrt(|G|) per orbit, as the flips act
+    freely.  Returns ``(P, reps, sqrt(|G|))`` (``None`` when no entry joins)
+    and the indices of the joined entries.  The group stops short of a
+    single orbit.
     """
     n = H.n_qubits
     # sign masks: Z/Y letters of each term, bit n - 1 - j for site j
     signs = [int(w.translate(_SIGN_LETTERS), 2) for _, w in H.terms]
     group = {0: 1.0}
+    generators: list[int] = []
+    charges: list[int] = []
     joined: set[int] = set()
     for i, (_, op, want) in enumerate(sector):
         if not (isinstance(op, PauliOperator) and len(op.terms) == 1 and want in (1.0, -1.0)):
@@ -227,10 +230,14 @@ def _flip_block(
         if 2 * len(group) > 1 << (n - 1):  # keep two states: eigsh needs k < dim
             continue
         group.update({g ^ mask: c * want for g, c in list(group.items())})
+        generators.append(mask)
+        charges.append(0 if want == 1.0 else 1)
         joined.add(i)
     if len(group) == 1:
         return None, set()
-    return _orbit_isometry(n, group), joined
+    idx = np.arange(1 << n, dtype=np.int64)
+    P, reps, _ = _orbit_isometry(n, [idx ^ mask for mask in generators], charges)
+    return (P, reps, math.sqrt(len(group))), joined
 
 
 def _lowest_levels(mat) -> tuple[np.ndarray, np.ndarray]:

@@ -38,13 +38,21 @@ complex128, so real probes and real channels run in real arithmetic end to
 end; an operation whose own factors are complex (a phase imprint, say)
 returns complex128.
 
-A density matrix that commutes with the product-of-X parity X (to
-``herm_tol`` in max |rho - X rho X|) is diagonalized in its two parity
-blocks P_+-^T rho P_+- of 2^(n-1) states each, with P_+- the orbit
-isometries (|s> +- |s ^ 1...1>)/sqrt(2) of ``_orbit_isometry``, the builder
-the sector-block ground solves of ``models`` use too.  Any other matrix is
-one whole-register block, the full ``eigh``.  The spectral kernels of
-``metrology`` read the blocks; ``spectrum()`` embeds them in the register.
+A density matrix is diagonalized one symmetry sector at a time.  It is
+checked, to ``herm_tol`` in max |rho - U rho U^dagger|, for the translation
+T and the product-of-X parity X; the symmetries it passes form an abelian
+group, and each character of that group is one block: (k, +-) of T x X,
+2n blocks of about 2^n / 2n states; k of T alone; +- of X alone, the two
+parity blocks of 2^(n-1) states.  A matrix that passes neither is one
+whole-register block, the full ``eigh``.  The sector isometries come from
+``_orbit_isometry`` (orbit minima, stabilizers and orbit norms of any
+abelian group of basis permutations; Sandvik, AIP Conf. Proc. 1297, 135
+(2010), section 4), the construction the sector-block ground solves of
+``models`` use too, and are held in one cached ``_GroupBasis`` per
+(n, group).  Momentum blocks are complex, so the embedded eigenvectors of a
+T-symmetric rho are complex even when rho is real.  The spectral kernels
+of ``metrology`` read the blocks; ``spectrum()`` embeds them in the
+register.
 
 All operations are pure functions of immutable inputs and safe for
 concurrent read-only use.  The internal mutable state is lazy caches: the
@@ -53,10 +61,11 @@ spectral cache on MixedState, which holds the sector blocks and, once
 be populated once (call ``sector_spectrum()``, or ``spectrum()`` when the
 embedded form is read too) before sharing across threads; and the grouped
 form, diagonal and phase table of a PauliOperator, which two threads may at
-worst both build.
+worst both build.  The group bases sit in an ``lru_cache``.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -136,31 +145,82 @@ def parity_x_operator(n: int) -> PauliOperator:
     return PauliOperator(n, [(1.0, "X" * n)])
 
 
-def _orbit_isometry(n_qubits: int, group: dict[int, float]) -> tuple[sp.csr_matrix, np.ndarray, float]:
-    """Orbit isometry of a group of X-string flips with a +-1 character.
+def _translation_perm(n_qubits: int) -> np.ndarray:
+    """The translation T|b> = |(b >> 1) | ((b & 1) << (n-1))>: site j to j + 1."""
+    idx = np.arange(1 << n_qubits, dtype=np.int64)
+    return (idx >> 1) | ((idx & 1) << (n_qubits - 1))
 
-    ``group`` maps each element, an XOR mask on the basis index, to its
-    character chi(g) (the identity 0 maps to 1).  The action b -> b ^ g is
-    free, so every orbit gives one column, sum_g chi(g)|s ^ g> / sqrt(|G|)
-    with s the orbit minimum (Sandvik, AIP Conf. Proc. 1297, 135 (2010),
-    section 4).  Returns ``(P, reps, sqrt(|G|))``: the (2^n, 2^n / |G|) CSR
-    isometry and the sorted orbit minima, one per column.
+
+def _perm_order(perm: np.ndarray) -> int:
+    idx = np.arange(perm.size)
+    order, img = 1, perm
+    while not np.array_equal(img, idx):
+        img, order = perm[img], order + 1
+    return order
+
+
+def _words(img, generators, orders, steps, phase=0):
+    """(g b for every basis state b, its character phase) per word g = g_1^a_1 ... g_r^a_r."""
+    if not generators:
+        yield img, phase
+        return
+    for a in range(orders[0]):
+        yield from _words(img, generators[1:], orders[1:], steps[1:], phase + a * steps[0])
+        img = generators[0][img]
+
+
+def _orbit_isometry(
+    n_qubits: int, generators: Sequence[np.ndarray], charges: Sequence[int]
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Orbit isometry of one character of an abelian group of basis permutations.
+
+    ``generators`` are commuting permutations of the basis index (``g[b]``
+    the image of b) and ``charges`` one integer per generator: its character
+    is chi(g) = exp(2 pi i m / N) for a generator of order N.  Every word of
+    the generators is visited once, which gives each basis state its orbit
+    minimum r and the character chi(g) of the word with g r = b, and marks
+    the orbits a word with chi != 1 fixes: chi is not trivial on their
+    stabilizer, so they leave the sector.  Each other orbit O_r gives one
+    column, sum_{g r in O_r} chi(g)|g r> / sqrt(|O_r|) (Sandvik, AIP Conf.
+    Proc. 1297, 135 (2010), section 4), an eigenvector of each generator
+    with eigenvalue chi(g)*.  The entries are real (float64) when every
+    chi(g) used is +-1, complex otherwise.
+
+    Returns ``(P, reps, norms)``: the (2^n, d) CSR isometry, the sorted
+    orbit minima, one per column, and sqrt(|O_r|) per column, so that
+    P^dagger v = norms * v[reps] for every v in the range of P.  A free
+    action of XOR flips (every orbit of |G| states) has the columns
+    sum_g chi(g)|r ^ g> / sqrt(|G|).
     """
     idx = np.arange(1 << n_qubits, dtype=np.int64)
+    orders = [_perm_order(g) for g in generators]
+    period = math.lcm(*orders)
+    steps = [m * (period // order) for m, order in zip(charges, orders)]
     rep = idx.copy()
-    chi = np.ones(idx.size)
-    for g, c in group.items():  # rep = min over the orbit, chi = chi(b ^ rep)
-        other = idx ^ g
-        lower = other < rep
-        rep[lower] = other[lower]
-        chi[lower] = c
-    is_rep = rep == idx
-    col = (np.cumsum(is_rep) - 1)[rep]
-    scale = math.sqrt(len(group))
+    phase = np.zeros(idx.size, dtype=np.int64)  # chi(g) = exp(2 pi i phase / period), g rep = b
+    allowed = np.ones(idx.size, dtype=bool)
+    for img, p in _words(idx, list(generators), orders, steps):
+        p %= period
+        if p:  # the group is abelian: a word that fixes b fixes b's whole orbit
+            allowed &= img != idx
+        lower = img < rep
+        rep[lower] = img[lower]
+        phase[lower] = -p % period
+    is_rep = (rep == idx) & allowed
+    rows = np.flatnonzero(allowed)
+    norm = np.sqrt(np.bincount(rep, minlength=idx.size).astype(np.float64))  # sqrt|O_r| at r
+    phase = phase[rows]
+    if np.all(2 * phase % period == 0):
+        chi = np.where(phase == 0, 1.0, -1.0)
+    else:
+        chi = np.exp(2j * math.pi / period * phase)
+    reps = np.flatnonzero(is_rep)
+    col = (np.cumsum(is_rep) - 1)[rep[rows]]
+    indptr = np.concatenate(([0], np.cumsum(allowed)))
     P = sp.csr_matrix(
-        (chi / scale, col, np.arange(idx.size + 1)), shape=(idx.size, idx.size // len(group))
+        (chi / norm[rep[rows]], col, indptr), shape=(idx.size, reps.size)
     )
-    return P, np.flatnonzero(is_rep), scale
+    return P, reps, norm[reps]
 
 
 class _Grouped(NamedTuple):
@@ -465,33 +525,83 @@ class PureState:
         return cls(n_qubits, amp)
 
 
-def _parity_symmetric(mat: np.ndarray) -> bool:
-    """max |mat - X mat X| <= ``POLICY.herm_tol`` for X the product of X.
+_SYMMETRIES = ("translation", "parity_x")  # the generators a density matrix is checked for
 
-    X flips every bit of the index, so X mat X is ``mat[::-1, ::-1]``.  The
-    deviation D obeys X D X = -D, so the upper half of the rows holds its
-    maximum; they are read in row tiles, and the first tile over the
+
+def _commutes(mat: np.ndarray, name: str) -> bool:
+    """max |mat - U mat U^dagger| <= ``POLICY.herm_tol`` for one symmetry U.
+
+    U is a basis permutation, so U mat U^dagger is a view of mat.  For the
+    product-of-X parity (``"parity_x"``) it is ``mat[::-1, ::-1]``, every
+    index bit flipped; its deviation D obeys X D X = -D, so the upper half
+    of the rows holds the maximum.  The translation (``"translation"``)
+    sends b = 2h + l to l 2^(n-1) + h, so it is the (dim/2, 2, dim/2, 2)
+    view of mat transposed to (2, dim/2, 2, dim/2).  The rows are read in
+    tiles, each tile of the view copied once, and the first tile over the
     tolerance ends the check.
     """
-    flipped = mat[::-1, ::-1]
-    half = mat.shape[0] // 2
-    return all(
-        np.max(np.abs(mat[i:i + _HERM_TILE] - flipped[i:i + _HERM_TILE])) <= POLICY.herm_tol
-        for i in range(0, half, _HERM_TILE)
-    )
+    dim = mat.shape[0]
+    half = dim // 2
+    tile = min(_HERM_TILE, half)
+    if name == "parity_x":
+        flipped = mat[::-1, ::-1]
+        tiles = ((i, flipped[i:i + tile]) for i in range(0, half, tile))
+    else:
+        moved = mat.reshape(half, 2, half, 2).transpose(1, 0, 3, 2)
+        tiles = ((i, moved[i // half, i % half:i % half + tile].reshape(-1, dim))
+                 for i in range(0, dim, tile))
+    return all(np.max(np.abs(mat[i:i + tile] - t)) <= POLICY.herm_tol for i, t in tiles)
+
+
+class _GroupBasis(NamedTuple):
+    """The orbits of one symmetry group on the register, and its sectors.
+
+    ``images[g, b]`` is g b for each group element g; ``reps`` are the
+    orbit minima, sorted.  ``sectors`` holds ``(label, P, rows, norms)`` for
+    every character with states, in product order of the charges: ``label``
+    is a tuple of ``(generator, charge m, order N)`` triples, chi(g) =
+    exp(2 pi i m / N); ``P`` and ``norms`` are ``_orbit_isometry``'s; and
+    ``rows`` locates the sector's representatives in ``reps``.
+    """
+
+    images: np.ndarray
+    reps: np.ndarray
+    sectors: tuple
+
+
+@lru_cache(maxsize=16)
+def _group_basis(n_qubits: int, group: tuple[str, ...]) -> _GroupBasis:
+    """The ``_GroupBasis`` of the generators ``group`` names, out of
+    ``_SYMMETRIES``; cached per (n, group)."""
+    idx = np.arange(1 << n_qubits, dtype=np.int64)
+    perms = {"translation": _translation_perm(n_qubits), "parity_x": idx ^ (idx.size - 1)}
+    generators = [perms[name] for name in group]
+    orders = [_perm_order(g) for g in generators]
+    images = np.stack([img for img, _ in _words(idx, generators, orders, [0] * len(orders))])
+    reps = np.flatnonzero(images.min(axis=0) == idx)
+    sectors = []
+    for charges in itertools.product(*(range(order) for order in orders)):
+        P, sector_reps, norms = _orbit_isometry(n_qubits, generators, charges)
+        if sector_reps.size:
+            label = tuple(zip(group, charges, orders))
+            sectors.append((label, P, np.searchsorted(reps, sector_reps), norms))
+    return _GroupBasis(images, reps, tuple(sectors))
 
 
 class SectorBlock(NamedTuple):
-    """Eigenpairs of one symmetry block P^T rho P of a density matrix.
+    """Eigenpairs of one symmetry block P^dagger rho P of a density matrix.
 
     ``isometry`` is the (2^n, d) CSR matrix P, or None for the whole
     register (P = I); ``values`` ascend, and the columns of ``vectors`` are
     the eigenvectors in the block, so rho P v = w P v for each pair.
+    ``sector`` labels the block by ``(generator, charge m, order N)``
+    triples, chi(g) = exp(2 pi i m / N); it is empty for the whole register.
     """
 
     isometry: sp.csr_matrix | None
     values: np.ndarray
     vectors: np.ndarray
+    sector: tuple[tuple[str, int, int], ...] = ()
 
 
 @dataclass
@@ -501,9 +611,12 @@ class MixedState:
     The matrix is stored as float64 when it is real and as complex128
     otherwise (real in, real out; complex only when the data is).
 
-    The cache holds the sector spectrum (``sector_spectrum``): two parity
-    blocks when rho commutes with the product of X, else the whole register.
-    ``spectrum()`` embeds it in the full register, once, on demand.
+    The cache holds the sector spectrum (``sector_spectrum``): one block
+    per character of the symmetry group rho is certified to commute with,
+    out of the translation T and the product-of-X parity, else the whole
+    register.  ``spectrum()`` embeds it in the full register, once, on
+    demand; the embedded eigenvectors of momentum blocks are complex, also
+    for a real rho.
     """
 
     n_qubits: int
@@ -542,15 +655,29 @@ class MixedState:
     def sector_spectrum(self) -> tuple[SectorBlock, ...]:
         """Eigenpairs of rho, one ``SectorBlock`` per symmetry sector; cached.
 
-        When rho commutes with X = prod X, to ``POLICY.herm_tol`` in
-        max |rho - X rho X|, the two parity blocks P_+-^T rho P_+- of
-        2^(n-1) states are diagonalized, with P_+- the orbit isometries
-        (|s> +- |s ^ 1...1>)/sqrt(2) of ``_orbit_isometry``.  Otherwise one
-        block spans the whole register (P = I): one full ``eigh``.  A
-        spectrum carried over by a phase imprint is such a block too.  The
-        real-symmetric solver runs when the matrix is real-valued.  A block
-        eigenvalue below -``POLICY.psd_tol`` raises ValueError naming the
-        minimum eigenvalue.
+        rho is checked for two symmetries, each to ``POLICY.herm_tol`` in
+        max |rho - U rho U^dagger| (``_commutes``): the translation T (from
+        two sites on) and the product-of-X parity F.  The ones it passes
+        form the group: T x F, whose characters (k, +-) give 2n blocks of
+        about 2^n / 2n states; T alone (n blocks); F alone, the two blocks
+        P_+-^T rho P_+- of 2^(n-1) states, built as before T joined.  The
+        isometries are ``_orbit_isometry``'s, cached per (n, group).  A T
+        block is read from the representative rows of the group average
+        rho_bar = mean_g U_g rho U_g^dagger, which maps each sector into
+        itself: P^dagger rho P = P^dagger rho_bar P = norms * rho_bar[reps] P,
+        Hermitized.  That is the exact projection of rho, so a rho off the
+        symmetry by delta <= herm_tol moves the result at second order in
+        delta, and it reads each entry of rho once, with no dim^2 copy.  For
+        a real rho the block at -k is the complex conjugate of the one at k,
+        so its eigenpairs are those at k, conjugated, not a second ``eigh``.
+        A character without states gives no block.  A rho that passes
+        neither check is one block spanning the whole register (P = I): one
+        full ``eigh``.  A spectrum carried over by a phase imprint is such a
+        block too.  The real-symmetric solver runs on real blocks: the
+        parity blocks of a real-valued rho, and its T blocks at k = 0 and
+        k = pi; the other momenta are complex Hermitian.  A block eigenvalue
+        below -``POLICY.psd_tol`` raises ValueError naming the minimum
+        eigenvalue.
         """
         if self._blocks is None:
             if self._spectrum is not None:
@@ -563,15 +690,32 @@ class MixedState:
         mat = self.matrix
         if np.iscomplexobj(mat) and np.max(np.abs(mat.imag)) < 1e-14:
             mat = mat.real
-        isometries = [None]
-        if _parity_symmetric(mat):
-            flip = (1 << self.n_qubits) - 1
-            isometries = [_orbit_isometry(self.n_qubits, {0: 1.0, flip: chi})[0]
-                          for chi in (1.0, -1.0)]
-        blocks = []
-        for P in isometries:
-            w, v = np.linalg.eigh(mat if P is None else P.T @ mat @ P)
-            blocks.append(SectorBlock(P, w, v))
+        n = self.n_qubits
+        group = tuple(name for name in _SYMMETRIES
+                      if (n > 1 or name != "translation") and _commutes(mat, name))
+        if not group:
+            blocks = [SectorBlock(None, *np.linalg.eigh(mat))]
+        elif group == ("parity_x",):  # the parity blocks of before, bit for bit
+            blocks = [SectorBlock(P, *np.linalg.eigh(P.T @ mat @ P), label)
+                      for label, P, _, _ in _group_basis(n, group).sectors]
+        else:
+            basis = _group_basis(n, group)
+            # rows of the group average at the orbit minima: mean_g rho[g r, g b]
+            rows = np.zeros((basis.reps.size, mat.shape[0]), dtype=mat.dtype)
+            for img in basis.images:
+                rows += mat[img[basis.reps]][:, img]
+            rows /= len(basis.images)
+            done: dict[tuple, SectorBlock] = {}
+            for label, P, at, norms in basis.sectors:
+                mirror = done.get(tuple((name, -m % order, order) for name, m, order in label))
+                if mirror is not None and not np.iscomplexobj(mat):
+                    # a real rho: the block at -k is the complex conjugate of the one at k
+                    done[label] = SectorBlock(P, mirror.values, mirror.vectors.conj(), label)
+                else:
+                    block = norms[:, None] * (rows[at] @ P)
+                    block = 0.5 * (block + block.conj().T)
+                    done[label] = SectorBlock(P, *np.linalg.eigh(block), label)
+            blocks = list(done.values())
         low = min(b.values.min() for b in blocks)
         if low < -POLICY.psd_tol:
             raise ValueError(f"matrix not PSD: min eigenvalue {low:.3e}")
@@ -582,8 +726,10 @@ class MixedState:
 
         The sector spectrum embedded in the register: each block's
         eigenvectors as P v, the blocks merged by eigenvalue (a stable sort,
-        so ties keep the + block first).  With one whole-register block this
-        is that block itself.  Real-valued matrices give real eigenvectors.
+        so ties keep the order of ``sector_spectrum``).  With one
+        whole-register block this is that block itself.  A real-valued rho
+        gives real eigenvectors on the whole register and in parity blocks;
+        in momentum blocks they are complex.
         """
         if self._spectrum is None:
             blocks = self.sector_spectrum()

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .policy import POLICY
-from .qcore import PauliOperator, PureState, pauli_word
+from .qcore import PauliOperator, PureState, _translation_perm, pauli_word
 
 KINDS = ("parity_x", "parity_z", "translation", "reflection")
 
@@ -104,9 +104,8 @@ def build_symmetry(
     if kind == "translation":
         if boundary != "periodic":
             raise ValueError("translation requires a periodic chain")
-        perm = (idx >> 1) | ((idx & 1) << (L - 1))
         return SymmetryOperator(
-            kind, L, perm=perm, is_hermitian=False, swap_count=L - 1
+            kind, L, perm=_translation_perm(L), is_hermitian=False, swap_count=L - 1
         )
     # reflection about the midpoint of bond (j, j+1)
     if bond_center is None:

@@ -142,3 +142,35 @@ def spectral_qfi_and_fn(w, v, gen, n_max, cutoff):
         fn[l] = 2.0 * float(np.sum(diff2 * acc * m2))
         power = power * base
     return qfi, fn
+
+
+def flip_orbit_isometry(n_qubits, group):
+    """Orbit isometry of a group of X-string flips with a +-1 character.
+
+    ``group`` maps each element, an XOR mask on the basis index, to its
+    character chi(g) (the identity 0 maps to 1).  The action b -> b ^ g is
+    free, so every orbit gives one column, sum_g chi(g)|s ^ g> / sqrt(|G|)
+    with s the orbit minimum.  Returns ``(P, reps, sqrt(|G|))``: the
+    (2^n, 2^n / |G|) CSR isometry and the sorted orbit minima, one per
+    column.  This is the flip-only construction the general orbit
+    isometry replaced; it pins the floats the pure-state sector solves read.
+    """
+    import math
+
+    import scipy.sparse as sp
+
+    idx = np.arange(1 << n_qubits, dtype=np.int64)
+    rep = idx.copy()
+    chi = np.ones(idx.size)
+    for g, c in group.items():  # rep = min over the orbit, chi = chi(b ^ rep)
+        other = idx ^ g
+        lower = other < rep
+        rep[lower] = other[lower]
+        chi[lower] = c
+    is_rep = rep == idx
+    col = (np.cumsum(is_rep) - 1)[rep]
+    scale = math.sqrt(len(group))
+    P = sp.csr_matrix(
+        (chi / scale, col, np.arange(idx.size + 1)), shape=(idx.size, idx.size // len(group))
+    )
+    return P, np.flatnonzero(is_rep), scale

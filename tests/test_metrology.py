@@ -37,7 +37,9 @@ from critsense.qcore import collective_spin
 from critsense.symmetry import build_symmetry
 
 from conftest import staggered_z, sum_z
-from oracles import X as XM, Y as YM, kron_op, spectral_qfi_and_fn, sum_z_dense
+from oracles import (
+    X as XM, Y as YM, flip_orbit_isometry, kron_op, spectral_qfi_and_fn, sum_z_dense,
+)
 
 
 def random_mixed(rng, n, rank=None):
@@ -230,20 +232,184 @@ def test_imprint_carries_the_whole_register_spectrum_only(rng):
 def test_fn_sequence_pair_sum_check_reads_trace_tol(monkeypatch, where):
     """Two eigenvalues 1/2 + eps and two at -eps (inside psd_tol): the top
     pair sums to 1 + 2 eps, under trace_tol at its default and over it at
-    1e-12.  The top pair sits in one parity block or one in each."""
+    1e-12.  The top pair sits in one symmetry block or one in each."""
     eps = 3e-11
     bell = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, -1]]) / math.sqrt(2.0)
-    # columns: Phi+ and Psi+ are prod-X even, Psi- and Phi- odd
+    # columns: Phi+ and Psi+ are prod-X even, Psi- and Phi- odd; the two-site
+    # translation (the swap) is even on all but Psi-, so the blocks (k, +-)
+    # are (0, +) = {Phi+, Psi+}, (0, -) = {Phi-} and (pi, -) = {Psi-}
     top = (0, 1) if where == "within_block" else (0, 3)
     lam = np.full(4, -eps)
     lam[list(top)] = 0.5 + eps
     rho = MixedState(2, (bell * lam) @ bell.T)
     with eigh_sizes() as sizes:
         fn_sequence(rho, sum_z(2), 3)
-    assert sizes == [2, 2]
+    assert sizes == [2, 1, 1]
     monkeypatch.setattr(metrology, "POLICY", replace(POLICY, trace_tol=1e-12))
     with pytest.raises(ValueError, match="over 1 \\+ trace_tol"):
         fn_sequence(rho, sum_z(2), 3)
+
+
+# -- translation x parity blocks against the whole-register oracle ---------
+
+SECTOR_GENERATORS = dict(PARITY_GENERATORS, in_plane=lambda n: in_plane_spin(n, 0.4))
+
+
+def translation_parity_rho(rng, n, rank, real):
+    """A random rank-``rank`` state averaged over the group of the translation
+    T and X = prod X: (1/2n) sum_{a, s} T^a X^s sigma X^s T^-a."""
+    dim = 1 << n
+    g = rng.standard_normal((dim, rank))
+    if not real:
+        g = g + 1j * rng.standard_normal((dim, rank))
+    sigma = g @ g.conj().T
+    back = np.argsort(build_symmetry("translation", n).perm)
+    rho = np.zeros_like(sigma)
+    for _ in range(n):
+        rho += sigma + sigma[::-1, ::-1]
+        sigma = sigma[back][:, back]
+    return rho / np.trace(rho).real
+
+
+@contextlib.contextmanager
+def pair_count():
+    """Number of block pairs ``metrology._block_pairs`` yields inside the block."""
+    count = [0]
+    real_pairs = metrology._block_pairs
+
+    def spy(rho, gen):
+        for pair in real_pairs(rho, gen):
+            count[0] += 1
+            yield pair
+
+    with mock.patch.object(metrology, "_block_pairs", spy):
+        yield count
+
+
+@given(
+    n=st.integers(3, 9),
+    rank=st.integers(1, 6),
+    real=st.booleans(),
+    name=st.sampled_from(sorted(SECTOR_GENERATORS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_translation_parity_blocks_match_whole_register_oracle(n, rank, real, name, seed):
+    rng = np.random.default_rng(np.random.Philox(seed))
+    rho_matrix = translation_parity_rho(rng, n, rank, real)
+    gen = SECTOR_GENERATORS[name](n)
+    oracle_w, oracle_v = np.linalg.eigh(rho_matrix)
+    ref_q, ref_f = spectral_qfi_and_fn(oracle_w, oracle_v, gen.to_sparse(), 6,
+                                       POLICY.spectral_cutoff)
+    rho = MixedState(n, rho_matrix)
+    with eigh_sizes() as sizes:
+        got_q = qfi_mixed(rho, gen).value
+        got_f = fn_sequence(rho, gen, 6)
+        w, v = rho.spectrum()
+    blocks = rho.sector_spectrum()
+    assert len(blocks) == 2 * n
+    # a real rho takes the block at -k from the one at k: one eigh per k <= n - k
+    assert sizes == [b.values.size for b in blocks
+                     if not real or b.sector[0][1] <= n - b.sector[0][1]]
+    assert max(sizes) < 1 << (n - 1)
+    tol = 1e-10 * max(1.0, ref_q)
+    assert abs(got_q - ref_q) <= tol
+    assert np.max(np.abs(got_f - ref_f)) <= tol
+    assert np.max(np.abs(w - oracle_w)) <= 1e-10
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.max(np.abs(rho.matrix @ v - v * w)) <= 1e-10
+    assert np.max(np.abs(v.conj().T @ v - np.eye(1 << n))) <= 1e-10
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real_rho", "complex_rho"])
+@pytest.mark.parametrize("offset", [10.0, 0.5], ids=["over_herm_tol", "under_herm_tol"])
+def test_translation_certification_decides_the_blocks(rng, real, offset):
+    """A prod-X symmetric rho off the translation by more than herm_tol
+    keeps the two parity blocks P+-^T rho P+-, bit for bit those of the
+    flip-only isometries; below herm_tol the 2n momentum blocks run."""
+    n = 5
+    full = (1 << n) - 1
+    rho_matrix = translation_parity_rho(rng, n, 1 << n, real)
+    shift = offset * POLICY.herm_tol  # |rho - T rho T^dagger| = shift; prod X and the trace kept
+    for b, sign in ((1, 1.0), (full - 1, 1.0), (0, -1.0), (full, -1.0)):
+        rho_matrix[b, b] += sign * shift
+    rho = MixedState(n, rho_matrix)
+    with eigh_sizes() as sizes:
+        blocks = rho.sector_spectrum()
+    if offset > 1.0:
+        assert sizes == [1 << (n - 1)] * 2
+        for chi, block in zip((1.0, -1.0), blocks):
+            P, _, _ = flip_orbit_isometry(n, {0: 1.0, full: chi})
+            w, v = np.linalg.eigh(P.T @ rho.matrix @ P)
+            assert np.array_equal(block.isometry.toarray(), P.toarray())
+            assert np.array_equal(block.values, w)
+            assert np.array_equal(block.vectors, v)
+    else:
+        assert len(blocks) == 2 * n
+        assert max(sizes) < 1 << (n - 1)
+    for gen in (sum_z(n), staggered_z(n)):
+        ref_q, ref_f = spectral_qfi_and_fn(*np.linalg.eigh(rho_matrix), gen, 6,
+                                           POLICY.spectral_cutoff)
+        assert abs(qfi_mixed(rho, gen).value - ref_q) <= 1e-10 * max(1.0, ref_q)
+        assert np.max(np.abs(fn_sequence(rho, gen, 6) - ref_f)) <= 1e-10 * max(1.0, ref_q)
+
+
+def test_translation_alone_gives_n_momentum_blocks(rng):
+    """Off the product-of-X symmetry (on the two T-fixed states 0...0 and
+    1...1) but on the translation's: one block per momentum k."""
+    n = 5
+    rho_matrix = translation_parity_rho(rng, n, 1 << n, False)
+    rho_matrix[0, 0] += 5.0 * POLICY.herm_tol
+    rho_matrix[-1, -1] -= 5.0 * POLICY.herm_tol
+    rho = MixedState(n, rho_matrix)
+    blocks = rho.sector_spectrum()
+    assert [b.sector for b in blocks] == [(("translation", k, n),) for k in range(n)]
+    ref_w, ref_v = np.linalg.eigh(rho_matrix)
+    for name in ("sum_z", "staggered_z", "sum_x"):
+        gen = SECTOR_GENERATORS[name](n)
+        ref_q, ref_f = spectral_qfi_and_fn(ref_w, ref_v, gen, 6, POLICY.spectral_cutoff)
+        assert abs(qfi_mixed(rho, gen).value - ref_q) <= 1e-10 * max(1.0, ref_q)
+        assert np.max(np.abs(fn_sequence(rho, gen, 6) - ref_f)) <= 1e-10 * max(1.0, ref_q)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_block_pairs_follow_the_generator_charges(rng, n):
+    """Sum Z pairs (k, +) with (k, -): n pairs; Sum X keeps each of the 2n
+    blocks; the in-plane spin does both; the staggered Z pairs (k, +-) with
+    (k + pi, -+) on an even chain (n pairs) and every + block with every -
+    block on an odd one; Z_0 + Z_0 Z_1 pairs all of them."""
+    rho = MixedState(n, translation_parity_rho(rng, n, 3, True))
+    want = {
+        "sum_z": n,
+        "sum_x": 2 * n,
+        "in_plane": 3 * n,
+        "staggered_z": n if n % 2 == 0 else n * n,
+        "z0_plus_z0z1": n * (2 * n + 1),
+    }
+    for name, pairs in want.items():
+        gen = SECTOR_GENERATORS[name](n)
+        with pair_count() as count:
+            got = qfi_mixed(rho, gen).value
+        assert count[0] == pairs, name
+        ref, _ = spectral_qfi_and_fn(*np.linalg.eigh(rho.matrix), gen, 0, POLICY.spectral_cutoff)
+        assert abs(got - ref) <= 1e-10 * max(1.0, ref), name
+
+
+def test_site_masked_channel_keeps_the_parity_blocks():
+    """A bit flip on site 0 alone breaks the translation: the parity blocks
+    run.  The same flip on every site keeps it: 2n momentum blocks."""
+    n = 6
+    pristine = MixedState.from_pure(ghz_state(n))
+    for mask, want in (((0,), [1 << (n - 1)] * 2), (None, None)):
+        rho = apply_channel(pristine, ChannelSpec(kind="bitflip_x", p=0.1, site_mask=mask))
+        with eigh_sizes() as sizes:
+            got = qfi_mixed(rho, sum_z(n)).value
+        if want is None:  # k = 0..n/2 for each parity; the real rho reuses k for -k
+            assert len(sizes) == 2 * (n // 2 + 1) and max(sizes) < 1 << (n - 1)
+        else:
+            assert sizes == want
+        ref, _ = spectral_qfi_and_fn(*np.linalg.eigh(rho.matrix), sum_z(n), 0,
+                                     POLICY.spectral_cutoff)
+        assert abs(got - ref) <= 1e-10 * max(1.0, ref)
 
 
 def test_qfi_invariance_under_imprint():
@@ -280,6 +446,17 @@ def test_sld_defining_equation(rng):
     L_op = sld(rho, drho)
     resid = drho - 0.5 * (L_op @ rho.matrix + rho.matrix @ L_op)
     assert np.max(np.abs(resid)) < 1e-10
+
+
+def test_sld_names_the_hermiticity_miss():
+    rho = MixedState(2, np.diag([0.4, 0.3, 0.2, 0.1]))
+    drho = np.zeros((4, 4), dtype=complex)
+    drho[0, 1] = 0.5 * POLICY.herm_tol  # within herm_tol: accepted
+    sld(rho, drho)
+    drho[0, 1] = 1e-9
+    with pytest.raises(ValueError, match=r"max \|drho - drho\^dagger\| is 1\.000e-09, "
+                                         r"over herm_tol \(1e-10\)"):
+        sld(rho, drho)
 
 
 def test_sld_diagonal_case():

@@ -27,7 +27,7 @@ from critsense.symmetry import build_symmetry
 from conftest import sum_z
 from oracles import (
     kron_word, tfim_dense, ground_vec, expect, kron_op, Z,
-    diagonal_exponential, diagonal_imprint,
+    diagonal_exponential, diagonal_imprint, flip_orbit_isometry,
 )
 
 
@@ -548,3 +548,85 @@ def test_symmetry_matmul_block_matches_sparse(rng, L):
             for block in (real, real + 1j * rng.standard_normal((dim, k))):
                 assert np.max(np.abs(sym @ block - mat @ block)) < 1e-15
                 assert np.max(np.abs(sym @ block[:, 0] - mat @ block[:, 0])) < 1e-15
+
+
+# -- orbit isometries -------------------------------------------------------
+
+def _flip_groups(n):
+    """(masks, charges) of the product-of-X parity and, on an even register,
+    the cluster ladder's two interleaved chain parities, every character."""
+    full = (1 << n) - 1
+    cases = [([full], [m]) for m in (0, 1)]
+    if n % 2 == 0:
+        chain = int("10" * (n // 2), 2)
+        cases += [([chain, chain >> 1], [m1, m2]) for m1 in (0, 1) for m2 in (0, 1)]
+    return cases
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_orbit_isometry_reproduces_the_flip_only_isometry(n):
+    """For a free XOR action the general construction gives the flip-only
+    isometry, representatives and scale, float for float: the
+    pure-state sector solves read exactly what they read before."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    for masks, charges in _flip_groups(n):
+        group = {0: 1.0}
+        for mask, m in zip(masks, charges):
+            group.update({g ^ mask: c * (1.0 - 2.0 * m) for g, c in list(group.items())})
+        want_P, want_reps, want_scale = flip_orbit_isometry(n, group)
+        P, reps, norms = qcore._orbit_isometry(n, [idx ^ mask for mask in masks], charges)
+        assert P.dtype == want_P.dtype == np.float64
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(P, attr), getattr(want_P, attr)), (masks, attr)
+        assert P.shape == want_P.shape
+        assert np.array_equal(reps, want_reps)
+        assert np.all(norms == want_scale)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_momentum_parity_isometries_span_the_register(n):
+    """The T x prod-X characters (k, +-): each column is an eigenvector of
+    T with eigenvalue exp(-2 pi i k / n) and of prod X with +-1, the columns
+    of all sectors are orthonormal and span the register, and
+    P^dagger v = norms * v[reps] on the range of P."""
+    dim = 1 << n
+    T = build_symmetry("translation", n).to_matrix()
+    F = build_symmetry("parity_x", n).to_matrix()
+    cols = []
+    basis = qcore._group_basis(n, ("translation", "parity_x"))
+    for sector, P, at, norms in basis.sectors:
+        (_, k, order), (_, s, _) = sector
+        reps = basis.reps[at]
+        assert order == n
+        A = P.toarray()
+        assert np.allclose(T @ A, np.exp(-2j * np.pi * k / n) * A, atol=1e-13)
+        assert np.allclose(F @ A, (1 - 2 * s) * A, atol=1e-13)
+        assert (A.dtype == np.float64) == (2 * k % n == 0)
+        v = A @ np.linspace(1.0, 2.0, A.shape[1])
+        assert np.allclose(A.conj().T @ v, norms * v[reps], atol=1e-13)
+        cols.append(A)
+    full = np.hstack(cols)
+    assert full.shape == (dim, dim)
+    assert np.allclose(full.conj().T @ full, np.eye(dim), atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["translation", "parity_x"])
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_symmetry_check_reads_the_permuted_matrix(rng, name, n):
+    """The tiled check agrees with max |rho - U rho U^dagger| from a full
+    permutation gather: a rho averaged over the orbit of U passes, and so
+    does one entry pair moved by 0.5 herm_tol; 10 herm_tol fails."""
+    dim = 1 << n
+    inv = np.argsort(build_symmetry(name, n).perm)  # (U rho U^dagger)[a, b] = rho[inv a, inv b]
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    orbit = [g @ g.conj().T]
+    while len(orbit) < (n if name == "translation" else 2):
+        orbit.append(orbit[-1][inv][:, inv])
+    rho = sum(orbit) / np.trace(sum(orbit)).real
+    assert qcore._commutes(rho, name)
+    for offset, want in ((0.5, True), (10.0, False)):
+        far = rho.copy()
+        far[dim - 2, dim - 1] += offset * POLICY.herm_tol
+        far[dim - 1, dim - 2] += offset * POLICY.herm_tol
+        assert (np.max(np.abs(far - far[inv][:, inv])) <= POLICY.herm_tol) == want
+        assert qcore._commutes(far, name) == want

@@ -677,3 +677,15 @@ def test_golden_outputs(tmp_path, scenario):
                 assert abs(float(g) - float(w)) <= 1e-12 * abs(float(w)) + 1e-15, (name, w_row)
             else:
                 assert g == w, (name, w_row)
+
+
+def test_cli_import_leaves_quadrature_unloaded():
+    """``scipy.integrate`` (and the ``scipy.optimize`` it pulls in) loads on
+    first use of a quadrature, not when the CLI starts."""
+    env = dict(os.environ)
+    src = str(Path(critsense.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, critsense.xcli; print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
