@@ -29,6 +29,7 @@ from .qcore import (
     SectorBlock,
     State,
     _hermitian_deviation,
+    apply_exponential,
     evolve_phase,
     expectation,
     to_matrix,
@@ -271,6 +272,81 @@ def _commutator_derivative(evolved: State, gen: PauliOperator, obs) -> float:
     return float(np.real(1j * np.trace(obs @ (g_rho - g_rho.conj().T))))
 
 
+def _delta_theta(theta: float, var: float, deriv: float, exact: float) -> float:
+    """sqrt(var) / |deriv| (+inf below ``signal_floor``), once the reported
+    derivative is within ``derivative_agree_tol`` of the commutator one."""
+    miss = abs(exact - deriv)
+    tol = POLICY.derivative_agree_tol * max(1.0, abs(exact))
+    if miss > tol:
+        raise ArithmeticError(
+            f"derivative routes disagree at theta={theta!r}: reported {deriv!r}, "
+            f"commutator {exact!r}; off by {miss:.3e}, over the tolerance {tol:.3e}"
+        )
+    return math.inf if abs(deriv) < POLICY.signal_floor else math.sqrt(var) / abs(deriv)
+
+
+def _takes_workspace(state: State, obs) -> bool:
+    """A pure probe read out through a Pauli-string involution: the loop of
+    ``_involution_curve``."""
+    return isinstance(state, PureState) and isinstance(obs, PauliOperator) and _is_involution(obs)
+
+
+def _involution_curve(psi: PureState, gen: PauliOperator, obs: PauliOperator,
+                      thetas: np.ndarray) -> PrecisionCurve:
+    """``precision_curve`` of a pure probe and a Pauli-string involution, on
+    one workspace per curve.
+
+    The steps of the general loop, with the same float operations in the same
+    order: the evolved state e^{i theta O} psi, its image A psi_theta, the
+    signal, the branch probabilities of (psi_theta +- A psi_theta) / 2, the
+    commutator derivative and the centered difference of the minus branch.
+    Each 2^n-long intermediate is written into one of five buffers allocated
+    here, so a point allocates nothing of the register's size.
+    """
+    if not gen.is_hermitian:
+        raise ValueError("phase generator must be Hermitian")
+    if gen.n_qubits != psi.n_qubits or obs.shape != gen.shape:
+        raise ValueError("register size mismatch")
+    base = psi.amplitudes
+    evolved, image, gvec, plus, minus = (np.empty_like(base) for _ in range(5))
+
+    def evolve(theta: float) -> None:
+        # evolve_phase, then A on the result
+        if theta == 0.0:
+            evolved[:] = base
+        else:
+            apply_exponential(gen, 1j * theta, base, out=evolved)
+            if not gen.is_diagonal:
+                np.divide(evolved, np.linalg.norm(evolved), out=evolved)
+        obs.apply_vec(evolved, out=image)
+
+    def branch(sign, buf: np.ndarray) -> float:
+        # 0.5 * (psi +- A psi) and its squared norm
+        sign(evolved, image, out=buf)
+        np.multiply(0.5, buf, out=buf)
+        return float(np.vdot(buf, buf).real)
+
+    step = POLICY.fd_step
+    sig = np.empty_like(thetas)
+    var = np.empty_like(thetas)
+    dth = np.empty_like(thetas)
+    for i, th in enumerate(thetas):
+        th = float(th)
+        evolve(th)
+        sig[i] = complex(np.vdot(evolved, image)).real
+        p_plus, p_minus = branch(np.add, plus), branch(np.subtract, minus)
+        total = p_plus + p_minus
+        var[i] = max(4.0 * p_plus * p_minus / (total * total), 0.0)
+        gen.apply_vec(evolved, out=gvec)
+        exact = float(np.real(1j * (np.vdot(image, gvec) - np.vdot(gvec, image))))
+        evolve(th + step)
+        m_up = branch(np.subtract, minus)
+        evolve(th - step)
+        m_dn = branch(np.subtract, minus)
+        dth[i] = _delta_theta(th, var[i], -(m_up - m_dn) / step, exact)
+    return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)
+
+
 def precision_curve(
     state: State,
     gen: PauliOperator,
@@ -283,9 +359,13 @@ def precision_curve(
     variance and the commutator derivative, which must agree with the
     reported derivative to ``derivative_agree_tol`` (ArithmeticError
     otherwise).  A vanishing derivative gives the +inf sentinel, so sweeps
-    tolerate dead points.
+    tolerate dead points.  A pure probe with a Pauli-string involution as
+    readout runs the same steps on buffers allocated once per curve
+    (``_involution_curve``), with the same bits.
     """
     thetas = np.asarray(theta_grid, dtype=float)
+    if _takes_workspace(state, obs):
+        return _involution_curve(state, gen, obs, thetas)
     if isinstance(state, MixedState) and _is_involution(obs):
         state.spectrum()  # warm the cache once; evolutions inherit it
     sig = np.empty_like(thetas)
@@ -298,14 +378,7 @@ def precision_curve(
         var[i] = max(_variance_at(st, obs), 0.0)
         deriv = _reported_derivative(state, gen, obs, th, POLICY.fd_step)
         exact = _commutator_derivative(st, gen, obs)
-        miss = abs(exact - deriv)
-        tol = POLICY.derivative_agree_tol * max(1.0, abs(exact))
-        if miss > tol:
-            raise ArithmeticError(
-                f"derivative routes disagree at theta={th!r}: reported {deriv!r}, "
-                f"commutator {exact!r}; off by {miss:.3e}, over the tolerance {tol:.3e}"
-            )
-        dth[i] = math.inf if abs(deriv) < POLICY.signal_floor else math.sqrt(var[i]) / abs(deriv)
+        dth[i] = _delta_theta(th, var[i], deriv, exact)
     return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,6 +22,7 @@ from .qcore import (
     PauliOperator,
     PureState,
     _orbit_isometry,
+    _translation_perm,
     collective_spin,
     dephase_normalize,
     expectation,
@@ -29,7 +31,7 @@ from .qcore import (
     staggered_z,
     variance,
 )
-from .symmetry import build_symmetry
+from .symmetry import SymmetryOperator, build_symmetry
 
 _KINDS = ("tfim", "xxz", "rydberg", "cluster_ladder")
 
@@ -191,37 +193,75 @@ def _selection(n: int, basis: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, fl
     return P, basis, 1.0
 
 
-def _flip_block(
-    H: PauliOperator, sector: list[tuple[str, object, float]]
-) -> tuple[tuple[sp.csr_matrix, np.ndarray, float] | None, set[int]]:
-    """Orbit isometry of the flip group the X-string sector entries generate.
+def _rotated(mask: int, n: int) -> int:
+    """The flip mask of a string moved one site along the ring."""
+    return (mask >> 1) | ((mask & 1) << (n - 1))
 
-    An entry joins when its op is a single X-string (I/X letters, coefficient
-    1), its wanted eigenvalue is +-1, and it commutes with every term of H:
-    a Pauli term commutes with the string when it has an even count of Z/Y
-    letters on the string's sites.  A group element g (an XOR of the joined
-    masks) carries the character chi(g), the product of their eigenvalues.
-    The isometry is ``qcore._orbit_isometry`` of the joined masks: one
-    column sum_g chi(g)|s ^ g> / sqrt(|G|) per orbit, as the flips act
-    freely.  Returns ``(P, reps, sqrt(|G|))`` (``None`` when no entry joins)
-    and the indices of the joined entries.  The group stops short of a
-    single orbit.
+
+@lru_cache(maxsize=8)
+def _sector_isometry(
+    n: int, translation: bool, masks: tuple[int, ...], charges: tuple[int, ...]
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """``qcore._orbit_isometry`` of T (when ``translation``, charge first) and
+    the X-string flips ``masks``; cached per (n, generators, charges), with
+    ``reps`` and ``norms`` read-only, as threads share them."""
+    idx = np.arange(1 << n, dtype=np.int64)
+    generators = ([_translation_perm(n)] if translation else []) + [idx ^ m for m in masks]
+    P, reps, norms = _orbit_isometry(n, generators, charges)
+    reps.setflags(write=False)
+    norms.setflags(write=False)
+    return P, reps, norms
+
+
+def _sector_block(
+    H: PauliOperator, sector: list[tuple[str, object, float]]
+) -> tuple[tuple[sp.csr_matrix, np.ndarray, np.ndarray] | None, set[int]]:
+    """Orbit isometry of the symmetry group the sector entries generate.
+
+    An entry joins when its wanted eigenvalue is +-1 and its op is either
+    * a single X-string (I/X letters, coefficient 1) that commutes with
+      every term of H: a Pauli term commutes with the string when it has an
+      even count of Z/Y letters on the string's sites; or
+    * the translation T of the whole register, when every term of H moved
+      one site along the ring is again a term with the same coefficient;
+      -1 needs an even register, as T^n = 1.
+    T and the flips must commute, so T joins only with ring-invariant
+    strings (the product-of-X parity).  A group element g carries the
+    character chi(g), the product of the joined eigenvalues.  The isometry
+    is ``qcore._orbit_isometry`` of the joined generators: one column
+    sum_g chi(g)|g r> / sqrt(|O_r|) per orbit O_r that chi allows.  Returns
+    ``(P, reps, norms)`` (``None`` when no entry joins) and the indices of
+    the joined entries.  The flip group stops short of a single orbit.
     """
     n = H.n_qubits
+    terms = {word: c for c, word in H.terms}
     # sign masks: Z/Y letters of each term, bit n - 1 - j for site j
-    signs = [int(w.translate(_SIGN_LETTERS), 2) for _, w in H.terms]
-    group = {0: 1.0}
-    generators: list[int] = []
+    signs = [int(w.translate(_SIGN_LETTERS), 2) for w in terms]
+    ring = {w[-1] + w[:-1]: c for w, c in terms.items()} == terms
+    group = {0: 1.0}  # flip group: element mask -> character
+    masks: list[int] = []
     charges: list[int] = []
+    shift: int | None = None  # T's charge, once it joins
     joined: set[int] = set()
     for i, (_, op, want) in enumerate(sector):
-        if not (isinstance(op, PauliOperator) and len(op.terms) == 1 and want in (1.0, -1.0)):
+        if want not in (1.0, -1.0):
+            continue
+        if isinstance(op, SymmetryOperator):
+            if (op.kind == "translation" and op.L == n and shift is None and ring
+                    and (want == 1.0 or n % 2 == 0)
+                    and all(_rotated(m, n) == m for m in masks)):
+                shift = 0 if want == 1.0 else n // 2
+                joined.add(i)
+            continue
+        if not (isinstance(op, PauliOperator) and len(op.terms) == 1):
             continue
         coeff, word = op.terms[0]
         if coeff != 1.0 or "X" not in word or set(word) - {"I", "X"}:
             continue
         mask = int(word.translate(_FLIP_LETTERS), 2)
         if any((s & mask).bit_count() % 2 for s in signs):
+            continue
+        if shift is not None and _rotated(mask, n) != mask:
             continue
         if mask in group:  # already an element: joins only if its character agrees
             if group[mask] == want:
@@ -230,14 +270,14 @@ def _flip_block(
         if 2 * len(group) > 1 << (n - 1):  # keep two states: eigsh needs k < dim
             continue
         group.update({g ^ mask: c * want for g, c in list(group.items())})
-        generators.append(mask)
+        masks.append(mask)
         charges.append(0 if want == 1.0 else 1)
         joined.add(i)
-    if len(group) == 1:
+    if not joined:
         return None, set()
-    idx = np.arange(1 << n, dtype=np.int64)
-    P, reps, _ = _orbit_isometry(n, [idx ^ mask for mask in generators], charges)
-    return (P, reps, math.sqrt(len(group))), joined
+    if shift is not None:
+        charges.insert(0, shift)
+    return _sector_isometry(n, shift is not None, tuple(masks), tuple(charges)), joined
 
 
 def _lowest_levels(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -268,52 +308,63 @@ def ground_state(
 ) -> GroundSolution:
     """Lowest-energy state of a Hermitian Pauli sum.
 
-    The solve runs on P^T H P for an isometry P out of the full register
-    (``H.to_sparse()``), and the state comes back as P v, a full-register
-    vector whatever P is:
+    The solve runs on P^dagger H P for an isometry P out of the full
+    register, and the state comes back as P v, a full-register vector
+    whatever P is:
 
     * with ``basis``, a sorted array of basis indices (the hard Rydberg
       blockade of ``solve_rydberg_blockaded``), P selects those states;
     * without it, on a register above 2^10 states, P spans the sector block
-      of the flip group the X-string ``sector`` entries generate (see
-      ``_flip_block``): the product-of-X parity of the Ising chain, the two
-      chain parities of the cluster ladder;
+      of the symmetry group the ``sector`` entries generate (see
+      ``_sector_block``): the X-strings that commute with H (the
+      product-of-X parity of the Ising chain, the two chain parities of the
+      cluster ladder) and the translation T at eigenvalue +-1 when H is
+      translation invariant (the periodic Ising and Rydberg chains), so a
+      momentum k = 0 or pi block of about 2^n / n states, 2^n / 2n with the
+      parity too;
     * otherwise there is no P: the whole register.
 
-    Up to 2^10 states (of the register, or of ``basis``) the solve is dense
-    ``eigh``; above, Lanczos on the restricted matrix, asking for two levels
-    and for twice as many while all of them sit within
-    ``POLICY.degeneracy_tol`` of E0.  A real Hamiltonian (Ising, XXZ,
-    Rydberg) gives a float64 matrix and runs the real-symmetric solvers; a
-    complex one keeps the complex Hermitian path.  The ground multiplet is
-    the levels within ``POLICY.degeneracy_tol`` of E0.
+    The block is diag(norms) H[reps] P, with ``(P, reps, norms)`` from
+    ``qcore._orbit_isometry`` (cached per group and character) and the rows
+    H[reps] built from the grouped Pauli form (``to_sparse(rows)``), never
+    the whole register's matrix.  Up to 2^10 states (of the register, or of
+    ``basis``) the solve is dense ``eigh`` on the full matrix; above, Lanczos
+    on the restricted one, asking for two levels and for twice as many while
+    all of them sit within ``POLICY.degeneracy_tol`` of E0.  A real
+    Hamiltonian (Ising, XXZ, Rydberg) gives a float64 matrix and runs the
+    real-symmetric solvers; a complex one keeps the complex Hermitian path.
+    The ground multiplet is the levels within ``POLICY.degeneracy_tol`` of E0.
 
     ``sector`` lists (label, symmetry operator, wanted eigenvalue) triples.
-    The entries outside the block (those that are not X-strings, such as a
-    translation, and every entry of a dense solve) resolve the multiplet
-    after the solve, to the requested eigenvalues in that order.
-    ``sector_labels[label]`` records Re<op> of the returned state.  ``gap``
-    is E1 - E0 of the matrix that was diagonalized: in-sector when the block
-    was used, the splitting inside the multiplet when it has several
-    members.  The residual is checked against that matrix.
+    The entries outside the block (those that do not join the group, and
+    every entry of a dense solve) resolve the multiplet after the solve, to
+    the requested eigenvalues in that order.  ``sector_labels[label]``
+    records Re<op> of the returned state.  ``gap`` is E1 - E0 of the matrix
+    that was diagonalized: the gap inside the (k, +-) block when it was
+    used, the splitting inside the multiplet when it has several members.
+    The residual is checked against that matrix.
     """
     if not H.is_hermitian:
         raise ValueError("ground_state requires a Hermitian Hamiltonian")
     n = H.n_qubits
+    if n > POLICY.sparse_cap:  # before any 2^n array
+        raise CapacityError(f"{n} qubits exceeds sparse cap {POLICY.sparse_cap}")
     sector = list(sector or ())
     lanczos = (1 << n if basis is None else basis.size) > 1024
-    # (P, rows, scale): P^T v == scale * v[rows] for every v in the range of P
+    # (P, rows, norms): P^dagger v == norms * v[rows] for every v in the range of P
     restriction, joined = None, set()
     if basis is not None:
         restriction = _selection(n, basis)
     elif lanczos:
-        restriction, joined = _flip_block(H, sector)
-    mat = H.to_sparse()
-    if restriction is not None:
-        P, rows, scale = restriction
-        # P^T H P = scale * H[rows] P: a selection reads its rows from any
-        # vector, and H maps a flip block into itself
-        mat = scale * (mat[rows] @ P)
+        restriction, joined = _sector_block(H, sector)
+    if restriction is None:
+        mat = H.to_sparse()
+    else:
+        P, rows, norms = restriction
+        # P^dagger H P = diag(norms) H[rows] P: a selection reads its rows
+        # from any vector, and H maps a symmetry sector into itself
+        mat = H.to_sparse(rows) @ P
+        mat.data *= np.repeat(norms, np.diff(mat.indptr)) if np.ndim(norms) else norms
     if lanczos:
         evals, evecs = _lowest_levels(mat)
     else:
@@ -339,7 +390,7 @@ def ground_state(
         full = full @ u[:, pick]
     state = dephase_normalize(full[:, 0], n)
 
-    amps = state.amplitudes if restriction is None else scale * state.amplitudes[rows]
+    amps = state.amplitudes if restriction is None else norms * state.amplitudes[rows]
     _check_residual(mat, amps, e0)
     labels = {label: expectation(state, op).real for label, op, _ in sector}
     return GroundSolution(energy=e0, state=state, gap=gap, sector_labels=labels)
@@ -348,28 +399,29 @@ def ground_state(
 def solve_model(spec: ModelSpec) -> GroundSolution:
     """Build and solve a model, resolving near-degeneracies in its natural sector.
 
-    For the Ising chain the sector is the +1 eigenstate of the product-of-X
-    parity (label ``parity_x``); on a periodic chain ``translation_re``
-    records Re<T> as well.  For the cluster ladder, both chain parities are
+    For the Ising chain the sector is the product-of-X parity sign(h)^L
+    (label ``parity_x``): the Z-basis off-diagonals -h share one sign, so by
+    Perron-Frobenius the ground state is unique, and prod Z maps h to -h while
+    prod Z prod X = (-1)^L prod X prod Z.  On a periodic chain it is also the
+    T = +1 momentum (label ``translation_re``, Re<T>), the same argument with
+    T commuting with prod Z; above 2^10 states both join the solve's block
+    (``ground_state``).  For the cluster ladder, both chain parities are
     fixed to +1 (labels ``parity_x_chain1`` and ``parity_x_chain2``).
     """
     H = build_hamiltonian(spec)
     n = spec.n_qubits
     sector: list[tuple[str, object, float]] | None = None
     if spec.kind == "tfim":
-        sector = [("parity_x", parity_x_operator(n), +1.0)]
+        parity = 1.0 if spec.h > 0.0 or n % 2 == 0 else -1.0
+        sector = [("parity_x", parity_x_operator(n), parity)]
+        if spec.boundary == "periodic":
+            sector.append(("translation_re", build_symmetry("translation", n), +1.0))
     elif spec.kind == "cluster_ladder":
         sector = []
         for y in (1, 2):
             chain = {ladder_site(j, y, spec.L): "X" for j in range(1, spec.L + 1)}
             sector.append((f"parity_x_chain{y}", PauliOperator.string(n, chain), +1.0))
-    sol = ground_state(H, sector=sector)
-    if spec.kind == "tfim" and spec.boundary == "periodic":
-        # momentum phase is recorded empirically, never asserted
-        sol.sector_labels["translation_re"] = expectation(
-            sol.state, build_symmetry("translation", n)
-        ).real
-    return sol
+    return ground_state(H, sector=sector)
 
 
 # -- reference probe states ------------------------------------------

@@ -405,42 +405,57 @@ class PauliOperator:
         dim = 1 << self.n_qubits
         return dim, dim
 
-    def apply_vec(self, vec: np.ndarray) -> np.ndarray:
+    def apply_vec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Linear action on a state vector or a (2^n, k) column block.
 
         Each flip-mask group adds ``phase * vec`` flipped along the masked
         axes of the (2,) * n (+ (k,)) view; a real input stays real under a
         real operator.  An operator with a single, diagonal group returns
-        ``phase * vec`` itself, with no accumulation buffer.
+        ``phase * vec`` itself.  Otherwise the first group is written
+        straight into the result, as the product of the flipped factors plus
+        the zero the sum starts from, and the later groups are added to it.
+        ``out``, a C-contiguous array of the result's shape and dtype that
+        does not overlap ``vec``, receives the result: a single Pauli string
+        then allocates nothing.
         """
         form = self._grouped()
         vec = np.asarray(vec)
         dtype = np.result_type(vec.dtype, np.float64 if form.real else np.complex128)
-        phases = form.phases
-        if vec.ndim == 2:  # broadcast each phase vector over the columns
-            phases = [p if np.isscalar(p) else p[:, None] for p in phases]
         if form.masks == (0,):
-            return np.multiply(phases[0], vec, dtype=dtype)
-        out = np.zeros(vec.shape, dtype=dtype)
+            phase = form.phases[0]
+            if vec.ndim == 2 and not np.isscalar(phase):
+                phase = phase[:, None]
+            return np.multiply(phase, vec, out=out, dtype=dtype)
         shape = (2,) * self.n_qubits + vec.shape[1:]
+        # each phase vector on the (2,) * n view, broadcast over the columns
+        phases = [p if np.isscalar(p) else p.reshape(shape[:self.n_qubits] + (1,) * (vec.ndim - 1))
+                  for p in form.phases]
+        vec_t = vec.reshape(shape)
+        if out is None:
+            out = np.empty(vec.shape, dtype=dtype)
+        if not form.masks:  # the zero operator
+            out[...] = 0.0
         out_t = out.reshape(shape)
-        for phase, axes in zip(phases, form.axes):
-            term = phase * vec
-            if axes:
-                out_t += np.flip(term.reshape(shape), axis=axes)
+        for g, (phase, axes) in enumerate(zip(phases, form.axes)):
+            if g == 0:
+                flipped = phase if np.isscalar(phase) else np.flip(phase, axis=axes)
+                np.multiply(flipped, np.flip(vec_t, axis=axes), out=out_t)
+                out += 0.0  # 0 + x, as a sum from zeros: -0.0 becomes +0.0
             else:
-                out += term
+                out_t += np.flip(phase * vec_t, axis=axes)
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.apply_vec(x)
 
-    def to_sparse(self) -> sp.csr_matrix:
+    def to_sparse(self, rows: np.ndarray | None = None) -> sp.csr_matrix:
         """CSR matrix, float64 for a real operator and complex128 otherwise.
 
         Built in one pass: row r holds one entry per flip-mask group, at
         column r ^ mask; exact zeros (a phase vector cancelling on some basis
-        states) are dropped.
+        states) are dropped.  With ``rows``, sorted basis indices, only those
+        rows are built: the (rows.size, 2^n) matrix ``to_sparse()[rows]``,
+        entry for entry, without the whole register's.
         """
         if self.n_qubits > POLICY.sparse_cap:
             raise CapacityError(
@@ -451,19 +466,15 @@ class PauliOperator:
         dtype = np.float64 if form.real else np.complex128
         n_groups = len(form.masks)
         index_dtype = np.int32 if (dim + 1) * n_groups < 2**31 else np.int64
-        idx = np.arange(dim, dtype=index_dtype)
-        cols = np.empty((dim, n_groups), dtype=index_dtype)
-        data = np.empty((dim, n_groups), dtype=dtype)
-        shape = (2,) * self.n_qubits
-        for g, (mask, phase, axes) in enumerate(zip(form.masks, form.phases, form.axes)):
+        idx = np.arange(dim, dtype=index_dtype) if rows is None else rows.astype(index_dtype)
+        cols = np.empty((idx.size, n_groups), dtype=index_dtype)
+        data = np.empty((idx.size, n_groups), dtype=dtype)
+        for g, (mask, phase) in enumerate(zip(form.masks, form.phases)):
             # <r|P|r ^ mask> = phase[r ^ mask]
             np.bitwise_xor(idx, mask, out=cols[:, g])
-            if np.isscalar(phase):
-                data[:, g] = phase
-            else:
-                data[:, g] = np.flip(phase.reshape(shape), axis=axes).reshape(dim)
-        indptr = np.arange(dim + 1, dtype=index_dtype) * n_groups
-        mat = sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(dim, dim))
+            data[:, g] = phase if np.isscalar(phase) else phase[cols[:, g]]
+        indptr = np.arange(idx.size + 1, dtype=index_dtype) * n_groups
+        mat = sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(idx.size, dim))
         mat.eliminate_zeros()
         mat.sort_indices()
         return mat
@@ -856,18 +867,30 @@ def _imprint_mixed(rho: MixedState, gen: PauliOperator, theta: float) -> MixedSt
     return out
 
 
-def apply_exponential(gen: PauliOperator, scale: complex, vec: np.ndarray) -> np.ndarray:
+def apply_exponential(
+    gen: PauliOperator, scale: complex, vec: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Raw action e^{scale * gen} vec, without any normalization.
 
     A diagonal generator exponentiates its phase table, one exp per
     distinct eigenvalue, and gathers it over the basis; the product with
     ``vec`` is bit for bit ``np.exp(scale * gen.diagonal()) * vec``.  Any
-    other generator goes through a Krylov ``expm_multiply``.
+    other generator goes through a Krylov ``expm_multiply``.  ``out``, a
+    complex array of ``vec``'s shape that does not overlap it, receives the
+    result: the gathered factors, then their product with ``vec`` in place.
     """
     if gen.is_diagonal:
         values, inverse = gen.phase_table()
-        return np.exp(scale * values).take(inverse) * vec
-    return spla.expm_multiply(scale * gen.to_sparse(), vec)
+        factors = np.exp(scale * values)
+        if out is None:
+            return factors.take(inverse) * vec
+        factors.take(inverse, out=out, mode="clip")  # "raise" would buffer the output
+        return np.multiply(out, vec, out=out)
+    result = spla.expm_multiply(scale * gen.to_sparse(), vec)
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def partial_trace(rho: MixedState, kept_sites: Sequence[int]) -> MixedState:

@@ -91,27 +91,75 @@ def diagonal_imprint(rho, diag, theta):
     return rho * np.outer(u, u.conj())
 
 
-def sector_ground_space(H, flips, levels=8, degeneracy_tol=1e-8):
-    """Lowest level of the dense Hermitian H that reaches the joint eigenspace
-    of X-strings, and an orthonormal basis of that level projected onto it.
+def _ring_shift(vec, n):
+    """T vec for the translation T|b> = |(b >> 1) | ((b & 1) << (n - 1))>."""
+    idx = np.arange(1 << n)
+    out = np.empty_like(vec)
+    out[(idx >> 1) | ((idx & 1) << (n - 1))] = vec
+    return out
+
+
+def sector_ground_space(H, flips, levels=8, degeneracy_tol=1e-8, translation=None):
+    """Lowest level of the Hermitian H that reaches the joint eigenspace
+    of X-strings (and of the translation), and an orthonormal basis of that
+    level projected onto it.
 
     ``flips`` lists (I/X letter string, eigenvalue +-1) pairs.  Each string
     acts as the permutation b -> b ^ mask (site 0 the most significant bit);
-    the projector prod (I + eigenvalue X)/2 is applied to the lowest
-    ``levels`` dense eigenvectors, and the first level whose eigenvectors
-    keep any weight is the sector ground level."""
+    ``translation``, when given, is the wanted eigenvalue +-1 of the ring
+    translation T (``_ring_shift``).  The projector prod (I + eigenvalue X)/2,
+    times sum_a translation^a T^a / n, is applied to the lowest ``levels``
+    eigenvectors, from dense ``eigh`` (or ``eigsh`` of the whole register for
+    a sparse H), and the first level whose eigenvectors keep any weight is
+    the sector ground level."""
     import scipy.linalg as sla
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
-    w, v = sla.eigh(H, subset_by_index=[0, levels - 1])
+    if sp.issparse(H):
+        w, v = spla.eigsh(H, k=levels, which="SA")
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
+    else:
+        w, v = sla.eigh(H, subset_by_index=[0, levels - 1])
     idx = np.arange(H.shape[0])
     for word, want in flips:
         mask = int(word.translate(str.maketrans("IX", "01")), 2)
         v = 0.5 * (v + want * v[idx ^ mask])
+    if translation is not None:
+        n = idx.size.bit_length() - 1
+        acc, cur = np.zeros_like(v), v
+        for a in range(n):
+            acc = acc + translation**a * cur
+            cur = _ring_shift(cur, n)
+        v = acc / n
     for e in w:
         u, s, _ = np.linalg.svd(v[:, np.abs(w - e) < degeneracy_tol], full_matrices=False)
         if s[0] > 1e-6:
             return float(e), u[:, s > 1e-6]
     raise ValueError(f"none of the lowest {levels} levels reaches the sector")
+
+
+def sector_dimension(n, flips, translation=None):
+    """Dimension of that joint eigenspace, by the character formula
+    dim = sum_g chi(g) tr(U_g) / |G|, where the trace of a basis permutation
+    counts its fixed points; the group is the products T^a prod X^f."""
+    import itertools
+
+    idx = np.arange(1 << n)
+    masks = [int(word.translate(str.maketrans("IX", "01")), 2) for word, _ in flips]
+    total, count = 0.0, 0
+    img = idx
+    for a in range(n if translation is not None else 1):
+        for picks in itertools.product((0, 1), repeat=len(flips)):
+            mask, chi = 0, (translation or 1.0) ** a
+            for pick, m, (_, want) in zip(picks, masks, flips):
+                if pick:
+                    mask, chi = mask ^ m, chi * want
+            total += chi * np.count_nonzero((img ^ mask) == idx)
+            count += 1
+        img = _ring_shift(img, n)
+    return int(round(total / count))
 
 
 def spectral_qfi_and_fn(w, v, gen, n_max, cutoff):

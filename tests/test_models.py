@@ -30,7 +30,13 @@ from critsense.qcore import collective_spin, parity_x_operator, pauli_word, stag
 from critsense.symmetry import build_symmetry
 
 from conftest import sum_z
-from oracles import ground_vec, rydberg_blockade_dense, sector_ground_space, xxz_dense
+from oracles import (
+    ground_vec,
+    rydberg_blockade_dense,
+    sector_dimension,
+    sector_ground_space,
+    xxz_dense,
+)
 
 
 def test_tfim_l2_merged_bond():
@@ -385,16 +391,127 @@ def test_sector_block_matches_projected_dense_ground_space(eigsh_spy, name):
     spec = _SECTOR_CASES[name]
     n = spec.n_qubits
     words = _ladder_parities(spec.L) if spec.kind == "cluster_ladder" else ["X" * n]
+    flips = [(w, 1.0) for w in words]
+    # the periodic Ising chain adds the translation at k = 0; the open chain
+    # and the ladder keep the parity blocks of 2^(n - #parities) states
+    momentum = +1.0 if spec.kind == "tfim" and spec.boundary == "periodic" else None
     sol = solve_model(spec)
     # Lanczos ran on the sector block only, never on the full register
-    assert eigsh_spy and {dim for _, dim, _ in eigsh_spy} == {1 << (n - len(words))}
-    e0, space = sector_ground_space(to_matrix(build_hamiltonian(spec)), [(w, 1.0) for w in words])
+    dims = {dim for _, dim, _ in eigsh_spy}
+    assert eigsh_spy and dims == {sector_dimension(n, flips, momentum)}
+    if momentum is None:
+        assert dims == {1 << (n - len(words))}
+    e0, space = sector_ground_space(to_matrix(build_hamiltonian(spec)), flips, translation=momentum)
     assert abs(sol.energy - e0) < 1e-10
     weight = float(np.sum(np.abs(space.conj().T @ sol.state.amplitudes) ** 2))
     assert weight > 1.0 - 1e-10
     parities = [v for label, v in sol.sector_labels.items() if label.startswith("parity")]
     assert len(parities) == len(words)
     assert all(abs(v - 1.0) < 1e-10 for v in parities)
+    assert ("translation_re" in sol.sector_labels) == (momentum is not None)
+    if momentum is not None:
+        assert abs(sol.sector_labels["translation_re"] - 1.0) < 1e-10
+
+
+_MOMENTUM_CASES = {
+    "fm": dict(J=1.0, h=1.0),
+    "afm": dict(J=-1.0, h=1.0),
+    "ordered": dict(J=1.0, h=0.2),
+    "negative_h": dict(J=1.0, h=-1.0),  # odd n: the ground state has parity -1
+}
+
+
+@pytest.mark.parametrize("n, name", [(n, name) for n in (11, 12) for name in _MOMENTUM_CASES
+                                     if name != "negative_h" or n % 2])
+def test_momentum_block_matches_full_register(eigsh_spy, n, name):
+    spec = ModelSpec(kind="tfim", L=n, **_MOMENTUM_CASES[name])
+    parity = 1.0 if spec.h > 0 or n % 2 == 0 else -1.0
+    flips = [("X" * n, parity)]
+    sol = solve_model(spec)
+    assert eigsh_spy and {dim for _, dim, _ in eigsh_spy} == {sector_dimension(n, flips, +1.0)}
+    # the reference projects Lanczos levels of the whole register's CSR
+    e0, space = sector_ground_space(build_hamiltonian(spec).to_sparse(), flips, translation=+1.0)
+    assert abs(sol.energy - e0) < 1e-10
+    assert float(np.sum(np.abs(space.conj().T @ sol.state.amplitudes) ** 2)) > 1.0 - 1e-10
+    assert abs(sol.sector_labels["parity_x"] - parity) < 1e-10
+    assert abs(sol.sector_labels["translation_re"] - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("h", [1.0, -1.0])
+@pytest.mark.parametrize("J", [1.0, -1.0])
+@pytest.mark.parametrize("L", [9, 11], ids=["dense", "lanczos"])
+def test_ising_natural_sector_holds_the_ground_state(L, J, h):
+    # Perron-Frobenius: one ground state, at k = 0 and parity sign(h)^L
+    spec = ModelSpec(kind="tfim", L=L, J=J, h=h)
+    H = build_hamiltonian(spec)
+    if L <= 10:
+        w, v = np.linalg.eigh(to_matrix(H))
+    else:
+        import scipy.sparse.linalg as spla
+
+        w, v = spla.eigsh(H.to_sparse(), k=2, which="SA")
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
+    sol = solve_model(spec)
+    assert w[1] - w[0] > 1e-3
+    assert abs(sol.energy - w[0]) < 1e-10
+    assert abs(np.vdot(v[:, 0], sol.state.amplitudes)) ** 2 > 1.0 - 1e-10
+    assert abs(sol.sector_labels["parity_x"] - np.sign(h) ** L) < 1e-10
+    assert abs(sol.sector_labels["translation_re"] - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_momentum_pi_joins_only_an_even_ring(eigsh_spy, n):
+    # T = -1 is the k = pi block on an even ring, where the ordered
+    # antiferromagnet's Neel difference |0101..> - |1010..> (parity -1) sits;
+    # on an odd ring T^n = 1 has no -1 eigenvalue, so T stays outside the
+    # parity block
+    H = build_hamiltonian(ModelSpec(kind="tfim", L=n, J=-1.0, h=0.5))
+    sector = [("parity_x", parity_x_operator(n), -1.0),
+              ("translation_re", build_symmetry("translation", n), -1.0)]
+    sol = ground_state(H, sector=sector)
+    momentum = -1.0 if n % 2 == 0 else None
+    flips = [("X" * n, -1.0)]
+    assert {dim for _, dim, _ in eigsh_spy} == {sector_dimension(n, flips, momentum)}
+    e0, space = sector_ground_space(H.to_sparse(), flips, translation=momentum)
+    assert abs(sol.energy - e0) < 1e-10
+    assert float(np.sum(np.abs(space.conj().T @ sol.state.amplitudes) ** 2)) > 1.0 - 1e-10
+    if momentum is not None:
+        assert abs(sol.sector_labels["translation_re"] + 1.0) < 1e-10
+
+
+def test_rydberg_momentum_block_matches_full_register(eigsh_spy):
+    L = 12
+    spec = ModelSpec(kind="rydberg", L=L, omega=1.0, detuning=1.0, v1=50.0)
+    H = build_hamiltonian(spec)
+    translation = build_symmetry("translation", L)
+    sol = ground_state(H, sector=[("translation_re", translation, +1.0)])
+    assert eigsh_spy and {dim for _, dim, _ in eigsh_spy} == {sector_dimension(L, [], +1.0)} == {352}
+    eigsh_spy.clear()
+    # the whole register, its multiplet resolved to T = +1 after the solve
+    with pytest.MonkeyPatch.context() as mp:
+        import critsense.models as models
+
+        mp.setattr(models, "_sector_block", lambda H, sector: (None, set()))
+        full = ground_state(H, sector=[("translation_re", translation, +1.0)])
+    assert {dim for _, dim, _ in eigsh_spy} == {1 << L}
+    assert abs(sol.energy - full.energy) < 1e-10
+    assert abs(np.vdot(full.state.amplitudes, sol.state.amplitudes)) ** 2 > 1.0 - 1e-10
+    assert abs(sol.sector_labels["translation_re"] - 1.0) < 1e-10
+    assert abs(full.sector_labels["translation_re"] - 1.0) < 1e-10
+
+
+def test_translation_joins_only_a_translation_invariant_hamiltonian(eigsh_spy):
+    # a field on one site breaks the ring: the parity block alone, T resolved after
+    n = 11
+    H = build_hamiltonian(ModelSpec(kind="tfim", L=n), extra_terms=[(-0.3, pauli_word(n, {0: "X"}))])
+    sector = [("parity_x", parity_x_operator(n), +1.0),
+              ("translation_re", build_symmetry("translation", n), +1.0)]
+    sol = ground_state(H, sector=sector)
+    assert {dim for _, dim, _ in eigsh_spy} == {1 << (n - 1)}
+    e0, space = sector_ground_space(to_matrix(H), [("X" * n, 1.0)])
+    assert abs(sol.energy - e0) < 1e-10
+    assert sol.sector_labels["translation_re"] < 1.0 - 1e-3
 
 
 def test_non_commuting_parity_falls_back_to_full_register(eigsh_spy):

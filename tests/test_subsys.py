@@ -88,26 +88,75 @@ def test_parity_theta_curve_pull_through(critical_states):
     assert np.max(np.abs(curve.signal - neg.signal[::-1])) < 1e-10
 
 
-@pytest.mark.parametrize("check, per_point", [(True, 4), (False, 3)])
+@pytest.mark.parametrize("check, per_point", [(True, 3), (False, 3)])
 def test_parity_theta_curve_exponentials_per_point(critical_states, monkeypatch, check, per_point):
-    # one evolution for signal, variance and commutator, two for the centered
-    # difference, and one 2 theta exponential for the pull-through check
+    # one evolution for signal, variance and commutator and two for the
+    # centered difference; the pull-through check reads the imprinter's phase
+    # table once per curve, with no exponential over the register
+    import critsense.metrology as metrology
     import critsense.qcore as qcore
     import critsense.subsys as subsys
 
     calls = []
     original = qcore.apply_exponential
 
-    def counted(gen, scale, vec):
+    def counted(gen, scale, vec, out=None):
         calls.append(scale)
-        return original(gen, scale, vec)
+        return original(gen, scale, vec, out=out)
 
-    monkeypatch.setattr(qcore, "apply_exponential", counted)
-    monkeypatch.setattr(subsys, "apply_exponential", counted)
+    for module in (qcore, metrology, subsys):
+        monkeypatch.setattr(module, "apply_exponential", counted)
     grid = np.linspace(0.05, 0.5, 7)
     parity_theta_curve(critical_states(8).state, make_ising_protocol(8, 4), grid,
                        check_pull_through=check)
     assert len(calls) == per_point * grid.size
+
+
+def test_pull_through_check_catches_a_moved_signal(critical_states, monkeypatch):
+    # the one-pass check still resolves 1e-11: one signal moved by that much raises
+    import dataclasses
+
+    import critsense.subsys as subsys
+
+    psi = critical_states(8).state
+    proto = make_ising_protocol(8, 4)
+    grid = np.linspace(0.05, 0.5, 7)
+    parity_theta_curve(psi, proto, grid)
+    original = subsys.precision_curve
+
+    def moved(*args):
+        curve = original(*args)
+        signal = curve.signal.copy()
+        signal[3] += 1e-11
+        return dataclasses.replace(curve, signal=signal)
+
+    monkeypatch.setattr(subsys, "precision_curve", moved)
+    with pytest.raises(AssertionError, match="pull-through mismatch at theta="):
+        parity_theta_curve(psi, proto, grid)
+    parity_theta_curve(psi, proto, grid, check_pull_through=False)
+
+
+@pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("L", [8, 10])
+def test_workspace_theta_loop_matches_the_general_loop(critical_states, monkeypatch, L, check):
+    # the per-curve buffers change where the intermediates live, not their
+    # bits: the Ising blocks (diagonal imprinter) and one XXZ string readout
+    # (an X-sum imprinter, evolved by expm_multiply)
+    import critsense.metrology as metrology
+
+    psi = critical_states(L).state
+    grid = default_theta_grid(64)
+    protocols = [make_ising_protocol(L, L_sub) for L_sub in (2, 4, 6)]
+    protocols.append(make_xxz_protocol(L, 3, alpha=1, beta=2))
+    curves = {}
+    for path in ("workspace", "general"):
+        if path == "general":
+            monkeypatch.setattr(metrology, "_takes_workspace", lambda state, obs: False)
+        curves[path] = [parity_theta_curve(psi, proto, grid, check_pull_through=check)
+                        for proto in protocols]
+    for fast, slow in zip(curves["workspace"], curves["general"]):
+        for name in ("signal", "variance", "delta_theta"):
+            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
 
 
 @pytest.mark.parametrize("L_sub", [2, 4, 6, 8, 14])
