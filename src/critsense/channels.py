@@ -6,6 +6,17 @@ collective Z rotation over a Gaussian phase.  Channels are applied before the
 phase imprint by default (an explicit flag covers the reversed order, which
 leaves every formula here unchanged for the symmetric channels).
 
+Every kind is applied through the XOR structure of the basis, in a fixed
+number of passes over the matrix whatever the register size.  A bit flip
+maps rho[a, b] to sum_f w(f) rho[a ^ f, b ^ f]; on the reindexed matrix
+M[a, d] = rho[a, a ^ d] it acts on the row index alone, as the Kronecker
+product K = kron_j [[1-p, p], [p, 1-p]] (I_2 on sites outside the mask),
+so it is an XOR gather, one GEMM with the Kronecker factor of the high n//2
+sites, one batched GEMM with that of the others, and the gather again.  The
+Z-type per-site kinds multiply rho[a, b] by a table over a ^ b, and global
+dephasing by a (2n + 1)-entry table over the difference of the sum-Z
+eigenvalues of a and b.
+
 The closed-form delta-theta expressions below are exact in the collective-spin
 convention, i.e. with imprint generator S_z = (1/2) sum_j Z_j; cross-checks
 against exact diagonalization must use that generator.
@@ -14,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +36,6 @@ from .qcore import (
     MixedState,
     PauliOperator,
     PureState,
-    basis_index_bits,
     collective_spin,
     evolve_phase,
 )
@@ -104,52 +115,134 @@ def _sites(spec: ChannelSpec, L: int) -> Sequence[int]:
     return spec.site_mask if spec.site_mask is not None else range(L)
 
 
+# entries of one row tile, rows * 2^n: the index tables below hold one tile,
+# so they stay 256 KiB however large the register
+_TILE_ENTRIES = 1 << 15
+
+
+def _tile_rows(dim: int) -> int:
+    return min(dim, max(1, _TILE_ENTRIES // dim))
+
+
+def _xor_tiles(dim: int, flat: bool):
+    """Row tiles of a dim x dim matrix and the XOR table of each.
+
+    Yields ``(rows, table)`` with ``table[i, b] = a ^ b`` for the tile's
+    row a = rows.start + i; with ``flat``, ``table[i, b] = i * dim + (a ^ b)``,
+    the flat index of entry (i, a ^ b) of the tile.  A tile holds a power of
+    two rows and starts at a multiple of it, so a = start | i and each table
+    is one XOR of the first tile's table with ``start``.  The table buffer
+    is reused from tile to tile.
+    """
+    n_rows = _tile_rows(dim)
+    i = np.arange(n_rows)[:, None]
+    base = i ^ np.arange(dim)
+    if flat:
+        base += i * dim  # above every bit of a ^ b < dim, so the XOR below leaves it
+    table = np.empty_like(base)
+    for start in range(0, dim, n_rows):
+        np.bitwise_xor(base, start, out=table)
+        yield slice(start, start + n_rows), table
+
+
+def _xor_reindex(src: np.ndarray, dst: np.ndarray) -> None:
+    """dst[a, d] = src[a, a ^ d], one gather per row tile; its own inverse."""
+    for rows, table in _xor_tiles(src.shape[0], flat=True):
+        np.take(src[rows].reshape(-1), table, out=dst[rows], mode="clip")  # "raise" buffers
+
+
+def _bitflip(mat: np.ndarray, spec: ChannelSpec, n_qubits: int) -> np.ndarray:
+    # K = kron_j [[1-p, p], [p, 1-p]] (I_2 off the mask) on the row index of
+    # M[a, d] = rho[a, a ^ d], as its factors on the high n//2 sites and the rest
+    sites = set(_sites(spec, n_qubits))
+    flip = np.array([[1.0 - spec.p, spec.p], [spec.p, 1.0 - spec.p]])
+    factors = [flip if j in sites else np.eye(2) for j in range(n_qubits)]
+    high = n_qubits // 2
+    k_high = reduce(np.kron, factors[:high], np.ones((1, 1)))
+    k_low = reduce(np.kron, factors[high:])
+    moved = np.empty_like(mat)
+    out = np.empty_like(mat)
+    _xor_reindex(mat, moved)
+    # K is real and contracts the row index, never the last axis, so a complex
+    # matrix goes through as its float64 view
+    shape = (k_high.shape[0], k_low.shape[0], -1)
+    np.matmul(k_high, moved.view(np.float64).reshape(shape[0], -1),
+              out=out.view(np.float64).reshape(shape[0], -1))
+    np.matmul(k_low, out.view(np.float64).reshape(shape), out=moved.view(np.float64).reshape(shape))
+    _xor_reindex(moved, out)
+    return out
+
+
+def _xor_factors(spec: ChannelSpec, n_qubits: int) -> np.ndarray:
+    """g(d) with rho'[a, b] = g(a ^ b) rho[a, b] for the Z-type per-site kinds.
+
+    A site (``dephase_z``) or bond (``zz``) whose sign differs between row
+    and column scales the entry by c = (1 - p) - p, any other by
+    (1 - p) + p = 1: g(d) = c^k with k the popcount of d over the masked
+    sites, or of d ^ rot(d), the bond parities, over the masked bond starts.
+    c^k is a running product, the same floats as the per-site factors
+    multiplied together in site order.
+    """
+    dim = 1 << n_qubits
+    d = np.arange(dim)
+    if spec.kind == "zz":  # bit of site j + 1 moved onto site j's, site 0 onto site n - 1's
+        d ^= ((d << 1) | (d >> (n_qubits - 1))) & (dim - 1)
+    mask = sum(1 << (n_qubits - 1 - j) for j in _sites(spec, n_qubits))
+    c = (1.0 - spec.p) - spec.p
+    powers = np.ones(n_qubits + 1)
+    for k in range(1, n_qubits + 1):
+        powers[k] = powers[k - 1] * c
+    return powers[np.bitwise_count(d & mask)]
+
+
+def _global_dephase_factors(spec: ChannelSpec, n_qubits: int) -> np.ndarray:
+    """Gaussian average of exp(-i phi (m_a - m_b)), one entry per u_b - u_a + n.
+
+    m = n - 2u is the sum-Z eigenvalue of a basis state with u flipped
+    sites, so m_a - m_b = 2 (u_b - u_a) takes 2n + 1 values; the phase
+    phi ~ N(0, chi/2) is averaged on 41 Gauss-Hermite nodes.
+    """
+    nodes, weights = hermgauss(41)
+    phis = nodes * math.sqrt(spec.chi)  # sqrt(2 sigma^2) with sigma^2 = chi/2
+    delta = 2.0 * np.arange(-n_qubits, n_qubits + 1)
+    return weights @ np.exp(-1j * np.outer(phis, delta)) / math.sqrt(math.pi)
+
+
 def apply_channel_matrix(mat: np.ndarray, spec: ChannelSpec, n_qubits: int) -> np.ndarray:
     """Channel action on an arbitrary matrix (state or observable).
 
-    All four kinds commute entrywise with the basis structure: X flips are
-    index permutations, Z-type kinds are sign masks, and the global kind is a
-    Gauss-Hermite average over collective Z rotations.  The per-site kinds
-    keep a real matrix real; the global kind's phase kernel is complex, so it
-    returns complex128.
+    Every kind makes a fixed number of passes over the matrix, whatever n
+    (the module docstring has the identities): the bit flip an XOR gather,
+    one GEMM with K's factor on the high n//2 sites, one batched GEMM with
+    its factor on the rest and the gather back, in two matrix-sized
+    buffers; the Z-type per-site kinds and global dephasing one multiply by
+    a factor table, gathered one row tile at a time.  The input is not
+    modified.  The per-site kinds keep a real matrix real; the global
+    kind's phase kernel is complex, so it returns complex128.
     """
     if n_qubits > POLICY.dense_cap:
         raise CapacityError(f"{n_qubits} qubits exceeds dense cap {POLICY.dense_cap}")
     dim = 1 << n_qubits
     if mat.shape != (dim, dim):
         raise ValueError("matrix does not match register size")
-    out = np.array(mat, dtype=np.complex128 if np.iscomplexobj(mat) else np.float64, order="C")
+    mat = np.ascontiguousarray(mat, dtype=np.complex128 if np.iscomplexobj(mat) else np.float64)
     if spec.kind == "bitflip_x":
-        # X_j rho X_j flips the row bit and the column bit of site j: axes j
-        # and n + j of the (2,) * 2n view, site 0 being the most significant
-        tens = out.reshape((2,) * (2 * n_qubits))
-        flipped = np.empty_like(tens)
-        for j in _sites(spec, n_qubits):
-            np.multiply(np.flip(tens, axis=(j, n_qubits + j)), spec.p, out=flipped)
-            tens *= 1.0 - spec.p
-            tens += flipped
+        return _bitflip(mat, spec, n_qubits)
+    if spec.kind == "global_dephase":
+        kernel = _global_dephase_factors(spec, n_qubits)
+        flipped = np.bitwise_count(np.arange(dim)).astype(np.intp)  # u: the sites at Z = -1
+        out = np.empty(mat.shape, dtype=np.complex128)
+        n_rows = _tile_rows(dim)
+        for start in range(0, dim, n_rows):
+            rows = slice(start, start + n_rows)
+            at = np.subtract(flipped, flipped[rows, None]) + n_qubits
+            np.multiply(mat[rows], kernel.take(at), out=out[rows])
         return out
-    bits = basis_index_bits(n_qubits)
-    if spec.kind in ("dephase_z", "zz"):
-        factor = np.ones((dim, dim))
-        for j in _sites(spec, n_qubits):
-            if spec.kind == "dephase_z":
-                s = 1.0 - 2.0 * bits[j]
-            else:
-                k = (j + 1) % n_qubits
-                s = (1.0 - 2.0 * bits[j]) * (1.0 - 2.0 * bits[k])
-            factor *= (1.0 - spec.p) + spec.p * np.outer(s, s)
-        return out * factor
-    # global dephasing: average exp(-i phi sum Z) rho exp(+i phi sum Z) over
-    # the Gaussian phase phi ~ N(0, chi/2), on 41 Gauss-Hermite nodes
-    m = sum(1.0 - 2.0 * b for b in bits)  # sum-Z eigenvalues per basis state
-    nodes, weights = hermgauss(41)
-    phis = nodes * math.sqrt(spec.chi)  # sqrt(2 sigma^2) with sigma^2 = chi/2
-    acc = np.zeros(out.shape, dtype=np.complex128)
-    for phi, w in zip(phis, weights):
-        kernel = np.exp(-1j * phi * (m[:, None] - m[None, :]))
-        acc += w * (out * kernel)
-    return acc / math.sqrt(math.pi)
+    factors = _xor_factors(spec, n_qubits)
+    out = np.empty_like(mat)
+    for rows, table in _xor_tiles(dim, flat=False):
+        np.multiply(mat[rows], factors.take(table), out=out[rows])
+    return out
 
 
 def apply_channel(rho: MixedState, spec: ChannelSpec) -> MixedState:

@@ -33,6 +33,7 @@ from .qcore import (
     evolve_phase,
     expectation,
     to_matrix,
+    trace_product,
     variance,
 )
 from .symmetry import SymmetryOperator
@@ -268,6 +269,9 @@ def _commutator_derivative(evolved: State, gen: PauliOperator, obs) -> float:
         gvec = gen @ vec
         # i(<psi|A G|psi> - <psi|G A|psi>)
         return float(np.real(1j * (np.vdot(avec, gvec) - np.vdot(gvec, avec))))
+    if isinstance(obs, PauliOperator):  # i tr(rho [A, G]) from the grouped forms
+        commutator = trace_product(evolved, obs, gen) - trace_product(evolved, gen, obs)
+        return float(np.real(1j * commutator))
     g_rho = gen @ evolved.matrix  # (G rho)^dagger = rho G
     return float(np.real(1j * np.trace(obs @ (g_rho - g_rho.conj().T))))
 

@@ -20,9 +20,11 @@ from bit arithmetic on the basis index, i^#Y (-1)^popcount(b & zy_mask).
 ``apply_vec`` flips ``phase_m * vec`` along the masked axes of the (2,) * n
 tensor view, ``diagonal`` is the mask-0 phase vector (cached, read-only),
 ``to_sparse`` writes one entry per group per row, and the mixed-state
-``expectation`` sums phase_m[b] rho[b, b ^ m].  A real operator yields a real
-matrix: when every phase is real (the Ising, XXZ and Rydberg Hamiltonians)
-``to_sparse`` returns float64, so the ground solvers run real-symmetric.
+``expectation`` sums phase_m[b] rho[b, b ^ m]; ``trace_product``, and so the
+mixed-state ``variance``, sums such diagonals over pairs of masks.  A real
+operator yields a real matrix: when every phase is real (the Ising, XXZ and
+Rydberg Hamiltonians) ``to_sparse`` returns float64, so the ground solvers
+run real-symmetric.
 
 A diagonal operator also caches its phase table: the distinct diagonal
 values and, per basis state, the index of its value (``np.unique`` with
@@ -807,11 +809,40 @@ def expectation(state: State, op) -> complex:
     return complex(total)
 
 
+def trace_product(rho: MixedState, a: PauliOperator, b: PauliOperator) -> complex:
+    """tr(rho A B) of two Pauli sums from their grouped forms.
+
+    B|c> = sum_m1 phaseB_m1[c] |c ^ m1> and then A give
+    tr(rho A B) = sum_c sum_(m1, m2) rho[c, c ^ m1 ^ m2] phaseB_m1[c] phaseA_m2[c ^ m1]:
+    the phase products are summed per joint mask m1 ^ m2 and each joint
+    mask reads one generalized diagonal rho[c, c ^ m] of rho, so the cost is
+    O(groups^2 * 2^n), with no dim^2 product formed.
+    """
+    _check_register(rho, a)
+    _check_register(rho, b)
+    form_a, form_b = a._grouped(), b._grouped()
+    idx = np.arange(1 << rho.n_qubits)
+    weights: dict[int, np.ndarray | complex] = {}
+    for m1, phase_b in zip(form_b.masks, form_b.phases):
+        moved = idx ^ m1
+        for m2, phase_a in zip(form_a.masks, form_a.phases):
+            term = phase_b * (phase_a if np.isscalar(phase_a) else phase_a[moved])
+            weights[m1 ^ m2] = weights.get(m1 ^ m2, 0.0) + term
+    mat = rho.matrix
+    total = 0.0 + 0.0j
+    for mask, weight in weights.items():
+        diag = mat[idx, idx ^ mask]
+        total += weight * np.sum(diag) if np.isscalar(weight) else np.dot(weight, diag)
+    return complex(total)
+
+
 def variance(state: State, op) -> float:
     """<op^2> - <op>^2 for a Hermitian op; guaranteed >= -1e-10 numerically.
 
     Refuses an operator that declares ``is_hermitian`` False (a non-Hermitian
-    Pauli sum, the translation); plain matrices are taken as given.
+    Pauli sum, the translation); plain matrices are taken as given.  A Pauli
+    sum on a mixed state reads tr(rho O^2) from ``trace_product``; any other
+    operator forms op @ rho.
     """
     if not getattr(op, "is_hermitian", True):
         raise ValueError("variance requires a Hermitian operator")
@@ -820,6 +851,9 @@ def variance(state: State, op) -> float:
         ovec = op @ state.amplitudes
         mean = np.vdot(state.amplitudes, ovec).real
         second = np.vdot(ovec, ovec).real
+    elif isinstance(op, PauliOperator):
+        mean = expectation(state, op).real
+        second = trace_product(state, op, op).real
     else:
         orho = op @ state.matrix
         mean = np.trace(orho).real

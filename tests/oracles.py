@@ -222,3 +222,15 @@ def flip_orbit_isometry(n_qubits, group):
         (chi / scale, col, np.arange(idx.size + 1)), shape=(idx.size, idx.size // len(group))
     )
     return P, np.flatnonzero(is_rep), scale
+
+
+def bitflip_sitewise(rho, p, sites):
+    """Bit-flip channel one site at a time: X_j rho X_j flips the row bit and
+    the column bit of site j, axes j and n + j of the (2,) * 2n view (site 0
+    the most significant), and each site mixes rho with its flip by p."""
+    n = int(np.log2(rho.shape[0]))
+    out = np.array(rho)
+    tens = out.reshape((2,) * (2 * n))
+    for j in sites:
+        tens[...] = (1.0 - p) * tens + p * np.flip(tens, axis=(j, n + j))
+    return out

@@ -1,8 +1,11 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from critsense import (
     ChannelSpec,
@@ -32,7 +35,7 @@ from critsense.channels import (
 from critsense.qcore import expectation, to_matrix
 
 from conftest import sum_z
-from oracles import kron_op, X as XM, Z as ZM
+from oracles import bitflip_sitewise, kron_op, X as XM, Z as ZM
 
 
 def test_channel_spec_validation():
@@ -108,6 +111,62 @@ def test_channel_matches_kraus_oracle(rng):
         want = (1 - p) * want + p * (pj @ want @ pj)
     got = apply_channel_matrix(rho, ChannelSpec(kind="zz", p=p), L)
     assert np.max(np.abs(got - want)) < 1e-12
+
+
+@st.composite
+def bitflip_cases(draw):
+    """(n, site_mask or None, p, complex?): odd and even n, so both the
+    high/low split and its empty high half (n = 1) are drawn, with masks
+    that may straddle the split."""
+    n = draw(st.integers(1, 9))
+    mask = draw(st.none() | st.lists(st.integers(0, n - 1), unique=True, max_size=n).map(tuple))
+    p = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    return n, mask or None, p, draw(st.booleans())
+
+
+@example((1, None, 0.3, True))
+@example((4, (1, 2), 0.3, False))  # the two sites either side of the split
+@example((5, (2,), 0.7, True))     # the first site of the low half, n odd
+@example((9, (3, 4, 8), 0.25, True))
+@given(bitflip_cases())
+def test_bitflip_matches_sitewise_oracle(case):
+    n, mask, p, cplx = case
+    dim = 1 << n
+    gen = np.random.default_rng(n + 97 * int(cplx))
+    rho = gen.standard_normal((dim, dim))
+    if cplx:
+        rho = rho + 1j * gen.standard_normal((dim, dim))
+    before = rho.copy()
+    got = apply_channel_matrix(rho, ChannelSpec(kind="bitflip_x", p=p, site_mask=mask), n)
+    want = bitflip_sitewise(rho, p, range(n) if mask is None else mask)
+    assert np.array_equal(rho, before)  # the input is not modified
+    assert got.dtype == rho.dtype
+    if p in (0.0, 1.0):  # K is the identity or a permutation: every entry exact
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(rho))
+
+
+@pytest.mark.parametrize("kind", ["bitflip_x", "dephase_z", "zz", "global_dephase"])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_channel_allocates_two_matrices(rng, kind, cplx):
+    # the result and, for the bit flip, one reindexed copy; the index tables
+    # and factor tiles, a few arrays of one 2^15-entry row tile, stay far
+    # below one more dim^2 matrix (8 MiB real)
+    n = 10
+    dim = 1 << n
+    rho = rng.standard_normal((dim, dim))
+    if cplx:
+        rho = rho + 1j * rng.standard_normal((dim, dim))
+    spec = ChannelSpec(kind=kind, chi=0.3) if kind == "global_dephase" else ChannelSpec(kind=kind, p=0.2)
+    matrices = 2 if kind == "bitflip_x" else 1
+    tracemalloc.start()
+    try:
+        out = apply_channel_matrix(rho, spec, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= matrices * out.nbytes + (2 << 20)
 
 
 @pytest.mark.parametrize("L", [4, 5])

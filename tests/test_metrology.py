@@ -33,6 +33,7 @@ from critsense.channels import ChannelSpec, apply_channel, in_plane_spin
 from critsense.metrology import precision_curve
 from critsense.models import ModelSpec, solve_model
 from critsense.policy import POLICY
+import critsense.qcore as qcore
 from critsense.qcore import collective_spin
 from critsense.symmetry import build_symmetry
 
@@ -795,3 +796,30 @@ def test_error_propagation_dense_and_sparse_readouts(mixed):
         assert pauli > 0.1
         assert abs(sparse - dense) < 1e-12 * pauli
         assert abs(sparse - pauli) < 1e-9 * pauli
+
+
+def _grouped_route_ops(n):
+    z0 = PauliOperator.single(n, 0, "Z")
+    z0z1 = PauliOperator.string(n, {0: "Z", 1: "Z"}) if n > 1 else PauliOperator.identity(n)
+    return {"sum_x": collective_spin(n, "X"), "s_theta": in_plane_spin(n, 0.7), "z0_z0z1": z0 + z0z1}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+def test_mixed_variance_and_commutator_from_grouped_form(rng, n, cplx):
+    # tr(rho O^2) and i tr(rho [A, G]) of Pauli sums from the grouped forms
+    # agree with the op @ rho route, which the CSR form of the readout keeps
+    dim = 1 << n
+    g = rng.standard_normal((dim, dim)) + (1j * rng.standard_normal((dim, dim)) if cplx else 0.0)
+    m = g @ g.conj().T
+    rho = MixedState(n, m / np.trace(m).real)
+    ops = _grouped_route_ops(n)
+    for name, obs in ops.items():
+        scale = 1.0 + sum(abs(c) for c, _ in obs.terms) ** 2
+        want = np.trace(to_matrix(obs) @ to_matrix(obs) @ rho.matrix)
+        assert abs(qcore.trace_product(rho, obs, obs) - want) <= 1e-12 * scale, name
+        assert abs(variance(rho, obs) - variance(rho, obs.to_sparse())) <= 1e-12 * scale, name
+        for gen in ops.values():
+            got = metrology._commutator_derivative(rho, gen, obs)
+            old = metrology._commutator_derivative(rho, gen, obs.to_sparse())
+            assert abs(got - old) <= 1e-12 * scale * (1.0 + sum(abs(c) for c, _ in gen.terms)), name
