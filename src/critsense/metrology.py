@@ -30,6 +30,7 @@ from .qcore import (
     State,
     _hermitian_deviation,
     apply_exponential,
+    charge,
     evolve_phase,
     expectation,
     to_matrix,
@@ -94,27 +95,6 @@ def qfi_mixed(rho: MixedState, gen: PauliOperator) -> QfiReport:
     return QfiReport(value=value, method="mixed_spectral", spectral_cutoff_used=cutoff)
 
 
-def _charge_shift(gen: PauliOperator, name: str, order: int) -> int | None:
-    """q with g G g^dagger = exp(2 pi i q / N) G for the symmetry g of order N,
-    or None when G is no multiple of its conjugate.
-
-    Conjugation acts on each Pauli term exactly: the product-of-X parity
-    flips the sign of a term with an odd count of Z/Y letters; the
-    translation moves the letter at site j to site j + 1.  A Hermitian G
-    can only pick up a real factor, +1 (q = 0) or -1 (q = N/2).
-    """
-    terms = {word: c for c, word in gen.terms}
-    if name == "parity_x":
-        moved = {w: -c if sum(ch in "ZY" for ch in w) % 2 else c for w, c in terms.items()}
-    else:
-        moved = {w[-1] + w[:-1]: c for w, c in terms.items()}
-    if moved == terms:
-        return 0
-    if order % 2 == 0 and moved == {w: -c for w, c in terms.items()}:
-        return order // 2
-    return None
-
-
 def _block_pairs(rho: MixedState, gen: PauliOperator):
     """(w_a, w_b, <i|gen|j>, multiplicity) per block pair (a, b), a <= b,
     whose block of ``gen`` is non-zero; eigenvalues clipped at 0.
@@ -122,7 +102,7 @@ def _block_pairs(rho: MixedState, gen: PauliOperator):
     The whole register (one block, P = I) applies ``gen`` itself to the
     eigenvectors.  Symmetry blocks read P_a^dagger G P_b from
     ``gen.to_sparse()``.  For each generator g of the group, if
-    g G g^dagger = c G (``_charge_shift``), G moves that charge by c: the
+    g G g^dagger = c G (``qcore.charge``), G moves that charge by c: the
     pair needs chi_a(g) = c chi_b(g).  If no such c exists, G couples every
     value of the charge.  So Sum Z pairs (k, +) with (k, -); the staggered
     Z pairs (k, +-) with (k + pi, -+) on an even chain, and with every
@@ -136,7 +116,9 @@ def _block_pairs(rho: MixedState, gen: PauliOperator):
         v = blocks[0].vectors
         yield w[0], w[0], v.conj().T @ (gen @ v), 1
         return
-    shifts = [_charge_shift(gen, name, order) for name, _, order in blocks[0].sector]
+    n = gen.n_qubits
+    shifts = [charge(gen, "X" * n if name == "parity_x" else name)
+              for name, _, _ in blocks[0].sector]
 
     def coupled(a: SectorBlock, b: SectorBlock) -> bool:
         return all(q is None or (ma - mb) % order == q

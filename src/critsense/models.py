@@ -18,11 +18,11 @@ import scipy.sparse.linalg as spla
 from .policy import POLICY, CapacityError
 from .qcore import (
     _FLIP_LETTERS,
-    _SIGN_LETTERS,
     PauliOperator,
     PureState,
     _orbit_isometry,
     _translation_perm,
+    charge,
     collective_spin,
     dephase_normalize,
     expectation,
@@ -214,30 +214,26 @@ def _sector_isometry(
 
 
 def _sector_block(
-    H: PauliOperator, sector: list[tuple[str, object, float]]
+    H: PauliOperator, sector: list[tuple[str, object, float]], lanczos: bool
 ) -> tuple[tuple[sp.csr_matrix, np.ndarray, np.ndarray] | None, set[int]]:
     """Orbit isometry of the symmetry group the sector entries generate.
 
     An entry joins when its wanted eigenvalue is +-1 and its op is either
-    * a single X-string (I/X letters, coefficient 1) that commutes with
-      every term of H: a Pauli term commutes with the string when it has an
-      even count of Z/Y letters on the string's sites; or
-    * the translation T of the whole register, when every term of H moved
-      one site along the ring is again a term with the same coefficient;
-      -1 needs an even register, as T^n = 1.
+    * a single X-string (I/X letters, coefficient 1) that commutes with H
+      (``qcore.charge`` 0); or
+    * the translation T of the whole register, when H is translation
+      invariant (charge 0); -1 needs an even register, as T^n = 1.
     T and the flips must commute, so T joins only with ring-invariant
     strings (the product-of-X parity).  A group element g carries the
     character chi(g), the product of the joined eigenvalues.  The isometry
     is ``qcore._orbit_isometry`` of the joined generators: one column
     sum_g chi(g)|g r> / sqrt(|O_r|) per orbit O_r that chi allows.  Returns
-    ``(P, reps, norms)`` (``None`` when no entry joins) and the indices of
-    the joined entries.  The flip group stops short of a single orbit.
+    ``(P, reps, norms)`` and the indices of the joined entries, or
+    ``(None, set())`` when no entry joins or chi allows no orbit.  For
+    ``lanczos`` the flip group stops short of a single orbit, as ``eigsh``
+    needs two states.
     """
     n = H.n_qubits
-    terms = {word: c for c, word in H.terms}
-    # sign masks: Z/Y letters of each term, bit n - 1 - j for site j
-    signs = [int(w.translate(_SIGN_LETTERS), 2) for w in terms]
-    ring = {w[-1] + w[:-1]: c for w, c in terms.items()} == terms
     group = {0: 1.0}  # flip group: element mask -> character
     masks: list[int] = []
     charges: list[int] = []
@@ -247,27 +243,26 @@ def _sector_block(
         if want not in (1.0, -1.0):
             continue
         if isinstance(op, SymmetryOperator):
-            if (op.kind == "translation" and op.L == n and shift is None and ring
+            if (op.kind == "translation" and op.L == n and shift is None
                     and (want == 1.0 or n % 2 == 0)
-                    and all(_rotated(m, n) == m for m in masks)):
+                    and all(_rotated(m, n) == m for m in masks)
+                    and charge(H, "translation") == 0):
                 shift = 0 if want == 1.0 else n // 2
                 joined.add(i)
             continue
         if not (isinstance(op, PauliOperator) and len(op.terms) == 1):
             continue
         coeff, word = op.terms[0]
-        if coeff != 1.0 or "X" not in word or set(word) - {"I", "X"}:
+        if coeff != 1.0 or "X" not in word or set(word) - {"I", "X"} or charge(H, word) != 0:
             continue
         mask = int(word.translate(_FLIP_LETTERS), 2)
-        if any((s & mask).bit_count() % 2 for s in signs):
-            continue
         if shift is not None and _rotated(mask, n) != mask:
             continue
         if mask in group:  # already an element: joins only if its character agrees
             if group[mask] == want:
                 joined.add(i)
             continue
-        if 2 * len(group) > 1 << (n - 1):  # keep two states: eigsh needs k < dim
+        if lanczos and 2 * len(group) > 1 << (n - 1):
             continue
         group.update({g ^ mask: c * want for g, c in list(group.items())})
         masks.append(mask)
@@ -277,7 +272,10 @@ def _sector_block(
         return None, set()
     if shift is not None:
         charges.insert(0, shift)
-    return _sector_isometry(n, shift is not None, tuple(masks), tuple(charges)), joined
+    block = _sector_isometry(n, shift is not None, tuple(masks), tuple(charges))
+    if not block[1].size:
+        return None, set()
+    return block, joined
 
 
 def _lowest_levels(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -314,35 +312,36 @@ def ground_state(
 
     * with ``basis``, a sorted array of basis indices (the hard Rydberg
       blockade of ``solve_rydberg_blockaded``), P selects those states;
-    * without it, on a register above 2^10 states, P spans the sector block
-      of the symmetry group the ``sector`` entries generate (see
+    * without it, at every register size, P spans the sector block of the
+      symmetry group the ``sector`` entries generate (see
       ``_sector_block``): the X-strings that commute with H (the
       product-of-X parity of the Ising chain, the two chain parities of the
       cluster ladder) and the translation T at eigenvalue +-1 when H is
       translation invariant (the periodic Ising and Rydberg chains), so a
       momentum k = 0 or pi block of about 2^n / n states, 2^n / 2n with the
       parity too;
-    * otherwise there is no P: the whole register.
+    * otherwise (no entry joins) there is no P: the whole register.
 
     The block is diag(norms) H[reps] P, with ``(P, reps, norms)`` from
     ``qcore._orbit_isometry`` (cached per group and character) and the rows
     H[reps] built from the grouped Pauli form (``to_sparse(rows)``), never
-    the whole register's matrix.  Up to 2^10 states (of the register, or of
-    ``basis``) the solve is dense ``eigh`` on the full matrix; above, Lanczos
-    on the restricted one, asking for two levels and for twice as many while
-    all of them sit within ``POLICY.degeneracy_tol`` of E0.  A real
-    Hamiltonian (Ising, XXZ, Rydberg) gives a float64 matrix and runs the
-    real-symmetric solvers; a complex one keeps the complex Hermitian path.
-    The ground multiplet is the levels within ``POLICY.degeneracy_tol`` of E0.
+    the whole register's matrix.  The solver switches on the register (or
+    ``basis``) dimension, not on the block's: up to 2^10 states it is dense
+    ``eigh`` of the block; above, Lanczos on it, asking for two levels and
+    for twice as many while all of them sit within ``POLICY.degeneracy_tol``
+    of E0.  A real Hamiltonian (Ising, XXZ, Rydberg) gives a float64 matrix
+    and runs the real-symmetric solvers; a complex one keeps the complex
+    Hermitian path.  The ground multiplet is the levels within
+    ``POLICY.degeneracy_tol`` of E0.
 
     ``sector`` lists (label, symmetry operator, wanted eigenvalue) triples.
-    The entries outside the block (those that do not join the group, and
-    every entry of a dense solve) resolve the multiplet after the solve, to
-    the requested eigenvalues in that order.  ``sector_labels[label]``
-    records Re<op> of the returned state.  ``gap`` is E1 - E0 of the matrix
-    that was diagonalized: the gap inside the (k, +-) block when it was
-    used, the splitting inside the multiplet when it has several members.
-    The residual is checked against that matrix.
+    The entries outside the block (those that do not join the group)
+    resolve the multiplet after the solve, to the requested eigenvalues in
+    that order.  ``sector_labels[label]`` records Re<op> of the returned
+    state.  ``gap`` is E1 - E0 of the matrix that was diagonalized: the gap
+    inside the (k, +-) block when it was used, the splitting inside the
+    multiplet when it has several members, nan for a one-state block.  The
+    residual is checked against that matrix.
     """
     if not H.is_hermitian:
         raise ValueError("ground_state requires a Hermitian Hamiltonian")
@@ -355,8 +354,8 @@ def ground_state(
     restriction, joined = None, set()
     if basis is not None:
         restriction = _selection(n, basis)
-    elif lanczos:
-        restriction, joined = _sector_block(H, sector)
+    else:
+        restriction, joined = _sector_block(H, sector, lanczos)
     if restriction is None:
         mat = H.to_sparse()
     else:
@@ -404,9 +403,10 @@ def solve_model(spec: ModelSpec) -> GroundSolution:
     Perron-Frobenius the ground state is unique, and prod Z maps h to -h while
     prod Z prod X = (-1)^L prod X prod Z.  On a periodic chain it is also the
     T = +1 momentum (label ``translation_re``, Re<T>), the same argument with
-    T commuting with prod Z; above 2^10 states both join the solve's block
-    (``ground_state``).  For the cluster ladder, both chain parities are
-    fixed to +1 (labels ``parity_x_chain1`` and ``parity_x_chain2``).
+    T commuting with prod Z.  For the cluster ladder, both chain parities
+    are fixed to +1 (labels ``parity_x_chain1`` and ``parity_x_chain2``).
+    At every size these entries form the solve's block (``ground_state``),
+    so ``gap`` is the gap inside that sector.
     """
     H = build_hamiltonian(spec)
     n = spec.n_qubits

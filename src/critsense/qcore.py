@@ -82,12 +82,6 @@ from .policy import POLICY, CapacityError
 LETTERS = "IXYZ"
 
 
-def basis_index_bits(n_qubits: int) -> list[np.ndarray]:
-    """Bit value (0/1) of each site for every basis index; site 0 = MSB."""
-    idx = np.arange(1 << n_qubits, dtype=np.int64)
-    return [(idx >> (n_qubits - 1 - j)) & 1 for j in range(n_qubits)]
-
-
 @lru_cache(maxsize=256)
 def _string_action(letters: str) -> tuple[np.ndarray, np.ndarray]:
     """Permutation and phase arrays of a Pauli string: P|b> = phase[b]|perm[b]>.
@@ -145,6 +139,32 @@ def staggered_z(L: int) -> PauliOperator:
 def parity_x_operator(n: int) -> PauliOperator:
     """The product-of-X parity X^(x n)."""
     return PauliOperator(n, [(1.0, "X" * n)])
+
+
+def charge(op: "PauliOperator", generator: str) -> int | None:
+    """q with g O g^dagger = exp(2 pi i q / N) O for the symmetry g of order
+    N: 0, N / 2, or None when O is no +-multiple of its conjugate.
+
+    ``generator`` is ``"translation"`` (T, site j to j + 1, order n) or an
+    I/X letter string (an X-string, order 2).  Conjugation acts on each
+    Pauli term exactly: T moves the letter at site j to site j + 1; an
+    X-string flips the sign of a term with an odd count of Z/Y letters on
+    the string's sites.
+    """
+    terms = {word: c for c, word in op.terms}
+    if generator == "translation":
+        order = op.n_qubits
+        moved = {w[-1] + w[:-1]: c for w, c in terms.items()}
+    else:
+        order = 2
+        mask = int(generator.translate(_FLIP_LETTERS), 2)
+        moved = {w: -c if (int(w.translate(_SIGN_LETTERS), 2) & mask).bit_count() % 2 else c
+                 for w, c in terms.items()}
+    if moved == terms:
+        return 0
+    if order % 2 == 0 and moved == {w: -c for w, c in terms.items()}:
+        return order // 2
+    return None
 
 
 def _translation_perm(n_qubits: int) -> np.ndarray:

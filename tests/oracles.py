@@ -99,10 +99,10 @@ def _ring_shift(vec, n):
     return out
 
 
-def sector_ground_space(H, flips, levels=8, degeneracy_tol=1e-8, translation=None):
-    """Lowest level of the Hermitian H that reaches the joint eigenspace
-    of X-strings (and of the translation), and an orthonormal basis of that
-    level projected onto it.
+def sector_levels(H, flips, levels=8, degeneracy_tol=1e-8, translation=None):
+    """The levels of the Hermitian H that reach the joint eigenspace of
+    X-strings (and of the translation), lowest first: for each, its energy
+    and an orthonormal basis of the level projected onto that space.
 
     ``flips`` lists (I/X letter string, eigenvalue +-1) pairs.  Each string
     acts as the permutation b -> b ^ mask (site 0 the most significant bit);
@@ -110,8 +110,9 @@ def sector_ground_space(H, flips, levels=8, degeneracy_tol=1e-8, translation=Non
     translation T (``_ring_shift``).  The projector prod (I + eigenvalue X)/2,
     times sum_a translation^a T^a / n, is applied to the lowest ``levels``
     eigenvectors, from dense ``eigh`` (or ``eigsh`` of the whole register for
-    a sparse H), and the first level whose eigenvectors keep any weight is
-    the sector ground level."""
+    a sparse H), and a level (the eigenvalues within ``degeneracy_tol`` of
+    its first) reaches the space when its eigenvectors keep any weight.  A
+    generator: it stops at the last of the ``levels`` eigenvalues."""
     import scipy.linalg as sla
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -133,11 +134,32 @@ def sector_ground_space(H, flips, levels=8, degeneracy_tol=1e-8, translation=Non
             acc = acc + translation**a * cur
             cur = _ring_shift(cur, n)
         v = acc / n
+    found = []
     for e in w:
+        if any(abs(e - f) < degeneracy_tol for f in found):
+            continue
         u, s, _ = np.linalg.svd(v[:, np.abs(w - e) < degeneracy_tol], full_matrices=False)
         if s[0] > 1e-6:
-            return float(e), u[:, s > 1e-6]
+            found.append(e)
+            yield float(e), u[:, s > 1e-6]
+
+
+def sector_ground_space(H, flips, levels=8, degeneracy_tol=1e-8, translation=None):
+    """Lowest level of the Hermitian H that reaches the joint eigenspace
+    of X-strings (and of the translation), and an orthonormal basis of that
+    level projected onto it: the first of ``sector_levels``."""
+    for level in sector_levels(H, flips, levels, degeneracy_tol, translation):
+        return level
     raise ValueError(f"none of the lowest {levels} levels reaches the sector")
+
+
+def sector_gap(H, flips, translation=None, degeneracy_tol=1e-8):
+    """E1 - E0 inside the joint eigenspace of ``sector_levels``, from the
+    whole spectrum of the dense H: 0 when its lowest level holds several
+    states of the space."""
+    levels = sector_levels(H, flips, H.shape[0], degeneracy_tol, translation)
+    e0, space = next(levels)
+    return 0.0 if space.shape[1] > 1 else next(levels)[0] - e0
 
 
 def sector_dimension(n, flips, translation=None):

@@ -34,7 +34,9 @@ from oracles import (
     ground_vec,
     rydberg_blockade_dense,
     sector_dimension,
+    sector_gap,
     sector_ground_space,
+    sector_levels,
     xxz_dense,
 )
 
@@ -88,9 +90,15 @@ def test_ground_state_paramagnetic_limit():
 
 
 def test_ground_state_parity_sector_resolution():
-    # deep ferromagnet: near-degenerate pair resolved into the +1 sector
-    sol = solve_model(ModelSpec(kind="tfim", L=8, J=1.0, h=0.2))
-    assert sol.gap < 1e-4
+    # deep ferromagnet: the near-degenerate pair is split across the parity
+    # sectors, and the solve runs on the +1 (k = 0) block, so its gap is the
+    # one inside that block
+    spec = ModelSpec(kind="tfim", L=8, J=1.0, h=0.2)
+    H = to_matrix(build_hamiltonian(spec))
+    w = np.linalg.eigvalsh(H)
+    assert w[1] - w[0] < 1e-4
+    sol = solve_model(spec)
+    assert abs(sol.gap - sector_gap(H, [("X" * 8, 1.0)], translation=+1.0)) < 1e-10
     par = parity_x_operator(8)
     val = expectation(sol.state, par).real
     assert abs(val - 1.0) < 1e-8
@@ -282,10 +290,14 @@ def test_full_register_basis_matches_no_basis(n):
 def test_gap_is_first_excitation(h):
     # splittings 4e-9 (under degeneracy_tol: a two-member multiplet), 1e-6, O(1)
     spec = ModelSpec(kind="tfim", L=8, h=h)
-    w = np.linalg.eigvalsh(to_matrix(build_hamiltonian(spec)))
+    H = to_matrix(build_hamiltonian(spec))
+    w = np.linalg.eigvalsh(H)
     assert (w[1] - w[0] < POLICY.degeneracy_tol) == (h == 0.1)
-    for sol in (ground_state(build_hamiltonian(spec)), solve_model(spec)):
-        assert abs(sol.gap - (w[1] - w[0])) < 1e-10
+    # no sector: the whole register
+    assert abs(ground_state(build_hamiltonian(spec)).gap - (w[1] - w[0])) < 1e-10
+    # the natural sector (parity +1, k = 0) is the block that was diagonalized
+    gap = sector_gap(H, [("X" * 8, 1.0)], translation=+1.0)
+    assert abs(solve_model(spec).gap - gap) < 1e-10
 
 
 def test_sector_labels_are_named():
@@ -413,6 +425,66 @@ def test_sector_block_matches_projected_dense_ground_space(eigsh_spy, name):
         assert abs(sol.sector_labels["translation_re"] - 1.0) < 1e-10
 
 
+_DENSE_SECTOR_CASES = {
+    "fm_periodic": ModelSpec(kind="tfim", L=10),
+    "fm_open": ModelSpec(kind="tfim", L=10, boundary="open"),
+    "afm_periodic": ModelSpec(kind="tfim", L=10, J=-1.0),
+    "afm_open": ModelSpec(kind="tfim", L=10, J=-1.0, boundary="open"),
+    "ordered": ModelSpec(kind="tfim", L=10, h=0.2),   # doublet split across the sectors
+    "ladder": ModelSpec(kind="cluster_ladder", L=5),  # Z2 x Z2 of the chain parities
+    "rydberg": ModelSpec(kind="rydberg", L=10, detuning=1.0),  # T alone, k = 0
+}
+
+
+@pytest.mark.parametrize("name", list(_DENSE_SECTOR_CASES))
+def test_dense_solve_factors_the_sector_block(monkeypatch, name):
+    spec = _DENSE_SECTOR_CASES[name]
+    n = spec.n_qubits
+    H = build_hamiltonian(spec)
+    if spec.kind == "rydberg":
+        flips, momentum = [], +1.0
+        sector = [("translation_re", build_symmetry("translation", n), +1.0)]
+    else:
+        words = _ladder_parities(spec.L) if spec.kind == "cluster_ladder" else ["X" * n]
+        flips = [(w, 1.0) for w in words]
+        momentum = +1.0 if spec.boundary == "periodic" and spec.kind == "tfim" else None
+    rows = []
+    real_eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return real_eigh(a, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", spy)
+        sol = ground_state(H, sector=sector) if spec.kind == "rydberg" else solve_model(spec)
+    # one dense eigh, of the sector block, never of the 2^n register
+    dim = sector_dimension(n, flips, momentum)
+    assert rows == [dim] and dim < 1 << n
+    levels = sector_levels(to_matrix(H), flips, 64, translation=momentum)
+    e0, space = next(levels)
+    assert space.shape[1] == 1
+    assert abs(sol.energy - e0) < 1e-10
+    assert abs(np.vdot(space[:, 0], sol.state.amplitudes)) ** 2 > 1.0 - 1e-10
+    assert abs(sol.gap - (next(levels)[0] - e0)) < 1e-10
+    for label, value in sol.sector_labels.items():
+        assert abs(value - 1.0) < 1e-10, label
+
+
+def test_empty_sector_solves_the_whole_register():
+    # on two sites T = -1 holds only (|01> - |10>), whose parity is -1: the
+    # character (T, prod X) = (-1, +1) has no state, so no block is taken and
+    # the whole register's multiplet is resolved after the solve
+    H = build_hamiltonian(ModelSpec(kind="tfim", L=2))
+    sector = [("parity_x", parity_x_operator(2), +1.0),
+              ("translation_re", build_symmetry("translation", 2), -1.0)]
+    assert sector_dimension(2, [("XX", 1.0)], -1.0) == 0
+    sol = ground_state(H, sector=sector)
+    w = np.linalg.eigvalsh(to_matrix(H))
+    assert abs(sol.energy - w[0]) < 1e-12
+    assert abs(sol.gap - (w[1] - w[0])) < 1e-12
+
+
 _MOMENTUM_CASES = {
     "fm": dict(J=1.0, h=1.0),
     "afm": dict(J=-1.0, h=1.0),
@@ -492,7 +564,7 @@ def test_rydberg_momentum_block_matches_full_register(eigsh_spy):
     with pytest.MonkeyPatch.context() as mp:
         import critsense.models as models
 
-        mp.setattr(models, "_sector_block", lambda H, sector: (None, set()))
+        mp.setattr(models, "_sector_block", lambda H, sector, lanczos: (None, set()))
         full = ground_state(H, sector=[("translation_re", translation, +1.0)])
     assert {dim for _, dim, _ in eigsh_spy} == {1 << L}
     assert abs(sol.energy - full.energy) < 1e-10

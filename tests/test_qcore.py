@@ -20,7 +20,7 @@ from critsense import (
     variance,
 )
 import critsense.qcore as qcore
-from critsense.models import ghz_state, spin_coherent_state
+from critsense.models import ModelSpec, build_hamiltonian, ghz_state, spin_coherent_state
 from critsense.policy import POLICY, NumericPolicy
 from critsense.symmetry import build_symmetry
 
@@ -630,3 +630,34 @@ def test_symmetry_check_reads_the_permuted_matrix(rng, name, n):
         far[dim - 1, dim - 2] += offset * POLICY.herm_tol
         assert (np.max(np.abs(far - far[inv][:, inv])) <= POLICY.herm_tol) == want
         assert qcore._commutes(far, name) == want
+
+
+_CHARGE_CASES = {
+    # (operator on 4 qubits, generator, charge q): "translation" has order 4,
+    # an X-string order 2
+    "ising_T": (lambda: build_hamiltonian(ModelSpec(kind="tfim", L=4, h=0.7)), "translation", 0),
+    "sum_z_parity": (lambda: sum_z(4), "XXXX", 1),
+    "sum_z_T": (lambda: sum_z(4), "translation", 0),
+    "staggered_z_T": (lambda: qcore.staggered_z(4), "translation", 2),
+    "staggered_z_half_string": (lambda: qcore.staggered_z(4), "XXII", None),
+    "z0_plus_z0z1_parity": (lambda: PauliOperator(4, [(1.0, "ZIII"), (1.0, "ZZII")]), "XXXX", None),
+    "zz_bond_half_string": (lambda: PauliOperator(4, [(1.0, "IZZI")]), "XXII", 1),
+    "zz_bond_pair_string": (lambda: PauliOperator(4, [(1.0, "IZZI")]), "IXXI", 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHARGE_CASES))
+def test_charge_matches_dense_conjugation(name):
+    # g O g^dagger == exp(2 pi i q / N) O, checked on the Kronecker matrices
+    n = 4
+    make, generator, want = _CHARGE_CASES[name]
+    op = make()
+    assert qcore.charge(op, generator) == want
+    if generator == "translation":
+        g, order = build_symmetry("translation", n).to_matrix(), n
+    else:
+        g, order = kron_word(generator), 2
+    mat = to_matrix(op)
+    moved = g @ mat @ g.conj().T
+    found = [q for q in range(order) if np.allclose(moved, np.exp(2j * np.pi * q / order) * mat)]
+    assert found == ([] if want is None else [want])
