@@ -282,19 +282,35 @@ def _involution_curve(psi: PureState, gen: PauliOperator, obs: PauliOperator,
     """``precision_curve`` of a pure probe and a Pauli-string involution, on
     one workspace per curve.
 
-    The steps of the general loop, with the same float operations in the same
-    order: the evolved state e^{i theta O} psi, its image A psi_theta, the
-    signal, the branch probabilities of (psi_theta +- A psi_theta) / 2, the
-    commutator derivative and the centered difference of the minus branch.
-    Each 2^n-long intermediate is written into one of five buffers allocated
-    here, so a point allocates nothing of the register's size.
+    The steps of the general loop, with the same bits: the evolved state
+    e^{i theta O} psi, its image A psi_theta, the signal, the branch
+    probabilities of (psi_theta +- A psi_theta) / 2, the commutator
+    derivative and the centered difference of the minus branch.  Each
+    2^n-long intermediate is written into one of three buffers allocated
+    here (the state, its image and one scratch), so a point allocates
+    nothing of the register's size.  A diagonal generator's G psi_theta is
+    its support table (``PauliOperator._support_table``) times the state,
+    broadcast over the coalesced register view, as ``apply_exponential``
+    does.  A branch probability is 0.25 ||psi_theta +- A psi_theta||^2, the
+    norm of the halved sum to the bit: scaling by a power of two is exact
+    (short of subnormal amplitudes).
     """
     if not gen.is_hermitian:
         raise ValueError("phase generator must be Hermitian")
     if gen.n_qubits != psi.n_qubits or obs.shape != gen.shape:
         raise ValueError("register size mismatch")
     base = psi.amplitudes
-    evolved, image, gvec, plus, minus = (np.empty_like(base) for _ in range(5))
+    evolved, image, work = (np.empty_like(base) for _ in range(3))
+    if gen.is_diagonal:
+        shape, index = gen._support_table()
+        weights = gen.phase_table()[0].take(index).astype(base.dtype)
+        state_t, work_t = evolved.reshape(shape), work.reshape(shape)
+
+        def apply_gen() -> None:
+            np.multiply(weights, state_t, out=work_t)
+    else:
+        def apply_gen() -> None:
+            gen.apply_vec(evolved, out=work)
 
     def evolve(theta: float) -> None:
         # evolve_phase, then A on the result
@@ -306,11 +322,10 @@ def _involution_curve(psi: PureState, gen: PauliOperator, obs: PauliOperator,
                 np.divide(evolved, np.linalg.norm(evolved), out=evolved)
         obs.apply_vec(evolved, out=image)
 
-    def branch(sign, buf: np.ndarray) -> float:
-        # 0.5 * (psi +- A psi) and its squared norm
-        sign(evolved, image, out=buf)
-        np.multiply(0.5, buf, out=buf)
-        return float(np.vdot(buf, buf).real)
+    def branch(sign) -> float:
+        # ||(psi +- A psi) / 2||^2
+        sign(evolved, image, out=work)
+        return 0.25 * float(np.vdot(work, work).real)
 
     step = POLICY.fd_step
     sig = np.empty_like(thetas)
@@ -320,15 +335,15 @@ def _involution_curve(psi: PureState, gen: PauliOperator, obs: PauliOperator,
         th = float(th)
         evolve(th)
         sig[i] = complex(np.vdot(evolved, image)).real
-        p_plus, p_minus = branch(np.add, plus), branch(np.subtract, minus)
+        p_plus, p_minus = branch(np.add), branch(np.subtract)
         total = p_plus + p_minus
         var[i] = max(4.0 * p_plus * p_minus / (total * total), 0.0)
-        gen.apply_vec(evolved, out=gvec)
-        exact = float(np.real(1j * (np.vdot(image, gvec) - np.vdot(gvec, image))))
+        apply_gen()
+        exact = float(np.real(1j * (np.vdot(image, work) - np.vdot(work, image))))
         evolve(th + step)
-        m_up = branch(np.subtract, minus)
+        m_up = branch(np.subtract)
         evolve(th - step)
-        m_dn = branch(np.subtract, minus)
+        m_dn = branch(np.subtract)
         dth[i] = _delta_theta(th, var[i], -(m_up - m_dn) / step, exact)
     return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)
 

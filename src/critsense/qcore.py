@@ -17,22 +17,28 @@ on the operator: its terms regrouped by X/Y flip mask m, each group one
 phase vector over the basis (or one scalar when no term of the group has a
 Z or Y letter), so that P|b> = sum_m phase_m[b] |b ^ m>.  The phases come
 from bit arithmetic on the basis index, i^#Y (-1)^popcount(b & zy_mask).
-``apply_vec`` flips ``phase_m * vec`` along the masked axes of the (2,) * n
-tensor view, ``diagonal`` is the mask-0 phase vector (cached, read-only),
-``to_sparse`` writes one entry per group per row, and the mixed-state
-``expectation`` sums phase_m[b] rho[b, b ^ m]; ``trace_product``, and so the
-mixed-state ``variance``, sums such diagonals over pairs of masks.  A real
-operator yields a real matrix: when every phase is real (the Ising, XXZ and
-Rydberg Hamiltonians) ``to_sparse`` returns float64, so the ground solvers
-run real-symmetric.
+``apply_vec`` reads ``phase_m * vec`` at b ^ m through the mask's coalesced
+register view: one axis per run of adjacent sites that share a mark
+(flipped or not), the flipped runs reversed slices, at most 2r + 1 axes for
+r flipped runs.  ``diagonal`` is the mask-0 phase vector (cached,
+read-only), ``to_sparse`` writes one entry per group per row, and the
+mixed-state ``expectation`` sums phase_m[b] rho[b, b ^ m];
+``trace_product``, and so the mixed-state ``variance``, sums such diagonals
+over pairs of masks.  A real operator yields a real matrix: when every
+phase is real (the Ising, XXZ and Rydberg Hamiltonians) ``to_sparse``
+returns float64, so the ground solvers run real-symmetric.
 
 A diagonal operator also caches its phase table: the distinct diagonal
 values and, per basis state, the index of its value (``np.unique`` with
 ``return_inverse``).  A Z-sum imprinter on L sites with one weight up to
-sign takes at most L + 1 values, so ``apply_exponential`` and the mixed-state imprint exponentiate
-the table and gather it, e^{s d_b} = exp(s * values)[inverse[b]], instead of
-exponentiating all 2^n entries.  Each entry is the same elementwise exp of
-the same float, so the result is bit for bit the direct one.
+sign takes at most L + 1 values, so ``apply_exponential`` and the
+mixed-state imprint exponentiate the table, e^{s d_b} = exp(s *
+values)[inverse[b]], instead of exponentiating all 2^n entries.  The
+imprint gathers it over the register; ``apply_exponential`` gathers it
+onto the operator's Z-support only and broadcasts it over the coalesced
+view of the support, 2^|support| factors for 2^n amplitudes.  Each entry is
+the same elementwise exp of the same float, multiplied in the same operand
+order, so the result is bit for bit the direct one.
 
 Dense density matrices follow one dtype rule: real in, real out; complex only
 when the data is.  A real matrix is kept as float64 and anything complex as
@@ -62,8 +68,8 @@ spectral cache on MixedState, which holds the sector blocks and, once
 ``spectrum()`` asks for it, their full-register embedding, and which should
 be populated once (call ``sector_spectrum()``, or ``spectrum()`` when the
 embedded form is read too) before sharing across threads; and the grouped
-form, diagonal and phase table of a PauliOperator, which two threads may at
-worst both build.  The group bases sit in an ``lru_cache``.
+form, diagonal, phase table and support table of a PauliOperator, which
+two threads may at worst both build.  The group bases sit in an ``lru_cache``.
 """
 from __future__ import annotations
 
@@ -245,18 +251,43 @@ def _orbit_isometry(
     return P, reps, norm[reps]
 
 
+def _runs(n_qubits: int, marked: int) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """The coalesced register view of a site mark: the runs of adjacent
+    sites whose bits of ``marked`` agree (site 0 the most significant), as
+    one axis of 2^len per run, and the mark of each run.
+
+    A basis index reshaped to the returned shape is the run-by-run index,
+    so a flip of every site of a run is a reversal of its axis
+    (i ^ (2^k - 1) = 2^k - 1 - i), and a function of the marked sites only
+    is constant along the unmarked axes.
+    """
+    shape: list[int] = []
+    marks: list[bool] = []
+    for j in range(n_qubits):
+        mark = bool(marked >> (n_qubits - 1 - j) & 1)
+        if marks and marks[-1] == mark:
+            shape[-1] *= 2
+        else:
+            shape.append(2)
+            marks.append(mark)
+    return tuple(shape), tuple(marks)
+
+
 class _Grouped(NamedTuple):
     """Pauli sum regrouped by X/Y flip mask: P|b> = sum_m phase_m[b] |b ^ m>.
 
     ``phases[g]`` is a full-length read-only vector, or a Python scalar when
-    no term of the group carries a Z or Y letter; ``axes[g]`` are the axes of
-    the (2,) * n tensor view that mask ``masks[g]`` flips.  ``real`` holds
-    when every phase is real, i.e. when the operator's matrix is real.
+    no term of the group carries a Z or Y letter.  ``views[g]`` is the
+    coalesced register view of mask ``masks[g]`` (``_runs``): its shape, at
+    most 2r + 1 axes for r flipped runs, and the slice tuple that reverses
+    the flipped axes, so that ``x.reshape(shape)[flip]`` is x[b ^ m].
+    ``real`` holds when every phase is real, i.e. when the operator's
+    matrix is real.
     """
 
     masks: tuple[int, ...]
     phases: tuple
-    axes: tuple[tuple[int, ...], ...]
+    views: tuple[tuple[tuple[int, ...], tuple[slice, ...]], ...]
     real: bool
 
 
@@ -271,7 +302,7 @@ def _group_terms(n_qubits: int, terms: Sequence[tuple[complex, str]]) -> _Groupe
             (coeff * _I_POWERS[letters.count("Y") % 4], sign)
         )
     idx = None
-    masks, phases, axes = [], [], []
+    masks, phases, views = [], [], []
     real = True
     for flip in sorted(by_mask):
         group = by_mask[flip]
@@ -295,8 +326,9 @@ def _group_terms(n_qubits: int, terms: Sequence[tuple[complex, str]]) -> _Groupe
         real = real and not np.iscomplexobj(phase)
         masks.append(flip)
         phases.append(phase)
-        axes.append(tuple(j for j in range(n_qubits) if flip >> (n_qubits - 1 - j) & 1))
-    return _Grouped(tuple(masks), tuple(phases), tuple(axes), real)
+        shape, flipped = _runs(n_qubits, flip)
+        views.append((shape, tuple(slice(None, None, -1 if f else 1) for f in flipped)))
+    return _Grouped(tuple(masks), tuple(phases), tuple(views), real)
 
 
 class PauliOperator:
@@ -318,10 +350,10 @@ class PauliOperator:
     A diagonal operator (I/Z letters only, ``is_diagonal``, fixed at
     construction) also caches its phase table on first use: its distinct
     diagonal values and each basis state's index into them, the table every
-    diagonal exponential reads.
+    diagonal exponential reads, and that index reduced to its Z-support.
     """
 
-    __slots__ = ("n_qubits", "terms", "is_diagonal", "_form", "_diag", "_table")
+    __slots__ = ("n_qubits", "terms", "is_diagonal", "_form", "_diag", "_table", "_support")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[complex, str]] = ()):
         if n_qubits < 1:
@@ -343,6 +375,7 @@ class PauliOperator:
         self._form: _Grouped | None = None
         self._diag: np.ndarray | None = None
         self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._support: tuple[tuple[int, ...], np.ndarray] | None = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -422,6 +455,27 @@ class PauliOperator:
             self._table = (values, inverse)
         return self._table
 
+    def _support_table(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """``(shape, index)``: the phase table on the coalesced view of the
+        Z-support (``_runs`` of the sites any term has a Z on).
+
+        ``index`` holds the ``phase_table`` index of each support
+        configuration, with length-1 axes off the support, so that
+        ``values[index]`` broadcast over ``shape`` is ``diagonal()``
+        reshaped: 2^|support| entries instead of 2^n.  Built once and
+        cached, read-only.
+        """
+        if self._support is None:
+            _, inverse = self.phase_table()
+            support = 0
+            for _, letters in self.terms:
+                support |= int(letters.translate(_SIGN_LETTERS), 2)
+            shape, on = _runs(self.n_qubits, support)
+            index = inverse.reshape(shape)[tuple(slice(None) if m else slice(1) for m in on)].copy()
+            index.setflags(write=False)
+            self._support = (shape, index)
+        return self._support
+
     @property
     def shape(self) -> tuple[int, int]:
         dim = 1 << self.n_qubits
@@ -430,15 +484,17 @@ class PauliOperator:
     def apply_vec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Linear action on a state vector or a (2^n, k) column block.
 
-        Each flip-mask group adds ``phase * vec`` flipped along the masked
-        axes of the (2,) * n (+ (k,)) view; a real input stays real under a
-        real operator.  An operator with a single, diagonal group returns
-        ``phase * vec`` itself.  Otherwise the first group is written
-        straight into the result, as the product of the flipped factors plus
-        the zero the sum starts from, and the later groups are added to it.
-        ``out``, a C-contiguous array of the result's shape and dtype that
-        does not overlap ``vec``, receives the result: a single Pauli string
-        then allocates nothing.
+        Each flip-mask group adds ``phase * vec`` at b ^ m, read through the
+        group's coalesced view (``_Grouped.views``): reversed slices of the
+        flipped runs of sites, one axis per run (+ (k,)); a real input stays
+        real under a real operator.  An operator with a single, diagonal
+        group returns ``phase * vec`` itself.  Otherwise the first group is
+        written straight into the result as the sum from zeros, 0 + phase *
+        x, which for a scalar phase of +-1 is the one pass 0 + x or 0 - x
+        with the same bits (signed zeros included); the later groups are
+        added to it.  ``out``, a C-contiguous array of the result's shape
+        and dtype that does not overlap ``vec``, receives the result: a
+        single Pauli string then allocates nothing.
         """
         form = self._grouped()
         vec = np.asarray(vec)
@@ -448,23 +504,27 @@ class PauliOperator:
             if vec.ndim == 2 and not np.isscalar(phase):
                 phase = phase[:, None]
             return np.multiply(phase, vec, out=out, dtype=dtype)
-        shape = (2,) * self.n_qubits + vec.shape[1:]
-        # each phase vector on the (2,) * n view, broadcast over the columns
-        phases = [p if np.isscalar(p) else p.reshape(shape[:self.n_qubits] + (1,) * (vec.ndim - 1))
-                  for p in form.phases]
-        vec_t = vec.reshape(shape)
         if out is None:
             out = np.empty(vec.shape, dtype=dtype)
         if not form.masks:  # the zero operator
             out[...] = 0.0
-        out_t = out.reshape(shape)
-        for g, (phase, axes) in enumerate(zip(phases, form.axes)):
-            if g == 0:
-                flipped = phase if np.isscalar(phase) else np.flip(phase, axis=axes)
-                np.multiply(flipped, np.flip(vec_t, axis=axes), out=out_t)
-                out += 0.0  # 0 + x, as a sum from zeros: -0.0 becomes +0.0
+        vec = np.ascontiguousarray(vec)  # one copy of a strided input, not one per group
+        cols = vec.shape[1:]
+        for g, (phase, (shape, flip)) in enumerate(zip(form.phases, form.views)):
+            vec_t = vec.reshape(shape + cols)
+            out_t = out.reshape(shape + cols, copy=False)
+            if not np.isscalar(phase):  # broadcast over the columns
+                phase = phase.reshape(shape + (1,) * len(cols))
+            if g > 0:
+                out_t += (phase * vec_t)[flip]
+            elif np.isscalar(phase) and phase in (1.0, -1.0):
+                if phase > 0:
+                    np.add(vec_t[flip], 0.0, out=out_t)
+                else:
+                    np.subtract(0.0, vec_t[flip], out=out_t)
             else:
-                out_t += np.flip(phase * vec_t, axis=axes)
+                np.multiply(phase if np.isscalar(phase) else phase[flip], vec_t[flip], out=out_t)
+                out += 0.0  # 0 + x, as a sum from zeros: -0.0 becomes +0.0
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -927,19 +987,25 @@ def apply_exponential(
     """Raw action e^{scale * gen} vec, without any normalization.
 
     A diagonal generator exponentiates its phase table, one exp per
-    distinct eigenvalue, and gathers it over the basis; the product with
-    ``vec`` is bit for bit ``np.exp(scale * gen.diagonal()) * vec``.  Any
-    other generator goes through a Krylov ``expm_multiply``.  ``out``, a
+    distinct eigenvalue, gathers the factors onto its Z-support
+    (``_support_table``) and multiplies them, broadcast over the coalesced
+    register view, into ``vec``: factor times amplitude, in that operand
+    order, so the result is bit for bit ``np.exp(scale * gen.diagonal()) *
+    vec`` with one register-sized array, the result.  Any other generator
+    goes through a Krylov ``expm_multiply``.  ``out``, a C-contiguous
     complex array of ``vec``'s shape that does not overlap it, receives the
-    result: the gathered factors, then their product with ``vec`` in place.
+    result.
     """
     if gen.is_diagonal:
-        values, inverse = gen.phase_table()
-        factors = np.exp(scale * values)
+        values, _ = gen.phase_table()
+        shape, index = gen._support_table()
+        vec = np.asarray(vec)
+        cols = vec.shape[1:]
+        factors = np.exp(scale * values).take(index).reshape(index.shape + (1,) * len(cols))
         if out is None:
-            return factors.take(inverse) * vec
-        factors.take(inverse, out=out, mode="clip")  # "raise" would buffer the output
-        return np.multiply(out, vec, out=out)
+            out = np.empty(vec.shape, dtype=np.result_type(factors, vec))
+        np.multiply(factors, vec.reshape(shape + cols), out=out.reshape(shape + cols, copy=False))
+        return out
     result = spla.expm_multiply(scale * gen.to_sparse(), vec)
     if out is None:
         return result

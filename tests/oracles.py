@@ -256,3 +256,62 @@ def bitflip_sitewise(rho, p, sites):
     for j in sites:
         tens[...] = (1.0 - p) * tens + p * np.flip(tens, axis=(j, n + j))
     return out
+
+
+def flip_apply_vec(op, vec, out=None):
+    """``PauliOperator.apply_vec`` by the (2,) * n flip route.
+
+    Each flip-mask group of the operator's grouped form adds phase * vec,
+    flipped with ``np.flip`` along the masked axes of the (2,) * n (+ (k,))
+    tensor view; the first group is written as the product of the flipped
+    factors plus the zero the sum starts from.  A single diagonal group is
+    phase * vec.  This is the kernel the coalesced-view ``apply_vec`` must
+    reproduce bit for bit; it reads only the grouped phases and masks.
+    """
+    form = op._grouped()
+    n = op.n_qubits
+    vec = np.asarray(vec)
+    dtype = np.result_type(vec.dtype, np.float64 if form.real else np.complex128)
+    if form.masks == (0,):
+        phase = form.phases[0]
+        if vec.ndim == 2 and not np.isscalar(phase):
+            phase = phase[:, None]
+        return np.multiply(phase, vec, out=out, dtype=dtype)
+    shape = (2,) * n + vec.shape[1:]
+    phases = [p if np.isscalar(p) else p.reshape(shape[:n] + (1,) * (vec.ndim - 1))
+              for p in form.phases]
+    vec_t = vec.reshape(shape)
+    if out is None:
+        out = np.empty(vec.shape, dtype=dtype)
+    if not form.masks:
+        out[...] = 0.0
+    out_t = out.reshape(shape)
+    for g, (phase, mask) in enumerate(zip(phases, form.masks)):
+        axes = tuple(j for j in range(n) if mask >> (n - 1 - j) & 1)
+        if g == 0:
+            flipped = phase if np.isscalar(phase) else np.flip(phase, axis=axes)
+            np.multiply(flipped, np.flip(vec_t, axis=axes), out=out_t)
+            out += 0.0
+        else:
+            out_t += np.flip(phase * vec_t, axis=axes)
+    return out
+
+
+def gathered_exponential(gen, scale, vec, out=None):
+    """``apply_exponential`` by gathering a 2^n factor array: the phase
+    table exponentiated and taken over every basis state, then multiplied
+    into ``vec`` (``expm_multiply`` for a generator with X/Y letters)."""
+    import scipy.sparse.linalg as spla
+
+    if gen.is_diagonal:
+        values, inverse = gen.phase_table()
+        factors = np.exp(scale * values)
+        if out is None:
+            return factors.take(inverse) * vec
+        factors.take(inverse, out=out, mode="clip")
+        return np.multiply(out, vec, out=out)
+    result = spla.expm_multiply(scale * gen.to_sparse(), vec)
+    if out is None:
+        return result
+    out[...] = result
+    return out

@@ -27,7 +27,7 @@ from critsense.symmetry import build_symmetry
 from conftest import sum_z
 from oracles import (
     kron_word, tfim_dense, ground_vec, expect, kron_op, Z,
-    diagonal_exponential, diagonal_imprint, flip_orbit_isometry,
+    diagonal_exponential, diagonal_imprint, flip_apply_vec, flip_orbit_isometry,
 )
 
 
@@ -433,6 +433,10 @@ def _same_bits(got, want):
 
 @example((1, []), 0.5j)
 @example((4, [(0.5, "ZIII"), (0.5, "IZII"), (0.5, "IIZI"), (0.5, "IIIZ")]), -0.3j)
+@example((5, [(0.5, "ZIIII"), (-0.5, "IIZII"), (0.5, "IIIIZ"), (1.0, "ZIZIZ")]), 0.7j)  # scattered
+@example((5, [(1.0, "IIIIZ")]), -1.1j)                                              # last site
+@example((5, [(0.3, "ZIIII")]), 2.0 + 0.4j)                                         # first site
+@example((4, [(1.0, "ZZZZ"), (0.25, "IIII")]), 0.9j)                                # full register
 @given(diagonal_sums(), _SCALES)
 def test_phase_table_exponential_is_bit_exact(case, scale):
     n, terms = case
@@ -445,8 +449,12 @@ def test_phase_table_exponential_is_bit_exact(case, scale):
     gen = np.random.default_rng(len(terms))
     real = gen.standard_normal(1 << n)
     for vec in (real, real + 1j * gen.standard_normal(1 << n)):
-        got = qcore.apply_exponential(op, scale, vec)
-        assert _same_bits(got, diagonal_exponential(d, scale, vec))
+        want = diagonal_exponential(d, scale, vec)
+        assert _same_bits(qcore.apply_exponential(op, scale, vec), want)
+        # the form the theta loop calls: the product written into a buffer
+        out = np.full_like(want, np.nan)
+        assert qcore.apply_exponential(op, scale, vec, out=out) is out
+        assert _same_bits(out, want)
 
 
 @given(diagonal_sums(st.floats(-2.0, 2.0, allow_nan=False)),
@@ -457,6 +465,69 @@ def test_phase_table_mixed_imprint_is_bit_exact(case, theta):
     _, rho = _random_state(n, 11 + len(terms))
     got = evolve_phase(MixedState(n, rho), op, theta).matrix
     assert _same_bits(got, diagonal_imprint(rho, op.diagonal(), theta))
+
+
+# -- the coalesced-view apply_vec against the (2,) * n flip route -------------
+
+_FLIP_EXAMPLES = [
+    (4, [(1.0, "IXXI")]),                            # one contiguous run, +1
+    (5, [(-1.0, "XIXIX")]),                          # scattered mask, -1
+    (3, [(1.0, "XXX")]),                             # full mask
+    (3, [(0.5, "ZIZ")]),                             # empty mask, one diagonal group
+    (4, [(1.0, "XXII"), (-1.0, "IIXX")]),            # two +-1 scalar groups
+    (4, [(1.0, "YZZX"), (0.5j, "XIIX"), (0.2, "ZIIZ")]),  # vector, complex and diagonal groups
+    (2, [(2.0, "XX"), (-0.5, "IX")]),                # scalar phases other than +-1
+]
+
+
+def _with_flip_examples(test):
+    for n, terms in _EDGE_SUMS + _FLIP_EXAMPLES:
+        test = example((n, terms))(test)
+    return test
+
+
+def _vectors_with_signed_zeros(n, seed):
+    """A real vector, a complex one and (2^n, 3) blocks of both, with -0.0
+    and +0.0 in some real and some imaginary parts."""
+    gen = np.random.default_rng(seed)
+    real = gen.standard_normal((1 << n, 3))
+    imag = gen.standard_normal((1 << n, 3))
+    real[::3], real[1::5] = -0.0, 0.0
+    imag[1::3], imag[2::5] = -0.0, 0.0
+    cplx = np.empty(real.shape, dtype=complex)  # real + 1j * imag would lose the -0.0
+    cplx.real, cplx.imag = real, imag
+    return real[:, 0].copy(), cplx[:, 0].copy(), real, cplx
+
+
+@_with_flip_examples
+@given(pauli_sums())
+def test_apply_vec_matches_the_flip_route_bit_for_bit(case):
+    n, terms = case
+    op = PauliOperator(n, terms)
+    for vec in _vectors_with_signed_zeros(n, len(terms)):
+        want = flip_apply_vec(op, vec)
+        assert _same_bits(op.apply_vec(vec), want)
+        out = np.full_like(want, np.nan)
+        assert op.apply_vec(vec, out=out) is out
+        assert _same_bits(out, want)
+
+
+def test_apply_vec_turns_signed_zeros_positive():
+    # 0 + x: a -0.0 amplitude flips to +0.0, as in the sum from zeros
+    vec = np.array([-0.0, 1.0, 0.0, -2.0])
+    for coeff in (1.0, -1.0):
+        got = PauliOperator(2, [(coeff, "XI")]).apply_vec(vec)
+        assert _same_bits(got, np.array([0.0, coeff * -2.0, 0.0, coeff * 1.0]))
+    cplx = np.array([complex(-0.0, -0.0), 1j, 2.0, complex(-0.0, 3.0)])
+    got = PauliOperator(2, [(1.0, "IX")]).apply_vec(cplx)
+    assert _same_bits(got, np.array([1j, 0j, 3j, 2.0 + 0j]))
+
+
+def test_grouped_views_coalesce_runs_of_sites():
+    form = PauliOperator(6, [(1.0, "IXXIIX"), (1.0, "ZIIIII"), (1.0, "XXXXXX")])._grouped()
+    flip, keep = slice(None, None, -1), slice(None, None, 1)
+    assert form.masks == (0, 0b011001, 0b111111)
+    assert form.views == (((64,), (keep,)), ((2, 4, 4, 2), (keep, flip, keep, flip)), ((64,), (flip,)))
 
 
 def test_to_sparse_dtype_follows_operator():

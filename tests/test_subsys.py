@@ -25,7 +25,7 @@ from critsense.subsys import (
     rydberg_dual_curve,
     staggered_density_imprinter,
 )
-from critsense.metrology import classical_fisher, error_propagation
+from critsense.metrology import classical_fisher, error_propagation, precision_curve
 from critsense.qcore import evolve_phase
 from critsense.models import build_hamiltonian, ground_state
 
@@ -141,22 +141,53 @@ def test_pull_through_check_catches_a_moved_signal(critical_states, monkeypatch)
 def test_workspace_theta_loop_matches_the_general_loop(critical_states, monkeypatch, L, check):
     # the per-curve buffers change where the intermediates live, not their
     # bits: the Ising blocks (diagonal imprinter) and one XXZ string readout
-    # (an X-sum imprinter, evolved by expm_multiply)
+    # (an X-sum imprinter, evolved by expm_multiply).  Both loops run the
+    # coalesced-view kernels, so the curves are also pinned to the general
+    # loop on the (2,) * n flip and gathered-factor kernels.
     import critsense.metrology as metrology
+    import critsense.qcore as qcore
+    from oracles import flip_apply_vec, gathered_exponential
 
     psi = critical_states(L).state
     grid = default_theta_grid(64)
     protocols = [make_ising_protocol(L, L_sub) for L_sub in (2, 4, 6)]
     protocols.append(make_xxz_protocol(L, 3, alpha=1, beta=2))
     curves = {}
-    for path in ("workspace", "general"):
+    for path in ("workspace", "general", "oracle"):
         if path == "general":
             monkeypatch.setattr(metrology, "_takes_workspace", lambda state, obs: False)
+        if path == "oracle":
+            monkeypatch.setattr(qcore.PauliOperator, "apply_vec", flip_apply_vec)
+            monkeypatch.setattr(qcore, "apply_exponential", gathered_exponential)
         curves[path] = [parity_theta_curve(psi, proto, grid, check_pull_through=check)
                         for proto in protocols]
-    for fast, slow in zip(curves["workspace"], curves["general"]):
-        for name in ("signal", "variance", "delta_theta"):
-            assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+    for path in ("workspace", "general"):
+        for got, want in zip(curves[path], curves["oracle"]):
+            for name in ("signal", "variance", "delta_theta"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (path, name)
+
+
+def test_workspace_theta_loop_allocates_no_register_array(critical_states):
+    # three register-sized buffers per curve (state, image, scratch), plus
+    # the buffer numpy's ufunc iterator allocates for a strided or broadcast
+    # operand (8192 elements at most, one L = 12 register); a point that
+    # allocated a register array of its own would reach five (the heap-history
+    # slowdown of many 2^L temporaries)
+    import tracemalloc
+
+    L = 12
+    psi = critical_states(L).state
+    grid = default_theta_grid(32)
+    for proto in (make_ising_protocol(L, 4), make_ising_protocol(L, 8)):
+        gen, obs = proto.imprinter, proto.measurement
+        precision_curve(psi, gen, obs, grid[:1])  # the operators' cached tables
+        tracemalloc.start()
+        try:
+            precision_curve(psi, gen, obs, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * psi.amplitudes.nbytes, peak / psi.amplitudes.nbytes
 
 
 @pytest.mark.parametrize("L_sub", [2, 4, 6, 8, 14])
