@@ -288,12 +288,9 @@ def _involution_curve(psi: PureState, gen: PauliOperator, obs: PauliOperator,
     derivative and the centered difference of the minus branch.  Each
     2^n-long intermediate is written into one of three buffers allocated
     here (the state, its image and one scratch), so a point allocates
-    nothing of the register's size.  A diagonal generator's G psi_theta is
-    its support table (``PauliOperator._support_table``) times the state,
-    broadcast over the coalesced register view, as ``apply_exponential``
-    does.  A branch probability is 0.25 ||psi_theta +- A psi_theta||^2, the
-    norm of the halved sum to the bit: scaling by a power of two is exact
-    (short of subnormal amplitudes).
+    nothing of the register's size.  A branch probability is 0.25
+    ||psi_theta +- A psi_theta||^2, the norm of the halved sum to the bit:
+    scaling by a power of two is exact (short of subnormal amplitudes).
     """
     if not gen.is_hermitian:
         raise ValueError("phase generator must be Hermitian")
@@ -301,16 +298,6 @@ def _involution_curve(psi: PureState, gen: PauliOperator, obs: PauliOperator,
         raise ValueError("register size mismatch")
     base = psi.amplitudes
     evolved, image, work = (np.empty_like(base) for _ in range(3))
-    if gen.is_diagonal:
-        shape, index = gen._support_table()
-        weights = gen.phase_table()[0].take(index).astype(base.dtype)
-        state_t, work_t = evolved.reshape(shape), work.reshape(shape)
-
-        def apply_gen() -> None:
-            np.multiply(weights, state_t, out=work_t)
-    else:
-        def apply_gen() -> None:
-            gen.apply_vec(evolved, out=work)
 
     def evolve(theta: float) -> None:
         # evolve_phase, then A on the result
@@ -338,7 +325,7 @@ def _involution_curve(psi: PureState, gen: PauliOperator, obs: PauliOperator,
         p_plus, p_minus = branch(np.add), branch(np.subtract)
         total = p_plus + p_minus
         var[i] = max(4.0 * p_plus * p_minus / (total * total), 0.0)
-        apply_gen()
+        gen.apply_vec(evolved, out=work)
         exact = float(np.real(1j * (np.vdot(image, work) - np.vdot(work, image))))
         evolve(th + step)
         m_up = branch(np.subtract)

@@ -68,8 +68,9 @@ spectral cache on MixedState, which holds the sector blocks and, once
 ``spectrum()`` asks for it, their full-register embedding, and which should
 be populated once (call ``sector_spectrum()``, or ``spectrum()`` when the
 embedded form is read too) before sharing across threads; and the grouped
-form, diagonal, phase table and support table of a PauliOperator, which
-two threads may at worst both build.  The group bases sit in an ``lru_cache``.
+form, diagonal (and its casts), phase table and support table of a
+PauliOperator, which two threads may at worst both build.  The group bases
+sit in an ``lru_cache``.
 """
 from __future__ import annotations
 
@@ -350,10 +351,13 @@ class PauliOperator:
     A diagonal operator (I/Z letters only, ``is_diagonal``, fixed at
     construction) also caches its phase table on first use: its distinct
     diagonal values and each basis state's index into them, the table every
-    diagonal exponential reads, and that index reduced to its Z-support.
+    diagonal exponential reads, and that index reduced to its Z-support;
+    and, once a vector of another dtype asks for it, its diagonal cast to
+    that dtype.
     """
 
-    __slots__ = ("n_qubits", "terms", "is_diagonal", "_form", "_diag", "_table", "_support")
+    __slots__ = ("n_qubits", "terms", "is_diagonal", "_form", "_diag", "_table", "_support",
+                 "_cast_diag")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[complex, str]] = ()):
         if n_qubits < 1:
@@ -376,6 +380,7 @@ class PauliOperator:
         self._diag: np.ndarray | None = None
         self._table: tuple[np.ndarray, np.ndarray] | None = None
         self._support: tuple[tuple[int, ...], np.ndarray] | None = None
+        self._cast_diag: dict[np.dtype, np.ndarray] = {}
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -476,6 +481,20 @@ class PauliOperator:
             self._support = (shape, index)
         return self._support
 
+    def _diagonal_as(self, dtype: np.dtype) -> np.ndarray:
+        """``diagonal()`` cast to ``dtype`` (the same values, a real one
+        with +0.0 imaginary parts), built once per dtype and cached,
+        read-only."""
+        diag = self.diagonal()
+        if diag.dtype == dtype:
+            return diag
+        cast = self._cast_diag.get(dtype)
+        if cast is None:
+            cast = diag.astype(dtype)
+            cast.setflags(write=False)
+            self._cast_diag[dtype] = cast
+        return cast
+
     @property
     def shape(self) -> tuple[int, int]:
         dim = 1 << self.n_qubits
@@ -488,7 +507,9 @@ class PauliOperator:
         group's coalesced view (``_Grouped.views``): reversed slices of the
         flipped runs of sites, one axis per run (+ (k,)); a real input stays
         real under a real operator.  An operator with a single, diagonal
-        group returns ``phase * vec`` itself.  Otherwise the first group is
+        group returns ``phase * vec``, its diagonal cast once to the
+        result's dtype (``_diagonal_as``): on a contiguous vector that is
+        one pass with no cast buffer.  Otherwise the first group is
         written straight into the result as the sum from zeros, 0 + phase *
         x, which for a scalar phase of +-1 is the one pass 0 + x or 0 - x
         with the same bits (signed zeros included); the later groups are
@@ -501,8 +522,10 @@ class PauliOperator:
         dtype = np.result_type(vec.dtype, np.float64 if form.real else np.complex128)
         if form.masks == (0,):
             phase = form.phases[0]
-            if vec.ndim == 2 and not np.isscalar(phase):
-                phase = phase[:, None]
+            if not np.isscalar(phase):
+                phase = self._diagonal_as(dtype)
+                if vec.ndim == 2:
+                    phase = phase[:, None]
             return np.multiply(phase, vec, out=out, dtype=dtype)
         if out is None:
             out = np.empty(vec.shape, dtype=dtype)
@@ -512,7 +535,7 @@ class PauliOperator:
         cols = vec.shape[1:]
         for g, (phase, (shape, flip)) in enumerate(zip(form.phases, form.views)):
             vec_t = vec.reshape(shape + cols)
-            out_t = out.reshape(shape + cols, copy=False)
+            out_t = out.reshape(shape + cols)
             if not np.isscalar(phase):  # broadcast over the columns
                 phase = phase.reshape(shape + (1,) * len(cols))
             if g > 0:
@@ -1004,7 +1027,7 @@ def apply_exponential(
         factors = np.exp(scale * values).take(index).reshape(index.shape + (1,) * len(cols))
         if out is None:
             out = np.empty(vec.shape, dtype=np.result_type(factors, vec))
-        np.multiply(factors, vec.reshape(shape + cols), out=out.reshape(shape + cols, copy=False))
+        np.multiply(factors, vec.reshape(shape + cols), out=out.reshape(shape + cols))
         return out
     result = spla.expm_multiply(scale * gen.to_sparse(), vec)
     if out is None:
