@@ -116,9 +116,7 @@ def _block_pairs(rho: MixedState, gen: PauliOperator):
         v = blocks[0].vectors
         yield w[0], w[0], v.conj().T @ (gen @ v), 1
         return
-    n = gen.n_qubits
-    shifts = [charge(gen, "X" * n if name == "parity_x" else name)
-              for name, _, _ in blocks[0].sector]
+    shifts = [charge(gen, name) for name, _, _ in blocks[0].sector]
 
     def coupled(a: SectorBlock, b: SectorBlock) -> bool:
         return all(q is None or (ma - mb) % order == q

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,17 +16,16 @@ import scipy.sparse.linalg as spla
 
 from .policy import POLICY, CapacityError
 from .qcore import (
-    _FLIP_LETTERS,
     PauliOperator,
     PureState,
-    _orbit_isometry,
-    _translation_perm,
+    _flip_mask,
     charge,
     collective_spin,
     dephase_normalize,
     expectation,
     parity_x_operator,
     pauli_word,
+    sector_isometry,
     staggered_z,
     variance,
 )
@@ -193,26 +191,6 @@ def _selection(n: int, basis: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, fl
     return P, basis, 1.0
 
 
-def _rotated(mask: int, n: int) -> int:
-    """The flip mask of a string moved one site along the ring."""
-    return (mask >> 1) | ((mask & 1) << (n - 1))
-
-
-@lru_cache(maxsize=8)
-def _sector_isometry(
-    n: int, translation: bool, masks: tuple[int, ...], charges: tuple[int, ...]
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """``qcore._orbit_isometry`` of T (when ``translation``, charge first) and
-    the X-string flips ``masks``; cached per (n, generators, charges), with
-    ``reps`` and ``norms`` read-only, as threads share them."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    generators = ([_translation_perm(n)] if translation else []) + [idx ^ m for m in masks]
-    P, reps, norms = _orbit_isometry(n, generators, charges)
-    reps.setflags(write=False)
-    norms.setflags(write=False)
-    return P, reps, norms
-
-
 def _sector_block(
     H: PauliOperator, sector: list[tuple[str, object, float]], lanczos: bool
 ) -> tuple[tuple[sp.csr_matrix, np.ndarray, np.ndarray] | None, set[int]]:
@@ -226,16 +204,17 @@ def _sector_block(
     T and the flips must commute, so T joins only with ring-invariant
     strings (the product-of-X parity).  A group element g carries the
     character chi(g), the product of the joined eigenvalues.  The isometry
-    is ``qcore._orbit_isometry`` of the joined generators: one column
-    sum_g chi(g)|g r> / sqrt(|O_r|) per orbit O_r that chi allows.  Returns
-    ``(P, reps, norms)`` and the indices of the joined entries, or
-    ``(None, set())`` when no entry joins or chi allows no orbit.  For
-    ``lanczos`` the flip group stops short of a single orbit, as ``eigsh``
-    needs two states.
+    is ``qcore.sector_isometry`` of the joined generators, ``"translation"``
+    first and then the X-strings in join order: one column sum_g chi(g)|g r>
+    / sqrt(|O_r|) per orbit O_r that chi allows, the mixed spectra's cached
+    object.  Returns ``(P, reps, norms)`` and the indices of the joined
+    entries, or ``(None, set())`` when no entry joins or chi allows no
+    orbit.  For ``lanczos`` the flip group stops short of a single orbit, as
+    ``eigsh`` needs two states.
     """
     n = H.n_qubits
     group = {0: 1.0}  # flip group: element mask -> character
-    masks: list[int] = []
+    words: list[str] = []
     charges: list[int] = []
     shift: int | None = None  # T's charge, once it joins
     joined: set[int] = set()
@@ -245,7 +224,7 @@ def _sector_block(
         if isinstance(op, SymmetryOperator):
             if (op.kind == "translation" and op.L == n and shift is None
                     and (want == 1.0 or n % 2 == 0)
-                    and all(_rotated(m, n) == m for m in masks)
+                    and all(w[-1] + w[:-1] == w for w in words)
                     and charge(H, "translation") == 0):
                 shift = 0 if want == 1.0 else n // 2
                 joined.add(i)
@@ -255,9 +234,9 @@ def _sector_block(
         coeff, word = op.terms[0]
         if coeff != 1.0 or "X" not in word or set(word) - {"I", "X"} or charge(H, word) != 0:
             continue
-        mask = int(word.translate(_FLIP_LETTERS), 2)
-        if shift is not None and _rotated(mask, n) != mask:
+        if shift is not None and word[-1] + word[:-1] != word:
             continue
+        mask = _flip_mask(n, word)
         if mask in group:  # already an element: joins only if its character agrees
             if group[mask] == want:
                 joined.add(i)
@@ -265,14 +244,15 @@ def _sector_block(
         if lanczos and 2 * len(group) > 1 << (n - 1):
             continue
         group.update({g ^ mask: c * want for g, c in list(group.items())})
-        masks.append(mask)
+        words.append(word)
         charges.append(0 if want == 1.0 else 1)
         joined.add(i)
     if not joined:
         return None, set()
     if shift is not None:
+        words.insert(0, "translation")
         charges.insert(0, shift)
-    block = _sector_isometry(n, shift is not None, tuple(masks), tuple(charges))
+    block = sector_isometry(n, tuple(words), tuple(charges))
     if not block[1].size:
         return None, set()
     return block, joined
@@ -323,7 +303,8 @@ def ground_state(
     * otherwise (no entry joins) there is no P: the whole register.
 
     The block is diag(norms) H[reps] P, with ``(P, reps, norms)`` from
-    ``qcore._orbit_isometry`` (cached per group and character) and the rows
+    ``qcore.sector_isometry`` (cached per (n, generators, charges), shared
+    with the mixed spectra) and the rows
     H[reps] built from the grouped Pauli form (``to_sparse(rows)``), never
     the whole register's matrix.  The solver switches on the register (or
     ``basis``) dimension, not on the block's: up to 2^10 states it is dense

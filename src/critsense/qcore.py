@@ -52,15 +52,15 @@ T and the product-of-X parity X; the symmetries it passes form an abelian
 group, and each character of that group is one block: (k, +-) of T x X,
 2n blocks of about 2^n / 2n states; k of T alone; +- of X alone, the two
 parity blocks of 2^(n-1) states.  A matrix that passes neither is one
-whole-register block, the full ``eigh``.  The sector isometries come from
-``_orbit_isometry`` (orbit minima, stabilizers and orbit norms of any
+whole-register block, the full ``eigh``.  The sector isometries are
+``_orbit_isometry``'s (orbit minima, stabilizers and orbit norms of any
 abelian group of basis permutations; Sandvik, AIP Conf. Proc. 1297, 135
-(2010), section 4), the construction the sector-block ground solves of
-``models`` use too, and are held in one cached ``_GroupBasis`` per
-(n, group).  Momentum blocks are complex, so the embedded eigenvectors of a
-T-symmetric rho are complex even when rho is real.  The spectral kernels
-of ``metrology`` read the blocks; ``spectrum()`` embeds them in the
-register.
+(2010), section 4), one character at a time, held in the one cache
+``sector_isometry`` keyed by ``charge``'s generator names, which the
+sector-block ground solves of ``models`` share.  Momentum blocks are
+complex, so the embedded eigenvectors of a T-symmetric rho are complex even
+when rho is real.  The spectral kernels of ``metrology`` read the blocks;
+``spectrum()`` embeds them in the register.
 
 All operations are pure functions of immutable inputs and safe for
 concurrent read-only use.  The internal mutable state is lazy caches: the
@@ -69,8 +69,8 @@ spectral cache on MixedState, which holds the sector blocks and, once
 be populated once (call ``sector_spectrum()``, or ``spectrum()`` when the
 embedded form is read too) before sharing across threads; and the grouped
 form, diagonal (and its casts), phase table and support table of a
-PauliOperator, which two threads may at worst both build.  The group bases
-sit in an ``lru_cache``.
+PauliOperator, which two threads may at worst both build.  The sector
+isometries sit in an ``lru_cache``.
 """
 from __future__ import annotations
 
@@ -153,18 +153,19 @@ def charge(op: "PauliOperator", generator: str) -> int | None:
     N: 0, N / 2, or None when O is no +-multiple of its conjugate.
 
     ``generator`` is ``"translation"`` (T, site j to j + 1, order n) or an
-    I/X letter string (an X-string, order 2).  Conjugation acts on each
+    I/X letter string (an X-string, order 2), checked by ``_flip_mask``.
+    Conjugation acts on each
     Pauli term exactly: T moves the letter at site j to site j + 1; an
     X-string flips the sign of a term with an odd count of Z/Y letters on
     the string's sites.
     """
+    mask = _flip_mask(op.n_qubits, generator)
     terms = {word: c for c, word in op.terms}
-    if generator == "translation":
+    if mask is None:
         order = op.n_qubits
         moved = {w[-1] + w[:-1]: c for w, c in terms.items()}
     else:
         order = 2
-        mask = int(generator.translate(_FLIP_LETTERS), 2)
         moved = {w: -c if (int(w.translate(_SIGN_LETTERS), 2) & mask).bit_count() % 2 else c
                  for w, c in terms.items()}
     if moved == terms:
@@ -174,10 +175,28 @@ def charge(op: "PauliOperator", generator: str) -> int | None:
     return None
 
 
-def _translation_perm(n_qubits: int) -> np.ndarray:
-    """The translation T|b> = |(b >> 1) | ((b & 1) << (n-1))>: site j to j + 1."""
+def _flip_mask(n_qubits: int, generator: str) -> int | None:
+    """The basis permutation a symmetry generator names: None for
+    ``"translation"``, the flip mask b -> b ^ mask of an I/X string of
+    ``n_qubits`` letters; ValueError naming any other word (a Z letter
+    would be read as I, a short word as a string on the last sites)."""
+    if generator == "translation":
+        return None
+    if len(generator) != n_qubits or set(generator) - {"I", "X"}:
+        raise ValueError(f"symmetry generator {generator!r} is neither 'translation' "
+                         f"nor an I/X string of {n_qubits} letters")
+    return int(generator.translate(_FLIP_LETTERS), 2)
+
+
+def _permutation(n_qubits: int, generator: str) -> np.ndarray:
+    """g[b], the image of each basis state b under the generator ``generator``
+    names (``_flip_mask``): b ^ mask for an X-string, and for the translation
+    T|b> = |(b >> 1) | ((b & 1) << (n-1))>, site j to j + 1."""
     idx = np.arange(1 << n_qubits, dtype=np.int64)
-    return (idx >> 1) | ((idx & 1) << (n_qubits - 1))
+    mask = _flip_mask(n_qubits, generator)
+    if mask is None:
+        return (idx >> 1) | ((idx & 1) << (n_qubits - 1))
+    return idx ^ mask
 
 
 def _perm_order(perm: np.ndarray) -> int:
@@ -250,6 +269,25 @@ def _orbit_isometry(
         (chi / norm[rep[rows]], col, indptr), shape=(idx.size, reps.size)
     )
     return P, reps, norm[reps]
+
+
+@lru_cache(maxsize=128)
+def sector_isometry(
+    n_qubits: int, generators: tuple[str, ...], charges: tuple[int, ...]
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """``_orbit_isometry`` of one character of the group ``generators`` name.
+
+    Each generator is ``"translation"`` or an I/X string, the names
+    ``charge`` takes (checked by ``_flip_mask``), in the order their
+    ``charges`` are given.  Cached per (n, generators, charges), so a ground
+    solve's block and a mixed spectrum's block of the same character are
+    one object; ``reps`` and ``norms`` are read-only, as threads share them.
+    """
+    perms = [_permutation(n_qubits, g) for g in generators]
+    P, reps, norms = _orbit_isometry(n_qubits, perms, charges)
+    reps.setflags(write=False)
+    norms.setflags(write=False)
+    return P, reps, norms
 
 
 def _runs(n_qubits: int, marked: int) -> tuple[tuple[int, ...], tuple[bool, ...]]:
@@ -641,67 +679,32 @@ class PureState:
         return cls(n_qubits, amp)
 
 
-_SYMMETRIES = ("translation", "parity_x")  # the generators a density matrix is checked for
-
-
 def _commutes(mat: np.ndarray, name: str) -> bool:
-    """max |mat - U mat U^dagger| <= ``POLICY.herm_tol`` for one symmetry U.
+    """max |mat - U mat U^dagger| <= ``POLICY.herm_tol`` for one symmetry U,
+    the translation (``"translation"``) or the product-of-X parity (the
+    X-string ``"X" * n``).
 
     U is a basis permutation, so U mat U^dagger is a view of mat.  For the
-    product-of-X parity (``"parity_x"``) it is ``mat[::-1, ::-1]``, every
-    index bit flipped; its deviation D obeys X D X = -D, so the upper half
-    of the rows holds the maximum.  The translation (``"translation"``)
-    sends b = 2h + l to l 2^(n-1) + h, so it is the (dim/2, 2, dim/2, 2)
-    view of mat transposed to (2, dim/2, 2, dim/2).  The rows are read in
-    tiles, each tile of the view copied once, and the first tile over the
-    tolerance ends the check.
+    parity it is ``mat[::-1, ::-1]``, every index bit flipped; its deviation
+    D obeys X D X = -D, so the upper half of the rows holds the maximum.
+    The translation sends b = 2h + l to l 2^(n-1) + h, so it is the (dim/2,
+    2, dim/2, 2) view of mat transposed to (2, dim/2, 2, dim/2).  The rows
+    are read in tiles, each tile of the view copied once, and the first
+    tile over the tolerance ends the check.
     """
     dim = mat.shape[0]
     half = dim // 2
     tile = min(_HERM_TILE, half)
-    if name == "parity_x":
-        flipped = mat[::-1, ::-1]
-        tiles = ((i, flipped[i:i + tile]) for i in range(0, half, tile))
-    else:
+    if name == "translation":
         moved = mat.reshape(half, 2, half, 2).transpose(1, 0, 3, 2)
         tiles = ((i, moved[i // half, i % half:i % half + tile].reshape(-1, dim))
                  for i in range(0, dim, tile))
+    elif _flip_mask(dim.bit_length() - 1, name) == dim - 1:
+        flipped = mat[::-1, ::-1]
+        tiles = ((i, flipped[i:i + tile]) for i in range(0, half, tile))
+    else:
+        raise ValueError(f"no symmetry check for the X-string {name!r}")
     return all(np.max(np.abs(mat[i:i + tile] - t)) <= POLICY.herm_tol for i, t in tiles)
-
-
-class _GroupBasis(NamedTuple):
-    """The orbits of one symmetry group on the register, and its sectors.
-
-    ``images[g, b]`` is g b for each group element g; ``reps`` are the
-    orbit minima, sorted.  ``sectors`` holds ``(label, P, rows, norms)`` for
-    every character with states, in product order of the charges: ``label``
-    is a tuple of ``(generator, charge m, order N)`` triples, chi(g) =
-    exp(2 pi i m / N); ``P`` and ``norms`` are ``_orbit_isometry``'s; and
-    ``rows`` locates the sector's representatives in ``reps``.
-    """
-
-    images: np.ndarray
-    reps: np.ndarray
-    sectors: tuple
-
-
-@lru_cache(maxsize=16)
-def _group_basis(n_qubits: int, group: tuple[str, ...]) -> _GroupBasis:
-    """The ``_GroupBasis`` of the generators ``group`` names, out of
-    ``_SYMMETRIES``; cached per (n, group)."""
-    idx = np.arange(1 << n_qubits, dtype=np.int64)
-    perms = {"translation": _translation_perm(n_qubits), "parity_x": idx ^ (idx.size - 1)}
-    generators = [perms[name] for name in group]
-    orders = [_perm_order(g) for g in generators]
-    images = np.stack([img for img, _ in _words(idx, generators, orders, [0] * len(orders))])
-    reps = np.flatnonzero(images.min(axis=0) == idx)
-    sectors = []
-    for charges in itertools.product(*(range(order) for order in orders)):
-        P, sector_reps, norms = _orbit_isometry(n_qubits, generators, charges)
-        if sector_reps.size:
-            label = tuple(zip(group, charges, orders))
-            sectors.append((label, P, np.searchsorted(reps, sector_reps), norms))
-    return _GroupBasis(images, reps, tuple(sectors))
 
 
 class SectorBlock(NamedTuple):
@@ -711,7 +714,8 @@ class SectorBlock(NamedTuple):
     register (P = I); ``values`` ascend, and the columns of ``vectors`` are
     the eigenvectors in the block, so rho P v = w P v for each pair.
     ``sector`` labels the block by ``(generator, charge m, order N)``
-    triples, chi(g) = exp(2 pi i m / N); it is empty for the whole register.
+    triples, chi(g) = exp(2 pi i m / N), ``generator`` a ``charge`` name
+    (``"translation"``, ``"X" * n``); it is empty for the whole register.
     """
 
     isometry: sp.csr_matrix | None
@@ -777,10 +781,11 @@ class MixedState:
         form the group: T x F, whose characters (k, +-) give 2n blocks of
         about 2^n / 2n states; T alone (n blocks); F alone, the two blocks
         P_+-^T rho P_+- of 2^(n-1) states, built as before T joined.  The
-        isometries are ``_orbit_isometry``'s, cached per (n, group).  A T
-        block is read from the representative rows of the group average
-        rho_bar = mean_g U_g rho U_g^dagger, which maps each sector into
-        itself: P^dagger rho P = P^dagger rho_bar P = norms * rho_bar[reps] P,
+        isometries are ``sector_isometry``'s, cached per character and
+        shared with the ground solves.  A T block is read from the
+        representative rows of the group average rho_bar = mean_g U_g rho
+        U_g^dagger, summed one element g at a time, which maps each sector
+        into itself: P^dagger rho P = P^dagger rho_bar P = norms * rho_bar[reps] P,
         Hermitized.  That is the exact projection of rho, so a rho off the
         symmetry by delta <= herm_tol moves the result at second order in
         delta, and it reads each entry of rho once, with no dim^2 copy.  For
@@ -807,28 +812,38 @@ class MixedState:
         if np.iscomplexobj(mat) and np.max(np.abs(mat.imag)) < 1e-14:
             mat = mat.real
         n = self.n_qubits
-        group = tuple(name for name in _SYMMETRIES
+        group = tuple(name for name in ("translation", "X" * n)
                       if (n > 1 or name != "translation") and _commutes(mat, name))
+        perms = [_permutation(n, name) for name in group]
+        orders = [_perm_order(g) for g in perms]
+        sectors = []  # (label, P, reps, norms) of every character with states
+        for charges in itertools.product(*(range(order) for order in orders)) if group else ():
+            P, reps, norms = sector_isometry(n, group, charges)
+            if reps.size:
+                sectors.append((tuple(zip(group, charges, orders)), P, reps, norms))
         if not group:
             blocks = [SectorBlock(None, *np.linalg.eigh(mat))]
-        elif group == ("parity_x",):  # the parity blocks of before, bit for bit
+        elif group == ("X" * n,):  # the parity blocks of before, bit for bit
             blocks = [SectorBlock(P, *np.linalg.eigh(P.T @ mat @ P), label)
-                      for label, P, _, _ in _group_basis(n, group).sectors]
+                      for label, P, _, _ in sectors]
         else:
-            basis = _group_basis(n, group)
-            # rows of the group average at the orbit minima: mean_g rho[g r, g b]
-            rows = np.zeros((basis.reps.size, mat.shape[0]), dtype=mat.dtype)
-            for img in basis.images:
-                rows += mat[img[basis.reps]][:, img]
-            rows /= len(basis.images)
+            # the trivial character comes first and keeps every orbit, so its
+            # reps are all the orbit minima; the group average's rows there
+            # are mean_g rho[g r, g b], summed one group element at a time
+            orbit_reps = sectors[0][2]
+            rows = np.zeros((orbit_reps.size, mat.shape[0]), dtype=mat.dtype)
+            idx = np.arange(mat.shape[0], dtype=np.int64)
+            for img, _ in _words(idx, perms, orders, [0] * len(orders)):
+                rows += mat[img[orbit_reps]][:, img]
+            rows /= math.prod(orders)
             done: dict[tuple, SectorBlock] = {}
-            for label, P, at, norms in basis.sectors:
+            for label, P, reps, norms in sectors:
                 mirror = done.get(tuple((name, -m % order, order) for name, m, order in label))
                 if mirror is not None and not np.iscomplexobj(mat):
                     # a real rho: the block at -k is the complex conjugate of the one at k
                     done[label] = SectorBlock(P, mirror.values, mirror.vectors.conj(), label)
                 else:
-                    block = norms[:, None] * (rows[at] @ P)
+                    block = norms[:, None] * (rows[np.searchsorted(orbit_reps, reps)] @ P)
                     block = 0.5 * (block + block.conj().T)
                     done[label] = SectorBlock(P, *np.linalg.eigh(block), label)
             blocks = list(done.values())

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .policy import POLICY
-from .qcore import PauliOperator, PureState, _translation_perm, pauli_word
+from .qcore import PauliOperator, PureState, _permutation, pauli_word
 
 KINDS = ("parity_x", "parity_z", "translation", "reflection")
 
@@ -105,7 +105,7 @@ def build_symmetry(
         if boundary != "periodic":
             raise ValueError("translation requires a periodic chain")
         return SymmetryOperator(
-            kind, L, perm=_translation_perm(L), is_hermitian=False, swap_count=L - 1
+            kind, L, perm=_permutation(L, "translation"), is_hermitian=False, swap_count=L - 1
         )
     # reflection about the midpoint of bond (j, j+1)
     if bond_center is None:

@@ -4,9 +4,10 @@ A float64 re-record has to show that the new cells are closer to the truth
 than the old ones.  The routines here take the float inputs a solve used
 and evaluate the reported quantity at ``dps`` significant digits:
 
-* ``block_matrix``: P^dagger H P of one real-character sector block, from
-  the exact ingredients of the float block (H's rows at the orbit minima,
-  the +-1 characters and the integer orbit sizes);
+* ``block_matrix``: P^dagger H P of one real-character sector block (the
+  ``qcore.sector_isometry`` the ground solve reads), from the exact
+  ingredients of the float block (H's rows at the orbit minima, the +-1
+  characters and the integer orbit sizes);
 * ``lowest_eigenpair``: its lowest eigenpair, with ``mp.eigsy``;
 * ``ray_distance``: the distance of a float state from that eigenvector,
   minimized over the global phase.
@@ -24,7 +25,7 @@ import numpy as np
 
 def block_matrix(H, P, reps, norms, dps: int = 30) -> mpmath.matrix:
     """P^dagger H P at ``dps`` digits for an orbit isometry ``(P, reps, norms)``
-    of ``models._sector_isometry`` with real characters.
+    of ``qcore.sector_isometry`` with real characters.
 
     The float block is diag(norms) H[reps] P.  Here P's entries are split
     into their characters chi = +-1 and the orbit sizes |O| = norms^2, so
@@ -78,12 +79,12 @@ def block_coordinates(psi, P, reps, norms) -> tuple[np.ndarray, float]:
 
 def _compare_ising(L: int, J: float, dps: int = 30) -> None:
     from critsense import ModelSpec, build_hamiltonian, ground_state, solve_model
-    from critsense.models import _sector_isometry
+    from critsense.qcore import sector_isometry
 
     spec = ModelSpec(kind="tfim", L=L, J=J)
     H = build_hamiltonian(spec)
     # solve_model's block: T at k = 0 and the product-of-X parity +1
-    P, reps, norms = _sector_isometry(L, True, ((1 << L) - 1,), (0, 0))
+    P, reps, norms = sector_isometry(L, ("translation", "X" * L), (0, 0))
     energy, ref = lowest_eigenpair(block_matrix(H, P, reps, norms, dps), dps)
     print(f"Ising L = {L}, J = {J:+g}: {reps.size}-state block, E0 = "
           f"{mpmath.nstr(energy, 20)}")

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 
 from critsense import ModelSpec, build_hamiltonian, solve_model
-from critsense.models import _sector_isometry
+from critsense.qcore import sector_isometry
 
 from mpref import block_coordinates, block_matrix, lowest_eigenpair, ray_distance
 
@@ -14,7 +14,7 @@ def test_lowest_eigenpair_matches_the_critical_ising_closed_form():
     L, dps = 6, 30
     spec = ModelSpec(kind="tfim", L=L)
     H = build_hamiltonian(spec)
-    P, reps, norms = _sector_isometry(L, True, ((1 << L) - 1,), (0, 0))
+    P, reps, norms = sector_isometry(L, ("translation", "X" * L), (0, 0))
     block = block_matrix(H, P, reps, norms, dps)
     energy, vec = lowest_eigenpair(block, dps)
     with mpmath.workdps(dps):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -20,7 +21,9 @@ from critsense import (
     variance,
 )
 import critsense.qcore as qcore
-from critsense.models import ModelSpec, build_hamiltonian, ghz_state, spin_coherent_state
+from critsense.models import (
+    ModelSpec, build_hamiltonian, ghz_state, solve_model, spin_coherent_state,
+)
 from critsense.policy import POLICY, NumericPolicy
 from critsense.symmetry import build_symmetry
 
@@ -658,11 +661,10 @@ def test_momentum_parity_isometries_span_the_register(n):
     T = build_symmetry("translation", n).to_matrix()
     F = build_symmetry("parity_x", n).to_matrix()
     cols = []
-    basis = qcore._group_basis(n, ("translation", "parity_x"))
-    for sector, P, at, norms in basis.sectors:
-        (_, k, order), (_, s, _) = sector
-        reps = basis.reps[at]
-        assert order == n
+    for k, s in itertools.product(range(n), range(2)):
+        P, reps, norms = qcore.sector_isometry(n, ("translation", "X" * n), (k, s))
+        if not reps.size:
+            continue
         A = P.toarray()
         assert np.allclose(T @ A, np.exp(-2j * np.pi * k / n) * A, atol=1e-13)
         assert np.allclose(F @ A, (1 - 2 * s) * A, atol=1e-13)
@@ -673,6 +675,45 @@ def test_momentum_parity_isometries_span_the_register(n):
     full = np.hstack(cols)
     assert full.shape == (dim, dim)
     assert np.allclose(full.conj().T @ full, np.eye(dim), atol=1e-13)
+
+
+def test_ground_solve_and_mixed_spectrum_share_one_isometry():
+    """The ground solve's (k = 0, +) block is the mixed spectrum's: one
+    cached object.  The spectrum of the ground state adds the other 2L - 1
+    characters of T x prod-X, and its labels hold the names ``charge``
+    takes."""
+    L = 8
+    group = ("translation", "X" * L)
+    qcore.sector_isometry.cache_clear()
+    sol = solve_model(ModelSpec("tfim", L=L))
+    assert qcore.sector_isometry.cache_info().currsize == 1
+    P = qcore.sector_isometry(L, group, (0, 0))[0]
+    assert qcore.sector_isometry.cache_info().hits == 1  # the solve's entry
+    blocks = MixedState.from_pure(sol.state).sector_spectrum()
+    assert blocks[0].sector == (("translation", 0, L), ("X" * L, 0, 2))
+    assert blocks[0].isometry is P
+    info = qcore.sector_isometry.cache_info()
+    assert (info.currsize, info.misses) == (2 * L, 2 * L)
+
+
+def test_ground_solve_builds_only_its_own_character():
+    qcore.sector_isometry.cache_clear()
+    solve_model(ModelSpec("tfim", L=12))
+    assert qcore.sector_isometry.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n, word", [(2, "ZZ"), (3, "XX")], ids=["z_string", "short_word"])
+def test_generator_names_are_checked(n, word):
+    """A Z letter would be read as I (charge 0, though a Z-string flips the
+    sign of X) and a short word as a string on the last sites: both raise,
+    naming the word, wherever a name becomes a permutation."""
+    op = qcore.collective_spin(n, "X" if word == "ZZ" else "Z")
+    with pytest.raises(ValueError, match=repr(word)):
+        qcore.charge(op, word)
+    with pytest.raises(ValueError, match=repr(word)):
+        qcore.sector_isometry(n, (word,), (0,))
+    with pytest.raises(ValueError, match=repr(word)):
+        qcore._commutes(np.eye(1 << n) / (1 << n), word)
 
 
 @pytest.mark.parametrize("name", ["translation", "parity_x"])
@@ -688,13 +729,14 @@ def test_symmetry_check_reads_the_permuted_matrix(rng, name, n):
     while len(orbit) < (n if name == "translation" else 2):
         orbit.append(orbit[-1][inv][:, inv])
     rho = sum(orbit) / np.trace(sum(orbit)).real
-    assert qcore._commutes(rho, name)
+    generator = name if name == "translation" else "X" * n
+    assert qcore._commutes(rho, generator)
     for offset, want in ((0.5, True), (10.0, False)):
         far = rho.copy()
         far[dim - 2, dim - 1] += offset * POLICY.herm_tol
         far[dim - 1, dim - 2] += offset * POLICY.herm_tol
         assert (np.max(np.abs(far - far[inv][:, inv])) <= POLICY.herm_tol) == want
-        assert qcore._commutes(far, name) == want
+        assert qcore._commutes(far, generator) == want
 
 
 _CHARGE_CASES = {
