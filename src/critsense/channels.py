@@ -17,6 +17,12 @@ Z-type per-site kinds multiply rho[a, b] by a table over a ^ b, and global
 dephasing by a (2n + 1)-entry table over the difference of the sum-Z
 eigenvalues of a and b.
 
+Each kind writes into its one dim x dim output and otherwise holds only
+scratch of one row tile or column panel: the GEMMs run in place panel by
+panel, and a gather row tile by row tile, since each row of M reads only the
+same row of rho.  The first pass reads rho from a matrix or, for a pure
+state, from psi itself, so |psi><psi| is never built.
+
 The closed-form delta-theta expressions below are exact in the collective-spin
 convention, i.e. with imprint generator S_z = (1/2) sum_j Z_j; cross-checks
 against exact diagonalization must use that generator.
@@ -38,6 +44,7 @@ from .qcore import (
     PureState,
     collective_spin,
     evolve_phase,
+    projector_amplitudes,
 )
 
 KINDS = ("bitflip_x", "dephase_z", "zz", "global_dephase")
@@ -145,32 +152,72 @@ def _xor_tiles(dim: int, flat: bool):
         yield slice(start, start + n_rows), table
 
 
-def _xor_reindex(src: np.ndarray, dst: np.ndarray) -> None:
-    """dst[a, d] = src[a, a ^ d], one gather per row tile; its own inverse."""
-    for rows, table in _xor_tiles(src.shape[0], flat=True):
-        np.take(src[rows].reshape(-1), table, out=dst[rows], mode="clip")  # "raise" buffers
+def _row_reader(source: np.ndarray):
+    """``rows_of(rows, out)``: rho[rows] of the matrix rho a channel reads.
+
+    ``source`` is rho itself (dim x dim), whose rows come back as views, or
+    psi (dim,) for rho = |psi><psi|, which is never built: ``out`` is filled
+    with psi_a conj(psi_b), np.outer's products in its operand order, so a
+    channel of psi is bit for bit that of ``MixedState.from_pure``.
+    """
+    if source.ndim == 2:
+        return lambda rows, out: source[rows]
+    conj = source.conj()
+    return lambda rows, out: np.multiply(source[rows, None], conj, out=out)
 
 
-def _bitflip(mat: np.ndarray, spec: ChannelSpec, n_qubits: int) -> np.ndarray:
+def _load_reindexed(source: np.ndarray, out: np.ndarray) -> None:
+    """out[a, d] = rho[a, a ^ d] for the rho of ``source`` (``_row_reader``),
+    one row tile at a time: a gather of the matrix's row tile, or
+    psi_a conj(psi)[a ^ d]."""
+    dim = out.shape[0]
+    if source.ndim == 2:
+        for rows, table in _xor_tiles(dim, flat=True):
+            np.take(source[rows].reshape(-1), table, out=out[rows], mode="clip")  # "raise" buffers
+        return
+    conj = source.conj()
+    for rows, table in _xor_tiles(dim, flat=False):
+        np.take(conj, table, out=out[rows], mode="clip")
+        np.multiply(source[rows, None], out[rows], out=out[rows])
+
+
+def _gemm_in_place(k: np.ndarray, mats: np.ndarray) -> None:
+    """mat = k @ mat for each mat of the stack ``mats``, over column panels of
+    ``_TILE_ENTRIES`` entries (or the whole mat), each copied to one scratch
+    first; the sizes are powers of two, so the panels tile mat exactly."""
+    rows, cols = mats.shape[-2:]
+    width = min(cols, _TILE_ENTRIES // rows)
+    scratch = np.empty((rows, width))
+    for mat in mats:
+        for start in range(0, cols, width):
+            panel = mat[:, start:start + width]
+            np.copyto(scratch, panel)
+            np.matmul(k, scratch, out=panel)
+
+
+def _bitflip(source: np.ndarray, spec: ChannelSpec, out: np.ndarray) -> None:
     # K = kron_j [[1-p, p], [p, 1-p]] (I_2 off the mask) on the row index of
     # M[a, d] = rho[a, a ^ d], as its factors on the high n//2 sites and the rest
+    dim = out.shape[0]
+    n_qubits = dim.bit_length() - 1
     sites = set(_sites(spec, n_qubits))
     flip = np.array([[1.0 - spec.p, spec.p], [spec.p, 1.0 - spec.p]])
     factors = [flip if j in sites else np.eye(2) for j in range(n_qubits)]
     high = n_qubits // 2
     k_high = reduce(np.kron, factors[:high], np.ones((1, 1)))
     k_low = reduce(np.kron, factors[high:])
-    moved = np.empty_like(mat)
-    out = np.empty_like(mat)
-    _xor_reindex(mat, moved)
+    _load_reindexed(source, out)
     # K is real and contracts the row index, never the last axis, so a complex
     # matrix goes through as its float64 view
-    shape = (k_high.shape[0], k_low.shape[0], -1)
-    np.matmul(k_high, moved.view(np.float64).reshape(shape[0], -1),
-              out=out.view(np.float64).reshape(shape[0], -1))
-    np.matmul(k_low, out.view(np.float64).reshape(shape), out=moved.view(np.float64).reshape(shape))
-    _xor_reindex(moved, out)
-    return out
+    floats = out.view(np.float64).reshape(k_high.shape[0], k_low.shape[0], -1)
+    _gemm_in_place(k_high, floats.reshape(1, k_high.shape[0], -1))
+    _gemm_in_place(k_low, floats)
+    # M[a, d] back to rho[a, a ^ d]: each row reads only itself, so a copy of
+    # the row tile is all the gather needs
+    tile = np.empty_like(out[:_tile_rows(dim)])
+    for rows, table in _xor_tiles(dim, flat=True):
+        np.copyto(tile, out[rows])
+        np.take(tile.reshape(-1), table, out=out[rows], mode="clip")
 
 
 def _xor_factors(spec: ChannelSpec, n_qubits: int) -> np.ndarray:
@@ -212,13 +259,15 @@ def apply_channel_matrix(mat: np.ndarray, spec: ChannelSpec, n_qubits: int) -> n
     """Channel action on an arbitrary matrix (state or observable).
 
     Every kind makes a fixed number of passes over the matrix, whatever n
-    (the module docstring has the identities): the bit flip an XOR gather,
-    one GEMM with K's factor on the high n//2 sites, one batched GEMM with
-    its factor on the rest and the gather back, in two matrix-sized
-    buffers; the Z-type per-site kinds and global dephasing one multiply by
-    a factor table, gathered one row tile at a time.  The input is not
-    modified.  The per-site kinds keep a real matrix real; the global
-    kind's phase kernel is complex, so it returns complex128.
+    (the module docstring has the identities), and writes into one new
+    matrix, beside scratch of one row tile or column panel: the bit flip an
+    XOR gather into it, one GEMM with K's factor on the high n//2 sites and
+    one batched GEMM with its factor on the rest, both in place over column
+    panels, and the gather back, in place row tile by row tile; the Z-type
+    per-site kinds and global dephasing one multiply by a factor table, one
+    row tile at a time.  The input is not modified.  The per-site kinds keep
+    a real matrix real; the global kind's phase kernel is complex, so it
+    returns complex128.
     """
     if n_qubits > POLICY.dense_cap:
         raise CapacityError(f"{n_qubits} qubits exceeds dense cap {POLICY.dense_cap}")
@@ -226,29 +275,48 @@ def apply_channel_matrix(mat: np.ndarray, spec: ChannelSpec, n_qubits: int) -> n
     if mat.shape != (dim, dim):
         raise ValueError("matrix does not match register size")
     mat = np.ascontiguousarray(mat, dtype=np.complex128 if np.iscomplexobj(mat) else np.float64)
+    return _channel(mat, spec, n_qubits)
+
+
+def _channel(source: np.ndarray, spec: ChannelSpec, n_qubits: int) -> np.ndarray:
+    """The channel of the rho that ``_row_reader`` reads from ``source``, in
+    one new matrix."""
+    dim = 1 << n_qubits
+    dtype = np.complex128 if spec.kind == "global_dephase" else source.dtype
+    out = np.empty((dim, dim), dtype=dtype)
     if spec.kind == "bitflip_x":
-        return _bitflip(mat, spec, n_qubits)
+        _bitflip(source, spec, out)
+        return out
+    rows_of = _row_reader(source)
     if spec.kind == "global_dephase":
         kernel = _global_dephase_factors(spec, n_qubits)
         flipped = np.bitwise_count(np.arange(dim)).astype(np.intp)  # u: the sites at Z = -1
-        out = np.empty(mat.shape, dtype=np.complex128)
         n_rows = _tile_rows(dim)
         for start in range(0, dim, n_rows):
             rows = slice(start, start + n_rows)
             at = np.subtract(flipped, flipped[rows, None]) + n_qubits
-            np.multiply(mat[rows], kernel.take(at), out=out[rows])
-        return out
-    factors = _xor_factors(spec, n_qubits)
-    out = np.empty_like(mat)
-    for rows, table in _xor_tiles(dim, flat=False):
-        np.multiply(mat[rows], factors.take(table), out=out[rows])
+            np.multiply(rows_of(rows, out[rows]), kernel.take(at), out=out[rows])
+    else:
+        factors = _xor_factors(spec, n_qubits)
+        for rows, table in _xor_tiles(dim, flat=False):
+            np.multiply(rows_of(rows, out[rows]), factors.take(table), out=out[rows])
     return out
 
 
-def apply_channel(rho: MixedState, spec: ChannelSpec) -> MixedState:
-    """CPTP action on a density matrix; trace and Hermiticity are preserved."""
-    out = apply_channel_matrix(rho.matrix, spec, rho.n_qubits)
-    return MixedState(rho.n_qubits, out)
+def apply_channel(state: MixedState | PureState, spec: ChannelSpec) -> MixedState:
+    """CPTP action on a density matrix; trace and Hermiticity are preserved.
+
+    A ``PureState`` stands for |psi><psi|, which is never built: the
+    channel's first pass reads its rows from psi.  ``MixedState.from_pure``'s
+    rules hold (``CapacityError`` above ``dense_cap`` before anything is
+    allocated, a real matrix for real amplitudes), and the result is bit for
+    bit the channel of ``from_pure``'s matrix.
+    """
+    if isinstance(state, PureState):
+        out = _channel(projector_amplitudes(state), spec, state.n_qubits)
+    else:
+        out = apply_channel_matrix(state.matrix, spec, state.n_qubits)
+    return MixedState(state.n_qubits, out)
 
 
 def noisy_imprinted_state(
@@ -262,8 +330,8 @@ def noisy_imprinted_state(
     identical states.
     """
     if spec.after_imprint:
-        return apply_channel(MixedState.from_pure(evolve_phase(probe, gen, theta)), spec)
-    return evolve_phase(apply_channel(MixedState.from_pure(probe), spec), gen, theta)
+        return apply_channel(evolve_phase(probe, gen, theta), spec)
+    return evolve_phase(apply_channel(probe, spec), gen, theta)
 
 
 def kraus_family(spec: ChannelSpec) -> list[np.ndarray]:

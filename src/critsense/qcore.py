@@ -679,6 +679,16 @@ class PureState:
         return cls(n_qubits, amp)
 
 
+def projector_amplitudes(state: PureState) -> np.ndarray:
+    """psi's amplitudes as the dense |psi><psi| reads them: refused with
+    ``CapacityError`` above ``POLICY.dense_cap``, before anything of the
+    matrix's size is allocated, and real when they have no imaginary part."""
+    if state.n_qubits > POLICY.dense_cap:
+        raise CapacityError(f"{state.n_qubits} qubits exceeds dense cap {POLICY.dense_cap}")
+    amp = state.amplitudes
+    return np.ascontiguousarray(amp.real) if not amp.imag.any() else amp
+
+
 def _commutes(mat: np.ndarray, name: str) -> bool:
     """max |mat - U mat U^dagger| <= ``POLICY.herm_tol`` for one symmetry U,
     the translation (``"translation"``) or the product-of-X parity (the
@@ -763,13 +773,7 @@ class MixedState:
     @classmethod
     def from_pure(cls, state: PureState) -> "MixedState":
         """|psi><psi|; real when the amplitudes have no imaginary part."""
-        if state.n_qubits > POLICY.dense_cap:
-            raise CapacityError(
-                f"{state.n_qubits} qubits exceeds dense cap {POLICY.dense_cap}"
-            )
-        amp = state.amplitudes
-        if not amp.imag.any():
-            amp = amp.real
+        amp = projector_amplitudes(state)
         return cls(state.n_qubits, np.outer(amp, amp.conj()))
 
     def sector_spectrum(self) -> tuple[SectorBlock, ...]:

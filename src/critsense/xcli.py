@@ -65,7 +65,6 @@ from .models import (
 )
 from .policy import POLICY
 from .qcore import (
-    MixedState,
     PauliOperator,
     PureState,
     collective_spin,
@@ -461,7 +460,7 @@ def _channel_sweep_tasks(cfg: ExperimentConfig) -> list[Task]:
 
     def point(probe: str, L: int) -> list[ExperimentRecord]:
         state, gen = _probe_state(probe, L)
-        rho = apply_channel(MixedState.from_pure(state), chan)
+        rho = apply_channel(state, chan)
         fq = qfi_mixed(rho, gen).value
         row = partial(ExperimentRecord, probe=probe, L=L, channel_kind=chan.kind, p=chan.p)
         records = [row(chi=chan.chi, observable="qfi_mixed", value=fq, qfi=fq)]

@@ -315,3 +315,29 @@ def gathered_exponential(gen, scale, vec, out=None):
         return result
     out[...] = result
     return out
+
+
+def bitflip_three_buffers(rho, p, sites):
+    """The bit-flip kernel as it ran in three dim^2 buffers, kept to pin the
+    one-buffer kernel bit for bit.
+
+    K = kron_j [[1-p, p], [p, 1-p]] (I_2 off ``sites``) acts on the row index
+    of M[a, d] = rho[a, a ^ d]: one GEMM with its factor on the high n//2
+    sites over the whole matrix, one batched GEMM with the factor on the
+    rest, on the float64 view of a complex matrix, then the gather back.
+    ``rho`` is a C-contiguous float64 or complex128 matrix.
+    """
+    dim = rho.shape[0]
+    n = dim.bit_length() - 1
+    flip = np.array([[1.0 - p, p], [p, 1.0 - p]])
+    factors = [flip if j in set(sites) else np.eye(2) for j in range(n)]
+    k_high = reduce(np.kron, factors[:n // 2], np.ones((1, 1)))
+    k_low = reduce(np.kron, factors[n // 2:])
+    xor = np.arange(dim)[:, None] ^ np.arange(dim)
+    moved = np.take_along_axis(rho, xor, axis=1)
+    out = np.empty_like(rho)
+    shape = (k_high.shape[0], k_low.shape[0], -1)
+    np.matmul(k_high, moved.view(np.float64).reshape(shape[0], -1),
+              out=out.view(np.float64).reshape(shape[0], -1))
+    np.matmul(k_low, out.view(np.float64).reshape(shape), out=moved.view(np.float64).reshape(shape))
+    return np.take_along_axis(moved, xor, axis=1)

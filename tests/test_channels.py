@@ -8,10 +8,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from critsense import (
+    CapacityError,
     ChannelSpec,
     MixedState,
     NoiseKernel,
+    NumericPolicy,
     PauliOperator,
+    PureState,
     apply_channel,
     bitflip_qfi_formula,
     conjugate_collective_action,
@@ -22,6 +25,7 @@ from critsense import (
     global_dephasing_sensitivity,
     qfi_mixed,
     qfi_pure,
+    spin_coherent_state,
     variance,
     zz_channel_invariance_check,
 )
@@ -32,10 +36,11 @@ from critsense.channels import (
     in_plane_spin,
     kraus_family,
 )
+import critsense.qcore as qcore
 from critsense.qcore import expectation, to_matrix
 
 from conftest import sum_z
-from oracles import bitflip_sitewise, kron_op, X as XM, Z as ZM
+from oracles import bitflip_sitewise, bitflip_three_buffers, kron_op, X as XM, Z as ZM
 
 
 def test_channel_spec_validation():
@@ -138,35 +143,94 @@ def test_bitflip_matches_sitewise_oracle(case):
         rho = rho + 1j * gen.standard_normal((dim, dim))
     before = rho.copy()
     got = apply_channel_matrix(rho, ChannelSpec(kind="bitflip_x", p=p, site_mask=mask), n)
-    want = bitflip_sitewise(rho, p, range(n) if mask is None else mask)
+    sites = range(n) if mask is None else mask
+    want = bitflip_sitewise(rho, p, sites)
     assert np.array_equal(rho, before)  # the input is not modified
     assert got.dtype == rho.dtype
+    # the GEMMs run in place over column panels and the gathers one row tile
+    # at a time, on the same floats as the whole-matrix kernel
+    assert np.array_equal(got, bitflip_three_buffers(rho, p, sites))
     if p in (0.0, 1.0):  # K is the identity or a permutation: every entry exact
         assert np.array_equal(got, want)
     else:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(rho))
 
 
+_PURE_SPECS = [
+    ChannelSpec(kind="bitflip_x", p=0.3),
+    ChannelSpec(kind="bitflip_x", p=0.3, site_mask=(1, 2)),
+    ChannelSpec(kind="dephase_z", p=0.2),
+    ChannelSpec(kind="zz", p=0.15, site_mask=(0, 2)),
+    ChannelSpec(kind="global_dephase", chi=0.4, t=1.0),
+]
+
+
+@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("spec", _PURE_SPECS, ids=lambda spec: spec.kind + ("_masked" if spec.site_mask else ""))
+def test_pure_state_channel_equals_projector_channel_bit_for_bit(rng, n, cplx, spec):
+    # the first pass reads |psi><psi| from psi: np.outer's products, real for
+    # real amplitudes (n = 9 spans several row tiles)
+    amp = rng.standard_normal(1 << n) + (1j * rng.standard_normal(1 << n) if cplx else 0.0)
+    psi = PureState(n, amp / np.linalg.norm(amp))
+    got = apply_channel(psi, spec).matrix
+    want = apply_channel(MixedState.from_pure(psi), spec).matrix
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("kind", ["bitflip_x", "dephase_z", "zz", "global_dephase"])
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
-def test_channel_allocates_two_matrices(rng, kind, cplx):
-    # the result and, for the bit flip, one reindexed copy; the index tables
-    # and factor tiles, a few arrays of one 2^15-entry row tile, stay far
-    # below one more dim^2 matrix (8 MiB real)
+def test_channel_allocates_one_matrix(rng, kind, cplx):
+    # the result alone, from a matrix and from a pure state; the index tables,
+    # factor tiles and the scratch of one 2^15-entry row tile or column panel
+    # stay far below one more dim^2 matrix (8 MiB real)
     n = 10
     dim = 1 << n
     rho = rng.standard_normal((dim, dim))
+    amp = rng.standard_normal(dim)
     if cplx:
         rho = rho + 1j * rng.standard_normal((dim, dim))
+        amp = amp + 1j * rng.standard_normal(dim)
+    psi = PureState(n, amp / np.linalg.norm(amp))
     spec = ChannelSpec(kind=kind, chi=0.3) if kind == "global_dephase" else ChannelSpec(kind=kind, p=0.2)
-    matrices = 2 if kind == "bitflip_x" else 1
+    for apply in (lambda: apply_channel_matrix(rho, spec, n), lambda: apply_channel(psi, spec).matrix):
+        tracemalloc.start()
+        try:
+            out = apply()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + (2 << 20)
+        del out
+
+
+def test_pure_state_channel_refuses_over_dense_cap(monkeypatch):
+    # refused before anything of the matrix's size exists: a regression
+    # would allocate an 8 MiB dim^2 matrix
+    monkeypatch.setattr(qcore, "POLICY", NumericPolicy(dense_cap=9))
+    psi = spin_coherent_state(10)
     tracemalloc.start()
     try:
-        out = apply_channel_matrix(rho, spec, n)
+        with pytest.raises(CapacityError):
+            apply_channel(psi, ChannelSpec(kind="bitflip_x", p=0.1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= matrices * out.nbytes + (2 << 20)
+    assert peak < (1 << 20)
+
+
+def test_qfi_of_bit_flipped_probe_allocates_under_half_a_matrix(critical_states):
+    # the sector spectrum reads rho in place: no dim^2 buffer comes back downstream
+    n = 10
+    rho = apply_channel(critical_states(n).state, ChannelSpec(kind="bitflip_x", p=0.1))
+    tracemalloc.start()
+    try:
+        qfi_mixed(rho, sum_z(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * rho.matrix.nbytes
 
 
 @pytest.mark.parametrize("L", [4, 5])

@@ -413,7 +413,8 @@ def test_sector_block_matches_projected_dense_ground_space(eigsh_spy, name):
     assert eigsh_spy and dims == {sector_dimension(n, flips, momentum)}
     if momentum is None:
         assert dims == {1 << (n - len(words))}
-    e0, space = sector_ground_space(to_matrix(build_hamiltonian(spec)), flips, translation=momentum)
+    # the reference projects Lanczos levels of the whole register's CSR
+    e0, space = sector_ground_space(build_hamiltonian(spec).to_sparse(), flips, translation=momentum)
     assert abs(sol.energy - e0) < 1e-10
     weight = float(np.sum(np.abs(space.conj().T @ sol.state.amplitudes) ** 2))
     assert weight > 1.0 - 1e-10
