@@ -5,13 +5,16 @@ information (QFI) values follow the convention F_Q = 4 Var(O) for pure probes.
 
 Error propagation, delta theta = sqrt(Var_theta(A)) / |d<A>/dtheta|, has one
 theta loop, ``precision_curve``; ``error_propagation`` is its one-point case.
-Each grid point evolves the probe once and reads from that state the signal
-<A>, the variance (branch probabilities for an involution A, A^2 = I) and the
-exact derivative i<[A, O]>: i(<A psi|O psi> - c.c.) on a pure state,
-i tr(A [O, rho]) from ``gen @ rho`` on a mixed one.  The reported derivative
-depends on the readout's form: centered differences for a PauliOperator,
-Richardson extrapolation of two centered steps for any other operator.  The
-commutator value cross-checks it to ``derivative_agree_tol``.
+The loop owns the arithmetic.  Each grid point evolves the probe once and
+reads from that state the signal <A>, the variance (branch probabilities for
+an involution A, A^2 = I) and the exact derivative i<[A, O]>.  The reported
+derivative is a centered difference of the minus-branch probability (an
+involution) or of <A>: one step for a PauliOperator readout, Richardson
+extrapolation of two steps for any other form.  The commutator value
+cross-checks it to ``derivative_agree_tol``.  Only the reading of a point
+depends on the probe: a pure one evolves into three register buffers
+allocated once per curve, whatever the readout (``_pure_reader``); a mixed
+one is imprinted into a new ``MixedState`` per point (``_mixed_reader``).
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from .qcore import (
     PureState,
     SectorBlock,
     State,
+    _check_register,
     _hermitian_deviation,
     apply_exponential,
     charge,
@@ -50,8 +54,7 @@ class PrecisionCurve:
     delta_theta: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.diff(self.theta) <= 0):
-            raise ValueError("theta grid must be strictly increasing")
+        _check_grid(self.theta)
         if np.any(self.delta_theta < 0):
             raise ValueError("delta_theta entries must be >= 0")
 
@@ -143,7 +146,7 @@ def sld(rho_theta: MixedState, drho: np.ndarray) -> np.ndarray:
     """
     drho = np.asarray(drho, dtype=np.complex128)
     herm = _hermitian_deviation(drho)
-    if herm > POLICY.herm_tol:
+    if not herm <= POLICY.herm_tol:  # a NaN deviation fails too
         raise ValueError(
             f"drho must be Hermitian: max |drho - drho^dagger| is {herm:.3e}, "
             f"over herm_tol ({POLICY.herm_tol:g})"
@@ -180,21 +183,15 @@ def _is_involution(obs) -> bool:
     return isinstance(obs, SymmetryOperator) and obs.is_hermitian
 
 
-def _branch_probs(state: State, obs) -> tuple[float, float]:
-    """(p_plus, p_minus) of the +-1 outcomes of an involutory observable.
+def _branch_probs(rho: MixedState, obs) -> tuple[float, float]:
+    """(p_plus, p_minus) of the +-1 outcomes of an involutory observable on a
+    mixed state, resolved over its spectral ensemble.
 
     Branch norms avoid the catastrophic cancellation of 1 - <obs>^2 when the
     state is nearly an eigenstate, which the small-outcome Fisher weights
-    amplify.  Mixed states are resolved over their spectral ensemble for the
-    same reason.
+    amplify.
     """
-    if isinstance(state, PureState):
-        vec = state.amplitudes
-        ovec = obs @ vec
-        plus = 0.5 * (vec + ovec)
-        minus = 0.5 * (vec - ovec)
-        return float(np.vdot(plus, plus).real), float(np.vdot(minus, minus).real)
-    w, v = state.spectrum()
+    w, v = rho.spectrum()
     keep = w > POLICY.spectral_cutoff  # noise-level weights carry O(1) branch
     w = w[keep] / np.sum(w[keep])      # norms and would swamp tiny outcomes
     v = v[:, keep]
@@ -206,62 +203,27 @@ def _branch_probs(state: State, obs) -> tuple[float, float]:
     return p_plus, p_minus
 
 
-def _variance_at(state: State, obs) -> float:
-    if _is_involution(obs):
-        p_plus, p_minus = _branch_probs(state, obs)
-        total = p_plus + p_minus
-        return 4.0 * p_plus * p_minus / (total * total)
-    return variance(state, obs)
+def _branch_variance(p_plus: float, p_minus: float) -> float:
+    total = p_plus + p_minus
+    return 4.0 * p_plus * p_minus / (total * total)
 
 
-def _centered(state: State, gen: PauliOperator, obs, theta: float, step: float) -> float:
-    """Centered difference of <obs> across theta +- step.
-
-    An involution differences only its minus-branch probability:
-    d<A>/dtheta = -2 dp_minus/dtheta exactly (the normalization is imprint
-    invariant), which keeps the quotient clean when the probe is nearly an
-    A-eigenstate.
-    """
-    if _is_involution(obs):
-        _, m_up = _branch_probs(evolve_phase(state, gen, theta + step), obs)
-        _, m_dn = _branch_probs(evolve_phase(state, gen, theta - step), obs)
-        return -(m_up - m_dn) / step
-    up = expectation(evolve_phase(state, gen, theta + step), obs).real
-    dn = expectation(evolve_phase(state, gen, theta - step), obs).real
-    return (up - dn) / (2.0 * step)
-
-
-def _reported_derivative(state: State, gen: PauliOperator, obs, theta: float, step: float) -> float:
-    """d<obs>/dtheta by centered differences for a Pauli-sum readout, by
-    Richardson extrapolation of two centered steps for any other form."""
-    coarse = _centered(state, gen, obs, theta, step)
-    if isinstance(obs, PauliOperator):
-        return coarse
-    fine = _centered(state, gen, obs, theta, 0.5 * step)
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _commutator_derivative(evolved: State, gen: PauliOperator, obs) -> float:
-    """Exact d<obs>/dtheta = i<[obs, gen]> on the already evolved state."""
-    if isinstance(evolved, PureState):
-        vec = evolved.amplitudes
-        avec = obs @ vec
-        gvec = gen @ vec
-        # i(<psi|A G|psi> - <psi|G A|psi>)
-        return float(np.real(1j * (np.vdot(avec, gvec) - np.vdot(gvec, avec))))
-    if isinstance(obs, PauliOperator):  # i tr(rho [A, G]) from the grouped forms
-        commutator = trace_product(evolved, obs, gen) - trace_product(evolved, gen, obs)
+def _commutator_derivative(rho: MixedState, gen: PauliOperator, obs) -> float:
+    """Exact d<obs>/dtheta = i tr(rho [obs, gen]) on the already evolved state."""
+    if isinstance(obs, PauliOperator):  # from the grouped forms
+        commutator = trace_product(rho, obs, gen) - trace_product(rho, gen, obs)
         return float(np.real(1j * commutator))
-    g_rho = gen @ evolved.matrix  # (G rho)^dagger = rho G
+    g_rho = gen @ rho.matrix  # (G rho)^dagger = rho G
     return float(np.real(1j * np.trace(obs @ (g_rho - g_rho.conj().T))))
 
 
 def _delta_theta(theta: float, var: float, deriv: float, exact: float) -> float:
     """sqrt(var) / |deriv| (+inf below ``signal_floor``), once the reported
-    derivative is within ``derivative_agree_tol`` of the commutator one."""
+    derivative is within ``derivative_agree_tol`` of the commutator one (a
+    NaN on either side misses it)."""
     miss = abs(exact - deriv)
     tol = POLICY.derivative_agree_tol * max(1.0, abs(exact))
-    if miss > tol:
+    if not miss <= tol:
         raise ArithmeticError(
             f"derivative routes disagree at theta={theta!r}: reported {deriv!r}, "
             f"commutator {exact!r}; off by {miss:.3e}, over the tolerance {tol:.3e}"
@@ -269,68 +231,85 @@ def _delta_theta(theta: float, var: float, deriv: float, exact: float) -> float:
     return math.inf if abs(deriv) < POLICY.signal_floor else math.sqrt(var) / abs(deriv)
 
 
-def _takes_workspace(state: State, obs) -> bool:
-    """A pure probe read out through a Pauli-string involution: the loop of
-    ``_involution_curve``."""
-    return isinstance(state, PureState) and isinstance(obs, PauliOperator) and _is_involution(obs)
+def _check_grid(theta: np.ndarray) -> None:
+    """ValueError naming the first angle that is not finite or does not
+    exceed the one before it.
 
-
-def _involution_curve(psi: PureState, gen: PauliOperator, obs: PauliOperator,
-                      thetas: np.ndarray) -> PrecisionCurve:
-    """``precision_curve`` of a pure probe and a Pauli-string involution, on
-    one workspace per curve.
-
-    The steps of the general loop, with the same bits: the evolved state
-    e^{i theta O} psi, its image A psi_theta, the signal, the branch
-    probabilities of (psi_theta +- A psi_theta) / 2, the commutator
-    derivative and the centered difference of the minus branch.  Each
-    2^n-long intermediate is written into one of three buffers allocated
-    here (the state, its image and one scratch), so a point allocates
-    nothing of the register's size.  A branch probability is 0.25
-    ||psi_theta +- A psi_theta||^2, the norm of the halved sum to the bit:
-    scaling by a power of two is exact (short of subnormal amplitudes).
+    A scalar loop: it leaves no array temporaries on the heap ahead of the
+    curve's register buffers, whose placement moves theta_sweep's run time
+    by a few percent.
     """
-    if not gen.is_hermitian:
-        raise ValueError("phase generator must be Hermitian")
-    if gen.n_qubits != psi.n_qubits or obs.shape != gen.shape:
-        raise ValueError("register size mismatch")
+    prev = None
+    for i, th in enumerate(theta):
+        if not math.isfinite(th):
+            raise ValueError(f"theta grid: theta[{i}] = {float(th)!r} is not finite")
+        if prev is not None and not th > prev:
+            raise ValueError(f"theta grid must be strictly increasing: theta[{i}] = "
+                             f"{float(th)!r} does not exceed theta[{i - 1}] = {float(prev)!r}")
+        prev = th
+
+
+def _pure_reader(psi: PureState, gen: PauliOperator, obs, involution: bool) -> Callable:
+    """``read`` of a pure probe, in three register buffers allocated once per
+    curve: psi_theta = e^{i theta O} psi, its image A psi_theta and a scratch.
+
+    A CSR or dense readout's product is copied into the image; every other
+    step writes into a buffer.  A branch probability is 0.25 ||psi_theta +-
+    A psi_theta||^2, the norm of the halved sum to the bit: scaling by a
+    power of two is exact (short of subnormal amplitudes).
+    """
     base = psi.amplitudes
     evolved, image, work = (np.empty_like(base) for _ in range(3))
+    in_place = isinstance(obs, (PauliOperator, SymmetryOperator))
 
-    def evolve(theta: float) -> None:
-        # evolve_phase, then A on the result
-        if theta == 0.0:
+    def branch(sign) -> float:
+        sign(evolved, image, out=work)  # ||(psi +- A psi) / 2||^2
+        return 0.25 * float(np.vdot(work, work).real)
+
+    def read(theta: float, full: bool):
+        if theta == 0.0:  # evolve_phase, then A on the result
             evolved[:] = base
         else:
             apply_exponential(gen, 1j * theta, base, out=evolved)
             if not gen.is_diagonal:
                 np.divide(evolved, np.linalg.norm(evolved), out=evolved)
-        obs.apply_vec(evolved, out=image)
+        if in_place:
+            obs.apply_vec(evolved, out=image)
+        else:
+            image[...] = obs @ evolved
+        if involution and not full:
+            return branch(np.subtract)
+        signal = complex(np.vdot(evolved, image)).real
+        if not full:
+            return signal
+        if involution:
+            var = _branch_variance(branch(np.add), branch(np.subtract))
+        else:
+            var = float(np.vdot(image, image).real) - signal * signal
+        gen.apply_vec(evolved, out=work)  # i(<A psi|G psi> - <G psi|A psi>)
+        return signal, var, float(np.real(1j * (np.vdot(image, work) - np.vdot(work, image))))
 
-    def branch(sign) -> float:
-        # ||(psi +- A psi) / 2||^2
-        sign(evolved, image, out=work)
-        return 0.25 * float(np.vdot(work, work).real)
+    return read
 
-    step = POLICY.fd_step
-    sig = np.empty_like(thetas)
-    var = np.empty_like(thetas)
-    dth = np.empty_like(thetas)
-    for i, th in enumerate(thetas):
-        th = float(th)
-        evolve(th)
-        sig[i] = complex(np.vdot(evolved, image)).real
-        p_plus, p_minus = branch(np.add), branch(np.subtract)
-        total = p_plus + p_minus
-        var[i] = max(4.0 * p_plus * p_minus / (total * total), 0.0)
-        gen.apply_vec(evolved, out=work)
-        exact = float(np.real(1j * (np.vdot(image, work) - np.vdot(work, image))))
-        evolve(th + step)
-        m_up = branch(np.subtract)
-        evolve(th - step)
-        m_dn = branch(np.subtract)
-        dth[i] = _delta_theta(th, var[i], -(m_up - m_dn) / step, exact)
-    return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)
+
+def _mixed_reader(rho: MixedState, gen: PauliOperator, obs, involution: bool) -> Callable:
+    """``read`` of a mixed probe: one imprinted ``MixedState`` per call."""
+    if involution:
+        rho.spectrum()  # warm the cache once; evolutions inherit it
+
+    def read(theta: float, full: bool):
+        st = evolve_phase(rho, gen, theta)
+        if involution:
+            p_plus, p_minus = _branch_probs(st, obs)
+            if not full:
+                return p_minus
+        signal = expectation(st, obs).real
+        if not full:
+            return signal
+        var = _branch_variance(p_plus, p_minus) if involution else variance(st, obs)
+        return signal, var, _commutator_derivative(st, gen, obs)
+
+    return read
 
 
 def precision_curve(
@@ -341,29 +320,41 @@ def precision_curve(
 ) -> PrecisionCurve:
     """Signal, variance and delta theta of ``obs`` at each grid angle.
 
-    Each point evolves the probe once.  That state gives the signal, the
-    variance and the commutator derivative, which must agree with the
-    reported derivative to ``derivative_agree_tol`` (ArithmeticError
-    otherwise).  A vanishing derivative gives the +inf sentinel, so sweeps
-    tolerate dead points.  A pure probe with a Pauli-string involution as
-    readout runs the same steps on buffers allocated once per curve
-    (``_involution_curve``), with the same bits.
+    A grid angle that is not finite or does not exceed the one before it is
+    refused (ValueError naming it) before anything of the register's size is
+    allocated.  ``read(theta, full)`` evolves the probe to theta and returns
+    the differenced quantity, the minus-branch probability of an involution
+    or <obs>, or with ``full`` the signal, the variance and the commutator
+    derivative.  A reported derivative that misses the commutator one raises
+    ArithmeticError; a vanishing one gives the +inf sentinel, so sweeps
+    tolerate dead points.
     """
     thetas = np.asarray(theta_grid, dtype=float)
-    if _takes_workspace(state, obs):
-        return _involution_curve(state, gen, obs, thetas)
-    if isinstance(state, MixedState) and _is_involution(obs):
-        state.spectrum()  # warm the cache once; evolutions inherit it
-    sig = np.empty_like(thetas)
-    var = np.empty_like(thetas)
-    dth = np.empty_like(thetas)
+    _check_grid(thetas)
+    if not gen.is_hermitian or not getattr(obs, "is_hermitian", True):
+        raise ValueError("phase generator and readout must be Hermitian")
+    _check_register(state, gen)
+    _check_register(state, obs)
+    involution = _is_involution(obs)
+    reader = _pure_reader if isinstance(state, PureState) else _mixed_reader
+    read = reader(state, gen, obs, involution)
+
+    def slope(theta: float, step: float) -> float:
+        # d<A>/dtheta = -2 dp_minus/dtheta exactly for an involution (the
+        # normalization is imprint invariant), which keeps the quotient
+        # clean when the probe is nearly an A-eigenstate
+        up, dn = read(theta + step, False), read(theta - step, False)
+        return -(up - dn) / step if involution else (up - dn) / (2.0 * step)
+
+    step = POLICY.fd_step
+    sig, var, dth = (np.empty_like(thetas) for _ in range(3))
     for i, th in enumerate(thetas):
         th = float(th)
-        st = evolve_phase(state, gen, th)
-        sig[i] = expectation(st, obs).real
-        var[i] = max(_variance_at(st, obs), 0.0)
-        deriv = _reported_derivative(state, gen, obs, th, POLICY.fd_step)
-        exact = _commutator_derivative(st, gen, obs)
+        sig[i], v, exact = read(th, True)
+        var[i] = max(v, 0.0)
+        deriv = slope(th, step)
+        if not isinstance(obs, PauliOperator):  # Richardson over two steps
+            deriv = (4.0 * slope(th, 0.5 * step) - deriv) / 3.0
         dth[i] = _delta_theta(th, var[i], deriv, exact)
     return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)
 

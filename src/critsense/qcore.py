@@ -668,7 +668,7 @@ class PureState:
                 f"amplitude length {amp.shape} does not match 2^{self.n_qubits}"
             )
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > POLICY.norm_tol:
+        if not abs(norm - 1.0) <= POLICY.norm_tol:  # a NaN norm fails too
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond tolerance")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -763,10 +763,10 @@ class MixedState:
         if mat.shape != (dim, dim):
             raise ValueError("matrix shape does not match register size")
         herm = _hermitian_deviation(mat)
-        if herm > POLICY.herm_tol:
+        if not herm <= POLICY.herm_tol:  # each check fails on NaN
             raise ValueError(f"matrix not Hermitian: max deviation {herm:.3e}")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > POLICY.trace_tol:
+        if not abs(tr - 1.0) <= POLICY.trace_tol:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond tolerance")
         self.matrix = mat
 
@@ -851,8 +851,8 @@ class MixedState:
                     block = 0.5 * (block + block.conj().T)
                     done[label] = SectorBlock(P, *np.linalg.eigh(block), label)
             blocks = list(done.values())
-        low = min(b.values.min() for b in blocks)
-        if low < -POLICY.psd_tol:
+        low = np.min([b.values.min() for b in blocks])  # NaN propagates
+        if not low >= -POLICY.psd_tol:
             raise ValueError(f"matrix not PSD: min eigenvalue {low:.3e}")
         return tuple(blocks)
 

@@ -147,7 +147,10 @@ def parity_theta_curve(
 ) -> PrecisionCurve:
     """Signal, variance, and precision of the restricted parity along theta.
 
-    The curve is ``precision_curve`` of the block parity.  Each signal is
+    The curve is ``precision_curve`` of the block parity, the one theta loop
+    of every readout: three evolutions per point (the grid angle and its
+    centered difference), all in the register buffers it allocates once per
+    curve for a pure probe.  Each signal is
     also checked against the anticommutation pull-through <psi|e^{-2 i theta O}
     Pi|psi>; the two must agree to 1e-12.  For a diagonal imprinter with phase
     table ``(values, inverse)`` that is sum_j e^{-2 i theta v_j} M_j, with

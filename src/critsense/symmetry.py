@@ -43,9 +43,14 @@ class SymmetryOperator:
         dim = 1 << self.L
         return dim, dim
 
-    def apply_vec(self, vec: np.ndarray) -> np.ndarray:
-        """Action on a state vector or a (2^L, k) column block."""
-        out = np.empty(vec.shape, dtype=np.complex128)
+    def apply_vec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Action on a state vector or a (2^L, k) column block.
+
+        ``out``, a complex128 array of ``vec``'s shape that does not overlap
+        it, receives the result.
+        """
+        if out is None:
+            out = np.empty(vec.shape, dtype=np.complex128)
         if self.phase is None:
             out[self.perm] = vec
         else:

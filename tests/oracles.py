@@ -1,10 +1,29 @@
 """Brute-force dense oracles, independent of the library internals.
 
 Everything here is built from plain numpy Kronecker products so the test
-expectations never share code with the implementation they check.
+expectations never share code with the implementation they check.  The
+exceptions are kernels kept to pin a rewrite bit for bit: the (2,) * n flip
+``apply_vec``, the gathered-factor exponential, the three-buffer bit flip and
+the general theta loop of ``precision_curve`` (``general_precision_curve``),
+which evolves a fresh state per call through the library's ``qcore``.
 """
+import math
+
 import numpy as np
 from functools import reduce
+
+from critsense.metrology import PrecisionCurve
+from critsense.policy import POLICY
+from critsense.qcore import (
+    MixedState,
+    PauliOperator,
+    PureState,
+    evolve_phase,
+    expectation,
+    trace_product,
+    variance,
+)
+from critsense.symmetry import SymmetryOperator
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -341,3 +360,128 @@ def bitflip_three_buffers(rho, p, sites):
               out=out.view(np.float64).reshape(shape[0], -1))
     np.matmul(k_low, out.view(np.float64).reshape(shape), out=moved.view(np.float64).reshape(shape))
     return np.take_along_axis(moved, xor, axis=1)
+
+
+# -- the general theta loop, as precision_curve ran it before its one loop --
+
+
+def _is_involution(obs) -> bool:
+    """Observables with obs^2 = I: +-1-weighted single Pauli strings and the
+    Hermitian symmetry permutations (unitary, so Hermitian means obs^2 = I)."""
+    if isinstance(obs, PauliOperator):
+        return (
+            len(obs.terms) == 1
+            and abs(obs.terms[0][0].imag) < 1e-15
+            and abs(abs(obs.terms[0][0].real) - 1.0) < 1e-15
+        )
+    return isinstance(obs, SymmetryOperator) and obs.is_hermitian
+
+
+def _branch_probs(state, obs):
+    """(p_plus, p_minus) of the +-1 outcomes of an involutory observable.
+
+    Branch norms avoid the catastrophic cancellation of 1 - <obs>^2 when the
+    state is nearly an eigenstate, which the small-outcome Fisher weights
+    amplify.  Mixed states are resolved over their spectral ensemble for the
+    same reason.
+    """
+    if isinstance(state, PureState):
+        vec = state.amplitudes
+        ovec = obs @ vec
+        plus = 0.5 * (vec + ovec)
+        minus = 0.5 * (vec - ovec)
+        return float(np.vdot(plus, plus).real), float(np.vdot(minus, minus).real)
+    w, v = state.spectrum()
+    keep = w > POLICY.spectral_cutoff  # noise-level weights carry O(1) branch
+    w = w[keep] / np.sum(w[keep])      # norms and would swamp tiny outcomes
+    v = v[:, keep]
+    ov = obs @ v
+    minus = 0.5 * (v - ov)
+    p_minus = float(np.dot(w, np.sum(np.abs(minus) ** 2, axis=0)))
+    plus = 0.5 * (v + ov)
+    p_plus = float(np.dot(w, np.sum(np.abs(plus) ** 2, axis=0)))
+    return p_plus, p_minus
+
+
+def _variance_at(state, obs) -> float:
+    if _is_involution(obs):
+        p_plus, p_minus = _branch_probs(state, obs)
+        total = p_plus + p_minus
+        return 4.0 * p_plus * p_minus / (total * total)
+    return variance(state, obs)
+
+
+def _centered(state, gen, obs, theta: float, step: float) -> float:
+    """Centered difference of <obs> across theta +- step.
+
+    An involution differences only its minus-branch probability:
+    d<A>/dtheta = -2 dp_minus/dtheta exactly (the normalization is imprint
+    invariant), which keeps the quotient clean when the probe is nearly an
+    A-eigenstate.
+    """
+    if _is_involution(obs):
+        _, m_up = _branch_probs(evolve_phase(state, gen, theta + step), obs)
+        _, m_dn = _branch_probs(evolve_phase(state, gen, theta - step), obs)
+        return -(m_up - m_dn) / step
+    up = expectation(evolve_phase(state, gen, theta + step), obs).real
+    dn = expectation(evolve_phase(state, gen, theta - step), obs).real
+    return (up - dn) / (2.0 * step)
+
+
+def _reported_derivative(state, gen, obs, theta: float, step: float) -> float:
+    """d<obs>/dtheta by centered differences for a Pauli-sum readout, by
+    Richardson extrapolation of two centered steps for any other form."""
+    coarse = _centered(state, gen, obs, theta, step)
+    if isinstance(obs, PauliOperator):
+        return coarse
+    fine = _centered(state, gen, obs, theta, 0.5 * step)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _commutator_derivative(evolved, gen, obs) -> float:
+    """Exact d<obs>/dtheta = i<[obs, gen]> on the already evolved state."""
+    if isinstance(evolved, PureState):
+        vec = evolved.amplitudes
+        avec = obs @ vec
+        gvec = gen @ vec
+        # i(<psi|A G|psi> - <psi|G A|psi>)
+        return float(np.real(1j * (np.vdot(avec, gvec) - np.vdot(gvec, avec))))
+    if isinstance(obs, PauliOperator):  # i tr(rho [A, G]) from the grouped forms
+        commutator = trace_product(evolved, obs, gen) - trace_product(evolved, gen, obs)
+        return float(np.real(1j * commutator))
+    g_rho = gen @ evolved.matrix  # (G rho)^dagger = rho G
+    return float(np.real(1j * np.trace(obs @ (g_rho - g_rho.conj().T))))
+
+
+def _delta_theta(theta: float, var: float, deriv: float, exact: float) -> float:
+    """sqrt(var) / |deriv| (+inf below ``signal_floor``), once the reported
+    derivative is within ``derivative_agree_tol`` of the commutator one."""
+    miss = abs(exact - deriv)
+    tol = POLICY.derivative_agree_tol * max(1.0, abs(exact))
+    if miss > tol:
+        raise ArithmeticError(
+            f"derivative routes disagree at theta={theta!r}: reported {deriv!r}, "
+            f"commutator {exact!r}; off by {miss:.3e}, over the tolerance {tol:.3e}"
+        )
+    return math.inf if abs(deriv) < POLICY.signal_floor else math.sqrt(var) / abs(deriv)
+
+
+def general_precision_curve(state, gen, obs, theta_grid) -> PrecisionCurve:
+    """``precision_curve`` by its general loop: a fresh evolved state per
+    call, the signal, variance and commutator derivative from the one at the
+    grid angle, the reported derivative from up to four more."""
+    thetas = np.asarray(theta_grid, dtype=float)
+    if isinstance(state, MixedState) and _is_involution(obs):
+        state.spectrum()  # warm the cache once; evolutions inherit it
+    sig = np.empty_like(thetas)
+    var = np.empty_like(thetas)
+    dth = np.empty_like(thetas)
+    for i, th in enumerate(thetas):
+        th = float(th)
+        st = evolve_phase(state, gen, th)
+        sig[i] = expectation(st, obs).real
+        var[i] = max(_variance_at(st, obs), 0.0)
+        deriv = _reported_derivative(state, gen, obs, th, POLICY.fd_step)
+        exact = _commutator_derivative(st, gen, obs)
+        dth[i] = _delta_theta(th, var[i], deriv, exact)
+    return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)

@@ -458,6 +458,9 @@ def test_sld_names_the_hermiticity_miss():
     with pytest.raises(ValueError, match=r"max \|drho - drho\^dagger\| is 1\.000e-09, "
                                          r"over herm_tol \(1e-10\)"):
         sld(rho, drho)
+    drho[0, 1] = np.nan  # NaN compares False with the tolerance: refused too
+    with pytest.raises(ValueError, match=r"max \|drho - drho\^dagger\| is nan"):
+        sld(rho, drho)
 
 
 def test_sld_diagonal_case():
@@ -520,6 +523,47 @@ def test_error_propagation_ghz_heisenberg_value():
     par = PauliOperator(6, [(1.0, "X" * 6)])
     dth = error_propagation(ghz_state(6), sum_z(6), par, 1e-4)
     assert abs(dth - 1.0 / 12.0) < 1e-5
+
+
+@pytest.mark.parametrize("grid, bad", [
+    ([np.nan], r"theta\[0\] = nan is not finite"),
+    ([0.1, np.inf], r"theta\[1\] = inf is not finite"),
+    ([0.1, 0.3, 0.2, np.nan], r"theta\[2\] = 0.2 does not exceed theta\[1\] = 0.3"),
+    ([0.1, 0.1], r"theta\[1\] = 0.1 does not exceed"),
+], ids=["nan", "inf", "decreasing", "repeated"])
+def test_precision_curve_refuses_a_bad_grid_before_allocating(grid, bad):
+    # a non-finite angle gave an all-NaN curve; a non-increasing grid ran the
+    # whole curve before PrecisionCurve refused it
+    import tracemalloc
+
+    L = 12
+    probe = ghz_state(L)
+    par = PauliOperator(L, [(1.0, "X" * L)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=bad):
+            precision_curve(probe, sum_z(L), par, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < probe.amplitudes.nbytes
+
+
+def test_error_propagation_and_the_curve_record_refuse_non_finite_theta():
+    par = PauliOperator(4, [(1.0, "X" * 4)])
+    for theta in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="is not finite"):
+            error_propagation(ghz_state(4), sum_z(4), par, theta)
+    ones = np.ones(2)
+    with pytest.raises(ValueError, match=r"theta\[1\] = nan is not finite"):
+        metrology.PrecisionCurve(theta=np.array([0.1, np.nan]), signal=ones, variance=ones,
+                                 delta_theta=ones)
+
+
+@pytest.mark.parametrize("deriv, exact", [(np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan)])
+def test_delta_theta_refuses_a_nan_derivative(deriv, exact):
+    with pytest.raises(ArithmeticError, match="over the tolerance"):
+        metrology._delta_theta(0.1, 1.0, deriv, exact)
 
 
 def test_error_propagation_commuting_observable_sentinel():

@@ -273,6 +273,16 @@ def test_mixed_state_validation():
         MixedState(1, np.diag([0.8, 0.8]).astype(complex))  # trace != 1
 
 
+def test_state_checks_refuse_nan():
+    # a NaN compares False with every tolerance, so each check must fail on it
+    with pytest.raises(ValueError, match=r"state norm .*nan.* deviates from 1"):
+        PureState(2, np.array([np.nan, 0.0, 0.0, 0.0]))
+    for mat in (np.diag([np.nan, 1.0]), np.array([[0.5, np.nan], [np.nan, 0.5]]),
+                np.diag([np.inf, 1.0])):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not Hermitian: max deviation nan"):
+            MixedState(1, mat)  # inf - inf is NaN
+
+
 def test_pauli_terms_merge():
     op = PauliOperator(2, [(1.0, "ZZ"), (2.0, "ZZ"), (1.0, "XI"), (-1.0, "XI")])
     assert op.terms == ((3.0, "ZZ"),)

@@ -25,8 +25,11 @@ from critsense.subsys import (
     rydberg_dual_curve,
     staggered_density_imprinter,
 )
+from critsense.channels import ChannelSpec, apply_channel
 from critsense.metrology import classical_fisher, error_propagation, precision_curve
-from critsense.qcore import evolve_phase
+from critsense.policy import POLICY
+from critsense.qcore import MixedState, collective_spin, evolve_phase
+from critsense.symmetry import build_symmetry
 from critsense.models import build_hamiltonian, ground_state
 
 
@@ -136,35 +139,39 @@ def test_pull_through_check_catches_a_moved_signal(critical_states, monkeypatch)
     parity_theta_curve(psi, proto, grid, check_pull_through=False)
 
 
-@pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
-@pytest.mark.parametrize("L", [8, 10])
-def test_workspace_theta_loop_matches_the_general_loop(critical_states, monkeypatch, L, check):
-    # the per-curve buffers change where the intermediates live, not their
-    # bits: the Ising blocks (diagonal imprinter) and one XXZ string readout
-    # (an X-sum imprinter, evolved by expm_multiply).  Both loops run the
-    # coalesced-view kernels, so the curves are also pinned to the general
-    # loop on the (2,) * n flip and gathered-factor kernels.
+@pytest.mark.parametrize("L, mixed", [(8, False), (10, False), (6, True)],
+                         ids=["pure-8", "pure-10", "mixed-6"])
+def test_theta_loop_matches_the_general_loop_oracle(critical_states, monkeypatch, L, mixed):
+    # the one loop gives the general loop it replaced (kept in
+    # oracles.general_precision_curve) bit for bit: every readout form (a
+    # Pauli string, a Pauli sum, two symmetry permutations and the CSR and
+    # dense reflection), a diagonal imprinter and an X-sum one (evolved by
+    # expm_multiply), and theta = 0 (at a grid point and as theta + step).
+    # The curves are also pinned to the oracle on the (2,) * n flip and
+    # gathered-factor kernels.
     import critsense.metrology as metrology
     import critsense.qcore as qcore
-    from oracles import flip_apply_vec, gathered_exponential
+    from oracles import flip_apply_vec, gathered_exponential, general_precision_curve
 
-    psi = critical_states(L).state
-    grid = default_theta_grid(64)
-    protocols = [make_ising_protocol(L, L_sub) for L_sub in (2, 4, 6)]
-    protocols.append(make_xxz_protocol(L, 3, alpha=1, beta=2))
-    curves = {}
-    for path in ("workspace", "general", "oracle"):
-        if path == "general":
-            monkeypatch.setattr(metrology, "_takes_workspace", lambda state, obs: False)
-        if path == "oracle":
-            monkeypatch.setattr(qcore.PauliOperator, "apply_vec", flip_apply_vec)
-            monkeypatch.setattr(qcore, "apply_exponential", gathered_exponential)
-        curves[path] = [parity_theta_curve(psi, proto, grid, check_pull_through=check)
-                        for proto in protocols]
-    for path in ("workspace", "general"):
-        for got, want in zip(curves[path], curves["oracle"]):
+    probe = critical_states(L).state
+    if mixed:
+        probe = apply_channel(MixedState.from_pure(probe), ChannelSpec("dephase_z", p=0.05))
+    refl = build_symmetry("reflection", L, bond_center=(L - 2) // 2)
+    readouts = [subsystem_parity(L, 4), collective_spin(L, "X"), refl,
+                build_symmetry("parity_z", L), refl.to_sparse(), refl.to_matrix()]
+    gens = [make_ising_protocol(L, 4).imprinter, make_xxz_protocol(L, 3).imprinter]
+    grid = np.concatenate(([-POLICY.fd_step, 0.0], default_theta_grid(6)))
+    cases = [(gen, obs) for gen in gens for obs in readouts]
+    curves = {"loop": [precision_curve(probe, gen, obs, grid) for gen, obs in cases],
+              "oracle": [general_precision_curve(probe, gen, obs, grid) for gen, obs in cases]}
+    monkeypatch.setattr(qcore.PauliOperator, "apply_vec", flip_apply_vec)
+    for module in (qcore, metrology):
+        monkeypatch.setattr(module, "apply_exponential", gathered_exponential)
+    curves["pinned"] = [general_precision_curve(probe, gen, obs, grid) for gen, obs in cases]
+    for path in ("oracle", "pinned"):
+        for case, got, want in zip(cases, curves["loop"], curves[path]):
             for name in ("signal", "variance", "delta_theta"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), (path, name)
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (path, case, name)
 
 
 def test_workspace_theta_loop_allocates_no_register_array(critical_states):
@@ -172,14 +179,18 @@ def test_workspace_theta_loop_allocates_no_register_array(critical_states):
     # the buffer numpy's ufunc iterator allocates for a strided or broadcast
     # operand (8192 elements at most, one L = 12 register); a point that
     # allocated a register array of its own would reach five (the heap-history
-    # slowdown of many 2^L temporaries)
+    # slowdown of many 2^L temporaries).  A Pauli-string involution and the
+    # reflection, a symmetry permutation, take the same buffers.
     import tracemalloc
 
     L = 12
     psi = critical_states(L).state
     grid = default_theta_grid(32)
-    for proto in (make_ising_protocol(L, 4), make_ising_protocol(L, 8)):
-        gen, obs = proto.imprinter, proto.measurement
+    refl = build_symmetry("reflection", L, bond_center=(L - 2) // 2)
+    protocols = [make_ising_protocol(L, 4), make_ising_protocol(L, 8)]
+    cases = [(proto.imprinter, proto.measurement) for proto in protocols]
+    cases.append((protocols[0].imprinter, refl))
+    for gen, obs in cases:
         precision_curve(psi, gen, obs, grid[:1])  # the operators' cached tables
         tracemalloc.start()
         try:

@@ -72,6 +72,17 @@ def test_parity_z_phase():
     assert out[0b100] == -1.0
 
 
+@pytest.mark.parametrize("kind", ["parity_x", "parity_z", "translation", "reflection"])
+@pytest.mark.parametrize("cols", [(), (3,)], ids=["vector", "block"])
+def test_apply_vec_writes_into_out(rng, kind, cols):
+    L = 5
+    sym = build_symmetry(kind, L, bond_center=1)
+    vec = rng.standard_normal((1 << L,) + cols) + 1j * rng.standard_normal((1 << L,) + cols)
+    buf = np.empty_like(vec)
+    assert sym.apply_vec(vec, out=buf) is buf
+    assert np.array_equal(buf, sym.apply_vec(vec))
+
+
 def test_anticommutation_table():
     L = 4
     px = build_symmetry("parity_x", L)
