@@ -174,6 +174,41 @@ def test_theta_loop_matches_the_general_loop_oracle(critical_states, monkeypatch
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (path, case, name)
 
 
+@pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("L", [8, 10])
+def test_workspace_theta_loop_matches_the_general_loop(critical_states, monkeypatch, L, check):
+    # the per-curve buffers change where the intermediates live, not their
+    # bits: the Ising blocks (diagonal imprinter) and one XXZ string readout
+    # (an X-sum imprinter, evolved by expm_multiply), through
+    # parity_theta_curve with and without its pull-through check.  The one
+    # loop and the general loop (oracles.general_precision_curve) are both
+    # pinned to the general loop on the (2,) * n flip and gathered-factor
+    # kernels.
+    import critsense.metrology as metrology
+    import critsense.qcore as qcore
+    import critsense.subsys as subsys
+    from oracles import flip_apply_vec, gathered_exponential, general_precision_curve
+
+    psi = critical_states(L).state
+    grid = default_theta_grid(64)
+    protocols = [make_ising_protocol(L, L_sub) for L_sub in (2, 4, 6)]
+    protocols.append(make_xxz_protocol(L, 3, alpha=1, beta=2))
+    curves = {}
+    for path in ("workspace", "general", "oracle"):
+        if path == "general":
+            monkeypatch.setattr(subsys, "precision_curve", general_precision_curve)
+        if path == "oracle":
+            monkeypatch.setattr(qcore.PauliOperator, "apply_vec", flip_apply_vec)
+            for module in (qcore, metrology):
+                monkeypatch.setattr(module, "apply_exponential", gathered_exponential)
+        curves[path] = [parity_theta_curve(psi, proto, grid, check_pull_through=check)
+                        for proto in protocols]
+    for path in ("workspace", "general"):
+        for got, want in zip(curves[path], curves["oracle"]):
+            for name in ("signal", "variance", "delta_theta"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (path, name)
+
+
 def test_workspace_theta_loop_allocates_no_register_array(critical_states):
     # three register-sized buffers per curve (state, image, scratch), plus
     # the buffer numpy's ufunc iterator allocates for a strided or broadcast
