@@ -33,9 +33,9 @@ from .qcore import (
     State,
     _check_register,
     _hermitian_deviation,
+    _imprint_mixed,
     apply_exponential,
     charge,
-    evolve_phase,
     expectation,
     to_matrix,
     trace_product,
@@ -293,12 +293,14 @@ def _pure_reader(psi: PureState, gen: PauliOperator, obs, involution: bool) -> C
 
 
 def _mixed_reader(rho: MixedState, gen: PauliOperator, obs, involution: bool) -> Callable:
-    """``read`` of a mixed probe: one imprinted ``MixedState`` per call."""
+    """``read`` of a mixed probe: one imprinted ``MixedState`` per call, a
+    generator with X/Y letters factored once per curve."""
     if involution:
         rho.spectrum()  # warm the cache once; evolutions inherit it
+    factors = None if gen.is_diagonal else np.linalg.eigh(to_matrix(gen))
 
     def read(theta: float, full: bool):
-        st = evolve_phase(rho, gen, theta)
+        st = rho if theta == 0.0 else _imprint_mixed(rho, gen, theta, factors)
         if involution:
             p_plus, p_minus = _branch_probs(st, obs)
             if not full:

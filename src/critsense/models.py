@@ -312,7 +312,8 @@ def ground_state(
     for twice as many while all of them sit within ``POLICY.degeneracy_tol``
     of E0.  A real Hamiltonian (Ising, XXZ, Rydberg) gives a float64 matrix
     and runs the real-symmetric solvers; a complex one keeps the complex
-    Hermitian path.  The ground multiplet is the levels within
+    Hermitian path, unless its dense block's imaginary parts all stay below
+    ``POLICY.imag_cut``.  The ground multiplet is the levels within
     ``POLICY.degeneracy_tol`` of E0.
 
     ``sector`` lists (label, symmetry operator, wanted eigenvalue) triples.
@@ -349,7 +350,7 @@ def ground_state(
         evals, evecs = _lowest_levels(mat)
     else:
         dense = mat.toarray()
-        if np.iscomplexobj(dense) and np.max(np.abs(dense.imag)) < 1e-14:
+        if np.iscomplexobj(dense) and np.max(np.abs(dense.imag)) < POLICY.imag_cut:
             dense = dense.real
         evals, evecs = np.linalg.eigh(dense)
 

@@ -26,6 +26,7 @@ class NumericPolicy:
     degeneracy_tol: float = 1e-8   # two-fold near-degeneracy threshold
     residual_tol: float = 1e-8     # |H psi - E psi| for ground solutions
     zero_state_tol: float = 1e-14  # norm below which a vector counts as annihilated
+    imag_cut: float = 1e-14        # max |Im| below which a complex matrix is solved as real
     toeplitz_pivot_floor: float = 1e-8  # |pivot| below this -> per-r slogdet fallback
 
 

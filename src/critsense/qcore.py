@@ -15,8 +15,10 @@ only the operator classes know how they act on a vector.
 A Pauli sum is evaluated through one grouped form, built lazily and cached
 on the operator: its terms regrouped by X/Y flip mask m, each group one
 phase vector over the basis (or one scalar when no term of the group has a
-Z or Y letter), so that P|b> = sum_m phase_m[b] |b ^ m>.  The phases come
-from bit arithmetic on the basis index, i^#Y (-1)^popcount(b & zy_mask).
+Z or Y letter), so that P|b> = sum_m phase_m[b] |b ^ m>.  The phases are
+i^#Y (-1)^popcount(b & zy_mask), summed term by term on a broadcast table
+over the sites the group's terms touch (axes of 2 there, 1 elsewhere) and
+broadcast over the register once, about 2 * 2^n work per group.
 ``apply_vec`` reads ``phase_m * vec`` at b ^ m through the mask's coalesced
 register view: one axis per run of adjacent sites that share a mark
 (flipped or not), the flipped runs reversed slices, at most 2r + 1 axes for
@@ -57,7 +59,14 @@ whole-register block, the full ``eigh``.  The sector isometries are
 abelian group of basis permutations; Sandvik, AIP Conf. Proc. 1297, 135
 (2010), section 4), one character at a time, held in the one cache
 ``sector_isometry`` keyed by ``charge``'s generator names, which the
-sector-block ground solves of ``models`` share.  Momentum blocks are
+sector-block ground solves of ``models`` share.  The symmetry bookkeeping
+is index arithmetic, with no permutation array: the isometry walks the
+group's words in place on one array of basis images in the narrowest
+unsigned dtype, a translation (b >> 1) | ((b & 1) << (n-1)) and a flip
+b ^ mask, the orders read off the names; the group average behind a T
+block reads its rows g r by the same arithmetic and its columns g b
+through views of those rows, T^a a transposed reshape and the parity
+reversed axes.  Momentum blocks are
 complex, so the embedded eigenvectors of a T-symmetric rho are complex even
 when rho is real.  The spectral kernels of ``metrology`` read the blocks;
 ``spectrum()`` embeds them in the register.
@@ -199,40 +208,37 @@ def _permutation(n_qubits: int, generator: str) -> np.ndarray:
     return idx ^ mask
 
 
-def _perm_order(perm: np.ndarray) -> int:
-    idx = np.arange(perm.size)
-    order, img = 1, perm
-    while not np.array_equal(img, idx):
-        img, order = perm[img], order + 1
-    return order
-
-
-def _words(img, generators, orders, steps, phase=0):
-    """(g b for every basis state b, its character phase) per word g = g_1^a_1 ... g_r^a_r."""
-    if not generators:
-        yield img, phase
-        return
-    for a in range(orders[0]):
-        yield from _words(img, generators[1:], orders[1:], steps[1:], phase + a * steps[0])
-        img = generators[0][img]
+def _order(n_qubits: int, generator: str) -> int:
+    """The order of the basis permutation ``generator`` names
+    (``_flip_mask``): n for the translation, 2 for an X-string (1 for the
+    identity string)."""
+    mask = _flip_mask(n_qubits, generator)
+    if mask is None:
+        return n_qubits
+    return 2 if mask else 1
 
 
 def _orbit_isometry(
-    n_qubits: int, generators: Sequence[np.ndarray], charges: Sequence[int]
+    n_qubits: int, generators: Sequence[str], charges: Sequence[int]
 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Orbit isometry of one character of an abelian group of basis permutations.
 
-    ``generators`` are commuting permutations of the basis index (``g[b]``
-    the image of b) and ``charges`` one integer per generator: its character
-    is chi(g) = exp(2 pi i m / N) for a generator of order N.  Every word of
-    the generators is visited once, which gives each basis state its orbit
-    minimum r and the character chi(g) of the word with g r = b, and marks
-    the orbits a word with chi != 1 fixes: chi is not trivial on their
-    stabilizer, so they leave the sector.  Each other orbit O_r gives one
-    column, sum_{g r in O_r} chi(g)|g r> / sqrt(|O_r|) (Sandvik, AIP Conf.
-    Proc. 1297, 135 (2010), section 4), an eigenvector of each generator
-    with eigenvalue chi(g)*.  The entries are real (float64) when every
-    chi(g) used is +-1, complex otherwise.
+    ``generators`` name commuting basis permutations as ``charge`` takes
+    them (``"translation"`` or an I/X string, ``_flip_mask``) and
+    ``charges`` hold one integer per generator: its character is chi(g) =
+    exp(2 pi i m / N) for a generator of order N (``_order``).  Every word
+    g = g_1^a_1 ... g_r^a_r is visited once, the last generator innermost,
+    by stepping one array of images g b in place, in the narrowest unsigned
+    dtype that holds the basis index: a translation is (b >> 1) | ((b & 1)
+    << (n-1)), a flip b ^ mask, and a generator's loop ends where it began,
+    after N steps.  That gives each basis state its orbit minimum r and the
+    character chi(g) of the word with g r = b, and marks the orbits a word
+    with chi != 1 fixes: chi is not trivial on their stabilizer, so they
+    leave the sector.  Each other orbit O_r gives one column, sum_{g r in
+    O_r} chi(g)|g r> / sqrt(|O_r|) (Sandvik, AIP Conf. Proc. 1297, 135
+    (2010), section 4), an eigenvector of each generator with eigenvalue
+    chi(g)*.  The entries are real (float64) when every chi(g) used is +-1,
+    complex otherwise.
 
     Returns ``(P, reps, norms)``: the (2^n, d) CSR isometry, the sorted
     orbit minima, one per column, and sqrt(|O_r|) per column, so that
@@ -240,23 +246,48 @@ def _orbit_isometry(
     action of XOR flips (every orbit of |G| states) has the columns
     sum_g chi(g)|r ^ g> / sqrt(|G|).
     """
-    idx = np.arange(1 << n_qubits, dtype=np.int64)
-    orders = [_perm_order(g) for g in generators]
+    n = n_qubits
+    dim = 1 << n
+    masks = [_flip_mask(n, g) for g in generators]
+    orders = [_order(n, g) for g in generators]
     period = math.lcm(*orders)
     steps = [m * (period // order) for m, order in zip(charges, orders)]
+    idx = np.arange(dim, dtype=np.min_scalar_type(dim - 1))
+    img = idx.copy()  # g b of the current word g
+    low = np.empty_like(idx)  # the translation's wrapped bit
     rep = idx.copy()
-    phase = np.zeros(idx.size, dtype=np.int64)  # chi(g) = exp(2 pi i phase / period), g rep = b
-    allowed = np.ones(idx.size, dtype=bool)
-    for img, p in _words(idx, list(generators), orders, steps):
+    phase = np.zeros(dim, dtype=np.int64)  # chi(g) = exp(2 pi i phase / period), g rep = b
+    allowed = np.ones(dim, dtype=bool)
+    lower = np.empty(dim, dtype=bool)
+
+    def step(mask):
+        if mask is None:
+            np.bitwise_and(img, 1, out=low)
+            np.left_shift(low, n - 1, out=low)
+            np.right_shift(img, 1, out=img)
+            np.bitwise_or(img, low, out=img)
+        else:
+            np.bitwise_xor(img, mask, out=img)
+
+    def words(level, p):  # the character phase of each word, img holding its g b
+        if level == len(masks):
+            yield p
+            return
+        for a in range(orders[level]):
+            yield from words(level + 1, p + a * steps[level])
+            step(masks[level])
+
+    for p in words(0, 0):
         p %= period
         if p:  # the group is abelian: a word that fixes b fixes b's whole orbit
             allowed &= img != idx
-        lower = img < rep
-        rep[lower] = img[lower]
-        phase[lower] = -p % period
+        if any(steps):  # the trivial character keeps every phase 0
+            np.less(img, rep, out=lower)
+            np.copyto(phase, -p % period, where=lower)
+        np.minimum(img, rep, out=rep)
     is_rep = (rep == idx) & allowed
     rows = np.flatnonzero(allowed)
-    norm = np.sqrt(np.bincount(rep, minlength=idx.size).astype(np.float64))  # sqrt|O_r| at r
+    norm = np.sqrt(np.bincount(rep, minlength=dim).astype(np.float64))  # sqrt|O_r| at r
     phase = phase[rows]
     if np.all(2 * phase % period == 0):
         chi = np.where(phase == 0, 1.0, -1.0)
@@ -266,7 +297,7 @@ def _orbit_isometry(
     col = (np.cumsum(is_rep) - 1)[rep[rows]]
     indptr = np.concatenate(([0], np.cumsum(allowed)))
     P = sp.csr_matrix(
-        (chi / norm[rep[rows]], col, indptr), shape=(idx.size, reps.size)
+        (chi / norm[rep[rows]], col, indptr), shape=(dim, reps.size)
     )
     return P, reps, norm[reps]
 
@@ -279,12 +310,14 @@ def sector_isometry(
 
     Each generator is ``"translation"`` or an I/X string, the names
     ``charge`` takes (checked by ``_flip_mask``), in the order their
-    ``charges`` are given.  Cached per (n, generators, charges), so a ground
-    solve's block and a mixed spectrum's block of the same character are
-    one object; ``reps`` and ``norms`` are read-only, as threads share them.
+    ``charges`` are given.  The names go to ``_orbit_isometry`` as they
+    are: it steps through the words by index arithmetic and reads the
+    orders off the names, with no permutation array.  Cached per (n,
+    generators, charges), so a ground solve's block and a mixed spectrum's
+    block of the same character are one object; ``reps`` and ``norms`` are
+    read-only, as threads share them.
     """
-    perms = [_permutation(n_qubits, g) for g in generators]
-    P, reps, norms = _orbit_isometry(n_qubits, perms, charges)
+    P, reps, norms = _orbit_isometry(n_qubits, generators, charges)
     reps.setflags(write=False)
     norms.setflags(write=False)
     return P, reps, norms
@@ -330,7 +363,33 @@ class _Grouped(NamedTuple):
     real: bool
 
 
+def _sign_table(n_qubits: int, sign: int) -> np.ndarray:
+    """(-1)^popcount(b & sign) as a (2,) * n broadcast table: axes of 2 on
+    the sites of ``sign``, 1 elsewhere (site 0 the most significant), the
+    same 1 - 2 * parity floats the basis-index formula gives."""
+    shape = tuple(2 if sign >> (n_qubits - 1 - j) & 1 else 1 for j in range(n_qubits))
+    parity = np.bitwise_count(np.arange(1 << sign.bit_count())) & 1
+    return (1.0 - 2.0 * parity).reshape(shape)
+
+
+def _accumulate(table: np.ndarray, term) -> np.ndarray:
+    """table + term, broadcast: in place while the term's sites are among
+    the table's, a new table over their union otherwise."""
+    if np.broadcast_shapes(table.shape, np.shape(term)) == table.shape:
+        table += term
+        return table
+    return table + term
+
+
 def _group_terms(n_qubits: int, terms: Sequence[tuple[complex, str]]) -> _Grouped:
+    """The grouped form of a Pauli sum (``_Grouped``).
+
+    A group's phase is summed term by term on a broadcast table over the
+    sites its terms have touched so far (``_sign_table``, ``_accumulate``),
+    in term order, so each entry is the sum the whole-register formula
+    gives, float for float, for about 2 * 2^n work instead of one 2^n pass
+    per term; the table is broadcast over the register once, at the end.
+    """
     # a string with flip mask f, sign mask s (Z and Y sites) and ny Y letters
     # acts as P|b> = i^ny (-1)^popcount(b & s) |b ^ f>
     by_mask: dict[int, list[tuple[complex, int]]] = {}
@@ -340,7 +399,7 @@ def _group_terms(n_qubits: int, terms: Sequence[tuple[complex, str]]) -> _Groupe
         by_mask.setdefault(flip, []).append(
             (coeff * _I_POWERS[letters.count("Y") % 4], sign)
         )
-    idx = None
+    register = (2,) * n_qubits
     masks, phases, views = [], [], []
     real = True
     for flip in sorted(by_mask):
@@ -349,18 +408,17 @@ def _group_terms(n_qubits: int, terms: Sequence[tuple[complex, str]]) -> _Groupe
             scalar = sum(c for c, _ in group)
             phase = scalar.real if scalar.imag == 0.0 else scalar
         else:
-            if idx is None:
-                idx = np.arange(1 << n_qubits, dtype=np.int64)
-            re = np.zeros(idx.size)
+            re = np.zeros((1,) * n_qubits)
             im = None
             for c, sign in group:
-                s = 1.0 - 2.0 * (np.bitwise_count(idx & sign) & 1) if sign else 1.0
-                re += c.real * s
+                s = _sign_table(n_qubits, sign)
+                re = _accumulate(re, c.real * s)
                 if c.imag != 0.0:
                     if im is None:
-                        im = np.zeros(idx.size)
-                    im += c.imag * s
+                        im = np.zeros((1,) * n_qubits)
+                    im = _accumulate(im, c.imag * s)
             phase = re if im is None or not im.any() else re + 1j * im
+            phase = np.broadcast_to(phase, register).reshape(-1)
             phase.setflags(write=False)
         real = real and not np.iscomplexobj(phase)
         masks.append(flip)
@@ -717,6 +775,32 @@ def _commutes(mat: np.ndarray, name: str) -> bool:
     return all(np.max(np.abs(mat[i:i + tile] - t)) <= POLICY.herm_tol for i, t in tiles)
 
 
+def _group_average_rows(mat: np.ndarray, parity: bool, reps: np.ndarray) -> np.ndarray:
+    """Rows ``reps`` of the group average mean_g U_g mat U_g^dagger over the
+    group of the translation T, times the product-of-X parity F with
+    ``parity``: the sum of mat[g r, g b] over the words g = T^a F^e, T
+    outermost, one word at a time, divided by the group's order.
+
+    The rows g r come from index arithmetic on ``reps``, (r >> a) | ((r &
+    (2^a - 1)) << (n - a)) for T^a, then r ^ (2^n - 1) for F; the columns g
+    b are views of the gathered rows: T^a is their (k, 2^a, 2^(n-a)) reshape
+    transposed to (0, 2, 1), read into the (k, 2^(n-a), 2^a) view of the
+    sum, and F reverses each reshaped axis, b ^ (2^n - 1) = 2^n - 1 - b.
+    """
+    dim = mat.shape[0]
+    n = dim.bit_length() - 1
+    k = reps.size
+    rows = np.zeros((k, dim), dtype=mat.dtype)
+    for a in range(n):
+        moved = (reps >> a) | ((reps & ((1 << a) - 1)) << (n - a))
+        view = rows.reshape(k, 1 << (n - a), 1 << a)
+        for flip in (False, True) if parity else (False,):
+            picked = mat[moved ^ (dim - 1) if flip else moved].reshape(k, 1 << a, 1 << (n - a))
+            view += (picked[:, ::-1, ::-1] if flip else picked).transpose(0, 2, 1)
+    rows /= n * (2 if parity else 1)
+    return rows
+
+
 class SectorBlock(NamedTuple):
     """Eigenpairs of one symmetry block P^dagger rho P of a density matrix.
 
@@ -788,8 +872,10 @@ class MixedState:
         isometries are ``sector_isometry``'s, cached per character and
         shared with the ground solves.  A T block is read from the
         representative rows of the group average rho_bar = mean_g U_g rho
-        U_g^dagger, summed one element g at a time, which maps each sector
-        into itself: P^dagger rho P = P^dagger rho_bar P = norms * rho_bar[reps] P,
+        U_g^dagger, summed one element g at a time (``_group_average_rows``:
+        the rows g r by index arithmetic, the columns g b through views, no
+        permutation array), which maps each sector into itself:
+        P^dagger rho P = P^dagger rho_bar P = norms * rho_bar[reps] P,
         Hermitized.  That is the exact projection of rho, so a rho off the
         symmetry by delta <= herm_tol moves the result at second order in
         delta, and it reads each entry of rho once, with no dim^2 copy.  For
@@ -799,10 +885,11 @@ class MixedState:
         neither check is one block spanning the whole register (P = I): one
         full ``eigh``.  A spectrum carried over by a phase imprint is such a
         block too.  The real-symmetric solver runs on real blocks: the
-        parity blocks of a real-valued rho, and its T blocks at k = 0 and
-        k = pi; the other momenta are complex Hermitian.  A block eigenvalue
-        below -``POLICY.psd_tol`` raises ValueError naming the minimum
-        eigenvalue.
+        parity blocks of a real-valued rho (a complex rho whose imaginary
+        parts all stay below ``POLICY.imag_cut`` counts as real), and its T
+        blocks at k = 0 and k = pi; the other momenta are complex Hermitian.
+        A block eigenvalue below -``POLICY.psd_tol`` raises ValueError
+        naming the minimum eigenvalue.
         """
         if self._blocks is None:
             if self._spectrum is not None:
@@ -813,13 +900,12 @@ class MixedState:
 
     def _diagonalize(self) -> tuple[SectorBlock, ...]:
         mat = self.matrix
-        if np.iscomplexobj(mat) and np.max(np.abs(mat.imag)) < 1e-14:
+        if np.iscomplexobj(mat) and np.max(np.abs(mat.imag)) < POLICY.imag_cut:
             mat = mat.real
         n = self.n_qubits
         group = tuple(name for name in ("translation", "X" * n)
                       if (n > 1 or name != "translation") and _commutes(mat, name))
-        perms = [_permutation(n, name) for name in group]
-        orders = [_perm_order(g) for g in perms]
+        orders = [_order(n, name) for name in group]
         sectors = []  # (label, P, reps, norms) of every character with states
         for charges in itertools.product(*(range(order) for order in orders)) if group else ():
             P, reps, norms = sector_isometry(n, group, charges)
@@ -832,14 +918,9 @@ class MixedState:
                       for label, P, _, _ in sectors]
         else:
             # the trivial character comes first and keeps every orbit, so its
-            # reps are all the orbit minima; the group average's rows there
-            # are mean_g rho[g r, g b], summed one group element at a time
+            # reps are all the orbit minima
             orbit_reps = sectors[0][2]
-            rows = np.zeros((orbit_reps.size, mat.shape[0]), dtype=mat.dtype)
-            idx = np.arange(mat.shape[0], dtype=np.int64)
-            for img, _ in _words(idx, perms, orders, [0] * len(orders)):
-                rows += mat[img[orbit_reps]][:, img]
-            rows /= math.prod(orders)
+            rows = _group_average_rows(mat, "X" * n in group, orbit_reps)
             done: dict[tuple, SectorBlock] = {}
             for label, P, reps, norms in sectors:
                 mirror = done.get(tuple((name, -m % order, order) for name, m, order in label))
@@ -1007,14 +1088,21 @@ def evolve_phase(state: State, gen: PauliOperator, theta: float) -> State:
     return PureState(state.n_qubits, amp)
 
 
-def _imprint_mixed(rho: MixedState, gen: PauliOperator, theta: float) -> MixedState:
+def _imprint_mixed(
+    rho: MixedState, gen: PauliOperator, theta: float,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
+) -> MixedState:
+    """``evolve_phase`` of a mixed state.  A generator with X/Y letters is
+    exponentiated from its eigenpairs, ``factors`` when given (the
+    ``eigh(to_matrix(gen))`` of a caller that imprints many angles), else
+    factored here."""
     diagonal = gen.is_diagonal
     if diagonal:
         values, inverse = gen.phase_table()
         u = np.exp(1j * theta * values).take(inverse)
         out = MixedState(rho.n_qubits, rho.matrix * np.outer(u, u.conj()))
     else:
-        w, vv = np.linalg.eigh(to_matrix(gen))
+        w, vv = np.linalg.eigh(to_matrix(gen)) if factors is None else factors
         uu = (vv * np.exp(1j * theta * w)) @ vv.conj().T
         out = MixedState(rho.n_qubits, uu @ rho.matrix @ uu.conj().T)
     if rho._spectrum is not None:  # the full-register form only: an imprint breaks the parity

@@ -3,9 +3,12 @@
 Everything here is built from plain numpy Kronecker products so the test
 expectations never share code with the implementation they check.  The
 exceptions are kernels kept to pin a rewrite bit for bit: the (2,) * n flip
-``apply_vec``, the gathered-factor exponential, the three-buffer bit flip and
+``apply_vec``, the gathered-factor exponential, the three-buffer bit flip,
 the general theta loop of ``precision_curve`` (``general_precision_curve``),
-which evolves a fresh state per call through the library's ``qcore``.
+which evolves a fresh state per call through the library's ``qcore``, and
+the symmetry bookkeeping on permutation arrays (the orbit isometry, the
+whole-register phase vectors of the grouped form and the gathered group
+average).
 """
 import math
 
@@ -485,3 +488,124 @@ def general_precision_curve(state, gen, obs, theta_grid) -> PrecisionCurve:
         exact = _commutator_derivative(st, gen, obs)
         dth[i] = _delta_theta(th, var[i], deriv, exact)
     return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)
+
+
+# -- the symmetry bookkeeping as it ran on permutation arrays ---------------
+
+
+def _perm_order(perm):
+    idx = np.arange(perm.size)
+    order, img = 1, perm
+    while not np.array_equal(img, idx):
+        img, order = perm[img], order + 1
+    return order
+
+
+def _words(img, generators, orders, steps, phase=0):
+    """(g b for every basis state b, its character phase) per word g = g_1^a_1 ... g_r^a_r."""
+    if not generators:
+        yield img, phase
+        return
+    for a in range(orders[0]):
+        yield from _words(img, generators[1:], orders[1:], steps[1:], phase + a * steps[0])
+        img = generators[0][img]
+
+
+def permutation_orbit_isometry(n_qubits, generators, charges):
+    """``qcore._orbit_isometry`` on int64 permutation arrays: ``generators``
+    are the arrays g[b] (``qcore._permutation`` of each name), their orders
+    found by composing them, and every word's image gathered through them.
+    Kept to pin the index-arithmetic word walk bit for bit."""
+    import scipy.sparse as sp
+
+    idx = np.arange(1 << n_qubits, dtype=np.int64)
+    orders = [_perm_order(g) for g in generators]
+    period = math.lcm(*orders)
+    steps = [m * (period // order) for m, order in zip(charges, orders)]
+    rep = idx.copy()
+    phase = np.zeros(idx.size, dtype=np.int64)  # chi(g) = exp(2 pi i phase / period), g rep = b
+    allowed = np.ones(idx.size, dtype=bool)
+    for img, p in _words(idx, list(generators), orders, steps):
+        p %= period
+        if p:  # the group is abelian: a word that fixes b fixes b's whole orbit
+            allowed &= img != idx
+        lower = img < rep
+        rep[lower] = img[lower]
+        phase[lower] = -p % period
+    is_rep = (rep == idx) & allowed
+    rows = np.flatnonzero(allowed)
+    norm = np.sqrt(np.bincount(rep, minlength=idx.size).astype(np.float64))  # sqrt|O_r| at r
+    phase = phase[rows]
+    if np.all(2 * phase % period == 0):
+        chi = np.where(phase == 0, 1.0, -1.0)
+    else:
+        chi = np.exp(2j * math.pi / period * phase)
+    reps = np.flatnonzero(is_rep)
+    col = (np.cumsum(is_rep) - 1)[rep[rows]]
+    indptr = np.concatenate(([0], np.cumsum(allowed)))
+    P = sp.csr_matrix(
+        (chi / norm[rep[rows]], col, indptr), shape=(idx.size, reps.size)
+    )
+    return P, reps, norm[reps]
+
+
+def register_group_terms(n_qubits, terms):
+    """``qcore._group_terms`` with one +-1 vector over the whole register per
+    Z term, (-1)^popcount(b & sign) from the basis index, added into the
+    group's phase one term at a time.  Kept to pin the broadcast phase
+    tables bit for bit."""
+    from critsense.qcore import _FLIP_LETTERS, _I_POWERS, _SIGN_LETTERS, _Grouped, _runs
+
+    by_mask = {}
+    for coeff, letters in terms:
+        flip = int(letters.translate(_FLIP_LETTERS), 2)
+        sign = int(letters.translate(_SIGN_LETTERS), 2)
+        by_mask.setdefault(flip, []).append(
+            (coeff * _I_POWERS[letters.count("Y") % 4], sign)
+        )
+    idx = None
+    masks, phases, views = [], [], []
+    real = True
+    for flip in sorted(by_mask):
+        group = by_mask[flip]
+        if all(sign == 0 for _, sign in group):
+            scalar = sum(c for c, _ in group)
+            phase = scalar.real if scalar.imag == 0.0 else scalar
+        else:
+            if idx is None:
+                idx = np.arange(1 << n_qubits, dtype=np.int64)
+            re = np.zeros(idx.size)
+            im = None
+            for c, sign in group:
+                s = 1.0 - 2.0 * (np.bitwise_count(idx & sign) & 1) if sign else 1.0
+                re += c.real * s
+                if c.imag != 0.0:
+                    if im is None:
+                        im = np.zeros(idx.size)
+                    im += c.imag * s
+            phase = re if im is None or not im.any() else re + 1j * im
+            phase.setflags(write=False)
+        real = real and not np.iscomplexobj(phase)
+        masks.append(flip)
+        phases.append(phase)
+        shape, flipped = _runs(n_qubits, flip)
+        views.append((shape, tuple(slice(None, None, -1 if f else 1) for f in flipped)))
+    return _Grouped(tuple(masks), tuple(phases), tuple(views), real)
+
+
+def gathered_group_average(mat, group, orbit_reps):
+    """The rows ``orbit_reps`` of the group average mean_g U_g mat U_g^dagger,
+    as ``MixedState._diagonalize`` summed them: for every word g of the
+    generators ``group`` names (the first outermost), mat[g r, g b] gathered
+    through the int64 permutation arrays and added one word at a time."""
+    from critsense.qcore import _permutation
+
+    n = mat.shape[0].bit_length() - 1
+    perms = [_permutation(n, name) for name in group]
+    orders = [_perm_order(g) for g in perms]
+    rows = np.zeros((orbit_reps.size, mat.shape[0]), dtype=mat.dtype)
+    idx = np.arange(mat.shape[0], dtype=np.int64)
+    for img, _ in _words(idx, perms, orders, [0] * len(orders)):
+        rows += mat[img[orbit_reps]][:, img]
+    rows /= math.prod(orders)
+    return rows

@@ -706,6 +706,37 @@ def test_error_propagation_rejects_mismatched_derivative(monkeypatch, form, mixe
         error_propagation(probe, gen, obs, 0.2)
 
 
+def test_mixed_curve_factors_a_non_diagonal_generator_once(critical_states, monkeypatch):
+    """A dephased probe under the X-sum imprinter: ``to_matrix(gen)`` runs
+    once per curve, not once per point, and the curve keeps the bits of the
+    per-point ``evolve_phase`` loop (``oracles.general_precision_curve``)."""
+    from oracles import general_precision_curve
+
+    L = 6
+    probe = apply_channel(MixedState.from_pure(critical_states(L).state),
+                          ChannelSpec("dephase_z", p=0.05))
+    gen = collective_spin(L, "X")
+    grid = np.linspace(-0.3, 0.6, 4)
+    cases = [staggered_z(L), PauliOperator.string(L, {0: "Z", 1: "Z"}),
+             build_symmetry("reflection", L, bond_center=(L - 2) // 2)]
+    want = [general_precision_curve(probe, gen, obs, grid) for obs in cases]
+    factored = []
+    for module in (qcore, metrology):
+        real = module.to_matrix
+
+        def spy(op, real=real):
+            factored.append(op)
+            return real(op)
+
+        monkeypatch.setattr(module, "to_matrix", spy)
+    for obs, old in zip(cases, want):
+        factored.clear()
+        curve = precision_curve(probe, gen, obs, grid)
+        assert factored == [gen]
+        for name in ("signal", "variance", "delta_theta"):
+            assert np.array_equal(getattr(curve, name), getattr(old, name)), (obs, name)
+
+
 def test_fn_sequence_monotone_sandwich(rng):
     gen = sum_z(3)
     for _ in range(100):

@@ -31,6 +31,7 @@ from conftest import sum_z
 from oracles import (
     kron_word, tfim_dense, ground_vec, expect, kron_op, Z,
     diagonal_exponential, diagonal_imprint, flip_apply_vec, flip_orbit_isometry,
+    gathered_group_average, permutation_orbit_isometry, register_group_terms,
 )
 
 
@@ -530,6 +531,39 @@ def test_apply_vec_matches_the_flip_route_bit_for_bit(case):
         assert _same_bits(out, want)
 
 
+@st.composite
+def wide_pauli_sums(draw):
+    """(n, raw terms): up to twelve strings with Y letters on n <= 8 qubits,
+    complex coefficients, Z terms that widen a group's sites one by one."""
+    n = draw(st.integers(1, 8))
+    words = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    return n, draw(st.lists(st.tuples(_COEFFS, words), max_size=12))
+
+
+@_with_flip_examples
+@example((6, [(0.5, "IIIIZZ"), (0.5, "IIIZZI"), (0.5, "IIZZII"), (0.5, "IZZIII"),
+              (0.5, "ZZIIII"), (0.5, "ZIIIIZ"), (0.3, "IIIIIZ")]))  # a ring of bonds
+@example((5, [(1.0 + 0.5j, "ZIIIZ"), (-0.25j, "IIZII"), (0.75, "ZIZIZ")]))  # complex, scattered
+@example((4, [(0.5, "YZIY"), (-0.5j, "XZIX"), (0.25, "YIZX")]))  # one flip group, Y and Z signs
+@given(wide_pauli_sums())
+def test_grouped_phases_match_the_register_formula_bit_for_bit(case):
+    """The broadcast phase tables give the grouped form the whole-register
+    +-1 vectors gave (``oracles.register_group_terms``): the same masks,
+    views and real flag, each scalar phase equal and each phase vector of
+    the same dtype and bits, read-only."""
+    n, terms = case
+    op = PauliOperator(n, terms)
+    got, want = qcore._group_terms(n, op.terms), register_group_terms(n, op.terms)
+    assert (got.masks, got.views, got.real) == (want.masks, want.views, want.real)
+    for a, b in zip(got.phases, want.phases):
+        assert np.isscalar(a) == np.isscalar(b)
+        if np.isscalar(a):
+            assert type(a) is type(b) and _same_bits(np.atleast_1d(a), np.atleast_1d(b))
+        else:
+            assert a.shape == b.shape == (1 << n,)
+            assert _same_bits(a, b) and not a.flags.writeable
+
+
 def test_grouped_views_coalesce_runs_of_sites():
     form = PauliOperator(6, [(1.0, "IXXIIX"), (1.0, "ZIIIII"), (1.0, "XXXXXX")])._grouped()
     flip, keep = slice(None, None, -1), slice(None, None, 1)
@@ -641,24 +675,148 @@ def _flip_groups(n):
     return cases
 
 
+def _x_string(n, mask):
+    """The I/X letter string of a flip mask, site 0 the most significant bit."""
+    return format(mask, f"0{n}b").translate(str.maketrans("01", "IX"))
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_orbit_isometry_reproduces_the_flip_only_isometry(n):
     """For a free XOR action the general construction gives the flip-only
     isometry, representatives and scale, float for float: the
     pure-state sector solves read exactly what they read before."""
-    idx = np.arange(1 << n, dtype=np.int64)
     for masks, charges in _flip_groups(n):
         group = {0: 1.0}
         for mask, m in zip(masks, charges):
             group.update({g ^ mask: c * (1.0 - 2.0 * m) for g, c in list(group.items())})
         want_P, want_reps, want_scale = flip_orbit_isometry(n, group)
-        P, reps, norms = qcore._orbit_isometry(n, [idx ^ mask for mask in masks], charges)
+        P, reps, norms = qcore._orbit_isometry(n, [_x_string(n, mask) for mask in masks], charges)
         assert P.dtype == want_P.dtype == np.float64
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(P, attr), getattr(want_P, attr)), (masks, attr)
         assert P.shape == want_P.shape
         assert np.array_equal(reps, want_reps)
         assert np.all(norms == want_scale)
+
+
+def _generator_sets(n):
+    """The generator sets the sector paths build, as ``charge`` names: T,
+    the product-of-X parity, T x parity and, on an even register, the two
+    interleaved chain parities of ``models._sector_block``."""
+    sets = [("translation",), ("X" * n,), ("translation", "X" * n)]
+    if n % 2 == 0:
+        sets.append(("XI" * (n // 2), "IX" * (n // 2)))
+    return sets
+
+
+def _same_isometry(got, want):
+    P, reps, norms = got
+    Q, want_reps, want_norms = want
+    assert P.shape == Q.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(P, attr), getattr(Q, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+    assert reps.dtype == want_reps.dtype and np.array_equal(reps, want_reps)
+    assert norms.dtype == want_norms.dtype and norms.tobytes() == want_norms.tobytes()
+
+
+@given(st.integers(1, 12), st.data())
+def test_orbit_isometry_word_walk_matches_the_permutation_arrays(n, data):
+    """The in-place word walk on the generator names gives the isometry the
+    int64 permutation arrays gave (``oracles.permutation_orbit_isometry``),
+    bit for bit, for every character of every generator set the callers
+    build, and of a few drawn X-strings (the identity string included)."""
+    sets = _generator_sets(n)
+    drawn = data.draw(st.lists(st.text(alphabet="IX", min_size=n, max_size=n),
+                               min_size=1, max_size=3))
+    for group in sets + [tuple(drawn)]:
+        perms = [qcore._permutation(n, name) for name in group]
+        orders = [qcore._order(n, name) for name in group]
+        for charges in itertools.product(*(range(order) for order in orders)):
+            _same_isometry(qcore._orbit_isometry(n, group, charges),
+                           permutation_orbit_isometry(n, perms, charges))
+
+
+def test_orbit_isometry_word_walk_at_twenty_sites():
+    """The ground solve's (k = 0, +) block at L = 20, the north-star size,
+    where the walk runs on uint32 images."""
+    n, group = 20, ("translation", "X" * 20)
+    perms = [qcore._permutation(n, name) for name in group]
+    _same_isometry(qcore._orbit_isometry(n, group, (0, 0)),
+                   permutation_orbit_isometry(n, perms, (0, 0)))
+
+
+def test_sector_paths_build_no_permutation_array(monkeypatch):
+    """A T x prod-X ground solve and the mixed sector spectrum of its state
+    run on index arithmetic alone: with ``_permutation`` made to raise, both
+    still succeed (``SymmetryOperator`` keeps its own reference to it)."""
+    def refuse(*args):
+        raise AssertionError("a permutation array was built")
+
+    monkeypatch.setattr(qcore, "_permutation", refuse)
+    qcore.sector_isometry.cache_clear()
+    try:
+        sol = solve_model(ModelSpec("tfim", L=8))
+        blocks = MixedState.from_pure(sol.state).sector_spectrum()
+    finally:
+        qcore.sector_isometry.cache_clear()
+    assert blocks[0].sector == (("translation", 0, 8), ("X" * 8, 0, 2))
+    assert len(blocks) == 16
+
+
+def test_imaginary_part_cut_is_one_policy_field(monkeypatch):
+    """``POLICY.imag_cut`` decides when a complex matrix is solved as real,
+    in the mixed spectrum and in the dense ground solve alike: a matrix whose
+    imaginary parts stay below 1e-13 runs the complex solver at the default
+    cut and the real one once the field is raised to 1e-12."""
+    import critsense.models as models
+    from critsense.models import ground_state
+
+    gen = np.random.default_rng(0)
+    a = gen.standard_normal((16, 16))
+    skew = gen.standard_normal((16, 16))
+    rho = a @ a.T / np.trace(a @ a.T) + 1e-13j * (skew - skew.T)
+    H = build_hamiltonian(ModelSpec("tfim", L=4)) + PauliOperator(4, [(1e-13, "YIII")])
+    solved = []
+    eigh = np.linalg.eigh
+
+    def spy(mat, *args, **kwargs):
+        solved.append(mat.dtype)
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for cut, dtype in ((None, np.complex128), (1e-12, np.float64)):
+        if cut is not None:
+            policy = replace(POLICY, imag_cut=cut)
+            monkeypatch.setattr(qcore, "POLICY", policy)
+            monkeypatch.setattr(models, "POLICY", policy)
+        solved.clear()
+        blocks = MixedState(4, rho).sector_spectrum()
+        assert blocks[0].isometry is None and solved == [dtype]
+        solved.clear()
+        ground_state(H)
+        assert solved == [dtype]
+
+
+@given(st.integers(2, 8), st.sampled_from(["real", "complex", "real_view"]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_group_average_views_match_the_gathered_rows(n, kind, parity, seed):
+    """The group average's rows by arithmetic row indices and column views
+    are the rows the permutation gathers summed (``oracles
+    .gathered_group_average``), bit for bit, under T and under T x prod-X,
+    for a real rho, a complex one and the strided real part of a complex
+    array (the form ``_diagonalize`` passes on a rho without imaginary part)."""
+    dim = 1 << n
+    gen = np.random.default_rng(seed)
+    mat = gen.standard_normal((dim, dim))
+    if kind != "real":
+        mat = mat + 1j * gen.standard_normal((dim, dim))
+    if kind == "real_view":
+        mat = mat.real
+    group = ("translation", "X" * n) if parity else ("translation",)
+    reps = qcore.sector_isometry(n, group, (0,) * len(group))[1]
+    got = qcore._group_average_rows(mat, parity, reps)
+    assert _same_bits(got, gathered_group_average(mat, group, reps))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
