@@ -269,8 +269,7 @@ def apply_channel_matrix(mat: np.ndarray, spec: ChannelSpec, n_qubits: int) -> n
     a real matrix real; the global kind's phase kernel is complex, so it
     returns complex128.
     """
-    if n_qubits > POLICY.dense_cap:
-        raise CapacityError(f"{n_qubits} qubits exceeds dense cap {POLICY.dense_cap}")
+    POLICY.cap("qubits", n_qubits, "dense_cap")
     dim = 1 << n_qubits
     if mat.shape != (dim, dim):
         raise ValueError("matrix does not match register size")
@@ -438,8 +437,8 @@ class InvarianceReport:
 def zz_channel_invariance_check(
     rho_pristine: MixedState | PureState, gen: PauliOperator, p: float
 ) -> InvarianceReport:
-    """QFI before/after the bond-ZZ channel must match, to 1e-8 relative, for a
-    Z-sum generator."""
+    """QFI before/after the bond-ZZ channel must match, to
+    ``POLICY.invariance_tol`` x max(1, QFI before), for a Z-sum generator."""
     from .metrology import qfi_mixed
 
     rho = (
@@ -452,10 +451,10 @@ def zz_channel_invariance_check(
     before = qfi_mixed(rho, gen).value
     after = qfi_mixed(apply_channel(rho, ChannelSpec(kind="zz", p=p)), gen).value
     report = InvarianceReport(qfi_before=before, qfi_after=after)
-    if report.difference > 1e-8 * max(1.0, abs(before)):
-        raise AssertionError(
-            f"ZZ-channel changed the QFI: before={before!r} after={after!r}"
-        )
+    POLICY.check(lambda: f"ZZ-channel changed the QFI: before={before!r} after={after!r}; "
+                 "|after - before|", report.difference, "invariance_tol",
+                 scale=max(1.0, abs(before)), scaled_by="max(1, |before|)",
+                 error=AssertionError)
     return report
 
 

@@ -71,8 +71,8 @@ def deform(psi: PureState, spec: DeformationSpec) -> PureState:
             vec = 0.5 * (vec + s * gvec)
         else:
             vec = math.cosh(spec.beta) * vec + math.sinh(spec.beta) * s * gvec
-    if np.linalg.norm(vec) < POLICY.zero_state_tol:
-        raise ValueError("deformation annihilated the state (orthogonal projector)")
+    POLICY.floor("deformation annihilated the state (orthogonal projector): norm",
+                 np.linalg.norm(vec), "zero_state_tol")
     return dephase_normalize(vec, n)
 
 
@@ -89,8 +89,8 @@ class OutcomeEnsemble:
     states: list[PureState]
 
     def __post_init__(self):
-        if abs(float(np.sum(self.probabilities)) - 1.0) > 1e-10:
-            raise ValueError("Born probabilities must sum to 1")
+        POLICY.check("Born probabilities must sum to 1: |sum - 1|",
+                     abs(float(np.sum(self.probabilities)) - 1.0), "trace_tol")
         if np.any(self.probabilities < 0.0):
             raise ValueError("negative Born probability")
         self.index_of = {s: i for i, s in enumerate(self.outcomes)}

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .policy import POLICY, CapacityError
+from .policy import POLICY
 
 QUAD_TOL = 1e-10
 
@@ -269,12 +269,8 @@ def zz_correlators(sol: FermionSolution, r_max: int) -> np.ndarray:
         raise FermionError("zz_correlators needs a finite periodic solution")
     if not 1 <= r_max < sol.L:
         raise ValueError(f"r_max {r_max} out of range for L={sol.L}")
-    need = string_block_bytes(r_max)
-    if need > POLICY.fermion_bytes_cap:
-        raise CapacityError(
-            f"string block for r_max={r_max} needs {need} bytes, "
-            f"over the fermion byte cap {POLICY.fermion_bytes_cap}"
-        )
+    POLICY.cap(f"bytes of string block for r_max={r_max}", string_block_bytes(r_max),
+               "fermion_bytes_cap")
     offs = np.arange(r_max)
     t = sol.kernels(offs[None, :] - offs[:, None] + 1)
     pivots = np.empty(r_max)

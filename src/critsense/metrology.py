@@ -32,7 +32,7 @@ from .qcore import (
     SectorBlock,
     State,
     _check_register,
-    _hermitian_deviation,
+    _deviations,
     _imprint_mixed,
     apply_exponential,
     charge,
@@ -66,8 +66,8 @@ class QfiReport:
     spectral_cutoff_used: float = 0.0
 
     def __post_init__(self):
-        if self.value < -1e-9:
-            raise ValueError("QFI must be non-negative")
+        POLICY.check(lambda: f"QFI {self.value!r} must be non-negative: its shortfall below 0",
+                     -self.value, "qfi_negative_tol")
 
 
 def qfi_pure(state: PureState, gen: PauliOperator) -> float:
@@ -145,12 +145,8 @@ def sld(rho_theta: MixedState, drho: np.ndarray) -> np.ndarray:
     naming the deviation otherwise).
     """
     drho = np.asarray(drho, dtype=np.complex128)
-    herm = _hermitian_deviation(drho)
-    if not herm <= POLICY.herm_tol:  # a NaN deviation fails too
-        raise ValueError(
-            f"drho must be Hermitian: max |drho - drho^dagger| is {herm:.3e}, "
-            f"over herm_tol ({POLICY.herm_tol:g})"
-        )
+    POLICY.check("drho must be Hermitian: max |drho - drho^dagger|", _deviations(drho)[0],
+                 "herm_tol")
     w, v = rho_theta.spectrum()
     w = np.clip(w, 0.0, None)
     d = v.conj().T @ drho @ v
@@ -221,13 +217,10 @@ def _delta_theta(theta: float, var: float, deriv: float, exact: float) -> float:
     """sqrt(var) / |deriv| (+inf below ``signal_floor``), once the reported
     derivative is within ``derivative_agree_tol`` of the commutator one (a
     NaN on either side misses it)."""
-    miss = abs(exact - deriv)
-    tol = POLICY.derivative_agree_tol * max(1.0, abs(exact))
-    if not miss <= tol:
-        raise ArithmeticError(
-            f"derivative routes disagree at theta={theta!r}: reported {deriv!r}, "
-            f"commutator {exact!r}; off by {miss:.3e}, over the tolerance {tol:.3e}"
-        )
+    POLICY.check(lambda: f"derivative routes disagree at theta={theta!r}: reported {deriv!r}, "
+                 f"commutator {exact!r}; |reported - commutator|", abs(exact - deriv),
+                 "derivative_agree_tol", scale=max(1.0, abs(exact)),
+                 scaled_by="max(1, |commutator|)", error=ArithmeticError)
     return math.inf if abs(deriv) < POLICY.signal_floor else math.sqrt(var) / abs(deriv)
 
 
@@ -387,8 +380,9 @@ def classical_fisher(
         total = np.zeros(dim, dtype=np.complex128)
         for eff in povm:
             total += eff @ vec
-        if np.max(np.abs(total - vec)) > POLICY.herm_tol * np.linalg.norm(vec):
-            raise ValueError("POVM effects do not sum to the identity")
+        POLICY.check("POVM effects do not sum to the identity: max |sum_k E_k v - v|",
+                     float(np.max(np.abs(total - vec))), "herm_tol",
+                     scale=float(np.linalg.norm(vec)), scaled_by="|v|")
 
     def probs(th: float) -> np.ndarray:
         st = state_family(th)
@@ -412,11 +406,8 @@ def fn_sequence(rho: MixedState, gen: PauliOperator, n_max: int) -> np.ndarray:
     """
     w = np.sort(np.concatenate([b.values for b in rho.sector_spectrum()]))
     top = float(np.clip(w[-2:], 0.0, None).sum())
-    if top > 1.0 + POLICY.trace_tol:
-        raise ValueError(
-            f"invalid density matrix: a distinct eigenvalue pair sums to {top!r}, over "
-            f"1 + trace_tol ({POLICY.trace_tol:g}) by {top - 1.0 - POLICY.trace_tol:.3e}"
-        )
+    POLICY.check(lambda: f"invalid density matrix: a distinct eigenvalue pair sums to "
+                 f"{top!r}, its excess over 1", top - 1.0, "trace_tol")
     out = np.zeros(n_max + 1)
     for wa, wb, m, mult in _block_pairs(rho, gen):
         ssum = wa[:, None] + wb[None, :]

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .policy import POLICY, CapacityError
+from .policy import POLICY
 from .qcore import (
     PauliOperator,
     PureState,
@@ -176,12 +176,8 @@ def _check_residual(mat, vec: np.ndarray, energy: float) -> None:
     # a real matrix takes the two parts of v apart: no complex copy of the matrix
     hv = mat @ vec if np.iscomplexobj(mat) else mat @ vec.real + 1j * (mat @ vec.imag)
     resid = float(np.linalg.norm(hv - energy * vec))
-    tol = POLICY.residual_tol * max(1.0, abs(energy))
-    if resid > tol:
-        raise EigensolverError(
-            f"ground-state residual {resid:.3e} exceeds its tolerance {tol:.3e} "
-            f"(residual_tol {POLICY.residual_tol:g} x max(1, |E|)) by {resid - tol:.3e}"
-        )
+    POLICY.check("ground-state residual", resid, "residual_tol", scale=max(1.0, abs(energy)),
+                 scaled_by="max(1, |E|)", error=EigensolverError)
 
 
 def _selection(n: int, basis: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, float]:
@@ -328,8 +324,7 @@ def ground_state(
     if not H.is_hermitian:
         raise ValueError("ground_state requires a Hermitian Hamiltonian")
     n = H.n_qubits
-    if n > POLICY.sparse_cap:  # before any 2^n array
-        raise CapacityError(f"{n} qubits exceeds sparse cap {POLICY.sparse_cap}")
+    POLICY.cap("qubits", n, "sparse_cap")  # before any 2^n array
     sector = list(sector or ())
     lanczos = (1 << n if basis is None else basis.size) > 1024
     # (P, rows, norms): P^dagger v == norms * v[rows] for every v in the range of P
@@ -408,15 +403,9 @@ def solve_model(spec: ModelSpec) -> GroundSolution:
 
 # -- reference probe states ------------------------------------------
 
-def _check_probe_size(L: int) -> None:
-    # refuse before allocating 2^L amplitudes
-    if L > POLICY.sparse_cap:
-        raise CapacityError(f"{L} qubits exceeds sparse cap {POLICY.sparse_cap}")
-
-
 def ghz_state(L: int) -> PureState:
     """(|0..0> + |1..1>)/sqrt(2)."""
-    _check_probe_size(L)
+    POLICY.cap("qubits", L, "sparse_cap")  # before 2^L amplitudes
     amp = np.zeros(1 << L, dtype=np.complex128)
     amp[0] = amp[-1] = 1.0 / math.sqrt(2.0)
     return PureState(L, amp)
@@ -424,7 +413,7 @@ def ghz_state(L: int) -> PureState:
 
 def spin_coherent_state(L: int) -> PureState:
     """|+>^L, the separable equal superposition."""
-    _check_probe_size(L)
+    POLICY.cap("qubits", L, "sparse_cap")  # before 2^L amplitudes
     amp = np.full(1 << L, (1 << L) ** -0.5, dtype=np.complex128)
     return PureState(L, amp)
 
@@ -433,7 +422,7 @@ def oat_squeezed_state(L: int, twist_time: float) -> PureState:
     """One-axis-twisted state exp(-i t (sum Z / 2)^2)|+>^L."""
     if twist_time < 0.0:
         raise ValueError("twist_time must be >= 0")
-    _check_probe_size(L)
+    POLICY.cap("qubits", L, "sparse_cap")  # before 2^L amplitudes
     popcount = np.bitwise_count(np.arange(1 << L)).astype(np.int64)
     m = (L - 2 * popcount) / 2.0
     amp = np.exp(-1j * twist_time * m**2) * spin_coherent_state(L).amplitudes

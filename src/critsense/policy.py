@@ -1,7 +1,18 @@
-"""Centralized numeric tolerances and size caps."""
+"""Centralized numeric tolerances and size caps, and the one check path.
+
+Every bound that raises is one call of ``POLICY.check`` (a tolerance),
+``POLICY.cap`` (a size cap) or ``POLICY.floor`` (a lower bound), on the
+``POLICY`` the calling module imported, which tests patch.  Each fails
+unless its comparison holds, so NaN fails, and names the field, its value
+and the excess.  They build no array, so the theta loop calls them per point.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+class CapacityError(ValueError):
+    """A register size exceeded a configured dense/sparse/byte cap."""
 
 
 @dataclass(frozen=True)
@@ -28,10 +39,34 @@ class NumericPolicy:
     zero_state_tol: float = 1e-14  # norm below which a vector counts as annihilated
     imag_cut: float = 1e-14        # max |Im| below which a complex matrix is solved as real
     toeplitz_pivot_floor: float = 1e-8  # |pivot| below this -> per-r slogdet fallback
+    qfi_negative_tol: float = 1e-9  # how far below 0 a reported QFI may round
+    unitary_tol: float = 1e-10     # | |U psi| - 1 | of a Hadamard test's controlled operator
+    pull_through_tol: float = 1e-12  # parity signal vs its anticommutation pull-through
+    invariance_tol: float = 1e-8   # QFI change under the bond-ZZ channel, x max(1, QFI)
+
+    def check(self, what, miss, field: str, *, scale=1.0, scaled_by: str = "",
+              error=ValueError) -> None:
+        """Raise ``error(message)`` unless ``miss <= field * scale``.  ``what``
+        is a string or, on a hot path, a function formatting it on a miss."""
+        value = getattr(self, field)
+        tol = value * scale
+        if not miss <= tol:
+            what = what() if callable(what) else what
+            per = f" x {scaled_by}" if scaled_by else ""
+            raise error(f"{what} {miss:.3e} exceeds its tolerance {tol:.3e} "
+                        f"({field} {value:g}{per}) by {miss - tol:.3e}")
+
+    def cap(self, what: str, value, field: str, *, error=CapacityError) -> None:
+        """Raise ``error(message)`` unless ``value``, in units ``what``, <= ``field``."""
+        limit = getattr(self, field)
+        if not value <= limit:
+            raise error(f"{value} {what} exceeds {field} ({limit}) by {value - limit}")
+
+    def floor(self, what: str, value, field: str, *, error=ValueError) -> None:
+        """Raise ``error(message)`` unless ``value >= field``."""
+        limit = getattr(self, field)
+        if not value >= limit:
+            raise error(f"{what} {value:.3e} is below {field} ({limit:g}) by {limit - value:.3e}")
 
 
 POLICY = NumericPolicy()
-
-
-class CapacityError(ValueError):
-    """A register size exceeded a configured dense/sparse/byte cap."""

@@ -48,13 +48,13 @@ complex128, so real probes and real channels run in real arithmetic end to
 end; an operation whose own factors are complex (a phase imprint, say)
 returns complex128.
 
-A density matrix is diagonalized one symmetry sector at a time.  It is
-checked, to ``herm_tol`` in max |rho - U rho U^dagger|, for the translation
-T and the product-of-X parity X; the symmetries it passes form an abelian
-group, and each character of that group is one block: (k, +-) of T x X,
-2n blocks of about 2^n / 2n states; k of T alone; +- of X alone, the two
-parity blocks of 2^(n-1) states.  A matrix that passes neither is one
-whole-register block, the full ``eigh``.  The sector isometries are
+A density matrix is checked once, when built, in one pass over row tiles
+(``_deviations``): max |rho - rho^dagger| within ``herm_tol``, and max
+|rho - U rho U^dagger| for the translation T and the product-of-X parity
+X; those within ``herm_tol`` form its abelian group, diagonalized one
+character (one block) at a time: (k, +-) of T x X, 2n blocks of about
+2^n / 2n states; k of T alone; +- of X alone, the two parity blocks of
+2^(n-1) states; neither, one whole-register block, the full ``eigh``.  The sector isometries are
 ``_orbit_isometry``'s (orbit minima, stabilizers and orbit norms of any
 abelian group of basis permutations; Sandvik, AIP Conf. Proc. 1297, 135
 (2010), section 4), one character at a time, held in the one cache
@@ -66,10 +66,10 @@ unsigned dtype, a translation (b >> 1) | ((b & 1) << (n-1)) and a flip
 b ^ mask, the orders read off the names; the group average behind a T
 block reads its rows g r by the same arithmetic and its columns g b
 through views of those rows, T^a a transposed reshape and the parity
-reversed axes.  Momentum blocks are
-complex, so the embedded eigenvectors of a T-symmetric rho are complex even
-when rho is real.  The spectral kernels of ``metrology`` read the blocks;
-``spectrum()`` embeds them in the register.
+reversed axes.  Momentum blocks are complex, so the embedded eigenvectors
+of a T-symmetric rho are complex even when rho is real.  The spectral
+kernels of ``metrology`` read the blocks; ``spectrum()`` embeds them in
+the register.
 
 All operations are pure functions of immutable inputs and safe for
 concurrent read-only use.  The internal mutable state is lazy caches: the
@@ -93,7 +93,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .policy import POLICY, CapacityError
+from .policy import POLICY
 
 LETTERS = "IXYZ"
 
@@ -432,8 +432,9 @@ class PauliOperator:
     """Complex-weighted sum of Pauli strings on an n-qubit register.
 
     Terms with identical letter strings are merged; zero coefficients are
-    dropped.  The operator is Hermitian iff every merged coefficient is real
-    (strings are linearly independent and individually Hermitian).
+    dropped, and a non-finite one, which that test would drop too, raises
+    ValueError.  The operator is Hermitian iff every merged coefficient is
+    real (strings are linearly independent and individually Hermitian).
 
     The numeric paths (``apply_vec``, ``diagonal``, ``to_sparse`` and the
     mixed-state ``expectation``) share one grouped form, built on first use
@@ -466,7 +467,10 @@ class PauliOperator:
                 )
             if any(c not in LETTERS for c in letters):
                 raise ValueError(f"invalid Pauli letters {letters!r}")
-            merged[letters] = merged.get(letters, 0.0) + complex(coeff)
+            coeff = complex(coeff)
+            if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+                raise ValueError(f"coefficient {coeff!r} of {letters!r} is not finite")
+            merged[letters] = merged.get(letters, 0.0) + coeff
         self.n_qubits = n_qubits
         self.terms = tuple(
             (c, s) for s, c in sorted(merged.items()) if abs(c) > 1e-15
@@ -658,10 +662,7 @@ class PauliOperator:
         rows are built: the (rows.size, 2^n) matrix ``to_sparse()[rows]``,
         entry for entry, without the whole register's.
         """
-        if self.n_qubits > POLICY.sparse_cap:
-            raise CapacityError(
-                f"{self.n_qubits} qubits exceeds sparse cap {POLICY.sparse_cap}"
-            )
+        POLICY.cap("qubits", self.n_qubits, "sparse_cap")
         form = self._grouped()
         dim = 1 << self.n_qubits
         dtype = np.float64 if form.real else np.complex128
@@ -683,31 +684,49 @@ class PauliOperator:
 
 def to_matrix(op: PauliOperator) -> np.ndarray:
     """Dense matrix of a Pauli sum; refuses registers above the dense cap."""
-    if op.n_qubits > POLICY.dense_cap:
-        raise CapacityError(
-            f"{op.n_qubits} qubits exceeds dense cap {POLICY.dense_cap}"
-        )
+    POLICY.cap("qubits", op.n_qubits, "dense_cap")
     return op.to_sparse().toarray()
 
 
 _HERM_TILE = 128
 
 
-def _hermitian_deviation(mat: np.ndarray) -> float:
-    """max |mat - mat^dagger|, over square tiles of the upper block triangle.
-
-    The deviation is symmetric in (i, j), so the upper triangle gives the
-    full-matrix maximum; each tile reads its mirror tile once, without the
-    strided whole-matrix transpose and its two dim^2 temporaries.
+def _deviations(
+    mat: np.ndarray, translation: bool = False, parity: bool = False
+) -> tuple[float, float | None, float | None]:
+    """(max |mat - mat^dagger|, max |mat - T mat T^dagger|, max |mat - F mat
+    F^dagger|) over bands of rows, in square tiles of views: T the
+    translation (b = 2h + l to l 2^(n-1) + h, so a band's image rows are the
+    rows T^-1 a, whose columns 2k.. hold, even and odd, its columns k.. and
+    2^(n-1) + k..), F the product-of-X parity (mat[::-1, ::-1]; F D F = -D,
+    so the upper half of the rows holds the maximum), each None unless asked
+    for (both need dim = 2^n).  Hermiticity reads the upper block triangle.
+    A symmetry's maximum is exact while within ``POLICY.herm_tol``; once
+    over it, its remaining tiles are skipped.
     """
-    b = _HERM_TILE
     dim = mat.shape[0]
-    tiles = []
-    for i in range(0, dim, b):
+    half = dim // 2
+    b = max(1, min(_HERM_TILE, half))
+    herm = 0.0
+    dev_t = 0.0 if translation else None
+    dev_x = 0.0 if parity else None
+    flipped = mat[::-1, ::-1]
+    for i in range(0, dim, b):  # np.maximum keeps a NaN, where max() may drop it
+        rows = mat[i:i + b]
         for j in range(i, dim, b):
             mirror = mat[j:j + b, i:i + b].T
-            tiles.append(np.max(np.abs(mat[i:i + b, j:j + b] - mirror.conj())))
-    return float(np.max(tiles))
+            herm = np.maximum(herm, np.max(np.abs(rows[:, j:j + b] - mirror.conj())))
+        if translation and dev_t <= POLICY.herm_tol:
+            l, h = divmod(i, half)
+            source, target = mat[2 * h + l:2 * (h + b) + l:2], rows.reshape(b, 2, half)
+            for k in range(0, half, b):
+                image = source[:, 2 * k:2 * (k + b)].reshape(b, b, 2).transpose(0, 2, 1)
+                dev_t = np.maximum(dev_t, np.max(np.abs(target[:, :, k:k + b] - image)))
+        if parity and i < half and dev_x <= POLICY.herm_tol:
+            for j in range(0, dim, b):
+                tile = rows[:, j:j + b] - flipped[i:i + b, j:j + b]
+                dev_x = np.maximum(dev_x, np.max(np.abs(tile)))
+    return float(herm), *(None if dev is None else float(dev) for dev in (dev_t, dev_x))
 
 
 @dataclass(frozen=True)
@@ -725,9 +744,9 @@ class PureState:
             raise ValueError(
                 f"amplitude length {amp.shape} does not match 2^{self.n_qubits}"
             )
-        norm = np.linalg.norm(amp)
-        if not abs(norm - 1.0) <= POLICY.norm_tol:  # a NaN norm fails too
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond tolerance")
+        norm = float(np.linalg.norm(amp))
+        POLICY.check(lambda: f"state norm {norm!r} deviates from 1: |norm - 1|",
+                     abs(norm - 1.0), "norm_tol")
         object.__setattr__(self, "amplitudes", amp)
 
     @classmethod
@@ -741,38 +760,9 @@ def projector_amplitudes(state: PureState) -> np.ndarray:
     """psi's amplitudes as the dense |psi><psi| reads them: refused with
     ``CapacityError`` above ``POLICY.dense_cap``, before anything of the
     matrix's size is allocated, and real when they have no imaginary part."""
-    if state.n_qubits > POLICY.dense_cap:
-        raise CapacityError(f"{state.n_qubits} qubits exceeds dense cap {POLICY.dense_cap}")
+    POLICY.cap("qubits", state.n_qubits, "dense_cap")
     amp = state.amplitudes
     return np.ascontiguousarray(amp.real) if not amp.imag.any() else amp
-
-
-def _commutes(mat: np.ndarray, name: str) -> bool:
-    """max |mat - U mat U^dagger| <= ``POLICY.herm_tol`` for one symmetry U,
-    the translation (``"translation"``) or the product-of-X parity (the
-    X-string ``"X" * n``).
-
-    U is a basis permutation, so U mat U^dagger is a view of mat.  For the
-    parity it is ``mat[::-1, ::-1]``, every index bit flipped; its deviation
-    D obeys X D X = -D, so the upper half of the rows holds the maximum.
-    The translation sends b = 2h + l to l 2^(n-1) + h, so it is the (dim/2,
-    2, dim/2, 2) view of mat transposed to (2, dim/2, 2, dim/2).  The rows
-    are read in tiles, each tile of the view copied once, and the first
-    tile over the tolerance ends the check.
-    """
-    dim = mat.shape[0]
-    half = dim // 2
-    tile = min(_HERM_TILE, half)
-    if name == "translation":
-        moved = mat.reshape(half, 2, half, 2).transpose(1, 0, 3, 2)
-        tiles = ((i, moved[i // half, i % half:i % half + tile].reshape(-1, dim))
-                 for i in range(0, dim, tile))
-    elif _flip_mask(dim.bit_length() - 1, name) == dim - 1:
-        flipped = mat[::-1, ::-1]
-        tiles = ((i, flipped[i:i + tile]) for i in range(0, half, tile))
-    else:
-        raise ValueError(f"no symmetry check for the X-string {name!r}")
-    return all(np.max(np.abs(mat[i:i + tile] - t)) <= POLICY.herm_tol for i, t in tiles)
 
 
 def _group_average_rows(mat: np.ndarray, parity: bool, reps: np.ndarray) -> np.ndarray:
@@ -839,20 +829,23 @@ class MixedState:
     _spectrum: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
+    _group: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dim = 1 << self.n_qubits
+        n = self.n_qubits
+        dim = 1 << n
         mat = np.asarray(self.matrix)
         mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64, copy=False)
         if mat.shape != (dim, dim):
             raise ValueError("matrix shape does not match register size")
-        herm = _hermitian_deviation(mat)
-        if not herm <= POLICY.herm_tol:  # each check fails on NaN
-            raise ValueError(f"matrix not Hermitian: max deviation {herm:.3e}")
-        tr = np.trace(mat)
-        if not abs(tr - 1.0) <= POLICY.trace_tol:
-            raise ValueError(f"trace {tr!r} deviates from 1 beyond tolerance")
+        herm, dev_t, dev_x = _deviations(mat, translation=n > 1, parity=True)
+        POLICY.check("matrix not Hermitian: max deviation", herm, "herm_tol")
+        tr = complex(np.trace(mat))
+        POLICY.check(lambda: f"trace {tr!r} deviates from 1: |trace - 1|", abs(tr - 1.0),
+                     "trace_tol")
         self.matrix = mat
+        self._group = tuple(name for name, dev in (("translation", dev_t), ("X" * n, dev_x))
+                            if dev is not None and dev <= POLICY.herm_tol)
 
     @classmethod
     def from_pure(cls, state: PureState) -> "MixedState":
@@ -863,12 +856,12 @@ class MixedState:
     def sector_spectrum(self) -> tuple[SectorBlock, ...]:
         """Eigenpairs of rho, one ``SectorBlock`` per symmetry sector; cached.
 
-        rho is checked for two symmetries, each to ``POLICY.herm_tol`` in
-        max |rho - U rho U^dagger| (``_commutes``): the translation T (from
-        two sites on) and the product-of-X parity F.  The ones it passes
-        form the group: T x F, whose characters (k, +-) give 2n blocks of
-        about 2^n / 2n states; T alone (n blocks); F alone, the two blocks
-        P_+-^T rho P_+- of 2^(n-1) states, built as before T joined.  The
+        The group is the one certified when rho was built (``_deviations``):
+        the translation T (from two sites on) and the product-of-X parity F
+        where max |rho - U rho U^dagger| is within ``POLICY.herm_tol``.  It
+        is T x F, whose characters (k, +-) give 2n blocks of about 2^n / 2n
+        states; T alone (n blocks); F alone, the two blocks P_+-^T rho P_+-
+        of 2^(n-1) states.  The
         isometries are ``sector_isometry``'s, cached per character and
         shared with the ground solves.  A T block is read from the
         representative rows of the group average rho_bar = mean_g U_g rho
@@ -889,7 +882,7 @@ class MixedState:
         parts all stay below ``POLICY.imag_cut`` counts as real), and its T
         blocks at k = 0 and k = pi; the other momenta are complex Hermitian.
         A block eigenvalue below -``POLICY.psd_tol`` raises ValueError
-        naming the minimum eigenvalue.
+        naming the minimum eigenvalue and the excess (``POLICY.check``).
         """
         if self._blocks is None:
             if self._spectrum is not None:
@@ -903,8 +896,7 @@ class MixedState:
         if np.iscomplexobj(mat) and np.max(np.abs(mat.imag)) < POLICY.imag_cut:
             mat = mat.real
         n = self.n_qubits
-        group = tuple(name for name in ("translation", "X" * n)
-                      if (n > 1 or name != "translation") and _commutes(mat, name))
+        group = self._group
         orders = [_order(n, name) for name in group]
         sectors = []  # (label, P, reps, norms) of every character with states
         for charges in itertools.product(*(range(order) for order in orders)) if group else ():
@@ -932,9 +924,8 @@ class MixedState:
                     block = 0.5 * (block + block.conj().T)
                     done[label] = SectorBlock(P, *np.linalg.eigh(block), label)
             blocks = list(done.values())
-        low = np.min([b.values.min() for b in blocks])  # NaN propagates
-        if not low >= -POLICY.psd_tol:
-            raise ValueError(f"matrix not PSD: min eigenvalue {low:.3e}")
+        low = float(np.min([b.values.min() for b in blocks]))  # NaN propagates
+        POLICY.check(lambda: f"matrix not PSD: min eigenvalue {low:.3e}; -min", -low, "psd_tol")
         return tuple(blocks)
 
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -978,8 +969,7 @@ def dephase_normalize(vec: np.ndarray, n_qubits: int | None = None) -> PureState
     if n_qubits is None:
         n_qubits = int(round(np.log2(vec.size)))
     norm = np.linalg.norm(vec)
-    if norm < POLICY.zero_state_tol:
-        raise ValueError("cannot normalize a zero vector")
+    POLICY.floor("cannot normalize a zero vector: norm", norm, "zero_state_tol")
     vec = vec / norm
     pivot = int(np.argmax(np.abs(vec)))
     phase = vec[pivot] / abs(vec[pivot])
@@ -1040,7 +1030,9 @@ def trace_product(rho: MixedState, a: PauliOperator, b: PauliOperator) -> comple
 
 
 def variance(state: State, op) -> float:
-    """<op^2> - <op>^2 for a Hermitian op; guaranteed >= -1e-10 numerically.
+    """<op^2> - <op>^2 for a Hermitian op, as the difference of the two
+    moments: rounding can leave it slightly below zero, and nothing here
+    clips it (``precision_curve`` clips each point at 0).
 
     Refuses an operator that declares ``is_hermitian`` False (a non-Hermitian
     Pauli sum, the translation); plain matrices are taken as given.  A Pauli

@@ -20,6 +20,7 @@ import numpy as np
 
 from .metrology import PrecisionCurve, precision_curve
 from .models import luttinger_K
+from .policy import POLICY
 from .qcore import PauliOperator, PureState, apply_exponential, expectation, pauli_word
 
 
@@ -150,12 +151,12 @@ def parity_theta_curve(
     The curve is ``precision_curve`` of the block parity, the one theta loop
     of every readout: three evolutions per point (the grid angle and its
     centered difference), all in the register buffers it allocates once per
-    curve for a pure probe.  Each signal is
-    also checked against the anticommutation pull-through <psi|e^{-2 i theta O}
-    Pi|psi>; the two must agree to 1e-12.  For a diagonal imprinter with phase
-    table ``(values, inverse)`` that is sum_j e^{-2 i theta v_j} M_j, with
-    M = bincount(inverse, conj(psi) Pi psi): one pass over the register per
-    curve.  Any other imprinter takes one exponential per point.
+    curve for a pure probe.  Each signal is also checked against the
+    anticommutation pull-through <psi|e^{-2 i theta O} Pi|psi>; the two must
+    agree to ``POLICY.pull_through_tol``.  For a diagonal imprinter with
+    phase table ``(values, inverse)`` that is sum_j e^{-2 i theta v_j} M_j,
+    with M = bincount(inverse, conj(psi) Pi psi): one pass over the register
+    per curve.  Any other imprinter takes one exponential per point.
     """
     pi_op = protocol.measurement
     gen = protocol.imprinter
@@ -172,10 +173,9 @@ def parity_theta_curve(
             pulled = [np.vdot(apply_exponential(gen, 2j * th, psi.amplitudes), pi_vec)
                       for th in curve.theta]
         for th, direct, pull in zip(curve.theta, curve.signal, pulled):
-            if abs(direct - pull) > 1e-12:
-                raise AssertionError(
-                    f"pull-through mismatch at theta={th}: {direct} vs {pull}"
-                )
+            POLICY.check(lambda: f"pull-through mismatch at theta={th}: {direct} vs {pull}; "
+                         "|direct - pull|", abs(direct - pull), "pull_through_tol",
+                         error=AssertionError)
     return curve
 
 

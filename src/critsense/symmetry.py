@@ -81,10 +81,9 @@ class HadamardTestResult:
     toffoli_count: int
 
     def __post_init__(self):
-        if abs(self.p_plus + self.p_minus - 1.0) > 1e-12:
-            raise ValueError("outcome probabilities must sum to 1")
-        if abs(self.re_value) > 1.0 + 1e-12:
-            raise ValueError("|Re<U>| cannot exceed 1")
+        POLICY.check("outcome probabilities must sum to 1: |p_plus + p_minus - 1|",
+                     abs(self.p_plus + self.p_minus - 1.0), "norm_tol")
+        POLICY.check("|Re<U>| cannot exceed 1: |Re<U>| - 1", abs(self.re_value) - 1.0, "norm_tol")
 
 
 def build_symmetry(
@@ -184,8 +183,8 @@ def hadamard_test(state: PureState, unitary: SymmetryOperator) -> HadamardTestRe
     """
     psi = state.amplitudes
     upsi = unitary @ psi
-    if abs(np.linalg.norm(upsi) - 1.0) > 1e-10:
-        raise ValueError("controlled operator must be unitary")
+    POLICY.check("controlled operator must be unitary: | |U psi| - 1 |",
+                 abs(float(np.linalg.norm(upsi)) - 1.0), "unitary_tol")
     plus_branch = 0.5 * (psi + upsi)
     minus_branch = 0.5 * (psi - upsi)
     p_plus = float(np.vdot(plus_branch, plus_branch).real)

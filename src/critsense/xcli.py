@@ -249,10 +249,10 @@ class ExperimentConfig:
 
 def _check_cap(name: str, L: int, dense: bool = False) -> None:
     """``L`` qubits fit the exact path: a dense density matrix or a ground solve."""
-    cap, path = ((POLICY.dense_cap, "a dense density matrix") if dense
-                 else (POLICY.sparse_cap, "exact diagonalization"))
-    if L > cap:
-        raise ConfigError(f"{name}: L={L} needs {path}, over its cap of {cap} qubits")
+    field, path = (("dense_cap", "a dense density matrix") if dense
+                   else ("sparse_cap", "exact diagonalization"))
+    POLICY.cap("qubits", L, field,
+               error=lambda msg: ConfigError(f"{name}: L={L} needs {path}: {msg}"))
 
 
 def _check_even(name: str, sizes) -> None:
@@ -372,12 +372,9 @@ def _qfi_scaling_check(cfg: ExperimentConfig) -> None:
                 f"periodic free-fermion path, which needs even L; got {odd}"
             )
         # qfi_generator_second_moment eliminates one (L/2) x (L/2) string block
-        need = string_block_bytes(max(fermion_sizes) // 2)
-        if need > POLICY.fermion_bytes_cap:
-            raise ConfigError(
-                f"L_list: L={max(fermion_sizes)} needs {need} bytes of string-block "
-                f"work, over the fermion byte cap {POLICY.fermion_bytes_cap}"
-            )
+        L = max(fermion_sizes)
+        POLICY.cap("bytes of string-block work", string_block_bytes(L // 2),
+                   "fermion_bytes_cap", error=lambda msg: ConfigError(f"L_list: L={L}: {msg}"))
     # every other (probe, size) point goes through exact diagonalization
     fermion_only = set(cfg.probes) == {"critical_fm"}
     ed_sizes = [l for l in cfg.L_list if not fermion_only or l <= cfg.use_fermion_above]

@@ -609,3 +609,19 @@ def gathered_group_average(mat, group, orbit_reps):
         rows += mat[img[orbit_reps]][:, img]
     rows /= math.prod(orders)
     return rows
+
+
+def gathered_group(mat, n):
+    """The symmetry group of the full-gather rule: on ``mat.real`` when every
+    imaginary part is under ``POLICY.imag_cut``, each of the translation
+    (from two sites on) and the product-of-X parity kept when max |mat - U
+    mat U^dagger|, from a full permutation gather, is within
+    ``POLICY.herm_tol``."""
+    if np.iscomplexobj(mat) and np.max(np.abs(mat.imag)) < POLICY.imag_cut:
+        mat = mat.real
+    idx = np.arange(1 << n)
+    shift = np.argsort((idx >> 1) | ((idx & 1) << (n - 1)))  # T mat T^dagger = mat[shift][:, shift]
+    moved = {"translation": mat[shift][:, shift], "X" * n: mat[::-1, ::-1]}
+    return tuple(name for name, image in moved.items()
+                 if (n > 1 or name != "translation")
+                 and np.max(np.abs(mat - image)) <= POLICY.herm_tol)

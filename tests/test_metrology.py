@@ -39,7 +39,8 @@ from critsense.symmetry import build_symmetry
 
 from conftest import staggered_z, sum_z
 from oracles import (
-    X as XM, Y as YM, flip_orbit_isometry, kron_op, spectral_qfi_and_fn, sum_z_dense,
+    X as XM, Y as YM, flip_orbit_isometry, gathered_group, kron_op, spectral_qfi_and_fn,
+    sum_z_dense,
 )
 
 
@@ -247,7 +248,7 @@ def test_fn_sequence_pair_sum_check_reads_trace_tol(monkeypatch, where):
         fn_sequence(rho, sum_z(2), 3)
     assert sizes == [2, 1, 1]
     monkeypatch.setattr(metrology, "POLICY", replace(POLICY, trace_tol=1e-12))
-    with pytest.raises(ValueError, match="over 1 \\+ trace_tol"):
+    with pytest.raises(ValueError, match=r"excess over 1 .* \(trace_tol 1e-12\)"):
         fn_sequence(rho, sum_z(2), 3)
 
 
@@ -372,6 +373,35 @@ def test_translation_alone_gives_n_momentum_blocks(rng):
         assert np.max(np.abs(fn_sequence(rho, gen, 6) - ref_f)) <= 1e-10 * max(1.0, ref_q)
 
 
+# (basis state, sign) pairs moved by 2 herm_tol, the trace kept: the
+# T-fixed 0...0 and 1...1 break only the parity, 1 and its mirror 2^n - 2
+# only the translation, 1 against 0...0 both
+_BREAKS = {
+    "both": (),
+    "translation": ((0, 1.0), (-1, -1.0)),
+    "parity": ((1, 1.0), (-2, 1.0), (0, -1.0), (-1, -1.0)),
+    "none": ((1, 1.0), (0, -1.0)),
+}
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real_rho", "complex_rho"])
+@pytest.mark.parametrize("kept", list(_BREAKS))
+@pytest.mark.parametrize("n", [5, 8])
+def test_diagonalize_certifies_the_gathered_group(rng, n, kept, real):
+    """The group read off the constructor's one pass is the one the full
+    permutation gathers certify, for each of the four outcomes; a rho off a
+    symmetry by 2 herm_tol falls back to the blocks without it."""
+    rho_matrix = translation_parity_rho(rng, n, 1 << n, real)  # full rank: stays PSD
+    for b, sign in _BREAKS[kept]:
+        rho_matrix[b, b] += sign * 2.0 * POLICY.herm_tol
+    want = {"both": ("translation", "X" * n), "translation": ("translation",),
+            "parity": ("X" * n,), "none": ()}[kept]
+    assert gathered_group(rho_matrix, n) == want
+    blocks = MixedState(n, rho_matrix).sector_spectrum()
+    assert tuple(name for name, _, _ in blocks[0].sector) == want
+    assert len(blocks) == {"both": 2 * n, "translation": n, "parity": 2, "none": 1}[kept]
+
+
 @pytest.mark.parametrize("n", [6, 7])
 def test_block_pairs_follow_the_generator_charges(rng, n):
     """Sum Z pairs (k, +) with (k, -): n pairs; Sum X keeps each of the 2n
@@ -455,11 +485,11 @@ def test_sld_names_the_hermiticity_miss():
     drho[0, 1] = 0.5 * POLICY.herm_tol  # within herm_tol: accepted
     sld(rho, drho)
     drho[0, 1] = 1e-9
-    with pytest.raises(ValueError, match=r"max \|drho - drho\^dagger\| is 1\.000e-09, "
-                                         r"over herm_tol \(1e-10\)"):
+    with pytest.raises(ValueError, match=r"max \|drho - drho\^dagger\| 1\.000e-09 exceeds its "
+                                         r"tolerance 1\.000e-10 \(herm_tol 1e-10\)"):
         sld(rho, drho)
     drho[0, 1] = np.nan  # NaN compares False with the tolerance: refused too
-    with pytest.raises(ValueError, match=r"max \|drho - drho\^dagger\| is nan"):
+    with pytest.raises(ValueError, match=r"max \|drho - drho\^dagger\| nan exceeds .*herm_tol"):
         sld(rho, drho)
 
 
@@ -562,7 +592,7 @@ def test_error_propagation_and_the_curve_record_refuse_non_finite_theta():
 
 @pytest.mark.parametrize("deriv, exact", [(np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan)])
 def test_delta_theta_refuses_a_nan_derivative(deriv, exact):
-    with pytest.raises(ArithmeticError, match="over the tolerance"):
+    with pytest.raises(ArithmeticError, match=r"exceeds its tolerance .*\(derivative_agree_tol"):
         metrology._delta_theta(0.1, 1.0, deriv, exact)
 
 
@@ -702,7 +732,7 @@ def test_error_propagation_rejects_mismatched_derivative(monkeypatch, form, mixe
     obs = readouts[form]
     assert math.isfinite(error_propagation(probe, gen, obs, 0.2))
     monkeypatch.setattr(metrology, "POLICY", replace(metrology.POLICY, fd_step=0.3))
-    with pytest.raises(ArithmeticError, match="over the tolerance"):
+    with pytest.raises(ArithmeticError, match=r"exceeds its tolerance .*\(derivative_agree_tol"):
         error_propagation(probe, gen, obs, 0.2)
 
 

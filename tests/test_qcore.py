@@ -289,6 +289,15 @@ def test_pauli_terms_merge():
     assert op.terms == ((3.0, "ZZ"),)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+def test_pauli_refuses_a_non_finite_coefficient(bad):
+    # abs(nan) > 1e-15 is False: a NaN term would be dropped as if zero
+    with pytest.raises(ValueError, match="'ZZ' is not finite"):
+        PauliOperator(2, [(bad, "ZZ"), (1.0, "XI")])
+    with pytest.raises(ValueError, match="'XI' is not finite"):
+        bad * PauliOperator(2, [(1.0, "XI")])
+
+
 def test_pauli_hermitian_flag():
     assert PauliOperator(2, [(1.0, "XY")]).is_hermitian
     assert not PauliOperator(2, [(1j, "XY")]).is_hermitian
@@ -595,7 +604,7 @@ def test_hermitian_deviation_equals_full_check(rng, dim, cplx):
     m[0, dim - 1] += 1e-9
     m[dim // 2, dim // 2] += 2e-9j if cplx else 0.0
     want = np.max(np.abs(m - m.conj().T))
-    assert qcore._hermitian_deviation(m) == want
+    assert qcore._deviations(m) == (want, None, None)
 
 
 def test_mixed_state_rejects_far_tile_asymmetry():
@@ -880,16 +889,18 @@ def test_generator_names_are_checked(n, word):
         qcore.charge(op, word)
     with pytest.raises(ValueError, match=repr(word)):
         qcore.sector_isometry(n, (word,), (0,))
-    with pytest.raises(ValueError, match=repr(word)):
-        qcore._commutes(np.eye(1 << n) / (1 << n), word)
 
 
 @pytest.mark.parametrize("name", ["translation", "parity_x"])
 @pytest.mark.parametrize("n", [2, 3, 8, 9])
 def test_symmetry_check_reads_the_permuted_matrix(rng, name, n):
-    """The tiled check agrees with max |rho - U rho U^dagger| from a full
-    permutation gather: a rho averaged over the orbit of U passes, and so
-    does one entry pair moved by 0.5 herm_tol; 10 herm_tol fails."""
+    """The tiled pass returns max |rho - U rho U^dagger| of a full
+    permutation gather, exactly, while it is within herm_tol: for a rho
+    averaged over the orbit of U, and one entry pair moved by 0.5 herm_tol
+    (the last two rows' pair, or row 1's last entry, which the parity sees
+    only in the upper right quarter); at 10 herm_tol it returns a maximum
+    over herm_tol (its remaining tiles skipped), never more than the full
+    one."""
     dim = 1 << n
     inv = np.argsort(build_symmetry(name, n).perm)  # (U rho U^dagger)[a, b] = rho[inv a, inv b]
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -897,14 +908,24 @@ def test_symmetry_check_reads_the_permuted_matrix(rng, name, n):
     while len(orbit) < (n if name == "translation" else 2):
         orbit.append(orbit[-1][inv][:, inv])
     rho = sum(orbit) / np.trace(sum(orbit)).real
-    generator = name if name == "translation" else "X" * n
-    assert qcore._commutes(rho, generator)
-    for offset, want in ((0.5, True), (10.0, False)):
+    which = 1 if name == "translation" else 2
+
+    def deviation(mat):
+        return qcore._deviations(mat, translation=name == "translation",
+                                 parity=name == "parity_x")[which]
+
+    assert deviation(rho) == np.max(np.abs(rho - rho[inv][:, inv])) <= POLICY.herm_tol
+    for (row, col), (offset, want) in itertools.product(
+            [(dim - 2, dim - 1), (1, dim - 1)], [(0.5, True), (10.0, False)]):
         far = rho.copy()
-        far[dim - 2, dim - 1] += offset * POLICY.herm_tol
-        far[dim - 1, dim - 2] += offset * POLICY.herm_tol
-        assert (np.max(np.abs(far - far[inv][:, inv])) <= POLICY.herm_tol) == want
-        assert qcore._commutes(far, generator) == want
+        far[row, col] += offset * POLICY.herm_tol
+        far[col, row] += offset * POLICY.herm_tol
+        full = np.max(np.abs(far - far[inv][:, inv]))
+        assert (full <= POLICY.herm_tol) == want
+        if want:
+            assert deviation(far) == full
+        else:
+            assert POLICY.herm_tol < deviation(far) <= full
 
 
 _CHARGE_CASES = {

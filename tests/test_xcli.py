@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -499,9 +500,16 @@ def _bad_payloads(draw):
 @given(_bad_payloads())
 def test_config_fuzz_refused_before_work(case):
     field, payload = case
-    with pytest.raises(ConfigError) as info:
-        ExperimentConfig.from_dict(payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert str(info.value).startswith(f"{field}:"), str(info.value)
+    # refused before any work: less than one 2^13-entry float64 register array
+    assert peak < 1 << 16, (peak, payload)
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = Path(tmp) / "cfg.json", Path(tmp) / "o"
         cfg_path.write_text(json.dumps(payload))
