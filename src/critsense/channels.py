@@ -70,6 +70,9 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
+        for name, value in (("p", self.p), ("chi", self.chi), ("t", self.t)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.kind == "global_dephase":
             if self.chi is None or self.chi < 0.0:
                 raise ValueError("global dephasing needs chi >= 0")

@@ -36,8 +36,8 @@ class DeformationSpec:
     outcomes: tuple[int, ...] | str = "sample"
 
     def __post_init__(self):
-        if self.beta < 0.0:
-            raise ValueError("beta must be >= 0")
+        if not self.beta >= 0.0:  # +inf, the projective limit, passes; NaN does not
+            raise ValueError(f"beta must be >= 0, got {self.beta!r}")
         kinds = self.kinds
         if any(k not in "XYZ" for k in kinds):
             raise ValueError("gamma_kind entries must be X, Y, or Z")

@@ -384,13 +384,12 @@ def classical_fisher(
                      float(np.max(np.abs(total - vec))), "herm_tol",
                      scale=float(np.linalg.norm(vec)), scaled_by="|v|")
 
-    def probs(th: float) -> np.ndarray:
-        st = state_family(th)
+    def probs(st: State) -> np.ndarray:
         return np.array([expectation(st, eff).real for eff in povm])
 
     step = POLICY.fd_step
-    p = probs(theta)
-    dp = (probs(theta + step) - probs(theta - step)) / (2.0 * step)
+    p = probs(probe_state)
+    dp = (probs(state_family(theta + step)) - probs(state_family(theta - step))) / (2.0 * step)
     keep = p > POLICY.signal_floor
     return float(np.sum(dp[keep] ** 2 / p[keep]))
 

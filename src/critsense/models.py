@@ -52,6 +52,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        for name in ("J", "h", "delta", "omega", "detuning", "v1", "v2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.L < 2:
             raise ValueError("L must be >= 2")
         if self.boundary not in ("periodic", "open"):

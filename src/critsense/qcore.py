@@ -60,16 +60,11 @@ abelian group of basis permutations; Sandvik, AIP Conf. Proc. 1297, 135
 (2010), section 4), one character at a time, held in the one cache
 ``sector_isometry`` keyed by ``charge``'s generator names, which the
 sector-block ground solves of ``models`` share.  The symmetry bookkeeping
-is index arithmetic, with no permutation array: the isometry walks the
-group's words in place on one array of basis images in the narrowest
-unsigned dtype, a translation (b >> 1) | ((b & 1) << (n-1)) and a flip
-b ^ mask, the orders read off the names; the group average behind a T
-block reads its rows g r by the same arithmetic and its columns g b
-through views of those rows, T^a a transposed reshape and the parity
-reversed axes.  Momentum blocks are complex, so the embedded eigenvectors
-of a T-symmetric rho are complex even when rho is real.  The spectral
-kernels of ``metrology`` read the blocks; ``spectrum()`` embeds them in
-the register.
+is index arithmetic on the basis index and views of the register, with no
+permutation array (``_orbit_isometry``, ``_group_average_rows``).  Momentum
+blocks are complex, so the embedded eigenvectors of a T-symmetric rho are
+complex even when rho is real.  The spectral kernels of ``metrology`` read
+the blocks; ``spectrum()`` embeds them in the register.
 
 All operations are pure functions of immutable inputs and safe for
 concurrent read-only use.  The internal mutable state is lazy caches: the
@@ -163,25 +158,38 @@ def charge(op: "PauliOperator", generator: str) -> int | None:
 
     ``generator`` is ``"translation"`` (T, site j to j + 1, order n) or an
     I/X letter string (an X-string, order 2), checked by ``_flip_mask``.
-    Conjugation acts on each
-    Pauli term exactly: T moves the letter at site j to site j + 1; an
-    X-string flips the sign of a term with an odd count of Z/Y letters on
-    the string's sites.
+    The conjugate is ``_conjugate``'s, exact on the merged coefficients.
     """
-    mask = _flip_mask(op.n_qubits, generator)
+    n = op.n_qubits
+    mask = _flip_mask(n, generator)
+    order = n if mask is None else 2
+    shift = 1 if mask is None else 0  # T moves site j to j + 1
+    moved = _conjugate(op, tuple((j + shift) % n for j in range(n)), flip=mask or 0)
     terms = {word: c for c, word in op.terms}
-    if mask is None:
-        order = op.n_qubits
-        moved = {w[-1] + w[:-1]: c for w, c in terms.items()}
-    else:
-        order = 2
-        moved = {w: -c if (int(w.translate(_SIGN_LETTERS), 2) & mask).bit_count() % 2 else c
-                 for w, c in terms.items()}
     if moved == terms:
         return 0
     if order % 2 == 0 and moved == {w: -c for w, c in terms.items()}:
         return order // 2
     return None
+
+
+def _conjugate(op: "PauliOperator", sites: Sequence[int], flip: int = 0,
+               sign: int = 0) -> dict[str, complex]:
+    """{word: coefficient} of U O U^dagger, exactly, for U|b> =
+    (-1)^popcount(b & sign) |sigma(b) ^ flip> with sigma moving site j to
+    ``sites[j]``: Z^sign negates a word with an odd count of X/Y letters on
+    ``sign``, sigma moves the letter at site j to ``sites[j]``, and X^flip
+    negates the moved word with an odd count of Z/Y letters on ``flip``."""
+    moved: dict[str, complex] = {}
+    for c, word in op.terms:
+        letters = [""] * len(word)
+        for j, letter in enumerate(word):
+            letters[sites[j]] = letter
+        image = "".join(letters)
+        odd = ((int(word.translate(_FLIP_LETTERS), 2) & sign).bit_count()
+               + (int(image.translate(_SIGN_LETTERS), 2) & flip).bit_count()) % 2
+        moved[image] = -c if odd else c
+    return moved
 
 
 def _flip_mask(n_qubits: int, generator: str) -> int | None:
@@ -197,25 +205,12 @@ def _flip_mask(n_qubits: int, generator: str) -> int | None:
     return int(generator.translate(_FLIP_LETTERS), 2)
 
 
-def _permutation(n_qubits: int, generator: str) -> np.ndarray:
-    """g[b], the image of each basis state b under the generator ``generator``
-    names (``_flip_mask``): b ^ mask for an X-string, and for the translation
-    T|b> = |(b >> 1) | ((b & 1) << (n-1))>, site j to j + 1."""
-    idx = np.arange(1 << n_qubits, dtype=np.int64)
-    mask = _flip_mask(n_qubits, generator)
-    if mask is None:
-        return (idx >> 1) | ((idx & 1) << (n_qubits - 1))
-    return idx ^ mask
-
-
 def _order(n_qubits: int, generator: str) -> int:
     """The order of the basis permutation ``generator`` names
     (``_flip_mask``): n for the translation, 2 for an X-string (1 for the
     identity string)."""
     mask = _flip_mask(n_qubits, generator)
-    if mask is None:
-        return n_qubits
-    return 2 if mask else 1
+    return n_qubits if mask is None else 2 if mask else 1
 
 
 def _orbit_isometry(
@@ -310,12 +305,10 @@ def sector_isometry(
 
     Each generator is ``"translation"`` or an I/X string, the names
     ``charge`` takes (checked by ``_flip_mask``), in the order their
-    ``charges`` are given.  The names go to ``_orbit_isometry`` as they
-    are: it steps through the words by index arithmetic and reads the
-    orders off the names, with no permutation array.  Cached per (n,
-    generators, charges), so a ground solve's block and a mixed spectrum's
-    block of the same character are one object; ``reps`` and ``norms`` are
-    read-only, as threads share them.
+    ``charges`` are given.  Cached per (n, generators, charges), so a
+    ground solve's block and a mixed spectrum's block of the same character
+    are one object; ``reps`` and ``norms`` are read-only, as threads share
+    them.
     """
     P, reps, norms = _orbit_isometry(n_qubits, generators, charges)
     reps.setflags(write=False)
@@ -865,9 +858,8 @@ class MixedState:
         isometries are ``sector_isometry``'s, cached per character and
         shared with the ground solves.  A T block is read from the
         representative rows of the group average rho_bar = mean_g U_g rho
-        U_g^dagger, summed one element g at a time (``_group_average_rows``:
-        the rows g r by index arithmetic, the columns g b through views, no
-        permutation array), which maps each sector into itself:
+        U_g^dagger, summed one element g at a time (``_group_average_rows``),
+        which maps each sector into itself:
         P^dagger rho P = P^dagger rho_bar P = norms * rho_bar[reps] P,
         Hermitized.  That is the exact projection of rho, so a rho off the
         symmetry by delta <= herm_tol moves the result at second order in

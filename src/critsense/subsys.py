@@ -308,25 +308,16 @@ class DisorderOperator:
         self.L = L
         self.j = j
         self.mean_occupation = mean_occupation
-        dim = 1 << L
-        idx = np.arange(dim, dtype=np.int64)
-        # site rotation [0..j] -> [j, 0, 1, .., j-1]: bit j moves to position 0
-        perm = idx & ~(((1 << (j + 1)) - 1) << (L - 1 - j))  # clear bits 0..j
-        top = (idx >> (L - 1 - j)) & 1                        # old bit at site j
-        rest = (idx >> (L - j)) & ((1 << j) - 1)              # old bits 0..j-1
-        perm |= (top << (L - 1)) | (rest << (L - 1 - j))
-        self._perm = perm
 
     def apply_vec(self, vec: np.ndarray) -> np.ndarray:
+        """Project site j, then rotate sites [0..j] to [j, 0, .., j-1]: the
+        (2^j, 2, 2^(L-1-j)) view transposed, the parked site leading."""
         nbar = self.mean_occupation
         L, j = self.L, self.j
         tens = vec.reshape(1 << j, 2, 1 << (L - 1 - j))
-        out = np.zeros_like(tens)
-        out[:, 0, :] = math.sqrt(1.0 - nbar) * tens[:, 0, :] - math.sqrt(nbar) * tens[:, 1, :]
-        flat = out.reshape(vec.shape)
-        moved = np.empty_like(flat)
-        moved[self._perm] = flat
-        return moved
+        moved = np.zeros((2, 1 << j, 1 << (L - 1 - j)), dtype=vec.dtype)
+        moved[0] = math.sqrt(1.0 - nbar) * tens[:, 0, :] - math.sqrt(nbar) * tens[:, 1, :]
+        return moved.reshape(vec.shape)
 
 
 def staggered_density_imprinter(L: int, L_sub: int) -> PauliOperator:

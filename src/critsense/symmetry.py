@@ -1,7 +1,7 @@
 """Symmetry generators used as measurement observables.
 
 Parity (product of X or of Z), single-site translation, and bond-centered
-reflection, each represented as a basis permutation with per-basis phases.
+reflection, each a site map with an X and a Z mask (``SymmetryOperator``).
 Translation and reflection are built from the ordered swap products
 T = S_{0,1} S_{1,2} ... S_{L-2,L-1} and I_{j+1/2} = prod_k S_{j-k, j+1+k};
 controlled versions act as direct permutations on the doubled register, with
@@ -9,29 +9,38 @@ the Toffoli decomposition tracked only as gate-count metadata.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .policy import POLICY
-from .qcore import PauliOperator, PureState, _permutation, pauli_word
+from .qcore import PauliOperator, PureState, _conjugate, _sign_table, pauli_word
 
 KINDS = ("parity_x", "parity_z", "translation", "reflection")
 
 
 @dataclass(frozen=True)
 class SymmetryOperator:
-    """Unitary symmetry action A|b> = phase[b] |perm[b]> on basis states."""
+    """Unitary symmetry action A|b> = (-1)^popcount(b & sign) |sigma(b) ^ flip>,
+    sigma moving the bit of site j to site ``sites[j]``; ``flip`` and ``sign``
+    are basis-index masks (site 0 the most significant bit).  No array is held.
+    """
 
     kind: str
     L: int
-    perm: np.ndarray = field(repr=False)
-    phase: np.ndarray | None = field(repr=False, default=None)
+    sites: tuple[int, ...]
+    flip: int = 0
+    sign: int = 0
     is_hermitian: bool = True
     bond_center: int | None = None
     swap_count: int = 0
     anticommuting_safe: bool = True  # False flags the odd-L open-chain reflection
+
+    def __post_init__(self):
+        if sorted(self.sites) != list(range(self.L)):
+            raise ValueError(f"sites {self.sites!r} is no map of {self.L} sites onto themselves")
 
     @property
     def toffoli_count(self) -> int:
@@ -43,30 +52,51 @@ class SymmetryOperator:
         dim = 1 << self.L
         return dim, dim
 
-    def apply_vec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Action on a state vector or a (2^L, k) column block.
+    @cached_property
+    def _view(self) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+        """The transpose axes sigma^-1 and the slices reversing the flipped sites."""
+        n = self.L
+        return (tuple(sorted(range(n), key=self.sites.__getitem__)),
+                tuple(slice(None, None, -1 if self.flip >> (n - 1 - k) & 1 else 1)
+                      for k in range(n)))
 
-        ``out``, a complex128 array of ``vec``'s shape that does not overlap
-        it, receives the result.
-        """
+    def _move(self, tensor: np.ndarray) -> np.ndarray:
+        """A's move of a (2,) * L tensor, trailing axes kept: entry sigma(b) ^ flip
+        of the returned view is entry b of ``tensor``."""
+        axes, flips = self._view
+        return tensor.transpose(axes + tuple(range(self.L, tensor.ndim)))[flips]
+
+    def apply_vec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Action on a state vector or a (2^L, k) column block: one copy of the
+        moved view of ``vec``'s (2,) * L register, times the moved sign table,
+        into ``out`` if given (a C-contiguous complex128 array of ``vec``'s
+        shape that does not overlap it)."""
         if out is None:
             out = np.empty(vec.shape, dtype=np.complex128)
-        if self.phase is None:
-            out[self.perm] = vec
-        else:
-            out[self.perm] = (self.phase if vec.ndim == 1 else self.phase[:, None]) * vec
+        shape = (2,) * self.L + vec.shape[1:]
+        moved = out.reshape(shape)
+        moved[...] = self._move(vec.reshape(shape))
+        if self.sign:
+            table = _sign_table(self.L, self.sign)
+            moved *= self._move(table.reshape(table.shape + (1,) * (vec.ndim - 1)))
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.apply_vec(x)
 
     def to_sparse(self) -> sp.csr_matrix:
+        """complex128 CSR: row c holds A's sign at column src[c], the move of
+        the basis indices, so that A|src[c]> = +-|c>."""
+        POLICY.cap("qubits", self.L, "sparse_cap")
         dim = 1 << self.L
-        idx = np.arange(dim, dtype=np.int64)
-        data = np.ones(dim, dtype=np.complex128) if self.phase is None else self.phase
-        return sp.csr_matrix((data, (self.perm, idx)), shape=(dim, dim))
+        index = np.int32 if dim < 2**31 - 1 else np.int64
+        src = self._move(np.arange(dim, dtype=index).reshape((2,) * self.L)).reshape(-1)
+        indptr = np.arange(dim + 1, dtype=index)
+        return sp.csr_matrix((self.apply_vec(np.ones(dim)), src, indptr), shape=(dim, dim))
 
     def to_matrix(self) -> np.ndarray:
+        """Dense matrix; refuses registers above the dense cap."""
+        POLICY.cap("qubits", self.L, "dense_cap")
         return self.to_sparse().toarray()
 
 
@@ -97,54 +127,35 @@ def build_symmetry(
         raise ValueError(f"unknown symmetry kind {kind!r}")
     if L < 2:
         raise ValueError("L must be >= 2")
-    dim = 1 << L
-    idx = np.arange(dim, dtype=np.int64)
-    if kind == "parity_x":
-        perm = idx ^ (dim - 1)
-        return SymmetryOperator(kind, L, perm=perm, is_hermitian=True, swap_count=0)
-    if kind == "parity_z":
-        phase = (1.0 - 2.0 * (np.bitwise_count(idx) & 1)).astype(np.complex128)
-        return SymmetryOperator(kind, L, perm=idx.copy(), phase=phase, is_hermitian=True)
+    if kind in ("parity_x", "parity_z"):
+        mask = {("flip" if kind == "parity_x" else "sign"): (1 << L) - 1}
+        return SymmetryOperator(kind, L, tuple(range(L)), **mask)
     if kind == "translation":
         if boundary != "periodic":
             raise ValueError("translation requires a periodic chain")
-        return SymmetryOperator(
-            kind, L, perm=_permutation(L, "translation"), is_hermitian=False, swap_count=L - 1
-        )
-    # reflection about the midpoint of bond (j, j+1)
+        return SymmetryOperator(kind, L, tuple((i + 1) % L for i in range(L)),
+                                is_hermitian=False, swap_count=L - 1)
+    # reflection about the midpoint of bond (j, j+1): site i to 2j + 1 - i
     if bond_center is None:
         raise ValueError("reflection requires its bond center")
     j = bond_center
-    site_map = [(2 * j + 1 - i) % L for i in range(L)]
-    if boundary == "open":
-        raw = [2 * j + 1 - i for i in range(L)]
-        if any(r < 0 or r >= L for r in raw):
-            # the bond-centered mirror leaves the open chain; keep the wrapped
-            # permutation but flag it (it no longer anticommutes with the
-            # staggered imprinter)
-            safe = False
-        else:
-            site_map, safe = raw, True
-    else:
-        safe = True
-    perm = np.zeros(dim, dtype=np.int64)
-    for i, r in enumerate(site_map):
-        perm |= ((idx >> (L - 1 - r)) & 1) << (L - 1 - i)
+    raw = [2 * j + 1 - i for i in range(L)]
+    site_map = [r % L for r in raw]
+    # an open-chain mirror that leaves the chain keeps the wrapped map but is
+    # flagged: it no longer anticommutes with the staggered imprinter
+    safe = boundary != "open" or all(0 <= r < L for r in raw)
     swaps = sum(1 for i, r in enumerate(site_map) if i < r)
-    return SymmetryOperator(
-        "reflection", L, perm=perm, is_hermitian=True, bond_center=j,
-        swap_count=swaps, anticommuting_safe=safe,
-    )
+    return SymmetryOperator("reflection", L, tuple(site_map), bond_center=j,
+                            swap_count=swaps, anticommuting_safe=safe)
 
 
 def anticommutes(sym: SymmetryOperator, op: PauliOperator) -> bool:
-    """True iff the max matrix entry of A O + O A is below ``POLICY.herm_tol``."""
+    """True iff A O A^dagger = -O: ``qcore._conjugate``'s exact terms are
+    those of O negated, coefficient for coefficient; no matrix is built."""
     if op.n_qubits != sym.L:
         raise ValueError("register size mismatch")
-    a = sym.to_sparse()
-    o = op.to_sparse()
-    anti = a @ o + o @ a
-    return anti.nnz == 0 or float(np.max(np.abs(anti.data))) < POLICY.herm_tol
+    moved = _conjugate(op, sym.sites, flip=sym.flip, sign=sym.sign)
+    return moved == {word: -c for c, word in op.terms}
 
 
 def symmetry_eigenvalue(state: PureState, sym: SymmetryOperator) -> tuple[bool, complex]:

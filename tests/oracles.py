@@ -6,7 +6,10 @@ exceptions are kernels kept to pin a rewrite bit for bit: the (2,) * n flip
 ``apply_vec``, the gathered-factor exponential, the three-buffer bit flip,
 the general theta loop of ``precision_curve`` (``general_precision_curve``),
 which evolves a fresh state per call through the library's ``qcore``, and
-the symmetry bookkeeping on permutation arrays (the orbit isometry, the
+the symmetry bookkeeping on permutation arrays (the basis permutations of
+the generators and of the ``build_symmetry`` kinds, their scatter action,
+the disorder operator's site rotation,
+COO-built matrix and matrix anticommutation check, the orbit isometry, the
 whole-register phase vectors of the grouped form and the gathered group
 average).
 """
@@ -493,6 +496,88 @@ def general_precision_curve(state, gen, obs, theta_grid) -> PrecisionCurve:
 # -- the symmetry bookkeeping as it ran on permutation arrays ---------------
 
 
+def permutation(n_qubits, generator):
+    """g[b], the image of each basis state b under the generator ``generator``
+    names (``qcore._flip_mask``): b ^ mask for an X-string, and for the
+    translation T|b> = |(b >> 1) | ((b & 1) << (n-1))>, site j to j + 1."""
+    from critsense.qcore import _flip_mask
+
+    idx = np.arange(1 << n_qubits, dtype=np.int64)
+    mask = _flip_mask(n_qubits, generator)
+    if mask is None:
+        return (idx >> 1) | ((idx & 1) << (n_qubits - 1))
+    return idx ^ mask
+
+
+def symmetry_arrays(kind, L, bond_center=None, boundary="periodic"):
+    """(perm, phase) with A|b> = phase[b] |perm[b]> for a ``build_symmetry``
+    kind, as int64 and complex128 arrays over the whole register (``phase``
+    None for all ones); the reflection reads site 2j + 1 - i into site i, bit
+    by bit."""
+    dim = 1 << L
+    idx = np.arange(dim, dtype=np.int64)
+    if kind == "parity_x":
+        return idx ^ (dim - 1), None
+    if kind == "parity_z":
+        return idx.copy(), (1.0 - 2.0 * (np.bitwise_count(idx) & 1)).astype(np.complex128)
+    if kind == "translation":
+        return permutation(L, "translation"), None
+    j = bond_center
+    site_map = [(2 * j + 1 - i) % L for i in range(L)]
+    raw = [2 * j + 1 - i for i in range(L)]
+    if boundary == "open" and all(0 <= r < L for r in raw):
+        site_map = raw
+    perm = np.zeros(dim, dtype=np.int64)
+    for i, r in enumerate(site_map):
+        perm |= ((idx >> (L - 1 - r)) & 1) << (L - 1 - i)
+    return perm, None
+
+
+def scatter_apply(perm, phase, vec):
+    """out[perm] = phase * vec, into a new complex128 array of vec's shape."""
+    out = np.empty(vec.shape, dtype=np.complex128)
+    if phase is None:
+        out[perm] = vec
+    else:
+        out[perm] = (phase if vec.ndim == 1 else phase[:, None]) * vec
+    return out
+
+
+def permutation_csr(perm, phase):
+    """The CSR matrix of A|b> = phase[b] |perm[b]>, built from COO triplets."""
+    import scipy.sparse as sp
+
+    dim = perm.size
+    idx = np.arange(dim, dtype=np.int64)
+    data = np.ones(dim, dtype=np.complex128) if phase is None else phase
+    return sp.csr_matrix((data, (perm, idx)), shape=(dim, dim))
+
+
+def matrix_anticommutes(sym_csr, op):
+    """True iff the max matrix entry of A O + O A is below ``POLICY.herm_tol``."""
+    o = op.to_sparse()
+    anti = sym_csr @ o + o @ sym_csr
+    return anti.nnz == 0 or float(np.max(np.abs(anti.data))) < POLICY.herm_tol
+
+
+def disorder_apply(L, j, mean_occupation, vec):
+    """``subsys.DisorderOperator(L, j, mean_occupation).apply_vec(vec)`` on an
+    int64 permutation: project site j, then scatter through the rotation of
+    sites [0..j] to [j, 0, 1, .., j-1], bit j moved to position 0."""
+    idx = np.arange(1 << L, dtype=np.int64)
+    perm = idx & ~(((1 << (j + 1)) - 1) << (L - 1 - j))  # clear bits 0..j
+    top = (idx >> (L - 1 - j)) & 1                        # old bit at site j
+    rest = (idx >> (L - j)) & ((1 << j) - 1)              # old bits 0..j-1
+    perm |= (top << (L - 1)) | (rest << (L - 1 - j))
+    tens = vec.reshape(1 << j, 2, 1 << (L - 1 - j))
+    out = np.zeros_like(tens)
+    out[:, 0, :] = (math.sqrt(1.0 - mean_occupation) * tens[:, 0, :]
+                    - math.sqrt(mean_occupation) * tens[:, 1, :])
+    moved = np.empty_like(vec)
+    moved[perm] = out.reshape(vec.shape)
+    return moved
+
+
 def _perm_order(perm):
     idx = np.arange(perm.size)
     order, img = 1, perm
@@ -513,7 +598,7 @@ def _words(img, generators, orders, steps, phase=0):
 
 def permutation_orbit_isometry(n_qubits, generators, charges):
     """``qcore._orbit_isometry`` on int64 permutation arrays: ``generators``
-    are the arrays g[b] (``qcore._permutation`` of each name), their orders
+    are the arrays g[b] (``permutation`` of each name), their orders
     found by composing them, and every word's image gathered through them.
     Kept to pin the index-arithmetic word walk bit for bit."""
     import scipy.sparse as sp
@@ -598,10 +683,8 @@ def gathered_group_average(mat, group, orbit_reps):
     as ``MixedState._diagonalize`` summed them: for every word g of the
     generators ``group`` names (the first outermost), mat[g r, g b] gathered
     through the int64 permutation arrays and added one word at a time."""
-    from critsense.qcore import _permutation
-
     n = mat.shape[0].bit_length() - 1
-    perms = [_permutation(n, name) for name in group]
+    perms = [permutation(n, name) for name in group]
     orders = [_perm_order(g) for g in perms]
     rows = np.zeros((orbit_reps.size, mat.shape[0]), dtype=mat.dtype)
     idx = np.arange(mat.shape[0], dtype=np.int64)

@@ -39,8 +39,8 @@ from critsense.symmetry import build_symmetry
 
 from conftest import staggered_z, sum_z
 from oracles import (
-    X as XM, Y as YM, flip_orbit_isometry, gathered_group, kron_op, spectral_qfi_and_fn,
-    sum_z_dense,
+    X as XM, Y as YM, flip_orbit_isometry, gathered_group, kron_op, permutation,
+    spectral_qfi_and_fn, sum_z_dense,
 )
 
 
@@ -265,7 +265,7 @@ def translation_parity_rho(rng, n, rank, real):
     if not real:
         g = g + 1j * rng.standard_normal((dim, rank))
     sigma = g @ g.conj().T
-    back = np.argsort(build_symmetry("translation", n).perm)
+    back = np.argsort(permutation(n, "translation"))
     rho = np.zeros_like(sigma)
     for _ in range(n):
         rho += sigma + sigma[::-1, ::-1]
@@ -660,6 +660,22 @@ def test_classical_fisher_theta_independent_measurement():
     povm = [eye, eye]  # completeness holds; probabilities never move
     cfi = classical_fisher(povm, lambda t: evolve_phase(st, gen, t), 0.1)
     assert abs(cfi) < 1e-12
+
+
+def test_classical_fisher_evolves_each_angle_once():
+    """One probe per angle: theta and theta +- fd_step, three calls."""
+    st, gen = ghz_state(3), sum_z(3)
+    par = PauliOperator(3, [(1.0, "XXX")])
+    half = PauliOperator.identity(3, 0.5)
+    calls = []
+
+    def family(t):
+        calls.append(t)
+        return evolve_phase(st, gen, t)
+
+    classical_fisher([half + 0.5 * par, half + (-0.5) * par], family, 0.1)
+    step = POLICY.fd_step
+    assert sorted(calls) == [0.1 - step, 0.1, 0.1 + step]
 
 
 def test_classical_fisher_completeness_check():

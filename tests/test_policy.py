@@ -86,7 +86,7 @@ def _fn_sequence(v):
 
 
 # a NaN entry fails the Hermiticity check first: the NaN comes from a patched
-# eigensolver or trace
+# eigensolver, trace or norm
 
 
 def _psd(v, monkeypatch):
@@ -101,6 +101,14 @@ def _trace(v, monkeypatch):
         monkeypatch.setattr(np, "trace", lambda m: math.nan)
         v = 0.5
     MixedState(1, np.diag([v, 0.5]))
+
+
+def _annihilated(v, monkeypatch):
+    psi = PureState(1, np.array([1.0, 0.0]))
+    if math.isnan(v):  # the projected norm, once the probe is built
+        monkeypatch.setattr(np.linalg, "norm", lambda vec: math.nan)
+    deformed.deform(psi, DeformationSpec(beta=math.inf, gamma_kind="Z", target_sites=(0,),
+                                         outcomes=(-1,)))
 
 
 def _pull_through(v, monkeypatch):
@@ -150,10 +158,7 @@ _ROUTED = {
     "zz_invariance": (AssertionError, "invariance_tol", _invariance, 1.1),
     "zero_vector": (ValueError, "zero_state_tol",
                     lambda v, mp: dephase_normalize(np.array([v, 0.0]), 1), 0.0),
-    "annihilated": (ValueError, "zero_state_tol", lambda v, mp: deformed.deform(
-        PureState(1, np.array([1.0, 0.0])),
-        DeformationSpec(beta=math.inf if v == 0.0 else v, gamma_kind="Z", target_sites=(0,),
-                        outcomes=(-1,))), 0.0),
+    "annihilated": (ValueError, "zero_state_tol", _annihilated, 0.0),
 }
 
 
@@ -198,3 +203,24 @@ def test_patching_a_field_moves_its_check(monkeypatch, field):
                 run(monkeypatch)
         else:
             run(monkeypatch)
+
+
+# -- the spec dataclasses refuse non-finite fields ---------------------------
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: channels.ChannelSpec(kind="global_dephase", chi=math.nan), "chi"),
+    (lambda: channels.ChannelSpec(kind="bitflip_x", p=0.1, t=math.inf), "t"),
+    (lambda: DeformationSpec(beta=math.nan, gamma_kind="X", target_sites=(0,), outcomes=(1,)),
+     "beta"),
+    (lambda: models.ModelSpec(kind="tfim", L=4, h=math.nan), "h"),
+    (lambda: models.ModelSpec(kind="rydberg", L=4, omega=math.nan), "omega"),
+    (lambda: models.ModelSpec(kind="rydberg", L=4, v1=math.inf), "v1"),
+    (lambda: models.ModelSpec(kind="xxz", L=4, detuning=-math.inf), "detuning"),
+], ids=["chi", "t", "beta", "h", "omega", "v1", "detuning"])
+def test_spec_refuses_a_non_finite_field_and_names_it(build, field):
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        build()
+
+
+def test_projective_deformation_keeps_infinite_beta():
+    assert DeformationSpec(beta=math.inf, gamma_kind="Z", target_sites=(0,)).beta == math.inf

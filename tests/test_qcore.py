@@ -31,7 +31,8 @@ from conftest import sum_z
 from oracles import (
     kron_word, tfim_dense, ground_vec, expect, kron_op, Z,
     diagonal_exponential, diagonal_imprint, flip_apply_vec, flip_orbit_isometry,
-    gathered_group_average, permutation_orbit_isometry, register_group_terms,
+    gathered_group_average, permutation, permutation_orbit_isometry, register_group_terms,
+    symmetry_arrays,
 )
 
 
@@ -739,7 +740,7 @@ def test_orbit_isometry_word_walk_matches_the_permutation_arrays(n, data):
     drawn = data.draw(st.lists(st.text(alphabet="IX", min_size=n, max_size=n),
                                min_size=1, max_size=3))
     for group in sets + [tuple(drawn)]:
-        perms = [qcore._permutation(n, name) for name in group]
+        perms = [permutation(n, name) for name in group]
         orders = [qcore._order(n, name) for name in group]
         for charges in itertools.product(*(range(order) for order in orders)):
             _same_isometry(qcore._orbit_isometry(n, group, charges),
@@ -750,19 +751,16 @@ def test_orbit_isometry_word_walk_at_twenty_sites():
     """The ground solve's (k = 0, +) block at L = 20, the north-star size,
     where the walk runs on uint32 images."""
     n, group = 20, ("translation", "X" * 20)
-    perms = [qcore._permutation(n, name) for name in group]
+    perms = [permutation(n, name) for name in group]
     _same_isometry(qcore._orbit_isometry(n, group, (0, 0)),
                    permutation_orbit_isometry(n, perms, (0, 0)))
 
 
-def test_sector_paths_build_no_permutation_array(monkeypatch):
+def test_sector_paths_build_no_permutation_array():
     """A T x prod-X ground solve and the mixed sector spectrum of its state
-    run on index arithmetic alone: with ``_permutation`` made to raise, both
-    still succeed (``SymmetryOperator`` keeps its own reference to it)."""
-    def refuse(*args):
-        raise AssertionError("a permutation array was built")
-
-    monkeypatch.setattr(qcore, "_permutation", refuse)
+    run on index arithmetic alone: ``qcore`` has no permutation builder left
+    (its formula is ``oracles.permutation``), and both still succeed."""
+    assert not hasattr(qcore, "_permutation")
     qcore.sector_isometry.cache_clear()
     try:
         sol = solve_model(ModelSpec("tfim", L=8))
@@ -902,7 +900,7 @@ def test_symmetry_check_reads_the_permuted_matrix(rng, name, n):
     over herm_tol (its remaining tiles skipped), never more than the full
     one."""
     dim = 1 << n
-    inv = np.argsort(build_symmetry(name, n).perm)  # (U rho U^dagger)[a, b] = rho[inv a, inv b]
+    inv = np.argsort(symmetry_arrays(name, n)[0])  # (U rho U^dagger)[a, b] = rho[inv a, inv b]
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     orbit = [g @ g.conj().T]
     while len(orbit) < (n if name == "translation" else 2):

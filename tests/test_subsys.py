@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from critsense import (
     ModelSpec,
@@ -31,6 +33,8 @@ from critsense.policy import POLICY
 from critsense.qcore import MixedState, collective_spin, evolve_phase
 from critsense.symmetry import build_symmetry
 from critsense.models import build_hamiltonian, ground_state
+
+from oracles import disorder_apply
 
 
 def test_full_block_parity_is_global_parity():
@@ -372,6 +376,20 @@ def test_disorder_operator_unit_overlap_image():
     # the moved site parks in |0> at the left edge
     reshaped = img.reshape(2, 8)
     assert np.linalg.norm(reshaped[1]) < 1e-12
+
+
+@given(st.integers(2, 8), st.data())
+def test_disorder_operator_matches_the_permutation_scatter(L, data):
+    """The rotation as a transposed view gives the int64 permutation's
+    scatter (``oracles.disorder_apply``) bit for bit, signed zeros included."""
+    j = data.draw(st.integers(0, L - 1))
+    nbar = data.draw(st.floats(0.01, 0.99))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vec = rng.standard_normal(1 << L) + 1j * rng.standard_normal(1 << L)
+    vec[rng.random(vec.size) < 0.25] = -0.0
+    got = DisorderOperator(L, j, nbar).apply_vec(vec)
+    want = disorder_apply(L, j, nbar, vec)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_disorder_operator_validation():

@@ -1,7 +1,14 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import critsense.qcore as qcore
 from critsense import (
+    CapacityError,
     ModelSpec,
     PauliOperator,
     PureState,
@@ -17,9 +24,12 @@ from critsense import (
     symmetry_eigenvalue,
     variance,
 )
-from critsense.symmetry import hadamard_test_povm
+from critsense.policy import POLICY
+from critsense.qcore import collective_spin
+from critsense.symmetry import KINDS, SymmetryOperator, hadamard_test_povm
 
 from conftest import staggered_z, sum_z
+from oracles import matrix_anticommutes, permutation_csr, scatter_apply, symmetry_arrays
 
 
 def test_translation_permutes_basis():
@@ -170,15 +180,23 @@ def test_hadamard_povm_effects_positive():
         assert w.min() > -1e-12
 
 
+class _HalfT:
+    """A stand-in controlled operator: half the translation's action."""
+
+    def __init__(self, sym):
+        self.sym = sym
+        self.toffoli_count = sym.toffoli_count
+
+    def __matmul__(self, vec):
+        return 0.5 * (self.sym @ vec)
+
+
 def test_hadamard_test_rejects_non_unitary():
     T = build_symmetry("translation", 2)
-    bad = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
-    # sneak a non-unitary by scaling the phase array
-    import dataclasses
-
-    scaled = dataclasses.replace(T, phase=np.full(4, 0.5, dtype=complex))
-    with pytest.raises(ValueError):
-        hadamard_test(bad, scaled)
+    psi = PureState(2, np.array([1, 0, 0, 0], dtype=complex))
+    with pytest.raises(ValueError, match="unitary_tol"):
+        hadamard_test(psi, _HalfT(T))
+    hadamard_test(psi, T)  # the unscaled operator passes
 
 
 def test_derivative_curvature_matches_variance(critical_states):
@@ -279,3 +297,122 @@ def test_theta_curve_even_in_theta(critical_states):
         vu = np.vdot(up.amplitudes, par.apply_vec(up.amplitudes)).real
         vd = np.vdot(dn.amplitudes, par.apply_vec(dn.amplitudes)).real
         assert abs(vu - vd) < 1e-10
+
+
+# -- one description against the permutation arrays ---------------------------
+
+def _symmetry_args(draw, L):
+    """(kind, bond_center, boundary) of a drawn ``build_symmetry`` call on L sites."""
+    kind = draw(st.sampled_from(KINDS))
+    boundary = "periodic" if kind == "translation" else draw(st.sampled_from(["periodic", "open"]))
+    return kind, draw(st.integers(0, L - 1)), boundary
+
+
+@given(st.integers(2, 12), st.data())
+def test_apply_vec_and_to_sparse_match_the_permutation_arrays(L, data):
+    """``apply_vec`` gives the scatter out[perm] = phase * vec of the
+    whole-register arrays (``oracles.symmetry_arrays``) bit for bit, signed
+    zeros included, on vectors and column blocks in C and Fortran order; and
+    ``to_sparse`` their COO-built CSR entry for entry."""
+    kind, center, boundary = _symmetry_args(data.draw, L)
+    sym = build_symmetry(kind, L, bond_center=center, boundary=boundary)
+    perm, phase = symmetry_arrays(kind, L, bond_center=center, boundary=boundary)
+    cols = data.draw(st.sampled_from([(), (1,), (3,)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    vec = rng.standard_normal((1 << L,) + cols)
+    if data.draw(st.booleans()):
+        vec = vec + 1j * rng.standard_normal(vec.shape)
+    zeros = rng.random(vec.shape) < 0.25
+    vec[zeros] = np.where(rng.random(vec.shape) < 0.5, 0.0, -0.0)[zeros]
+    if cols and data.draw(st.booleans()):
+        vec = np.asfortranarray(vec)
+    got, want = sym.apply_vec(vec), scatter_apply(perm, phase, vec)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    out = np.empty(vec.shape, dtype=np.complex128)
+    assert sym.apply_vec(vec, out=out) is out and out.tobytes() == want.tobytes()
+    mat, ref = sym.to_sparse(), permutation_csr(perm, phase)
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(mat, attr), getattr(ref, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
+def _pauli_sum(draw, L):
+    """A drawn operator: a named imprinter or a random Pauli sum with
+    coefficients in {+-0.5, +-1, +-2}."""
+    named = draw(st.sampled_from(["sum_z", "staggered", "rydberg", "random"]))
+    if named == "sum_z":
+        return sum_z(L)
+    if named == "staggered":
+        return staggered_z(L)
+    if named == "rydberg" and L >= 3:
+        return rydberg_order_parameter(L, draw(st.sampled_from(["periodic", "open"])))
+    words = st.text(alphabet="IXYZ", min_size=L, max_size=L)
+    coeffs = st.sampled_from([0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+    return PauliOperator(L, draw(st.lists(st.tuples(coeffs, words), min_size=0, max_size=5)))
+
+
+@given(st.integers(2, 6), st.data())
+def test_anticommutes_matches_the_matrix_check(L, data):
+    """The exact term rule answers as the matrix check max |A O + O A| <
+    herm_tol (``oracles.matrix_anticommutes``) does, on drawn operators and on
+    O - A O A^dagger, which anticommutes by construction."""
+    kind, center, boundary = _symmetry_args(data.draw, L)
+    sym = build_symmetry(kind, L, bond_center=center, boundary=boundary)
+    matrix = permutation_csr(*symmetry_arrays(kind, L, bond_center=center, boundary=boundary))
+    op = _pauli_sum(data.draw, L)
+    moved = qcore._conjugate(op, sym.sites, flip=sym.flip, sign=sym.sign)
+    odd = op - PauliOperator(L, [(c, w) for w, c in moved.items()])
+    for o in (op, odd):
+        assert anticommutes(sym, o) == matrix_anticommutes(matrix, o), o
+    if sym.is_hermitian:
+        assert anticommutes(sym, odd)
+
+
+def test_anticommutes_builds_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sparse matrix was built")
+
+    monkeypatch.setattr(SymmetryOperator, "to_sparse", refuse)
+    monkeypatch.setattr(PauliOperator, "to_sparse", refuse)
+    L = 6
+    assert anticommutes(build_symmetry("translation", L), staggered_z(L))
+    assert anticommutes(build_symmetry("reflection", L, bond_center=2), staggered_z(L))
+    assert not anticommutes(build_symmetry("parity_x", L), collective_spin(L, "X"))
+
+
+def _peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_building_a_symmetry_allocates_no_register_array(kind):
+    assert _peak(lambda: build_symmetry(kind, 20, bond_center=9)) < 64 * 1024
+
+
+@pytest.mark.parametrize("form", ["to_sparse", "to_matrix"])
+def test_symmetry_matrices_refuse_registers_over_the_caps_before_allocating(form):
+    sym = build_symmetry("translation", 40)
+    field = "sparse_cap" if form == "to_sparse" else "dense_cap"
+
+    def run():
+        with pytest.raises(CapacityError, match=field):
+            getattr(sym, form)()
+
+    assert _peak(lambda: build_symmetry("translation", 40)) < 64 * 1024
+    assert _peak(run) < 64 * 1024
+    with pytest.raises(CapacityError, match="dense_cap"):
+        build_symmetry("parity_x", POLICY.dense_cap + 1).to_matrix()
+
+
+def test_symmetry_operator_is_frozen_and_hashable():
+    T = build_symmetry("translation", 5)
+    assert T == build_symmetry("translation", 5) and hash(T) == hash(build_symmetry("translation", 5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        T.flip = 1
+    with pytest.raises(ValueError, match="sites"):
+        SymmetryOperator("translation", 3, (0, 0, 1))
