@@ -125,8 +125,10 @@ def _check_measurement_set(ops: list[PauliOperator], n: int) -> None:
         if op.n_qubits != n:
             raise ValueError("measurement register mismatch")
         sq = _pauli_product(op, op)
-        if len(sq.terms) != 1 or sq.terms[0][1] != "I" * n or abs(sq.terms[0][0] - 1.0) > 1e-12:
+        if len(sq.terms) != 1 or sq.terms[0][1] != "I" * n:
             raise ValueError("measured observables must square to the identity")
+        POLICY.check("measured observable squared to c I: |c - 1|", abs(sq.terms[0][0] - 1.0),
+                     "pauli_square_tol")
     for i, a in enumerate(ops):
         for b in ops[i + 1:]:
             comm = _pauli_product(a, b) - _pauli_product(b, a)
@@ -332,9 +334,11 @@ def uniform_outcome_lro_check(
         )
         st = deform(psi_ladder, spec)
         values.append(expectation(st, obs).real)
-    monotone = all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
-    if not monotone:
-        raise AssertionError(f"long-range order not monotone in beta: {values}")
+    POLICY.check(f"long-range order not monotone in beta: {values}; largest drop",
+                 float(np.max(-np.diff(values), initial=0.0)), "monotone_tol",
+                 error=AssertionError)
+    # a vanishing pristine value reports an unbounded enhancement: the cut
+    # picks that branch, it is not a tolerance
     enhancement = values[-1] / abs(values[0]) if abs(values[0]) > 1e-12 else math.inf
     exceeds = enhancement > 3.0
     if require_threefold and not exceeds:
@@ -344,7 +348,7 @@ def uniform_outcome_lro_check(
     return LroReport(
         beta_grid=tuple(betas),
         long_range_value=tuple(values),
-        monotone=monotone,
+        monotone=True,
         enhancement=enhancement,
         exceeds_threefold=exceeds,
     )

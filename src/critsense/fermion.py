@@ -10,12 +10,14 @@ contraction kernel g(l) = <i B_0 A_l>:
     <Z_0 Z_r> = det[ g(b - a + 1) ]_{a,b = 0..r-1}.
 
 These r x r blocks are the nested leading minors of one Toeplitz matrix
-(the Barouch-McCoy structure, Phys. Rev. A 3, 786 (1971)), so a single
-unpivoted Gaussian elimination of the r_max x r_max block yields every
-<Z_0 Z_r>, r <= r_max, as a running product of its pivots, in O(r_max^3)
-instead of one O(r^3) determinant per separation.  On a periodic chain
+(the Barouch-McCoy structure, Phys. Rev. A 3, 786 (1971)), so every
+<Z_0 Z_r>, r <= r_max, is a running product of the ratios of successive
+minors.  The two-sided Levinson recursion for a non-symmetric Toeplitz
+matrix (Trench, J. SIAM 12, 515 (1964)) yields those ratios from the
+2 r_max - 1 distinct entries in O(r_max^2) time and O(r_max) memory, where
+one determinant per separation costs O(r^3) each.  On a periodic chain
 <Z_0 Z_r> = <Z_0 Z_{L-r}>, so the generator second moment needs only
-r <= L/2: O((L/2)^3) in all, where per-separation determinants cost O(L^4).
+r <= L/2: O((L/2)^2) in all.
 
 Finite periodic chains use exact momentum sums (one FFT); open chains use a
 real-space Schur decomposition of the Majorana coupling matrix; the
@@ -248,22 +250,31 @@ def zz_correlator(sol: FermionSolution, r: int, start: int | None = None) -> flo
 
 
 def string_block_bytes(r_max: int) -> int:
-    """Peak bytes ``zz_correlators`` allocates for separations up to r_max.
+    """Peak bytes of the largest ``slogdet`` fallback of ``zz_correlators``
+    for separations up to r_max.
 
-    The r_max x r_max float64 Toeplitz block, plus the first rank-1 update's
-    temporary of nearly the same size.
+    The recursion itself holds O(r_max) floats; a pivot under the floor
+    hands every larger r to ``zz_correlator``, whose r_max x r_max float64
+    block and its LU copy take this much.
     """
     return 16 * r_max * r_max
 
 
 def zz_correlators(sol: FermionSolution, r_max: int) -> np.ndarray:
-    """<Z_0 Z_r> for r = 1..r_max on a finite periodic chain, from one elimination.
+    """<Z_0 Z_r> for r = 1..r_max on a finite periodic chain, from one recursion.
 
-    Entry r - 1 is the r x r leading minor of T[a, b] = g(b - a + 1), i.e. the
-    product of the first r pivots of an unpivoted elimination of T.  A pivot
-    that is not finite or has magnitude below ``POLICY.toeplitz_pivot_floor``
-    ends the elimination, and every r from that pivot on falls back to the
-    ``slogdet`` of its own block (``zz_correlator``).
+    Entry r - 1 is the r x r leading minor D_r of T[a, b] = g(b - a + 1), the
+    product of the pivots alpha_n = D_n / D_{n-1} of the two-sided Levinson
+    recursion.  It carries the forward solution x (x_0 = 1, T_n x = alpha_n e_0)
+    and the backward solution y (y_{n-1} = 1, T_n y = alpha_n e_{n-1}) from n
+    to n + 1 with two length-n dot products: gamma = sum_j T[n, j] x_j and
+    delta = sum_j T[0, j + 1] y_j give x <- [x; 0] - (gamma / alpha) [0; y],
+    y <- [0; y] - (delta / alpha) [x; 0] and alpha <- alpha - gamma delta / alpha.
+    By Cramer's rule alpha_n is the n-th pivot of an unpivoted elimination of
+    T.  A pivot that is not finite or has magnitude below
+    ``POLICY.toeplitz_pivot_floor`` ends the recursion before it is divided
+    by, and every r from that pivot on falls back to the ``slogdet`` of its
+    own block (``zz_correlator``).
     """
     if sol.L is None or sol.boundary != "periodic":
         raise FermionError("zz_correlators needs a finite periodic solution")
@@ -271,18 +282,27 @@ def zz_correlators(sol: FermionSolution, r_max: int) -> np.ndarray:
         raise ValueError(f"r_max {r_max} out of range for L={sol.L}")
     POLICY.cap(f"bytes of string block for r_max={r_max}", string_block_bytes(r_max),
                "fermion_bytes_cap")
-    offs = np.arange(r_max)
-    t = sol.kernels(offs[None, :] - offs[:, None] + 1)
+    c = r_max - 1
+    g = sol.kernels(np.arange(1 - c, r_max + 1))  # T[a, b] = g[c + b - a]
+    x = np.zeros(r_max)      # x[:n], then a zero
+    x[0] = 1.0
+    y = np.zeros(r_max)      # y[r_max - n:], after a zero
+    y[-1] = 1.0
     pivots = np.empty(r_max)
+    alpha = float(g[c])
     done = r_max
-    for k in range(r_max):
-        p = t[k, k]
+    for n in range(r_max):
+        if n:
+            gamma = float(g[c - n:c] @ x[:n])
+            delta = float(g[c + 1:c + 1 + n] @ y[r_max - n:])
+            xs, ys = x[:n + 1], y[c - n:]
+            xs[:], ys[:] = xs - (gamma / alpha) * ys, ys - (delta / alpha) * xs
+            alpha -= gamma * delta / alpha
         # |g| <= 1, so the floor is relative to the scale of the block
-        if not (math.isfinite(p) and abs(p) >= POLICY.toeplitz_pivot_floor):
-            done = k
+        if not (math.isfinite(alpha) and abs(alpha) >= POLICY.toeplitz_pivot_floor):
+            done = n
             break
-        pivots[k] = p
-        t[k + 1:, k + 1:] -= np.outer(t[k + 1:, k] / p, t[k, k + 1:])
+        pivots[n] = alpha
     out = np.empty(r_max)
     out[:done] = np.cumprod(pivots[:done])
     for r in range(done + 1, r_max + 1):
@@ -298,7 +318,8 @@ class PowerLawFit:
     window: tuple[float, float]
 
     def __post_init__(self):
-        if not (0.0 <= self.r_squared <= 1.0 + 1e-12):
+        # exact: fit_power_law clamps r^2 into [0, 1], and NaN fails the test
+        if not 0.0 <= self.r_squared <= 1.0:
             raise ValueError("r_squared outside [0, 1]")
         if self.window[0] >= self.window[1]:
             raise ValueError("degenerate fit window")

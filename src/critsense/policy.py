@@ -29,7 +29,7 @@ class NumericPolicy:
     pauli_herm_tol: float = 1e-12  # Hermiticity of Pauli sums (imag part of coefficients)
     dense_cap: int = 14            # max qubits for dense operator matrices
     sparse_cap: int = 20           # max qubits for sparse matvec work
-    fermion_bytes_cap: int = 2**30  # max bytes of fermion string-block work (L <= 16384)
+    fermion_bytes_cap: int = 2**30  # max bytes of the fermion slogdet fallback block (L <= 16384)
     spectral_cutoff: float = 1e-12  # lambda_i + lambda_j cutoff in mixed-state sums
     fd_step: float = 1e-5          # centered finite-difference step in theta
     signal_floor: float = 1e-14    # |d<A>/dtheta| below this -> +inf sentinel
@@ -43,6 +43,8 @@ class NumericPolicy:
     unitary_tol: float = 1e-10     # | |U psi| - 1 | of a Hadamard test's controlled operator
     pull_through_tol: float = 1e-12  # parity signal vs its anticommutation pull-through
     invariance_tol: float = 1e-8   # QFI change under the bond-ZZ channel, x max(1, QFI)
+    pauli_square_tol: float = 1e-12  # |c - 1| of a measured observable's square c I
+    monotone_tol: float = 1e-10    # largest drop between successive long-range-order values
 
     def check(self, what, miss, field: str, *, scale=1.0, scaled_by: str = "",
               error=ValueError) -> None:

@@ -19,6 +19,7 @@ from .policy import POLICY
 from .qcore import PauliOperator, PureState, _conjugate, _sign_table, pauli_word
 
 KINDS = ("parity_x", "parity_z", "translation", "reflection")
+SIGN_SITES = 12  # sites of the one sign table apply_vec builds: 2^12 floats
 
 
 @dataclass(frozen=True)
@@ -68,18 +69,45 @@ class SymmetryOperator:
 
     def apply_vec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Action on a state vector or a (2^L, k) column block: one copy of the
-        moved view of ``vec``'s (2,) * L register, times the moved sign table,
-        into ``out`` if given (a C-contiguous complex128 array of ``vec``'s
-        shape that does not overlap it)."""
+        moved view of ``vec``'s (2,) * L register, times the sign, into ``out``
+        if given (a C-contiguous complex128 array of ``vec``'s shape that does
+        not overlap it)."""
         if out is None:
             out = np.empty(vec.shape, dtype=np.complex128)
         shape = (2,) * self.L + vec.shape[1:]
-        moved = out.reshape(shape)
-        moved[...] = self._move(vec.reshape(shape))
+        out.reshape(shape)[...] = self._move(vec.reshape(shape))
         if self.sign:
-            table = _sign_table(self.L, self.sign)
-            moved *= self._move(table.reshape(table.shape + (1,) * (vec.ndim - 1)))
+            self._apply_sign(out)
         return out
+
+    @cached_property
+    def _signs(self) -> tuple[int, int, tuple[np.ndarray, np.ndarray]]:
+        """(m, low, (table, -table)): the sign mask m moved to the output
+        sites, and the sign table of its last ``low`` sites and its negation."""
+        n = self.L
+        mask = 0
+        for j, k in enumerate(self.sites):
+            mask |= (self.sign >> (n - 1 - j) & 1) << (n - 1 - k)
+        low = min(n, SIGN_SITES)
+        table = _sign_table(low, mask & ((1 << low) - 1))
+        return mask, low, (table, -table)
+
+    def _apply_sign(self, out: np.ndarray) -> None:
+        """out[c] *= (-1)^popcount(b & sign) for c = sigma(b) ^ flip, in place.
+
+        Read at the output, the sign is (-1)^popcount((c ^ flip) & m), m the
+        sign mask moved to the output sites: one table over the last
+        ``SIGN_SITES`` sites, or its negation, on each slab of the leading
+        sites, so no whole-register table is built.  Every entry is
+        multiplied by the same +-1.0 a whole-register table holds, so the
+        complex products, signed zeros included, are the same.
+        """
+        mask, low, tables = self._signs
+        trail = (1,) * (out.ndim - 1)
+        tables = tuple(t.reshape(t.shape + trail) for t in tables)
+        slabs = out.reshape((1 << (self.L - low),) + (2,) * low + out.shape[1:])
+        for i, slab in enumerate(slabs):
+            slab *= tables[(((i << low) ^ self.flip) & mask).bit_count() & 1]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.apply_vec(x)

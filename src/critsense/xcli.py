@@ -371,7 +371,8 @@ def _qfi_scaling_check(cfg: ExperimentConfig) -> None:
                 f"L_list: sizes above use_fermion_above={cfg.use_fermion_above} take the "
                 f"periodic free-fermion path, which needs even L; got {odd}"
             )
-        # qfi_generator_second_moment eliminates one (L/2) x (L/2) string block
+        # the recursion holds O(L) floats, but a pivot under the floor hands
+        # the larger separations to slogdet blocks of up to (L/2) x (L/2)
         L = max(fermion_sizes)
         POLICY.cap("bytes of string-block work", string_block_bytes(L // 2),
                    "fermion_bytes_cap", error=lambda msg: ConfigError(f"L_list: L={L}: {msg}"))

@@ -10,7 +10,9 @@ and evaluate the reported quantity at ``dps`` significant digits:
   characters and the integer orbit sizes);
 * ``lowest_eigenpair``: its lowest eigenpair, with ``mp.eigsy``;
 * ``ray_distance``: the distance of a float state from that eigenvector,
-  minimized over the global phase.
+  minimized over the global phase;
+* ``toeplitz_minors``: the leading minors of the fermion string block,
+  the <Z_0 Z_r> of ``fermion.zz_correlators``.
 
 Run as a script (``PYTHONPATH=src python tests/mpref.py``), it compares the
 critical Ising ground vectors at L = 8 and 10 from the sector-block solve
@@ -68,6 +70,24 @@ def ray_distance(vec, ref, dps: int = 30) -> float:
         phase = overlap / abs(overlap) if overlap else mpmath.mpf(1)
         return float(mpmath.sqrt(mpmath.fsum(abs(v[i] - phase * ref[i]) ** 2
                                              for i in range(len(v)))))
+
+
+def toeplitz_minors(g, r: int, dps: int = 40) -> list[mpmath.mpf]:
+    """The leading minors D_1..D_r of T[a, b] = g(b - a + 1), a, b < r, at
+    ``dps`` digits, by unpivoted elimination; ``g`` maps an integer
+    separation to its float kernel value (``FermionSolution.kernel``), taken
+    as exact."""
+    with mpmath.workdps(dps):
+        t = [[mpmath.mpf(g(b - a + 1)) for b in range(r)] for a in range(r)]
+        minors, det = [], mpmath.mpf(1)
+        for k, row in enumerate(t):
+            det *= row[k]
+            minors.append(det)
+            for below in t[k + 1:]:
+                f = below[k] / row[k]
+                for j in range(k + 1, r):
+                    below[j] -= f * row[j]
+        return minors
 
 
 def block_coordinates(psi, P, reps, norms) -> tuple[np.ndarray, float]:

@@ -11,7 +11,7 @@ the generators and of the ``build_symmetry`` kinds, their scatter action,
 the disorder operator's site rotation,
 COO-built matrix and matrix anticommutation check, the orbit isometry, the
 whole-register phase vectors of the grouped form and the gathered group
-average).
+average), and the rank-1 elimination of the fermion string minors.
 """
 import math
 
@@ -533,6 +533,19 @@ def symmetry_arrays(kind, L, bond_center=None, boundary="periodic"):
     return perm, None
 
 
+def site_map_arrays(L, sites, flip, sign):
+    """(perm, phase) of A|b> = (-1)^popcount(b & sign) |sigma(b) ^ flip>, sigma
+    moving the bit of site j to site ``sites[j]``, over the whole register
+    (``phase`` None when ``sign`` is 0)."""
+    idx = np.arange(1 << L, dtype=np.int64)
+    perm = np.full(idx.size, flip, dtype=np.int64)
+    for j, k in enumerate(sites):
+        perm ^= ((idx >> (L - 1 - j)) & 1) << (L - 1 - k)
+    if not sign:
+        return perm, None
+    return perm, (1.0 - 2.0 * (np.bitwise_count(idx & sign) & 1)).astype(np.complex128)
+
+
 def scatter_apply(perm, phase, vec):
     """out[perm] = phase * vec, into a new complex128 array of vec's shape."""
     out = np.empty(vec.shape, dtype=np.complex128)
@@ -708,3 +721,29 @@ def gathered_group(mat, n):
     return tuple(name for name, image in moved.items()
                  if (n > 1 or name != "translation")
                  and np.max(np.abs(mat - image)) <= POLICY.herm_tol)
+
+
+def eliminated_zz_correlators(sol, r_max):
+    """``fermion.zz_correlators`` by unpivoted rank-1 elimination of the
+    r_max x r_max string block T[a, b] = g(b - a + 1) in O(r_max^3): entry
+    r - 1 is the running product of the first r pivots; a pivot that is not
+    finite or is under ``POLICY.toeplitz_pivot_floor`` hands every r from it
+    on to ``zz_correlator``'s ``slogdet``."""
+    from critsense.fermion import zz_correlator
+
+    offs = np.arange(r_max)
+    t = sol.kernels(offs[None, :] - offs[:, None] + 1)
+    pivots = np.empty(r_max)
+    done = r_max
+    for k in range(r_max):
+        p = t[k, k]
+        if not (math.isfinite(p) and abs(p) >= POLICY.toeplitz_pivot_floor):
+            done = k
+            break
+        pivots[k] = p
+        t[k + 1:, k + 1:] -= np.outer(t[k + 1:, k] / p, t[k, k + 1:])
+    out = np.empty(r_max)
+    out[:done] = np.cumprod(pivots[:done])
+    for r in range(done + 1, r_max + 1):
+        out[r - 1] = zz_correlator(sol, r)
+    return out

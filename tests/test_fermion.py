@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,12 +21,14 @@ from critsense import (
 import critsense.fermion as fermion
 from critsense.fermion import (
     FermionError,
+    PowerLawFit,
     _antiperiodic_momenta,
     _mode_data,
     qfi_generator_second_moment,
 )
 
 from conftest import sum_z
+from oracles import eliminated_zz_correlators
 
 
 @pytest.mark.parametrize("J,h", [(1.0, 1.0), (1.0, 0.7), (0.6, 1.3)])
@@ -118,6 +121,37 @@ def test_zz_correlators_match_slogdet_sampled_r_large_L(J, h):
     sol = solve_tfim_fermion(768, J=J, h=h)
     got = zz_correlators(sol, 384)
     _assert_minors_match(sol, got, (1, 2, 7, 100, 255, 383, 384))
+
+
+@pytest.mark.parametrize("J,h", REGIMES)
+@pytest.mark.parametrize("L", [10, 64, 768])
+def test_zz_correlators_match_the_rank1_elimination(L, J, h):
+    """The O(r^2) recursion against the O(r^3) elimination it replaced, at
+    every r; the two tests above hold both to ``slogdet``."""
+    sol = solve_tfim_fermion(L, J=J, h=h)
+    r_max = L - 1 if L <= 64 else L // 2
+    got, want = zz_correlators(sol, r_max), eliminated_zz_correlators(sol, r_max)
+    miss = np.abs(got - want) - (1e-10 * np.abs(want) + 1e-15)
+    assert np.all(miss <= 0.0), (int(np.argmax(miss)) + 1, float(np.max(miss)))
+
+
+def test_zz_correlators_at_4096_sites_match_slogdet():
+    sol = solve_tfim_fermion(4096)
+    got = zz_correlators(sol, 2048)
+    for r in (1, 1024, 2048):
+        want = zz_correlator(sol, r)
+        assert abs(got[r - 1] - want) <= 1e-10 * abs(want), (r, got[r - 1], want)
+
+
+def test_zz_correlators_hold_no_string_block():
+    sol = solve_tfim_fermion(4096)
+    tracemalloc.start()
+    try:
+        zz_correlators(sol, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak  # the 2048^2 block alone is 32 MiB
 
 
 @pytest.mark.parametrize("J,h", REGIMES)
@@ -226,6 +260,13 @@ def test_fit_power_law_exact_recovery():
     fit = fit_power_law(xs, xs**1.75)
     assert abs(fit.exponent - 1.75) < 1e-12
     assert fit.r_squared == 1.0
+
+
+@pytest.mark.parametrize("r2", [math.nan, -1e-300, 1.0 + 2.0**-52])
+def test_power_law_fit_refuses_r_squared_outside_the_unit_interval(r2):
+    PowerLawFit(1.0, 1.0, 1.0, (1.0, 2.0))
+    with pytest.raises(ValueError, match="r_squared"):
+        PowerLawFit(1.0, 1.0, r2, (1.0, 2.0))
 
 
 def test_fit_power_law_noisy_recovery(rng):

@@ -1,10 +1,11 @@
 import mpmath
 import numpy as np
 
-from critsense import ModelSpec, build_hamiltonian, solve_model
+from critsense import ModelSpec, build_hamiltonian, solve_model, solve_tfim_fermion, zz_correlators
+from critsense.fermion import qfi_generator_second_moment
 from critsense.qcore import sector_isometry
 
-from mpref import block_coordinates, block_matrix, lowest_eigenpair, ray_distance
+from mpref import block_coordinates, block_matrix, lowest_eigenpair, ray_distance, toeplitz_minors
 
 
 def test_lowest_eigenpair_matches_the_critical_ising_closed_form():
@@ -31,3 +32,18 @@ def test_lowest_eigenpair_matches_the_critical_ising_closed_form():
     low, low_vec = lowest_eigenpair(dense, dps)
     assert abs(low - 1) < mpmath.mpf(10) ** -25
     assert ray_distance(np.array([1.0, -1.0]) / np.sqrt(2), low_vec, dps) < 1e-15
+
+
+def test_string_minors_and_second_moment_match_the_40_digit_elimination():
+    # the reference eliminates the same float kernel values, so this bounds
+    # the rounding of the O(r^2) recursion alone
+    L, dps = 64, 40
+    sol = solve_tfim_fermion(L)
+    ref = toeplitz_minors(sol.kernel, L - 1, dps)
+    got = zz_correlators(sol, L - 1)
+    with mpmath.workdps(dps):
+        for r, (value, want) in enumerate(zip(got, ref), start=1):
+            assert abs(mpmath.mpf(value) - want) <= mpmath.mpf(1e-13) * abs(want), r
+        half = L // 2
+        moment = L + L * (2 * mpmath.fsum(ref[:half - 1]) + ref[half - 1])
+        assert abs(qfi_generator_second_moment(sol) - moment) <= mpmath.mpf(1e-13) * moment

@@ -17,7 +17,7 @@ import critsense.subsys as subsys
 import critsense.symmetry as symmetry
 from critsense.deformed import DeformationSpec, OutcomeEnsemble
 from critsense.policy import POLICY, CapacityError, NumericPolicy
-from critsense.qcore import MixedState, PureState, SectorBlock, dephase_normalize
+from critsense.qcore import MixedState, PauliOperator, PureState, SectorBlock, dephase_normalize
 
 from conftest import sum_z
 
@@ -127,6 +127,22 @@ def _invariance(v, monkeypatch):
     channels.zz_channel_invariance_check(models.ghz_state(2), sum_z(2), 0.1)
 
 
+def _square(v, monkeypatch):
+    coeff = v
+    if math.isnan(v):  # no PauliOperator holds a NaN coefficient: patch the square
+        monkeypatch.setattr(deformed, "_pauli_product",
+                            lambda a, b: SimpleNamespace(terms=[(v, "I")]))
+        coeff = 1.0
+    deformed._check_measurement_set([PauliOperator(1, [(coeff, "Z")])], 1)
+
+
+def _monotone(v, monkeypatch):
+    values = iter([1.0, v])
+    monkeypatch.setattr(deformed, "deform", lambda psi, spec: None)
+    monkeypatch.setattr(deformed, "expectation", lambda state, obs: next(values))
+    deformed.uniform_outcome_lro_check(None, 2, [0.0, 1.0])
+
+
 # id: (exception, field, run(v, monkeypatch), the over-tolerance v); each run
 # raises with v = nan too
 _ROUTED = {
@@ -159,6 +175,8 @@ _ROUTED = {
     "zero_vector": (ValueError, "zero_state_tol",
                     lambda v, mp: dephase_normalize(np.array([v, 0.0]), 1), 0.0),
     "annihilated": (ValueError, "zero_state_tol", _annihilated, 0.0),
+    "pauli_square": (ValueError, "pauli_square_tol", _square, 1.0 + 1e-12),
+    "monotone": (AssertionError, "monotone_tol", _monotone, 1.0 - 2e-10),
 }
 
 
@@ -188,6 +206,8 @@ _FIELDS = {
     "trace_tol": (deformed, 1e-11,
                   lambda mp: OutcomeEnsemble([(1,), (-1,)], np.array([0.5, 0.5 + 5e-11]), []),
                   False),
+    "pauli_square_tol": (deformed, 1e-13, lambda mp: _square(1.0 + 2.5e-13, mp), False),
+    "monotone_tol": (deformed, 1e-11, lambda mp: _monotone(1.0 - 5e-11, mp), False),
 }
 
 

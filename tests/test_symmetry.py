@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import critsense.qcore as qcore
+import critsense.symmetry as symmetry
 from critsense import (
     CapacityError,
     ModelSpec,
@@ -29,7 +30,13 @@ from critsense.qcore import collective_spin
 from critsense.symmetry import KINDS, SymmetryOperator, hadamard_test_povm
 
 from conftest import staggered_z, sum_z
-from oracles import matrix_anticommutes, permutation_csr, scatter_apply, symmetry_arrays
+from oracles import (
+    matrix_anticommutes,
+    permutation_csr,
+    scatter_apply,
+    site_map_arrays,
+    symmetry_arrays,
+)
 
 
 def test_translation_permutes_basis():
@@ -334,6 +341,34 @@ def test_apply_vec_and_to_sparse_match_the_permutation_arrays(L, data):
     for attr in ("indptr", "indices", "data"):
         a, b = getattr(mat, attr), getattr(ref, attr)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
+@given(st.integers(1, 10), st.integers(1, 12), st.data())
+def test_sign_slabs_match_the_whole_register_scatter(L, sign_sites, data):
+    """The sign applied slab by slab, on any site map with any X and Z masks
+    and tables of any width, gives the scatter of ``oracles.site_map_arrays``
+    bit for bit, signed zeros included."""
+    sites = tuple(data.draw(st.permutations(range(L))))
+    flip, sign = (data.draw(st.integers(0, (1 << L) - 1)) for _ in range(2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry, "SIGN_SITES", sign_sites)
+        sym = SymmetryOperator("translation", L, sites, flip=flip, sign=sign)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        cols = data.draw(st.sampled_from([(), (1,), (3,)]))
+        vec = rng.standard_normal((1 << L,) + cols) + 1j * rng.standard_normal((1 << L,) + cols)
+        vec.real[rng.random(vec.shape) < 0.25] = -0.0
+        vec.imag[rng.random(vec.shape) < 0.25] = 0.0
+        vec.imag[rng.random(vec.shape) < 0.25] = -0.0
+        want = scatter_apply(*site_map_arrays(L, sites, flip, sign), vec)
+        assert sym.apply_vec(vec).tobytes() == want.tobytes()
+
+
+def test_parity_z_builds_no_register_table():
+    sym = build_symmetry("parity_z", 20)
+    vec = np.ones(1 << 20, dtype=np.complex128)
+    out = np.empty_like(vec)
+    assert _peak(lambda: sym.apply_vec(vec, out=out)) < 1 << 20  # the table alone is 8 MiB
+    assert out[0] == 1.0 and out[1] == -1.0 and out[-1] == 1.0
 
 
 def _pauli_sum(draw, L):
