@@ -125,6 +125,13 @@ def _sites(spec: ChannelSpec, L: int) -> Sequence[int]:
     return spec.site_mask if spec.site_mask is not None else range(L)
 
 
+def _check_mask(spec: ChannelSpec, n_qubits: int) -> None:
+    """ValueError naming the first ``site_mask`` site outside the register."""
+    for j in spec.site_mask or ():
+        if not 0 <= j < n_qubits:
+            raise ValueError(f"site_mask site {j} is outside the {n_qubits}-qubit register")
+
+
 # entries of one row tile, rows * 2^n: the index tables below hold one tile,
 # so they stay 256 KiB however large the register
 _TILE_ENTRIES = 1 << 15
@@ -270,9 +277,11 @@ def apply_channel_matrix(mat: np.ndarray, spec: ChannelSpec, n_qubits: int) -> n
     per-site kinds and global dephasing one multiply by a factor table, one
     row tile at a time.  The input is not modified.  The per-site kinds keep
     a real matrix real; the global kind's phase kernel is complex, so it
-    returns complex128.
+    returns complex128.  A ``site_mask`` site outside the register raises
+    ValueError before anything is allocated.
     """
     POLICY.cap("qubits", n_qubits, "dense_cap")
+    _check_mask(spec, n_qubits)
     dim = 1 << n_qubits
     if mat.shape != (dim, dim):
         raise ValueError("matrix does not match register size")
@@ -312,8 +321,10 @@ def apply_channel(state: MixedState | PureState, spec: ChannelSpec) -> MixedStat
     channel's first pass reads its rows from psi.  ``MixedState.from_pure``'s
     rules hold (``CapacityError`` above ``dense_cap`` before anything is
     allocated, a real matrix for real amplitudes), and the result is bit for
-    bit the channel of ``from_pure``'s matrix.
+    bit the channel of ``from_pure``'s matrix.  A ``site_mask`` site outside
+    the register raises ValueError before anything is allocated.
     """
+    _check_mask(spec, state.n_qubits)
     if isinstance(state, PureState):
         out = _channel(projector_amplitudes(state), spec, state.n_qubits)
     else:

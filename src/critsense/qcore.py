@@ -13,34 +13,35 @@ already do.  ``expectation`` and ``variance`` take any such operator, and
 only the operator classes know how they act on a vector.
 
 A Pauli sum is evaluated through one grouped form, built lazily and cached
-on the operator: its terms regrouped by X/Y flip mask m, each group one
-phase vector over the basis (or one scalar when no term of the group has a
-Z or Y letter), so that P|b> = sum_m phase_m[b] |b ^ m>.  The phases are
-i^#Y (-1)^popcount(b & zy_mask), summed term by term on a broadcast table
-over the sites the group's terms touch (axes of 2 there, 1 elsewhere) and
-broadcast over the register once, about 2 * 2^n work per group.
-``apply_vec`` reads ``phase_m * vec`` at b ^ m through the mask's coalesced
-register view: one axis per run of adjacent sites that share a mark
-(flipped or not), the flipped runs reversed slices, at most 2r + 1 axes for
-r flipped runs.  ``diagonal`` is the mask-0 phase vector (cached,
-read-only), ``to_sparse`` writes one entry per group per row, and the
-mixed-state ``expectation`` sums phase_m[b] rho[b, b ^ m];
-``trace_product``, and so the mixed-state ``variance``, sums such diagonals
-over pairs of masks.  A real operator yields a real matrix: when every
-phase is real (the Ising, XXZ and Rydberg Hamiltonians) ``to_sparse``
-returns float64, so the ground solvers run real-symmetric.
+on the operator: its terms regrouped by X/Y flip mask m, so that P|b> =
+sum_m phase_m[b] |b ^ m>.  A group's phase i^#Y (-1)^popcount(b & zy_mask)
+depends only on the sites its terms touch with a Z or Y letter, and it is
+kept as one table over those sites (one scalar when there are none), summed
+term by term, about 2 * 2^touched work per group.  The table is laid out in
+the group's coalesced register view: one axis per run of adjacent sites
+that agree in both marks, flipped or not and touched or not, 2^len on the
+touched runs and 1 elsewhere, the flipped runs reversed slices.  Every
+reader broadcasts that one table.  ``apply_vec`` reads ``phase_m * vec`` at
+b ^ m through the view; ``diagonal``, ``to_sparse``, the mixed-state
+``expectation`` (the sum of phase_m[b] rho[b, b ^ m]) and
+``trace_product`` (such sums over pairs of masks, and so the mixed-state
+``variance``) materialize it over the register per call, which for a group
+that touches every site is a view, not a copy.  A real operator yields a
+real matrix: when every phase is real (the Ising, XXZ and Rydberg
+Hamiltonians) ``to_sparse`` returns float64, so the ground solvers run
+real-symmetric.
 
 A diagonal operator also caches its phase table: the distinct diagonal
-values and, per basis state, the index of its value (``np.unique`` with
-``return_inverse``).  A Z-sum imprinter on L sites with one weight up to
-sign takes at most L + 1 values, so ``apply_exponential`` and the
-mixed-state imprint exponentiate the table, e^{s d_b} = exp(s *
-values)[inverse[b]], instead of exponentiating all 2^n entries.  The
-imprint gathers it over the register; ``apply_exponential`` gathers it
-onto the operator's Z-support only and broadcasts it over the coalesced
-view of the support, 2^|support| factors for 2^n amplitudes.  Each entry is
-the same elementwise exp of the same float, multiplied in the same operand
-order, so the result is bit for bit the direct one.
+values and, per entry of its table, the index of its value (``np.unique``
+with ``return_inverse``), in the same view layout.  A Z-sum imprinter on L
+sites with one weight up to sign takes at most L + 1 values, so
+``apply_exponential`` and the mixed-state imprint exponentiate the values,
+e^{s d_b} = exp(s * values)[index[b]], instead of exponentiating all 2^n
+entries.  ``apply_exponential`` broadcasts the factors over the view,
+2^touched factors for 2^n amplitudes; the imprint materializes them over
+the register.  Each entry is the same elementwise exp of the same float,
+multiplied in the same operand order, so the result is bit for bit the
+direct one.
 
 Dense density matrices follow one dtype rule: real in, real out; complex only
 when the data is.  A real matrix is kept as float64 and anything complex as
@@ -72,9 +73,8 @@ spectral cache on MixedState, which holds the sector blocks and, once
 ``spectrum()`` asks for it, their full-register embedding, and which should
 be populated once (call ``sector_spectrum()``, or ``spectrum()`` when the
 embedded form is read too) before sharing across threads; and the grouped
-form, diagonal (and its casts), phase table and support table of a
-PauliOperator, which two threads may at worst both build.  The sector
-isometries sit in an ``lru_cache``.
+form and phase table of a PauliOperator, which two threads may at worst
+both build.  The sector isometries sit in an ``lru_cache``.
 """
 from __future__ import annotations
 
@@ -316,38 +316,41 @@ def sector_isometry(
     return P, reps, norms
 
 
-def _runs(n_qubits: int, marked: int) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """The coalesced register view of a site mark: the runs of adjacent
-    sites whose bits of ``marked`` agree (site 0 the most significant), as
-    one axis of 2^len per run, and the mark of each run.
+def _runs(n_qubits: int, *marks: int) -> tuple[tuple[int, ...], tuple[tuple[bool, ...], ...]]:
+    """The coalesced register view of site marks: the runs of adjacent
+    sites on which every mask of ``marks`` agrees (site 0 the most
+    significant), as one axis of 2^len per run, and, per mask, its mark on
+    each run.
 
     A basis index reshaped to the returned shape is the run-by-run index,
     so a flip of every site of a run is a reversal of its axis
-    (i ^ (2^k - 1) = 2^k - 1 - i), and a function of the marked sites only
-    is constant along the unmarked axes.
+    (i ^ (2^k - 1) = 2^k - 1 - i), and a function of the sites one mask
+    marks is constant along the axes it leaves unmarked.
     """
     shape: list[int] = []
-    marks: list[bool] = []
+    runs: list[tuple[bool, ...]] = []
     for j in range(n_qubits):
-        mark = bool(marked >> (n_qubits - 1 - j) & 1)
-        if marks and marks[-1] == mark:
+        mark = tuple(bool(m >> (n_qubits - 1 - j) & 1) for m in marks)
+        if runs and runs[-1] == mark:
             shape[-1] *= 2
         else:
             shape.append(2)
-            marks.append(mark)
-    return tuple(shape), tuple(marks)
+            runs.append(mark)
+    return tuple(shape), tuple(zip(*runs))
 
 
 class _Grouped(NamedTuple):
     """Pauli sum regrouped by X/Y flip mask: P|b> = sum_m phase_m[b] |b ^ m>.
 
-    ``phases[g]`` is a full-length read-only vector, or a Python scalar when
-    no term of the group carries a Z or Y letter.  ``views[g]`` is the
-    coalesced register view of mask ``masks[g]`` (``_runs``): its shape, at
-    most 2r + 1 axes for r flipped runs, and the slice tuple that reverses
-    the flipped axes, so that ``x.reshape(shape)[flip]`` is x[b ^ m].
-    ``real`` holds when every phase is real, i.e. when the operator's
-    matrix is real.
+    ``views[g]`` is the coalesced register view of group g (``_runs`` of
+    its flip mask ``masks[g]`` and of the sites its terms touch with a Z or
+    Y letter): its shape and the slice tuple that reverses the flipped
+    axes, so that ``x.reshape(shape)[flip]`` is x[b ^ m].  ``phases[g]`` is
+    the group's phase as a read-only table in that view, 2^len on the
+    touched axes and 1 elsewhere, so that ``np.broadcast_to(phase,
+    shape).reshape(-1)`` is phase_m[b] over the basis; or a Python scalar
+    when no term of the group carries a Z or Y letter.  ``real`` holds when
+    every phase is real, i.e. when the operator's matrix is real.
     """
 
     masks: tuple[int, ...]
@@ -380,8 +383,9 @@ def _group_terms(n_qubits: int, terms: Sequence[tuple[complex, str]]) -> _Groupe
     A group's phase is summed term by term on a broadcast table over the
     sites its terms have touched so far (``_sign_table``, ``_accumulate``),
     in term order, so each entry is the sum the whole-register formula
-    gives, float for float, for about 2 * 2^n work instead of one 2^n pass
-    per term; the table is broadcast over the register once, at the end.
+    gives, float for float, for about 2 * 2^touched work instead of one 2^n
+    pass per term; the finished table, axes of 2 on the touched sites, is
+    reshaped into the group's view.
     """
     # a string with flip mask f, sign mask s (Z and Y sites) and ny Y letters
     # acts as P|b> = i^ny (-1)^popcount(b & s) |b ^ f>
@@ -392,12 +396,15 @@ def _group_terms(n_qubits: int, terms: Sequence[tuple[complex, str]]) -> _Groupe
         by_mask.setdefault(flip, []).append(
             (coeff * _I_POWERS[letters.count("Y") % 4], sign)
         )
-    register = (2,) * n_qubits
     masks, phases, views = [], [], []
     real = True
     for flip in sorted(by_mask):
         group = by_mask[flip]
-        if all(sign == 0 for _, sign in group):
+        touched = 0
+        for _, sign in group:
+            touched |= sign
+        shape, (flipped, on) = _runs(n_qubits, flip, touched)
+        if not touched:
             scalar = sum(c for c, _ in group)
             phase = scalar.real if scalar.imag == 0.0 else scalar
         else:
@@ -411,12 +418,11 @@ def _group_terms(n_qubits: int, terms: Sequence[tuple[complex, str]]) -> _Groupe
                         im = np.zeros((1,) * n_qubits)
                     im = _accumulate(im, c.imag * s)
             phase = re if im is None or not im.any() else re + 1j * im
-            phase = np.broadcast_to(phase, register).reshape(-1)
+            phase = phase.reshape(tuple(size if t else 1 for size, t in zip(shape, on)))
             phase.setflags(write=False)
         real = real and not np.iscomplexobj(phase)
         masks.append(flip)
         phases.append(phase)
-        shape, flipped = _runs(n_qubits, flip)
         views.append((shape, tuple(slice(None, None, -1 if f else 1) for f in flipped)))
     return _Grouped(tuple(masks), tuple(phases), tuple(views), real)
 
@@ -431,23 +437,20 @@ class PauliOperator:
 
     The numeric paths (``apply_vec``, ``diagonal``, ``to_sparse`` and the
     mixed-state ``expectation``) share one grouped form, built on first use
-    and cached: the terms regrouped by X/Y flip mask, one phase vector (or
-    scalar) per mask, from bit arithmetic on the basis index.  A real
-    operator yields a real matrix: ``to_sparse`` returns float64 when every
-    phase is real (the Ising, XXZ and Rydberg Hamiltonians) and complex128
-    otherwise, and ``apply_vec`` keeps a real vector real under a real
-    operator.
+    and cached: the terms regrouped by X/Y flip mask, one phase table (or
+    scalar) per mask over the sites the mask's terms touch, laid out in the
+    mask's coalesced register view (``_Grouped``).  A real operator yields
+    a real matrix: ``to_sparse`` returns float64 when every phase is real
+    (the Ising, XXZ and Rydberg Hamiltonians) and complex128 otherwise, and
+    ``apply_vec`` keeps a real vector real under a real operator.
 
     A diagonal operator (I/Z letters only, ``is_diagonal``, fixed at
     construction) also caches its phase table on first use: its distinct
-    diagonal values and each basis state's index into them, the table every
-    diagonal exponential reads, and that index reduced to its Z-support;
-    and, once a vector of another dtype asks for it, its diagonal cast to
-    that dtype.
+    diagonal values and each table entry's index into them, the form every
+    diagonal exponential reads.  No other form of the diagonal is kept.
     """
 
-    __slots__ = ("n_qubits", "terms", "is_diagonal", "_form", "_diag", "_table", "_support",
-                 "_cast_diag")
+    __slots__ = ("n_qubits", "terms", "is_diagonal", "_form", "_table")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[complex, str]] = ()):
         if n_qubits < 1:
@@ -470,10 +473,7 @@ class PauliOperator:
         )
         self.is_diagonal = all(set(s) <= {"I", "Z"} for _, s in self.terms)
         self._form: _Grouped | None = None
-        self._diag: np.ndarray | None = None
         self._table: tuple[np.ndarray, np.ndarray] | None = None
-        self._support: tuple[tuple[int, ...], np.ndarray] | None = None
-        self._cast_diag: dict[np.dtype, np.ndarray] = {}
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -517,76 +517,60 @@ class PauliOperator:
             self._form = _group_terms(self.n_qubits, self.terms)
         return self._form
 
+    def _view_shape(self, g: int = 0) -> tuple[int, ...]:
+        """The shape of group ``g``'s view (``_Grouped``); the whole
+        register as one axis for the zero operator, which has no group."""
+        form = self._grouped()
+        return form.views[g][0] if form.masks else (1 << self.n_qubits,)
+
+    def _register(self, table, g: int = 0):
+        """``table``, laid out in group ``g``'s view, as one entry per basis
+        state: a view when it spans every axis, a copy otherwise; a scalar
+        is returned as it is."""
+        if np.isscalar(table):
+            return table
+        return np.broadcast_to(table, self._view_shape(g)).reshape(-1)
+
+    def _diagonal_phase(self):
+        """The phase table (or scalar) of a diagonal operator's one group, 0.0
+        for the zero operator; ValueError for an operator with X/Y letters."""
+        if not self.is_diagonal:
+            raise ValueError("operator has X/Y letters; not diagonal")
+        form = self._grouped()
+        return form.phases[0] if form.masks else 0.0
+
     def diagonal(self) -> np.ndarray:
         """Eigenvalue vector over the computational basis; requires I/Z letters only.
 
-        Built once and cached; the returned array is read-only, float64 for
-        a real operator and complex128 otherwise.
+        Materialized from the phase table on each call, read-only, float64
+        for a real operator and complex128 otherwise.
         """
-        if self._diag is None:
-            if not self.is_diagonal:
-                raise ValueError("operator has X/Y letters; not diagonal")
-            form = self._grouped()
-            if form.masks and not np.isscalar(form.phases[0]):
-                d = form.phases[0]
-            else:
-                value = form.phases[0] if form.masks else 0.0
-                d = np.full(1 << self.n_qubits, value)
-                d.setflags(write=False)
-            self._diag = d
-        return self._diag
+        phase = self._diagonal_phase()
+        d = np.full(1 << self.n_qubits, phase) if np.isscalar(phase) else self._register(phase)
+        d.setflags(write=False)
+        return d
 
     def phase_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(values, inverse)`` with ``values[inverse] == diagonal()``.
+        """``(values, index)`` with ``values[index]`` the diagonal's phase
+        table: broadcast over the register (``_register``), it is
+        ``diagonal()``.
 
         ``values`` are the distinct diagonal entries: at most L + 1 for a
         sum of single-site Z terms on L sites with one weight up to sign,
-        such as the imprinters.  ``inverse`` holds each basis state's index
-        into them, in the smallest unsigned dtype that fits.  Built once
-        and cached, both read-only.
+        such as the imprinters.  ``index`` holds each table entry's index
+        into them, in the smallest unsigned dtype that fits, laid out in the
+        diagonal group's view: 2^len on the runs of sites a term has a Z
+        on, 1 elsewhere.  Built once and cached, both read-only.
         """
         if self._table is None:
-            values, inverse = np.unique(self.diagonal(), return_inverse=True)
-            inverse = inverse.astype(np.min_scalar_type(values.size))
+            phase = self._diagonal_phase()
+            table = np.full(1, phase) if np.isscalar(phase) else phase
+            values, index = np.unique(table, return_inverse=True)
+            index = index.reshape(table.shape).astype(np.min_scalar_type(values.size))
             values.setflags(write=False)
-            inverse.setflags(write=False)
-            self._table = (values, inverse)
-        return self._table
-
-    def _support_table(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """``(shape, index)``: the phase table on the coalesced view of the
-        Z-support (``_runs`` of the sites any term has a Z on).
-
-        ``index`` holds the ``phase_table`` index of each support
-        configuration, with length-1 axes off the support, so that
-        ``values[index]`` broadcast over ``shape`` is ``diagonal()``
-        reshaped: 2^|support| entries instead of 2^n.  Built once and
-        cached, read-only.
-        """
-        if self._support is None:
-            _, inverse = self.phase_table()
-            support = 0
-            for _, letters in self.terms:
-                support |= int(letters.translate(_SIGN_LETTERS), 2)
-            shape, on = _runs(self.n_qubits, support)
-            index = inverse.reshape(shape)[tuple(slice(None) if m else slice(1) for m in on)].copy()
             index.setflags(write=False)
-            self._support = (shape, index)
-        return self._support
-
-    def _diagonal_as(self, dtype: np.dtype) -> np.ndarray:
-        """``diagonal()`` cast to ``dtype`` (the same values, a real one
-        with +0.0 imaginary parts), built once per dtype and cached,
-        read-only."""
-        diag = self.diagonal()
-        if diag.dtype == dtype:
-            return diag
-        cast = self._cast_diag.get(dtype)
-        if cast is None:
-            cast = diag.astype(dtype)
-            cast.setflags(write=False)
-            self._cast_diag[dtype] = cast
-        return cast
+            self._table = (values, index)
+        return self._table
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -598,39 +582,44 @@ class PauliOperator:
 
         Each flip-mask group adds ``phase * vec`` at b ^ m, read through the
         group's coalesced view (``_Grouped.views``): reversed slices of the
-        flipped runs of sites, one axis per run (+ (k,)); a real input stays
-        real under a real operator.  An operator with a single, diagonal
-        group returns ``phase * vec``, its diagonal cast once to the
-        result's dtype (``_diagonal_as``): on a contiguous vector that is
-        one pass with no cast buffer.  Otherwise the first group is
-        written straight into the result as the sum from zeros, 0 + phase *
-        x, which for a scalar phase of +-1 is the one pass 0 + x or 0 - x
-        with the same bits (signed zeros included); the later groups are
-        added to it.  ``out``, a C-contiguous array of the result's shape
-        and dtype that does not overlap ``vec``, receives the result: a
-        single Pauli string then allocates nothing.
+        flipped runs of sites, one axis per run (+ (k,)), the group's phase
+        table broadcast over it; a real input stays real under a real
+        operator.  An operator with a single, diagonal group returns
+        ``phase * vec``, the product written straight into the result in its
+        dtype.  Otherwise the first group is written straight into the
+        result as the sum from zeros, 0 + phase * x, which for a scalar
+        phase of +-1 is the one pass 0 + x or 0 - x with the same bits
+        (signed zeros included); the later groups are added to it.  ``out``,
+        a C-contiguous array of the result's shape and dtype that does not
+        overlap ``vec``, receives the result: a single Pauli string then
+        allocates nothing.
         """
         form = self._grouped()
         vec = np.asarray(vec)
         dtype = np.result_type(vec.dtype, np.float64 if form.real else np.complex128)
+        cols = vec.shape[1:]
         if form.masks == (0,):
             phase = form.phases[0]
-            if not np.isscalar(phase):
-                phase = self._diagonal_as(dtype)
-                if vec.ndim == 2:
-                    phase = phase[:, None]
-            return np.multiply(phase, vec, out=out, dtype=dtype)
+            if np.isscalar(phase):
+                return np.multiply(phase, vec, out=out, dtype=dtype)
+            if out is None:
+                out = np.empty(vec.shape, dtype=dtype)
+            shape = form.views[0][0]
+            if cols:  # broadcast over the columns
+                phase = phase.reshape(phase.shape + (1,) * len(cols))
+            np.multiply(phase, vec.reshape(shape + cols), out=out.reshape(shape + cols),
+                        dtype=dtype)
+            return out
         if out is None:
             out = np.empty(vec.shape, dtype=dtype)
         if not form.masks:  # the zero operator
             out[...] = 0.0
         vec = np.ascontiguousarray(vec)  # one copy of a strided input, not one per group
-        cols = vec.shape[1:]
         for g, (phase, (shape, flip)) in enumerate(zip(form.phases, form.views)):
             vec_t = vec.reshape(shape + cols)
             out_t = out.reshape(shape + cols)
-            if not np.isscalar(phase):  # broadcast over the columns
-                phase = phase.reshape(shape + (1,) * len(cols))
+            if cols and not np.isscalar(phase):
+                phase = phase.reshape(phase.shape + (1,) * len(cols))
             if g > 0:
                 out_t += (phase * vec_t)[flip]
             elif np.isscalar(phase) and phase in (1.0, -1.0):
@@ -650,10 +639,12 @@ class PauliOperator:
         """CSR matrix, float64 for a real operator and complex128 otherwise.
 
         Built in one pass: row r holds one entry per flip-mask group, at
-        column r ^ mask; exact zeros (a phase vector cancelling on some basis
-        states) are dropped.  With ``rows``, sorted basis indices, only those
-        rows are built: the (rows.size, 2^n) matrix ``to_sparse()[rows]``,
-        entry for entry, without the whole register's.
+        column r ^ mask, gathered from the group's phase table over the
+        register (``_register``); exact zeros (a phase cancelling on some
+        basis states) are dropped.  With ``rows``, sorted basis indices,
+        only those rows are built: the (rows.size, 2^n) matrix
+        ``to_sparse()[rows]``, entry for entry, without the whole
+        register's.
         """
         POLICY.cap("qubits", self.n_qubits, "sparse_cap")
         form = self._grouped()
@@ -667,6 +658,7 @@ class PauliOperator:
         for g, (mask, phase) in enumerate(zip(form.masks, form.phases)):
             # <r|P|r ^ mask> = phase[r ^ mask]
             np.bitwise_xor(idx, mask, out=cols[:, g])
+            phase = self._register(phase, g)
             data[:, g] = phase if np.isscalar(phase) else phase[cols[:, g]]
         indptr = np.arange(idx.size + 1, dtype=index_dtype) * n_groups
         mat = sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(idx.size, dim))
@@ -978,7 +970,8 @@ def expectation(state: State, op) -> complex:
     """<psi|op|psi> or Tr(op rho), for any operator that supports ``op @ x``.
 
     A PauliOperator on a mixed state sums phase_m[b] rho[b, b ^ m] over its
-    flip-mask groups instead of forming op @ rho.
+    flip-mask groups, each phase table materialized over the register,
+    instead of forming op @ rho.
     """
     _check_register(state, op)
     if isinstance(state, PureState):
@@ -989,8 +982,8 @@ def expectation(state: State, op) -> complex:
     form = op._grouped()
     idx = np.arange(rho.shape[0])
     total = 0.0 + 0.0j
-    for mask, phase in zip(form.masks, form.phases):
-        total += np.sum(phase * rho[idx, idx ^ mask])
+    for g, (mask, phase) in enumerate(zip(form.masks, form.phases)):
+        total += np.sum(op._register(phase, g) * rho[idx, idx ^ mask])
     return complex(total)
 
 
@@ -1001,16 +994,19 @@ def trace_product(rho: MixedState, a: PauliOperator, b: PauliOperator) -> comple
     tr(rho A B) = sum_c sum_(m1, m2) rho[c, c ^ m1 ^ m2] phaseB_m1[c] phaseA_m2[c ^ m1]:
     the phase products are summed per joint mask m1 ^ m2 and each joint
     mask reads one generalized diagonal rho[c, c ^ m] of rho, so the cost is
-    O(groups^2 * 2^n), with no dim^2 product formed.
+    O(groups^2 * 2^n), with no dim^2 product formed.  The phase tables are
+    materialized over the register once per call.
     """
     _check_register(rho, a)
     _check_register(rho, b)
     form_a, form_b = a._grouped(), b._grouped()
     idx = np.arange(1 << rho.n_qubits)
+    phases_a = [a._register(phase, g) for g, phase in enumerate(form_a.phases)]
     weights: dict[int, np.ndarray | complex] = {}
-    for m1, phase_b in zip(form_b.masks, form_b.phases):
+    for g, (m1, phase_b) in enumerate(zip(form_b.masks, form_b.phases)):
+        phase_b = b._register(phase_b, g)
         moved = idx ^ m1
-        for m2, phase_a in zip(form_a.masks, form_a.phases):
+        for m2, phase_a in zip(form_a.masks, phases_a):
             term = phase_b * (phase_a if np.isscalar(phase_a) else phase_a[moved])
             weights[m1 ^ m2] = weights.get(m1 ^ m2, 0.0) + term
     mat = rho.matrix
@@ -1082,8 +1078,8 @@ def _imprint_mixed(
     factored here."""
     diagonal = gen.is_diagonal
     if diagonal:
-        values, inverse = gen.phase_table()
-        u = np.exp(1j * theta * values).take(inverse)
+        values, index = gen.phase_table()
+        u = gen._register(np.exp(1j * theta * values).take(index))
         out = MixedState(rho.n_qubits, rho.matrix * np.outer(u, u.conj()))
     else:
         w, vv = np.linalg.eigh(to_matrix(gen)) if factors is None else factors
@@ -1101,18 +1097,18 @@ def apply_exponential(
     """Raw action e^{scale * gen} vec, without any normalization.
 
     A diagonal generator exponentiates its phase table, one exp per
-    distinct eigenvalue, gathers the factors onto its Z-support
-    (``_support_table``) and multiplies them, broadcast over the coalesced
-    register view, into ``vec``: factor times amplitude, in that operand
-    order, so the result is bit for bit ``np.exp(scale * gen.diagonal()) *
-    vec`` with one register-sized array, the result.  Any other generator
-    goes through a Krylov ``expm_multiply``.  ``out``, a C-contiguous
+    distinct eigenvalue, gathers the factors into the table's layout
+    (``phase_table``) and multiplies them, broadcast over the diagonal
+    group's coalesced register view, into ``vec``: factor times amplitude,
+    in that operand order, so the result is bit for bit ``np.exp(scale *
+    gen.diagonal()) * vec`` with one register-sized array, the result.  Any
+    other generator goes through a Krylov ``expm_multiply``.  ``out``, a C-contiguous
     complex array of ``vec``'s shape that does not overlap it, receives the
     result.
     """
     if gen.is_diagonal:
-        values, _ = gen.phase_table()
-        shape, index = gen._support_table()
+        values, index = gen.phase_table()
+        shape = gen._view_shape()
         vec = np.asarray(vec)
         cols = vec.shape[1:]
         factors = np.exp(scale * values).take(index).reshape(index.shape + (1,) * len(cols))

@@ -154,9 +154,10 @@ def parity_theta_curve(
     curve for a pure probe.  Each signal is also checked against the
     anticommutation pull-through <psi|e^{-2 i theta O} Pi|psi>; the two must
     agree to ``POLICY.pull_through_tol``.  For a diagonal imprinter with
-    phase table ``(values, inverse)`` that is sum_j e^{-2 i theta v_j} M_j,
-    with M = bincount(inverse, conj(psi) Pi psi): one pass over the register
-    per curve.  Any other imprinter takes one exponential per point.
+    phase table ``(values, index)`` that is sum_j e^{-2 i theta v_j} M_j,
+    with M = bincount(inverse, conj(psi) Pi psi), ``inverse`` the index
+    broadcast over the register: one pass over the register per curve.  Any
+    other imprinter takes one exponential per point.
     """
     pi_op = protocol.measurement
     gen = protocol.imprinter
@@ -164,7 +165,8 @@ def parity_theta_curve(
     if check_pull_through:
         pi_vec = pi_op @ psi.amplitudes
         if gen.is_diagonal:
-            values, inverse = gen.phase_table()
+            values, index = gen.phase_table()
+            inverse = gen._register(index)
             weight = psi.amplitudes.conj() * pi_vec
             moments = (np.bincount(inverse, weight.real, values.size)
                        + 1j * np.bincount(inverse, weight.imag, values.size))

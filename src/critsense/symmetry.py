@@ -54,28 +54,46 @@ class SymmetryOperator:
         return dim, dim
 
     @cached_property
-    def _view(self) -> tuple[tuple[int, ...], tuple[slice, ...]]:
-        """The transpose axes sigma^-1 and the slices reversing the flipped sites."""
+    def _view(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[slice, ...]]:
+        """The move as a copy between coalesced views: ``(shape, axes,
+        moved, flips)``.  A run of adjacent sites that sigma keeps adjacent
+        and in order, all flipped or none, moves as one axis of 2^len:
+        ``shape`` holds the runs in site order, ``axes`` the transpose that
+        puts them in the order of their images, ``moved`` the transposed
+        shape and ``flips`` the slices reversing the flipped runs.  The
+        translation takes two axes, a parity one, the reflection L.
+        """
         n = self.L
-        return (tuple(sorted(range(n), key=self.sites.__getitem__)),
-                tuple(slice(None, None, -1 if self.flip >> (n - 1 - k) & 1 else 1)
-                      for k in range(n)))
+        images = [(k, self.flip >> (n - 1 - k) & 1) for k in self.sites]  # (site, flipped)
+        runs: list[list] = []  # [image of the first site, its flip mark, length]
+        for j, (k, flipped) in enumerate(images):
+            if j and images[j - 1] == (k - 1, flipped):
+                runs[-1][2] += 1
+            else:
+                runs.append([k, flipped, 1])
+        axes = tuple(sorted(range(len(runs)), key=lambda r: runs[r][0]))
+        shape = tuple(1 << length for _, _, length in runs)
+        flips = tuple(slice(None, None, -1 if runs[r][1] else 1) for r in axes)
+        return shape, axes, tuple(shape[r] for r in axes), flips
 
-    def _move(self, tensor: np.ndarray) -> np.ndarray:
-        """A's move of a (2,) * L tensor, trailing axes kept: entry sigma(b) ^ flip
-        of the returned view is entry b of ``tensor``."""
-        axes, flips = self._view
-        return tensor.transpose(axes + tuple(range(self.L, tensor.ndim)))[flips]
+    def _move(self, vec: np.ndarray) -> np.ndarray:
+        """A's move of a register vector or (2^L, k) block, trailing axis
+        kept, as a view in the moved coalesced shape (``_view``): entry
+        sigma(b) ^ flip of the view, reshaped to ``vec``'s shape, is entry
+        b of ``vec``."""
+        shape, axes, _, flips = self._view
+        cols = vec.shape[1:]
+        trail = tuple(range(len(axes), len(axes) + len(cols)))
+        return vec.reshape(shape + cols).transpose(axes + trail)[flips]
 
     def apply_vec(self, vec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Action on a state vector or a (2^L, k) column block: one copy of the
-        moved view of ``vec``'s (2,) * L register, times the sign, into ``out``
-        if given (a C-contiguous complex128 array of ``vec``'s shape that does
-        not overlap it)."""
+        moved view of ``vec``'s register (``_move``), times the sign, into
+        ``out`` if given (a C-contiguous complex128 array of ``vec``'s shape
+        that does not overlap it)."""
         if out is None:
             out = np.empty(vec.shape, dtype=np.complex128)
-        shape = (2,) * self.L + vec.shape[1:]
-        out.reshape(shape)[...] = self._move(vec.reshape(shape))
+        out.reshape(self._view[2] + vec.shape[1:])[...] = self._move(vec)
         if self.sign:
             self._apply_sign(out)
         return out
@@ -118,7 +136,7 @@ class SymmetryOperator:
         POLICY.cap("qubits", self.L, "sparse_cap")
         dim = 1 << self.L
         index = np.int32 if dim < 2**31 - 1 else np.int64
-        src = self._move(np.arange(dim, dtype=index).reshape((2,) * self.L)).reshape(-1)
+        src = self._move(np.arange(dim, dtype=index)).reshape(-1)
         indptr = np.arange(dim + 1, dtype=index)
         return sp.csr_matrix((self.apply_vec(np.ones(dim)), src, indptr), shape=(dim, dim))
 

@@ -283,7 +283,7 @@ def bitflip_sitewise(rho, p, sites):
     return out
 
 
-def flip_apply_vec(op, vec, out=None):
+def flip_apply_vec(op, vec, out=None, form=None):
     """``PauliOperator.apply_vec`` by the (2,) * n flip route.
 
     Each flip-mask group of the operator's grouped form adds phase * vec,
@@ -291,20 +291,24 @@ def flip_apply_vec(op, vec, out=None):
     tensor view; the first group is written as the product of the flipped
     factors plus the zero the sum starts from.  A single diagonal group is
     phase * vec.  This is the kernel the coalesced-view ``apply_vec`` must
-    reproduce bit for bit; it reads only the grouped phases and masks.
+    reproduce bit for bit; it reads only the grouped masks and each phase
+    table broadcast over its view into one vector over the basis (or the
+    phases of ``form``, a grouped form of the operator, in its place).
     """
-    form = op._grouped()
+    form = op._grouped() if form is None else form
     n = op.n_qubits
     vec = np.asarray(vec)
     dtype = np.result_type(vec.dtype, np.float64 if form.real else np.complex128)
+    vectors = [p if np.isscalar(p) or p.size == 1 << n else np.broadcast_to(p, shape).reshape(-1)
+               for p, (shape, _) in zip(form.phases, form.views)]
     if form.masks == (0,):
-        phase = form.phases[0]
+        phase = vectors[0]
         if vec.ndim == 2 and not np.isscalar(phase):
             phase = phase[:, None]
         return np.multiply(phase, vec, out=out, dtype=dtype)
     shape = (2,) * n + vec.shape[1:]
     phases = [p if np.isscalar(p) else p.reshape(shape[:n] + (1,) * (vec.ndim - 1))
-              for p in form.phases]
+              for p in vectors]
     vec_t = vec.reshape(shape)
     if out is None:
         out = np.empty(vec.shape, dtype=dtype)
@@ -324,12 +328,14 @@ def flip_apply_vec(op, vec, out=None):
 
 def gathered_exponential(gen, scale, vec, out=None):
     """``apply_exponential`` by gathering a 2^n factor array: the phase
-    table exponentiated and taken over every basis state, then multiplied
-    into ``vec`` (``expm_multiply`` for a generator with X/Y letters)."""
+    table exponentiated and taken over every basis state (its index
+    broadcast over the register), then multiplied into ``vec``
+    (``expm_multiply`` for a generator with X/Y letters)."""
     import scipy.sparse.linalg as spla
 
     if gen.is_diagonal:
-        values, inverse = gen.phase_table()
+        values, index = gen.phase_table()
+        inverse = gen._register(index)
         factors = np.exp(scale * values)
         if out is None:
             return factors.take(inverse) * vec
@@ -650,9 +656,11 @@ def permutation_orbit_isometry(n_qubits, generators, charges):
 def register_group_terms(n_qubits, terms):
     """``qcore._group_terms`` with one +-1 vector over the whole register per
     Z term, (-1)^popcount(b & sign) from the basis index, added into the
-    group's phase one term at a time.  Kept to pin the broadcast phase
-    tables bit for bit."""
-    from critsense.qcore import _FLIP_LETTERS, _I_POWERS, _SIGN_LETTERS, _Grouped, _runs
+    group's phase one term at a time, each phase kept as that full vector.
+    The views are built site by site: a new axis wherever the flip mark or
+    the touched mark (a Z or Y letter in some term of the group) changes.
+    Kept to pin the phase tables bit for bit, broadcast over the register."""
+    from critsense.qcore import _FLIP_LETTERS, _I_POWERS, _SIGN_LETTERS, _Grouped
 
     by_mask = {}
     for coeff, letters in terms:
@@ -686,9 +694,85 @@ def register_group_terms(n_qubits, terms):
         real = real and not np.iscomplexobj(phase)
         masks.append(flip)
         phases.append(phase)
-        shape, flipped = _runs(n_qubits, flip)
-        views.append((shape, tuple(slice(None, None, -1 if f else 1) for f in flipped)))
+        touched = 0
+        for _, sign in group:
+            touched |= sign
+        shape, slices, last = [], [], None
+        for j in range(n_qubits):
+            bit = n_qubits - 1 - j
+            mark = (flip >> bit & 1, touched >> bit & 1)
+            if mark == last:
+                shape[-1] *= 2
+            else:
+                shape.append(2)
+                slices.append(slice(None, None, -1 if mark[0] else 1))
+                last = mark
+        views.append((tuple(shape), tuple(slices)))
     return _Grouped(tuple(masks), tuple(phases), tuple(views), real)
+
+
+def register_readers(op):
+    """The readers of a Pauli sum as they ran on whole-register phase
+    vectors (``register_group_terms``), with the same arithmetic, to pin
+    the table-reading readers bit for bit: a dict of ``apply_vec``,
+    ``to_sparse``, ``diagonal``, ``phase_table``, ``expectation`` (mixed)
+    and ``trace_product`` (with ``op`` as both factors).  Each phase is
+    read as one vector over the basis, a scalar as it is."""
+    import scipy.sparse as sp
+
+    n = op.n_qubits
+    form = register_group_terms(n, op.terms)
+    dim = 1 << n
+    idx = np.arange(dim)
+
+    def diagonal():
+        phase = form.phases[0] if form.masks else 0.0
+        return np.full(dim, phase) if np.isscalar(phase) else phase
+
+    def phase_table():
+        values, inverse = np.unique(diagonal(), return_inverse=True)
+        return values, inverse.astype(np.min_scalar_type(values.size))
+
+    def to_sparse(rows):
+        dtype = np.float64 if form.real else np.complex128
+        n_groups = len(form.masks)
+        index_dtype = np.int32 if (dim + 1) * n_groups < 2**31 else np.int64
+        rows = rows.astype(index_dtype)
+        cols = np.empty((rows.size, n_groups), dtype=index_dtype)
+        data = np.empty((rows.size, n_groups), dtype=dtype)
+        for g, (mask, phase) in enumerate(zip(form.masks, form.phases)):
+            np.bitwise_xor(rows, mask, out=cols[:, g])
+            data[:, g] = phase if np.isscalar(phase) else phase[cols[:, g]]
+        indptr = np.arange(rows.size + 1, dtype=index_dtype) * n_groups
+        mat = sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(rows.size, dim))
+        mat.eliminate_zeros()
+        mat.sort_indices()
+        return mat
+
+    def expectation(rho):
+        total = 0.0 + 0.0j
+        for mask, phase in zip(form.masks, form.phases):
+            total += np.sum(phase * rho[idx, idx ^ mask])
+        return complex(total)
+
+    def trace_product(rho):
+        weights = {}
+        for m1, phase_b in zip(form.masks, form.phases):
+            moved = idx ^ m1
+            for m2, phase_a in zip(form.masks, form.phases):
+                term = phase_b * (phase_a if np.isscalar(phase_a) else phase_a[moved])
+                weights[m1 ^ m2] = weights.get(m1 ^ m2, 0.0) + term
+        total = 0.0 + 0.0j
+        for mask, weight in weights.items():
+            diag = rho[idx, idx ^ mask]
+            total += weight * np.sum(diag) if np.isscalar(weight) else np.dot(weight, diag)
+        return complex(total)
+
+    return {
+        "apply_vec": lambda vec, out=None: flip_apply_vec(op, vec, out=out, form=form),
+        "to_sparse": to_sparse, "diagonal": diagonal, "phase_table": phase_table,
+        "expectation": expectation, "trace_product": trace_product,
+    }
 
 
 def gathered_group_average(mat, group, orbit_reps):

@@ -73,6 +73,34 @@ def test_channel_spec_refuses_a_repeated_site(mask, repeated):
         ChannelSpec.from_dict({"kind": "zz", "p": 0.1, "site_mask": list(mask)})
 
 
+@pytest.mark.parametrize("site", [-1, "n"])
+@pytest.mark.parametrize("kind", ["bitflip_x", "dephase_z", "zz"])
+def test_channels_refuse_a_site_outside_the_register(kind, site):
+    # a site past the register used to leave rho unchanged (bitflip_x) or
+    # raise a bare shift error (the Z-type kinds); -1 was ignored by all three
+    n = 3
+    site = n if site == "n" else site
+    spec = ChannelSpec(kind=kind, p=0.2, site_mask=(0, site))
+    message = re.escape(f"site_mask site {site} is outside the {n}-qubit register")
+    probe = ghz_state(n)
+    for run in (lambda: apply_channel(probe, spec),
+                lambda: apply_channel(MixedState.from_pure(probe), spec),
+                lambda: apply_channel_matrix(np.eye(1 << n) / (1 << n), spec, n)):
+        with pytest.raises(ValueError, match=message):
+            run()
+    # refused before the dim^2 output (8 MiB at ten qubits) is allocated
+    probe = ghz_state(10)
+    spec = ChannelSpec(kind=kind, p=0.2, site_mask=(10 if site == n else site,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="10-qubit register"):
+            apply_channel(probe, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
 def test_kraus_completeness():
     for kind in ("bitflip_x", "dephase_z", "zz"):
         fam = kraus_family(ChannelSpec(kind=kind, p=0.3))

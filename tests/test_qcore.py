@@ -32,8 +32,9 @@ from oracles import (
     kron_word, tfim_dense, ground_vec, expect, kron_op, Z,
     diagonal_exponential, diagonal_imprint, flip_apply_vec, flip_orbit_isometry,
     gathered_group_average, permutation, permutation_orbit_isometry, register_group_terms,
-    symmetry_arrays,
+    register_readers, symmetry_arrays,
 )
+from critsense.subsys import make_ising_protocol
 
 
 def test_to_matrix_single_z():
@@ -416,17 +417,15 @@ def test_grouped_diagonal_matches_oracle(case):
     d = op.diagonal()
     assert np.max(np.abs(d - np.diag(_kron_matrix(op)))) < 1e-12
     assert d.dtype == op.to_sparse().dtype
-    assert op.diagonal() is d
     assert not d.flags.writeable
 
 
-def test_diagonal_is_cached_read_only():
+def test_diagonal_is_read_only():
     op = sum_z(4)
     d = op.diagonal()
     assert d.dtype == np.float64 and not d.flags.writeable
     with pytest.raises(ValueError):
         d[0] = 1.0
-    assert op.diagonal() is d
     with pytest.raises(ValueError):
         PauliOperator(2, [(1.0, "XZ")]).diagonal()
     with pytest.raises(ValueError):
@@ -466,10 +465,11 @@ def test_phase_table_exponential_is_bit_exact(case, scale):
     n, terms = case
     op = PauliOperator(n, terms)
     d = op.diagonal()
-    values, inverse = op.phase_table()
+    values, index = op.phase_table()
     assert op.phase_table()[0] is values
-    assert np.array_equal(values[inverse], d) and len(set(values.tolist())) == values.size
-    assert inverse.dtype == np.uint8
+    assert np.array_equal(op._register(values[index]), d)
+    assert len(set(values.tolist())) == values.size
+    assert index.dtype == np.uint8
     gen = np.random.default_rng(len(terms))
     real = gen.standard_normal(1 << n)
     for vec in (real, real + 1j * gen.standard_normal(1 << n)):
@@ -557,28 +557,133 @@ def wide_pauli_sums(draw):
 @example((4, [(0.5, "YZIY"), (-0.5j, "XZIX"), (0.25, "YIZX")]))  # one flip group, Y and Z signs
 @given(wide_pauli_sums())
 def test_grouped_phases_match_the_register_formula_bit_for_bit(case):
-    """The broadcast phase tables give the grouped form the whole-register
-    +-1 vectors gave (``oracles.register_group_terms``): the same masks,
-    views and real flag, each scalar phase equal and each phase vector of
-    the same dtype and bits, read-only."""
+    """The phase tables, broadcast over their views, give the grouped form
+    the whole-register +-1 vectors gave (``oracles.register_group_terms``):
+    the same masks, views and real flag, each scalar phase equal and each
+    table, 2^len on its touched runs and 1 elsewhere, read-only and of the
+    same dtype and bits as the vector once broadcast."""
     n, terms = case
     op = PauliOperator(n, terms)
     got, want = qcore._group_terms(n, op.terms), register_group_terms(n, op.terms)
     assert (got.masks, got.views, got.real) == (want.masks, want.views, want.real)
-    for a, b in zip(got.phases, want.phases):
+    for a, b, (shape, _) in zip(got.phases, want.phases, got.views):
         assert np.isscalar(a) == np.isscalar(b)
         if np.isscalar(a):
             assert type(a) is type(b) and _same_bits(np.atleast_1d(a), np.atleast_1d(b))
         else:
-            assert a.shape == b.shape == (1 << n,)
-            assert _same_bits(a, b) and not a.flags.writeable
+            assert a.ndim == len(shape) and all(t in (1, s) for t, s in zip(a.shape, shape))
+            assert a.size < b.size or a.shape == shape
+            assert _same_bits(np.broadcast_to(a, shape).reshape(-1), b)
+            assert not a.flags.writeable
 
 
 def test_grouped_views_coalesce_runs_of_sites():
-    form = PauliOperator(6, [(1.0, "IXXIIX"), (1.0, "ZIIIII"), (1.0, "XXXXXX")])._grouped()
+    # a view splits where the flip mark or the touched mark (a Z or Y letter
+    # in some term of the group) changes
+    form = PauliOperator(6, [(1.0, "IXXIIX"), (0.5, "IXYIIX"), (1.0, "ZIIIII"),
+                             (1.0, "XXXXXX")])._grouped()
     flip, keep = slice(None, None, -1), slice(None, None, 1)
     assert form.masks == (0, 0b011001, 0b111111)
-    assert form.views == (((64,), (keep,)), ((2, 4, 4, 2), (keep, flip, keep, flip)), ((64,), (flip,)))
+    assert form.views == (((2, 32), (keep, keep)),
+                          ((2, 2, 2, 4, 2), (keep, flip, flip, keep, flip)),
+                          ((64,), (flip,)))
+    assert [np.shape(p) for p in form.phases] == [(2, 1), (1, 1, 2, 1, 1), ()]
+
+
+def _same_csr(got, want):
+    return got.shape == want.shape and all(
+        getattr(got, a).dtype == getattr(want, a).dtype
+        and getattr(got, a).tobytes() == getattr(want, a).tobytes()
+        for a in ("indptr", "indices", "data"))
+
+
+def _with_reader_examples(test):
+    for n, terms in _EDGE_SUMS + _FLIP_EXAMPLES:
+        test = example((n, terms), 0.7j, 3)(test)
+    return test
+
+
+@_with_reader_examples
+@example((6, [(0.5, "IIIIZZ"), (0.5, "IIIZZI"), (0.5, "IIZZII"), (0.5, "IZZIII"),
+              (0.5, "ZZIIII"), (0.5, "ZIIIIZ"), (0.3, "IIIIIZ")]), -1.3j, 5)  # a full table
+@example((5, [(1.0 + 0.5j, "ZIIIZ"), (-0.25j, "IIZII"), (0.75, "ZIZIZ")]), 0.4 - 0.2j, 6)
+@given(wide_pauli_sums(), _SCALES, st.integers(0, 2**16))
+def test_table_readers_match_the_register_vectors_bit_for_bit(case, scale, seed):
+    """Every reader of the phase tables gives what it gave on whole-register
+    phase vectors (``oracles.register_readers``) bit for bit: ``apply_vec``
+    on vectors and (2^n, 3) blocks, real and complex, with and without
+    ``out``; ``to_sparse`` on a subset of rows and on all; the mixed-state
+    ``expectation`` and ``trace_product``; and, for the operator's diagonal
+    part (X to Z, Y to I), ``diagonal``, ``phase_table`` and
+    ``apply_exponential``."""
+    n, terms = case
+    gen = np.random.default_rng(seed)
+    diag_terms = [(c, w.replace("X", "Z").replace("Y", "I")) for c, w in terms]
+    vectors = _vectors_with_signed_zeros(n, seed)
+    _, rho = _random_state(n, seed)
+    mixed = MixedState(n, rho)
+    for op in (PauliOperator(n, terms), PauliOperator(n, diag_terms)):
+        want = register_readers(op)
+        for vec in vectors:
+            w = want["apply_vec"](vec)
+            assert _same_bits(op.apply_vec(vec), w)
+            out = np.full_like(w, np.nan)
+            assert op.apply_vec(vec, out=out) is out and _same_bits(out, w)
+        rows = np.flatnonzero(gen.random(1 << n) < 0.5)
+        assert _same_csr(op.to_sparse(rows), want["to_sparse"](rows))
+        assert _same_csr(op.to_sparse(), want["to_sparse"](np.arange(1 << n)))
+        for got, w in ((expectation(mixed, op), want["expectation"](mixed.matrix)),
+                       (qcore.trace_product(mixed, op, op), want["trace_product"](mixed.matrix))):
+            assert _same_bits(np.array([got]), np.array([w]))
+        if not op.is_diagonal:
+            continue
+        d = want["diagonal"]()
+        assert _same_bits(op.diagonal(), d)
+        values, index = op.phase_table()
+        want_values, inverse = want["phase_table"]()
+        assert _same_bits(values, want_values) and index.dtype == inverse.dtype
+        assert np.array_equal(op._register(index), inverse)
+        for vec in vectors:
+            w = diagonal_exponential(d if vec.ndim == 1 else d[:, None], scale, vec)
+            assert _same_bits(qcore.apply_exponential(op, scale, vec), w)
+            out = np.full_like(w, np.nan)
+            assert qcore.apply_exponential(op, scale, vec, out=out) is out
+            assert _same_bits(out, w)
+
+
+def _held(run):
+    """(bytes still allocated after ``run``, peak bytes during it)."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+def test_grouped_form_holds_only_the_touched_tables():
+    # the XXZ chain's 20 bond groups each touch two sites: 4-entry tables,
+    # where one vector over the register each held 160 MiB
+    op = build_hamiltonian(ModelSpec(kind="xxz", L=20))
+    held, _ = _held(op._grouped)
+    assert len(op._grouped().masks) == 20 and held < 1 << 20
+
+
+def test_block_imprinter_holds_only_its_support_table():
+    # the L_sub = 8 block of a 20-site register: 2^8 table entries, no
+    # 2^20 diagonal, cast or index kept once every reader has run
+    gen = make_ising_protocol(20, 8).imprinter
+    vec = np.ones(1 << 20, dtype=complex)
+    out = np.empty_like(vec)
+
+    def warm():
+        gen.phase_table()
+        gen.apply_vec(vec, out=out)
+        qcore.apply_exponential(gen, 0.3j, vec, out=out)
+
+    held, peak = _held(warm)
+    assert held < 1 << 20 and peak < 1 << 20
+    assert gen.phase_table()[1].size == 1 << 8
 
 
 def test_to_sparse_dtype_follows_operator():

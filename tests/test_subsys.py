@@ -243,10 +243,10 @@ def test_workspace_theta_loop_allocates_no_register_array(critical_states):
 @pytest.mark.parametrize("L_sub", [2, 4, 6, 8, 14])
 def test_ising_imprinter_phase_table_has_L_sub_plus_one_values(L_sub):
     gen = make_ising_protocol(14, L_sub).imprinter
-    values, inverse = gen.phase_table()
+    values, index = gen.phase_table()
     assert values.size == L_sub + 1
-    assert inverse.dtype == np.uint8
-    assert np.array_equal(values[inverse], gen.diagonal())
+    assert index.dtype == np.uint8 and index.size == 1 << L_sub
+    assert np.array_equal(gen._register(values[index]), gen.diagonal())
 
 
 def test_parity_theta_curve_exponentiates_only_the_phase_table(critical_states, monkeypatch):

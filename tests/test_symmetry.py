@@ -363,6 +363,63 @@ def test_sign_slabs_match_the_whole_register_scatter(L, sign_sites, data):
         assert sym.apply_vec(vec).tobytes() == want.tobytes()
 
 
+@st.composite
+def _block_site_maps(draw, max_L=10):
+    """(L, sites, flip): the register cut into blocks of adjacent sites,
+    the blocks permuted, some reversed, and a flip mask made of runs, so
+    that the moved view coalesces some runs and splits others."""
+    L = draw(st.integers(1, max_L))
+    cuts = sorted(draw(st.sets(st.integers(1, L - 1), max_size=L - 1))) if L > 1 else []
+    blocks = [list(range(a, b)) for a, b in zip([0] + cuts, cuts + [L])]
+    blocks = [block[::-1] if draw(st.booleans()) else block
+              for block in draw(st.permutations(blocks))]
+    order = [site for block in blocks for site in block]  # order[k]: the site moved to k
+    sites = [0] * L
+    for k, j in enumerate(order):
+        sites[j] = k
+    flip = 0
+    for a, b in zip([0] + cuts, cuts + [L]):  # one mark per block, over the output sites
+        if draw(st.booleans()):
+            flip |= ((1 << (b - a)) - 1) << (L - b)
+    return L, tuple(sites), flip
+
+
+@given(_block_site_maps(), st.data())
+def test_coalesced_move_matches_the_scatter(case, data):
+    """The move between coalesced views, on site maps that keep runs of
+    sites together and flip masks made of runs, gives the scatter of
+    ``oracles.site_map_arrays`` bit for bit on vectors and column blocks
+    (C and Fortran order, into a new array and into ``out``), and
+    ``to_sparse`` the COO-built CSR entry for entry."""
+    L, sites, flip = case
+    sym = SymmetryOperator("translation", L, sites, flip=flip)
+    perm, phase = site_map_arrays(L, sites, flip, 0)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cols = data.draw(st.sampled_from([(), (1,), (3,)]))
+    vec = rng.standard_normal((1 << L,) + cols)
+    if data.draw(st.booleans()):
+        vec = vec + 1j * rng.standard_normal(vec.shape)
+    if cols and data.draw(st.booleans()):
+        vec = np.asfortranarray(vec)
+    want = scatter_apply(perm, phase, vec)
+    assert sym.apply_vec(vec).tobytes() == want.tobytes()
+    out = np.empty(vec.shape, dtype=np.complex128)
+    assert sym.apply_vec(vec, out=out) is out and out.tobytes() == want.tobytes()
+    mat, ref = sym.to_sparse(), permutation_csr(perm, phase)
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(mat, attr), getattr(ref, attr)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+
+
+@pytest.mark.parametrize("kind, axes", [("parity_x", 1), ("parity_z", 1), ("translation", 2),
+                                        ("reflection", 10)])
+def test_move_view_has_one_axis_per_run(kind, axes):
+    sym = build_symmetry(kind, 10, bond_center=4)
+    shape, order, moved, _ = sym._view
+    assert len(shape) == len(order) == len(moved) == axes
+    assert np.prod(shape) == 1 << 10
+
+
 def test_parity_z_builds_no_register_table():
     sym = build_symmetry("parity_z", 20)
     vec = np.ones(1 << 20, dtype=np.complex128)
