@@ -36,6 +36,7 @@ from .qcore import (
     _imprint_mixed,
     apply_exponential,
     charge,
+    evolve_phase,
     expectation,
     to_matrix,
     trace_product,
@@ -361,37 +362,42 @@ def error_propagation(state: State, gen: PauliOperator, obs, theta: float) -> fl
 
 
 def classical_fisher(
-    povm: Sequence,
-    state_family: Callable[[float], State],
-    theta: float,
-) -> float:
-    """sum_k (d_theta P_k)^2 / P_k over outcomes with P_k above the floor.
+    state: State, gen: PauliOperator, povm: Sequence, theta_grid: Sequence[float]
+) -> np.ndarray:
+    """sum_k (d_theta P_k)^2 / P_k over outcomes with P_k above the floor, at
+    each grid angle of e^{i theta gen}|psi>, differenced at ``POLICY.fd_step``.
 
-    The derivative is a centered difference with ``POLICY.fd_step``.
-
-    POVM completeness (effects summing to the identity) is verified by action
-    on a few deterministic probe vectors.
+    The grid, the generator and every register are checked (ValueError)
+    before any evolution; POVM completeness once per call, on two seeded
+    random vectors.
     """
-    probe_state = state_family(theta)
-    dim = 1 << probe_state.n_qubits
+    thetas = np.asarray(theta_grid, dtype=float)
+    _check_grid(thetas)
+    if not gen.is_hermitian:
+        raise ValueError("phase generator must be Hermitian")
+    for op in (gen, *povm):
+        _check_register(state, op)
+    dim = 1 << state.n_qubits
     rng = np.random.default_rng(np.random.Philox(7))
     for _ in range(2):
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        total = np.zeros(dim, dtype=np.complex128)
-        for eff in povm:
-            total += eff @ vec
+        total = sum(eff @ vec for eff in povm)
         POLICY.check("POVM effects do not sum to the identity: max |sum_k E_k v - v|",
                      float(np.max(np.abs(total - vec))), "herm_tol",
                      scale=float(np.linalg.norm(vec)), scaled_by="|v|")
 
-    def probs(st: State) -> np.ndarray:
+    def probs(theta: float) -> np.ndarray:
+        st = evolve_phase(state, gen, theta)
         return np.array([expectation(st, eff).real for eff in povm])
 
-    step = POLICY.fd_step
-    p = probs(probe_state)
-    dp = (probs(state_family(theta + step)) - probs(state_family(theta - step))) / (2.0 * step)
-    keep = p > POLICY.signal_floor
-    return float(np.sum(dp[keep] ** 2 / p[keep]))
+    def cfi(theta: float) -> float:
+        step = POLICY.fd_step
+        p = probs(theta)
+        dp = (probs(theta + step) - probs(theta - step)) / (2.0 * step)
+        keep = p > POLICY.signal_floor
+        return np.sum(dp[keep] ** 2 / p[keep])
+
+    return np.array([cfi(th) for th in thetas.tolist()])
 
 
 def fn_sequence(rho: MixedState, gen: PauliOperator, n_max: int) -> np.ndarray:

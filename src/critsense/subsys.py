@@ -141,10 +141,7 @@ def make_xxz_protocol(
 
 
 def parity_theta_curve(
-    psi: PureState,
-    protocol: SubsystemProtocol,
-    theta_grid: np.ndarray,
-    check_pull_through: bool = True,
+    psi: PureState, protocol: SubsystemProtocol, theta_grid: np.ndarray
 ) -> PrecisionCurve:
     """Signal, variance, and precision of the restricted parity along theta.
 
@@ -162,22 +159,21 @@ def parity_theta_curve(
     pi_op = protocol.measurement
     gen = protocol.imprinter
     curve = precision_curve(psi, gen, pi_op, theta_grid)
-    if check_pull_through:
-        pi_vec = pi_op @ psi.amplitudes
-        if gen.is_diagonal:
-            values, index = gen.phase_table()
-            inverse = gen._register(index)
-            weight = psi.amplitudes.conj() * pi_vec
-            moments = (np.bincount(inverse, weight.real, values.size)
-                       + 1j * np.bincount(inverse, weight.imag, values.size))
-            pulled = [np.dot(np.exp(-2j * th * values), moments) for th in curve.theta]
-        else:
-            pulled = [np.vdot(apply_exponential(gen, 2j * th, psi.amplitudes), pi_vec)
-                      for th in curve.theta]
-        for th, direct, pull in zip(curve.theta, curve.signal, pulled):
-            POLICY.check(lambda: f"pull-through mismatch at theta={th}: {direct} vs {pull}; "
-                         "|direct - pull|", abs(direct - pull), "pull_through_tol",
-                         error=AssertionError)
+    pi_vec = pi_op @ psi.amplitudes
+    if gen.is_diagonal:
+        values, index = gen.phase_table()
+        inverse = gen._register(index)
+        weight = psi.amplitudes.conj() * pi_vec
+        moments = (np.bincount(inverse, weight.real, values.size)
+                   + 1j * np.bincount(inverse, weight.imag, values.size))
+        pulled = [np.dot(np.exp(-2j * th * values), moments) for th in curve.theta]
+    else:
+        pulled = [np.vdot(apply_exponential(gen, 2j * th, psi.amplitudes), pi_vec)
+                  for th in curve.theta]
+    for th, direct, pull in zip(curve.theta, curve.signal, pulled):
+        POLICY.check(lambda: f"pull-through mismatch at theta={th}: {direct} vs {pull}; "
+                     "|direct - pull|", abs(direct - pull), "pull_through_tol",
+                     error=AssertionError)
     return curve
 
 

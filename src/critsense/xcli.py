@@ -2,9 +2,10 @@
 
 Scenarios map to the library's headline measurements: ``qfi_scaling`` (probe
 comparison vs system size), ``theta_curves`` (symmetry expectation values vs
-imprint angle), ``channel_sweep`` (noisy Fisher information vs size),
-``deformed`` (outcome-decoded ladder protocol), ``subsystem`` (restricted
-parity windows), and ``hadamard`` (translation-readout Fisher information).
+imprint angle, with one ``classical_fisher`` curve of the translation
+readout), ``channel_sweep`` (noisy Fisher information vs size), ``deformed``
+(outcome-decoded ladder protocol), ``subsystem`` (restricted parity windows),
+and ``hadamard`` (translation-readout Fisher information at ``theta0``).
 Everything the CLI knows about a scenario (the config fields it reads, its
 checks, its point tasks and its fit) is one entry of ``_SCENARIOS``.
 
@@ -418,17 +419,14 @@ def _theta_curves_tasks(cfg: ExperimentConfig) -> list[Task]:
         afm, gen = _probe_state("critical_afm", L)
         refl = build_symmetry("reflection", L, bond_center=(L - 2) // 2)
         trans = build_symmetry("translation", L)
-        t0 = hadamard_test(afm, trans)
-        sign = 1.0 if t0.re_value >= 0 else -1.0  # measured translation eigenvalue
-        povm = hadamard_test_povm(trans)
         curve = precision_curve(afm, gen, refl, grid)
         records = _curve_rows(curve, "reflection", probe="critical_afm", model_kind="tfim", L=L)
-        for th in grid:
+        cfis = classical_fisher(afm, gen, hadamard_test_povm(trans), grid).tolist()
+        for th, cfi in zip(grid, cfis):
             ht = hadamard_test(evolve_phase(afm, gen, float(th)), trans)
-            cfi = classical_fisher(povm, lambda t: evolve_phase(afm, gen, t), float(th))
             records.append(ExperimentRecord(
                 probe="critical_afm", model_kind="tfim", L=L,
-                theta=float(th), observable="translation_re", value=sign * ht.re_value,
+                theta=float(th), observable="translation_re", value=ht.re_value,
                 delta_theta=cfi ** -0.5 if cfi > 0 else math.inf,
             ))
         return records
@@ -548,7 +546,7 @@ def _hadamard_tasks(cfg: ExperimentConfig) -> list[Task]:
     def point(L: int) -> list[ExperimentRecord]:
         state, gen = _probe_state("critical_afm", L)
         povm = hadamard_test_povm(build_symmetry("translation", L))
-        cfi = classical_fisher(povm, lambda th: evolve_phase(state, gen, th), cfg.theta0)
+        cfi = float(classical_fisher(state, gen, povm, [cfg.theta0])[0])
         return [ExperimentRecord(
             probe="critical_afm", model_kind="tfim", L=L,
             theta=cfg.theta0, observable="translation_cfi", value=cfi,

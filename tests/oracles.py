@@ -5,9 +5,10 @@ expectations never share code with the implementation they check.  The
 exceptions are kernels kept to pin a rewrite bit for bit: the (2,) * n flip
 ``apply_vec``, the gathered-factor exponential, the three-buffer bit flip,
 the general theta loop of ``precision_curve`` (``general_precision_curve``),
-which evolves a fresh state per call through the library's ``qcore``, and
-the symmetry bookkeeping on permutation arrays (the basis permutations of
-the generators and of the ``build_symmetry`` kinds, their scatter action,
+which evolves a fresh state per call through the library's ``qcore``, the
+one-angle ``classical_fisher`` (``per_angle_classical_fisher``), and the
+symmetry bookkeeping on permutation arrays (the basis permutations of the
+generators and of the ``build_symmetry`` kinds, their scatter action,
 the disorder operator's site rotation,
 COO-built matrix and matrix anticommutation check, the orbit isometry, the
 whole-register phase vectors of the grouped form and the gathered group
@@ -497,6 +498,31 @@ def general_precision_curve(state, gen, obs, theta_grid) -> PrecisionCurve:
         exact = _commutator_derivative(st, gen, obs)
         dth[i] = _delta_theta(th, var[i], deriv, exact)
     return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)
+
+
+def per_angle_classical_fisher(povm, state_family, theta: float) -> float:
+    """``classical_fisher`` as it ran one angle per call: the probe family a
+    callable, the POVM completeness checked on every call."""
+    probe_state = state_family(theta)
+    dim = 1 << probe_state.n_qubits
+    rng = np.random.default_rng(np.random.Philox(7))
+    for _ in range(2):
+        vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        total = np.zeros(dim, dtype=np.complex128)
+        for eff in povm:
+            total += eff @ vec
+        POLICY.check("POVM effects do not sum to the identity: max |sum_k E_k v - v|",
+                     float(np.max(np.abs(total - vec))), "herm_tol",
+                     scale=float(np.linalg.norm(vec)), scaled_by="|v|")
+
+    def probs(st) -> np.ndarray:
+        return np.array([expectation(st, eff).real for eff in povm])
+
+    step = POLICY.fd_step
+    p = probs(probe_state)
+    dp = (probs(state_family(theta + step)) - probs(state_family(theta - step))) / (2.0 * step)
+    keep = p > POLICY.signal_floor
+    return float(np.sum(dp[keep] ** 2 / p[keep]))
 
 
 # -- the symmetry bookkeeping as it ran on permutation arrays ---------------

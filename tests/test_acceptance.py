@@ -111,7 +111,7 @@ def test_criterion_04_symmetry_recipe_saturation(critical_states):
         assert abs(dth - bound) / bound < 0.005
         half = PauliOperator.identity(L, 0.5)
         povm = [half + 0.5 * par, half + (-0.5) * par]
-        cfi = classical_fisher(povm, lambda t: evolve_phase(st, gen, t), 1e-4)
+        cfi = classical_fisher(st, gen, povm, [1e-4])[0]
         assert abs(cfi - dth**-2) < 1e-10 * cfi
 
 
@@ -194,9 +194,7 @@ def test_criterion_09_hadamard_protocol():
             afm_states[L] = sol.state
             gen = staggered_z(L)
             povm = hadamard_test_povm(build_symmetry("translation", L))
-            cfis.append(
-                classical_fisher(povm, lambda t, st=sol.state, g=gen: evolve_phase(st, g, t), 1e-3)
-            )
+            cfis.append(classical_fisher(sol.state, gen, povm, [1e-3])[0])
         slope = fit_power_law(np.array(sizes, float), np.array(cfis)).exponent
         assert 1.5 <= slope <= 2.0
         # theta-curve collapse at L = 10 within 5%
@@ -232,7 +230,7 @@ def test_criterion_10_subsystem_parity_structure():
         curves, reports = {}, {}
         for L_sub in (6, 8, 10):
             proto = make_ising_protocol(L, L_sub, offset=0)
-            curves[L_sub] = parity_theta_curve(sol.state, proto, grid, check_pull_through=False)
+            curves[L_sub] = parity_theta_curve(sol.state, proto, grid)
             reports[L_sub] = window_report(curves[L_sub], L_sub)
         for L_sub, rep in reports.items():
             assert not rep.degenerate and rep.theta_min is not None

@@ -516,7 +516,7 @@ def test_sld_eigenbasis_cfi_attains_qfi(rng):
     L_op = sld(family(theta), drho)
     wl, vl = np.linalg.eigh(L_op)
     povm = [np.outer(vl[:, i], vl[:, i].conj()) for i in range(vl.shape[1])]
-    cfi = classical_fisher(povm, family, theta)
+    cfi = classical_fisher(rho, sum_z(3), povm, [theta])[0]
     fq = qfi_mixed(family(theta), sum_z(3)).value
     assert abs(cfi - fq) < 1e-6 * max(1.0, fq)
 
@@ -647,8 +647,8 @@ def test_classical_fisher_parity_identity(critical_states):
     par = PauliOperator(8, [(1.0, "X" * 8)])
     half = PauliOperator.identity(8, 0.5)
     povm = [half + 0.5 * par, half + (-0.5) * par]
-    for theta in (1e-4, 0.02, 0.3):
-        cfi = classical_fisher(povm, lambda t: evolve_phase(st, gen, t), theta)
+    thetas = (1e-4, 0.02, 0.3)
+    for theta, cfi in zip(thetas, classical_fisher(st, gen, povm, thetas)):
         dth = error_propagation(st, gen, par, theta)
         assert abs(cfi - dth**-2) < 1e-10 * cfi
 
@@ -658,32 +658,85 @@ def test_classical_fisher_theta_independent_measurement():
     gen = sum_z(3)
     eye = PauliOperator.identity(3, 0.5)
     povm = [eye, eye]  # completeness holds; probabilities never move
-    cfi = classical_fisher(povm, lambda t: evolve_phase(st, gen, t), 0.1)
-    assert abs(cfi) < 1e-12
+    cfi = classical_fisher(st, gen, povm, [0.1])
+    assert abs(cfi[0]) < 1e-12
 
 
-def test_classical_fisher_evolves_each_angle_once():
-    """One probe per angle: theta and theta +- fd_step, three calls."""
-    st, gen = ghz_state(3), sum_z(3)
-    par = PauliOperator(3, [(1.0, "XXX")])
-    half = PauliOperator.identity(3, 0.5)
+def _parity_povm(n):
+    par = PauliOperator(n, [(1.0, "X" * n)])
+    half = PauliOperator.identity(n, 0.5)
+    return [half + 0.5 * par, half + (-0.5) * par]
+
+
+def _spy_evolutions(monkeypatch) -> list:
     calls = []
 
-    def family(t):
-        calls.append(t)
-        return evolve_phase(st, gen, t)
+    def counted(state, gen, theta):
+        calls.append(theta)
+        return evolve_phase(state, gen, theta)
 
-    classical_fisher([half + 0.5 * par, half + (-0.5) * par], family, 0.1)
+    monkeypatch.setattr(metrology, "evolve_phase", counted)
+    return calls
+
+
+def test_classical_fisher_evolves_each_angle_once(monkeypatch):
+    """One probe per angle: theta and theta +- fd_step, three calls."""
+    calls = _spy_evolutions(monkeypatch)
+    classical_fisher(ghz_state(3), sum_z(3), _parity_povm(3), [0.1])
     step = POLICY.fd_step
     assert sorted(calls) == [0.1 - step, 0.1, 0.1 + step]
 
 
 def test_classical_fisher_completeness_check():
     st = ghz_state(2)
-    with pytest.raises(ValueError):
-        classical_fisher(
-            [PauliOperator.identity(2, 0.4)], lambda t: st, 0.0
-        )
+    with pytest.raises(ValueError, match="POVM effects do not sum to the identity"):
+        classical_fisher(st, sum_z(2), [PauliOperator.identity(2, 0.4)], [0.0])
+
+
+class _CountedEffect:
+    """A dense effect that counts its products with a register vector."""
+
+    def __init__(self, mat):
+        self.mat, self.shape, self.calls = mat, mat.shape, 0
+
+    def __matmul__(self, vec):
+        self.calls += 1
+        return self.mat @ vec
+
+
+def test_classical_fisher_checks_the_povm_once_per_call(monkeypatch):
+    # each effect meets the two completeness probes once per call and one
+    # evolved probe per evolution: 3 per angle, every evolution spied
+    calls = _spy_evolutions(monkeypatch)
+    povm = [_CountedEffect(to_matrix(eff)) for eff in _parity_povm(3)]
+    grid = [0.05, 0.1, 0.2, 0.4]
+    classical_fisher(ghz_state(3), sum_z(3), povm, grid)
+    assert len(calls) == 3 * len(grid)
+    assert [eff.calls for eff in povm] == [2 + 3 * len(grid)] * 2
+
+
+@pytest.mark.parametrize("where", ["effect", "generator"])
+def test_classical_fisher_refuses_a_wrong_register_before_evolving(monkeypatch, where):
+    calls = _spy_evolutions(monkeypatch)
+    povm = _parity_povm(3)
+    gen = sum_z(3)
+    if where == "effect":
+        povm[1] = to_matrix(_parity_povm(4)[1])
+    else:
+        gen = sum_z(4)
+    with pytest.raises(ValueError, match="register size mismatch"):
+        classical_fisher(ghz_state(3), gen, povm, [0.1, 0.2])
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid, bad", [([0.1, math.nan], "is not finite"),
+                                       ([0.2, 0.1], "must be strictly increasing")],
+                         ids=["nan", "decreasing"])
+def test_classical_fisher_refuses_a_bad_grid_before_evolving(monkeypatch, grid, bad):
+    calls = _spy_evolutions(monkeypatch)
+    with pytest.raises(ValueError, match=bad):
+        classical_fisher(ghz_state(3), sum_z(3), _parity_povm(3), grid)
+    assert calls == []
 
 
 def test_symmetry_shortcut_consistency(critical_states):
@@ -887,12 +940,33 @@ def test_classical_fisher_agrees_across_forms(mixed):
     obs = PauliOperator.string(L, {0: "X", 2: "Y"})
     plus, minus = half + 0.5 * obs, half + (-0.5) * obs
     pauli, csr, dense = (list(pair) for pair in zip(_forms(plus), _forms(minus)))
-    for theta in (0.1, 0.3):
-        want = classical_fisher(pauli, lambda t: evolve_phase(probe, gen, t), theta)
-        assert want > 0.1
-        for povm in (csr, dense):
-            got = classical_fisher(povm, lambda t: evolve_phase(probe, gen, t), theta)
-            assert abs(got - want) < 1e-9 * want
+    want = classical_fisher(probe, gen, pauli, [0.1, 0.3])
+    assert np.all(want > 0.1)
+    for povm in (csr, dense):
+        got = classical_fisher(probe, gen, povm, [0.1, 0.3])
+        assert np.all(abs(got - want) < 1e-9 * want)
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+def test_classical_fisher_matches_the_per_angle_oracle(mixed):
+    # the grid form gives the one-angle form it replaced (kept in
+    # oracles.per_angle_classical_fisher) bit for bit, for every POVM form,
+    # a diagonal and an X-sum generator, and theta = 0 on the grid
+    from oracles import per_angle_classical_fisher
+
+    L = 4
+    probe = spin_coherent_state(L)
+    if mixed:
+        probe = apply_channel(MixedState.from_pure(probe), ChannelSpec("dephase_z", p=0.05))
+    half = PauliOperator.identity(L, 0.5)
+    obs = PauliOperator.string(L, {0: "X", 2: "Y"})
+    povms = [list(pair) for pair in zip(_forms(half + 0.5 * obs), _forms(half + (-0.5) * obs))]
+    grid = [-0.2, 0.0, 0.1, 0.3]
+    for gen in (sum_z(L), collective_spin(L, "X")):
+        for povm in povms:
+            want = [per_angle_classical_fisher(povm, lambda t: evolve_phase(probe, gen, t), th)
+                    for th in grid]
+            assert np.array_equal(classical_fisher(probe, gen, povm, grid), want), (gen, povm)
 
 
 @pytest.mark.parametrize("mixed", [False, True])

@@ -156,7 +156,7 @@ _ROUTED = {
     "delta_theta": (ArithmeticError, "derivative_agree_tol",
                     lambda v, mp: metrology._delta_theta(0.1, 1.0, v, 0.5), 0.6),
     "povm": (ValueError, "herm_tol", lambda v, mp: metrology.classical_fisher(
-        [v * np.eye(2)], lambda th: PureState(1, np.array([1.0, 0.0])), 0.1), 0.9),
+        PureState(1, np.array([1.0, 0.0])), sum_z(1), [v * np.eye(2)], [0.1]), 0.9),
     "fn_sequence": (ValueError, "trace_tol", lambda v, mp: _fn_sequence(v), 0.6),
     "residual": (models.EigensolverError, "residual_tol",
                  lambda v, mp: models._check_residual(np.eye(2), np.array([1.0, 0.0]), v), 2.0),

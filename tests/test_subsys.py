@@ -30,7 +30,7 @@ from critsense.subsys import (
 from critsense.channels import ChannelSpec, apply_channel
 from critsense.metrology import classical_fisher, error_propagation, precision_curve
 from critsense.policy import POLICY
-from critsense.qcore import MixedState, collective_spin, evolve_phase
+from critsense.qcore import MixedState, collective_spin
 from critsense.symmetry import build_symmetry
 from critsense.models import build_hamiltonian, ground_state
 
@@ -88,18 +88,19 @@ def test_parity_theta_curve_pull_through(critical_states):
     sol = critical_states(10)
     proto = make_ising_protocol(10, 6)
     grid = np.linspace(0.01, 0.8, 25)
-    curve = parity_theta_curve(sol.state, proto, grid, check_pull_through=True)
+    curve = parity_theta_curve(sol.state, proto, grid)
     assert np.all(curve.variance >= 0.0)
     # even in theta
-    neg = parity_theta_curve(sol.state, proto, grid[::-1] * -1.0, check_pull_through=False)
+    neg = parity_theta_curve(sol.state, proto, grid[::-1] * -1.0)
     assert np.max(np.abs(curve.signal - neg.signal[::-1])) < 1e-10
 
 
 @pytest.mark.parametrize("check, per_point", [(True, 3), (False, 3)])
 def test_parity_theta_curve_exponentials_per_point(critical_states, monkeypatch, check, per_point):
     # one evolution for signal, variance and commutator and two for the
-    # centered difference; the pull-through check reads the imprinter's phase
-    # table once per curve, with no exponential over the register
+    # centered difference, in the bare loop and through parity_theta_curve:
+    # the pull-through check reads the imprinter's phase table once per
+    # curve, with no exponential over the register
     import critsense.metrology as metrology
     import critsense.qcore as qcore
     import critsense.subsys as subsys
@@ -114,8 +115,11 @@ def test_parity_theta_curve_exponentials_per_point(critical_states, monkeypatch,
     for module in (qcore, metrology, subsys):
         monkeypatch.setattr(module, "apply_exponential", counted)
     grid = np.linspace(0.05, 0.5, 7)
-    parity_theta_curve(critical_states(8).state, make_ising_protocol(8, 4), grid,
-                       check_pull_through=check)
+    psi, proto = critical_states(8).state, make_ising_protocol(8, 4)
+    if check:
+        parity_theta_curve(psi, proto, grid)
+    else:
+        metrology.precision_curve(psi, proto.imprinter, proto.measurement, grid)
     assert len(calls) == per_point * grid.size
 
 
@@ -140,7 +144,6 @@ def test_pull_through_check_catches_a_moved_signal(critical_states, monkeypatch)
     monkeypatch.setattr(subsys, "precision_curve", moved)
     with pytest.raises(AssertionError, match="pull-through mismatch at theta="):
         parity_theta_curve(psi, proto, grid)
-    parity_theta_curve(psi, proto, grid, check_pull_through=False)
 
 
 @pytest.mark.parametrize("L, mixed", [(8, False), (10, False), (6, True)],
@@ -184,10 +187,10 @@ def test_workspace_theta_loop_matches_the_general_loop(critical_states, monkeypa
     # the per-curve buffers change where the intermediates live, not their
     # bits: the Ising blocks (diagonal imprinter) and one XXZ string readout
     # (an X-sum imprinter, evolved by expm_multiply), through
-    # parity_theta_curve with and without its pull-through check.  The one
-    # loop and the general loop (oracles.general_precision_curve) are both
-    # pinned to the general loop on the (2,) * n flip and gathered-factor
-    # kernels.
+    # parity_theta_curve with its pull-through check and through the bare
+    # loop it calls, ``subsys.precision_curve``.  The one loop and the
+    # general loop (oracles.general_precision_curve) are both pinned to the
+    # general loop on the (2,) * n flip and gathered-factor kernels.
     import critsense.metrology as metrology
     import critsense.qcore as qcore
     import critsense.subsys as subsys
@@ -197,6 +200,12 @@ def test_workspace_theta_loop_matches_the_general_loop(critical_states, monkeypa
     grid = default_theta_grid(64)
     protocols = [make_ising_protocol(L, L_sub) for L_sub in (2, 4, 6)]
     protocols.append(make_xxz_protocol(L, 3, alpha=1, beta=2))
+
+    def curve_of(proto):
+        if check:
+            return parity_theta_curve(psi, proto, grid)
+        return subsys.precision_curve(psi, proto.imprinter, proto.measurement, grid)
+
     curves = {}
     for path in ("workspace", "general", "oracle"):
         if path == "general":
@@ -205,8 +214,7 @@ def test_workspace_theta_loop_matches_the_general_loop(critical_states, monkeypa
             monkeypatch.setattr(qcore.PauliOperator, "apply_vec", flip_apply_vec)
             for module in (qcore, metrology):
                 monkeypatch.setattr(module, "apply_exponential", gathered_exponential)
-        curves[path] = [parity_theta_curve(psi, proto, grid, check_pull_through=check)
-                        for proto in protocols]
+        curves[path] = [curve_of(proto) for proto in protocols]
     for path in ("workspace", "general"):
         for got, want in zip(curves[path], curves["oracle"]):
             for name in ("signal", "variance", "delta_theta"):
@@ -281,9 +289,9 @@ def test_delta_theta_equals_cfi_along_grid(critical_states):
     gen = proto.imprinter
     half = PauliOperator.identity(8, 0.5)
     povm = [half + 0.5 * par, half + (-0.5) * par]
-    for theta in (0.05, 0.2, 0.6):
+    thetas = (0.05, 0.2, 0.6)
+    for theta, cfi in zip(thetas, classical_fisher(sol.state, gen, povm, thetas)):
         dth = error_propagation(sol.state, gen, par, theta)
-        cfi = classical_fisher(povm, lambda t: evolve_phase(sol.state, gen, t), theta)
         assert abs(cfi - dth**-2) < 1e-10 * cfi
 
 
@@ -324,8 +332,7 @@ def test_theta_min_decreases_with_block(critical_states):
     grid = default_theta_grid(256)
     mins = []
     for L_sub in (4, 6, 8):
-        curve = parity_theta_curve(sol.state, make_ising_protocol(12, L_sub), grid,
-                                   check_pull_through=False)
+        curve = parity_theta_curve(sol.state, make_ising_protocol(12, L_sub), grid)
         mins.append(window_report(curve, L_sub).theta_min)
     assert all(m is not None for m in mins)
     assert mins[0] > mins[1] > mins[2]
@@ -426,7 +433,6 @@ def test_best_precision_non_increasing_in_block_size():
     grid = default_theta_grid(256)
     mins = []
     for L_sub in (6, 8, 10, 12):
-        curve = parity_theta_curve(sol.state, make_ising_protocol(L, L_sub, offset=0),
-                                   grid, check_pull_through=False)
+        curve = parity_theta_curve(sol.state, make_ising_protocol(L, L_sub, offset=0), grid)
         mins.append(window_report(curve, L_sub).delta_theta_min)
     assert all(b <= a + 1e-12 for a, b in zip(mins, mins[1:]))

@@ -591,6 +591,25 @@ def test_theta_curves_scenario_runs():
             assert r.value <= 1.0
 
 
+@pytest.mark.parametrize("L, lanczos", [(10, False), (16, True)], ids=["dense", "lanczos"])
+def test_critical_afm_probe_is_translation_even(monkeypatch, L, lanczos):
+    # theta_curves reports Re<T> of the critical_afm probe with no sign: the
+    # probe is solved in the T = +1 block, at a dense and a Lanczos size
+    import critsense.models as models
+
+    calls = []
+    original = models._lowest_levels
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return original(mat)
+
+    monkeypatch.setattr(models, "_lowest_levels", counted)
+    sol = models.solve_model(models.ModelSpec(kind="tfim", L=L, J=-1.0, h=1.0))
+    assert bool(calls) == lanczos
+    assert abs(sol.sector_labels["translation_re"] - 1.0) < 1e-10
+
+
 def test_subsystem_scenario_runs():
     cfg = ExperimentConfig.from_dict({
         "scenario": "subsystem", "L": 8, "L_sub_list": [4],
