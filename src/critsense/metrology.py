@@ -11,10 +11,13 @@ an involution A, A^2 = I) and the exact derivative i<[A, O]>.  The reported
 derivative is a centered difference of the minus-branch probability (an
 involution) or of <A>: one step for a PauliOperator readout, Richardson
 extrapolation of two steps for any other form.  The commutator value
-cross-checks it to ``derivative_agree_tol``.  Only the reading of a point
-depends on the probe: a pure one evolves into three register buffers
-allocated once per curve, whatever the readout (``_pure_reader``); a mixed
-one is imprinted into a new ``MixedState`` per point (``_mixed_reader``).
+cross-checks it to ``derivative_agree_tol``.  One reader serves every probe
+and readout (``_reader``): the probe is a column block Phi with rho = Phi
+Phi^dagger (``_ensemble``), a pure state's amplitudes as they are, a mixed
+state's weighted spectral ensemble, evolved into three buffers of its shape
+allocated once per curve.  Each trace is a flat ``vdot`` over the evolved
+block, so a mixed probe builds no state per point.  ``classical_fisher``
+evolves the same block by the same step (``_evolve``).
 """
 from __future__ import annotations
 
@@ -33,13 +36,9 @@ from .qcore import (
     State,
     _check_register,
     _deviations,
-    _imprint_mixed,
     apply_exponential,
     charge,
-    evolve_phase,
-    expectation,
     to_matrix,
-    trace_product,
     variance,
 )
 from .symmetry import SymmetryOperator
@@ -180,38 +179,9 @@ def _is_involution(obs) -> bool:
     return isinstance(obs, SymmetryOperator) and obs.is_hermitian
 
 
-def _branch_probs(rho: MixedState, obs) -> tuple[float, float]:
-    """(p_plus, p_minus) of the +-1 outcomes of an involutory observable on a
-    mixed state, resolved over its spectral ensemble.
-
-    Branch norms avoid the catastrophic cancellation of 1 - <obs>^2 when the
-    state is nearly an eigenstate, which the small-outcome Fisher weights
-    amplify.
-    """
-    w, v = rho.spectrum()
-    keep = w > POLICY.spectral_cutoff  # noise-level weights carry O(1) branch
-    w = w[keep] / np.sum(w[keep])      # norms and would swamp tiny outcomes
-    v = v[:, keep]
-    ov = obs @ v
-    minus = 0.5 * (v - ov)
-    p_minus = float(np.dot(w, np.sum(np.abs(minus) ** 2, axis=0)))
-    plus = 0.5 * (v + ov)
-    p_plus = float(np.dot(w, np.sum(np.abs(plus) ** 2, axis=0)))
-    return p_plus, p_minus
-
-
 def _branch_variance(p_plus: float, p_minus: float) -> float:
     total = p_plus + p_minus
     return 4.0 * p_plus * p_minus / (total * total)
-
-
-def _commutator_derivative(rho: MixedState, gen: PauliOperator, obs) -> float:
-    """Exact d<obs>/dtheta = i tr(rho [obs, gen]) on the already evolved state."""
-    if isinstance(obs, PauliOperator):  # from the grouped forms
-        commutator = trace_product(rho, obs, gen) - trace_product(rho, gen, obs)
-        return float(np.real(1j * commutator))
-    g_rho = gen @ rho.matrix  # (G rho)^dagger = rho G
-    return float(np.real(1j * np.trace(obs @ (g_rho - g_rho.conj().T))))
 
 
 def _delta_theta(theta: float, var: float, deriv: float, exact: float) -> float:
@@ -243,30 +213,60 @@ def _check_grid(theta: np.ndarray) -> None:
         prev = th
 
 
-def _pure_reader(psi: PureState, gen: PauliOperator, obs, involution: bool) -> Callable:
-    """``read`` of a pure probe, in three register buffers allocated once per
-    curve: psi_theta = e^{i theta O} psi, its image A psi_theta and a scratch.
+def _ensemble(state: State) -> np.ndarray:
+    """The probe as a column block Phi with rho = Phi Phi^dagger: a pure
+    state's amplitudes themselves (no copy), a mixed state's eigenvectors
+    (``spectrum()``) weighted by sqrt(w), over the weights above
+    ``POLICY.spectral_cutoff``, renormalized, as one C-contiguous complex
+    block (a column pick of ``v`` alone is laid out transposed, which makes
+    every flat pass over the block copy it).
+
+    Noise-level weights would carry O(1) branch norms into the sums and swamp
+    tiny outcomes.  Every trace the theta loop reads is then a flat ``vdot``
+    over Phi_theta = e^{i theta O} Phi: tr(rho A) = <Phi|A Phi>, and the
+    branch probabilities are 0.25 ||Phi +- A Phi||^2.
+    """
+    if isinstance(state, PureState):
+        return state.amplitudes
+    w, v = state.spectrum()
+    keep = w > POLICY.spectral_cutoff
+    w = w[keep] / np.sum(w[keep])
+    return np.multiply(v[:, keep], np.sqrt(w), dtype=np.complex128, order="C")
+
+
+def _evolve(gen: PauliOperator, theta: float, base: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """e^{i theta gen} base into ``out``, as ``evolve_phase`` has it: a copy
+    at theta = 0, renormalized (the whole block) after a generator with X/Y
+    letters."""
+    if theta == 0.0:
+        out[:] = base
+    else:
+        apply_exponential(gen, 1j * theta, base, out=out)
+        if not gen.is_diagonal:
+            np.divide(out, np.linalg.norm(out), out=out)
+    return out
+
+
+def _reader(state: State, gen: PauliOperator, obs, involution: bool) -> Callable:
+    """``read`` of a probe's block Phi (``_ensemble``), in three buffers of
+    its shape allocated once per curve: Phi_theta = e^{i theta O} Phi, its
+    image A Phi_theta and a scratch.
 
     A CSR or dense readout's product is copied into the image; every other
-    step writes into a buffer.  A branch probability is 0.25 ||psi_theta +-
-    A psi_theta||^2, the norm of the halved sum to the bit: scaling by a
+    step writes into a buffer.  A branch probability is 0.25 ||Phi_theta +-
+    A Phi_theta||^2, the norm of the halved sum to the bit: scaling by a
     power of two is exact (short of subnormal amplitudes).
     """
-    base = psi.amplitudes
+    base = _ensemble(state)
     evolved, image, work = (np.empty_like(base) for _ in range(3))
     in_place = isinstance(obs, (PauliOperator, SymmetryOperator))
 
     def branch(sign) -> float:
-        sign(evolved, image, out=work)  # ||(psi +- A psi) / 2||^2
+        sign(evolved, image, out=work)  # ||(Phi +- A Phi) / 2||^2
         return 0.25 * float(np.vdot(work, work).real)
 
     def read(theta: float, full: bool):
-        if theta == 0.0:  # evolve_phase, then A on the result
-            evolved[:] = base
-        else:
-            apply_exponential(gen, 1j * theta, base, out=evolved)
-            if not gen.is_diagonal:
-                np.divide(evolved, np.linalg.norm(evolved), out=evolved)
+        _evolve(gen, theta, base, evolved)
         if in_place:
             obs.apply_vec(evolved, out=image)
         else:
@@ -280,30 +280,8 @@ def _pure_reader(psi: PureState, gen: PauliOperator, obs, involution: bool) -> C
             var = _branch_variance(branch(np.add), branch(np.subtract))
         else:
             var = float(np.vdot(image, image).real) - signal * signal
-        gen.apply_vec(evolved, out=work)  # i(<A psi|G psi> - <G psi|A psi>)
+        gen.apply_vec(evolved, out=work)  # i(<A Phi|G Phi> - <G Phi|A Phi>)
         return signal, var, float(np.real(1j * (np.vdot(image, work) - np.vdot(work, image))))
-
-    return read
-
-
-def _mixed_reader(rho: MixedState, gen: PauliOperator, obs, involution: bool) -> Callable:
-    """``read`` of a mixed probe: one imprinted ``MixedState`` per call, a
-    generator with X/Y letters factored once per curve."""
-    if involution:
-        rho.spectrum()  # warm the cache once; evolutions inherit it
-    factors = None if gen.is_diagonal else np.linalg.eigh(to_matrix(gen))
-
-    def read(theta: float, full: bool):
-        st = rho if theta == 0.0 else _imprint_mixed(rho, gen, theta, factors)
-        if involution:
-            p_plus, p_minus = _branch_probs(st, obs)
-            if not full:
-                return p_minus
-        signal = expectation(st, obs).real
-        if not full:
-            return signal
-        var = _branch_variance(p_plus, p_minus) if involution else variance(st, obs)
-        return signal, var, _commutator_derivative(st, gen, obs)
 
     return read
 
@@ -332,8 +310,7 @@ def precision_curve(
     _check_register(state, gen)
     _check_register(state, obs)
     involution = _is_involution(obs)
-    reader = _pure_reader if isinstance(state, PureState) else _mixed_reader
-    read = reader(state, gen, obs, involution)
+    read = _reader(state, gen, obs, involution)
 
     def slope(theta: float, step: float) -> float:
         # d<A>/dtheta = -2 dp_minus/dtheta exactly for an involution (the
@@ -369,7 +346,8 @@ def classical_fisher(
 
     The grid, the generator and every register are checked (ValueError)
     before any evolution; POVM completeness once per call, on two seeded
-    random vectors.
+    random vectors.  P_k = <Phi_theta|E_k Phi_theta> over the probe's block
+    (``_ensemble``), evolved by the theta loop's step (``_evolve``).
     """
     thetas = np.asarray(theta_grid, dtype=float)
     _check_grid(thetas)
@@ -386,9 +364,12 @@ def classical_fisher(
                      float(np.max(np.abs(total - vec))), "herm_tol",
                      scale=float(np.linalg.norm(vec)), scaled_by="|v|")
 
+    base = _ensemble(state)
+    evolved = np.empty_like(base)
+
     def probs(theta: float) -> np.ndarray:
-        st = evolve_phase(state, gen, theta)
-        return np.array([expectation(st, eff).real for eff in povm])
+        _evolve(gen, theta, base, evolved)
+        return np.array([complex(np.vdot(evolved, eff @ evolved)).real for eff in povm])
 
     def cfi(theta: float) -> float:
         step = POLICY.fd_step

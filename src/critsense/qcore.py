@@ -65,7 +65,10 @@ is index arithmetic on the basis index and views of the register, with no
 permutation array (``_orbit_isometry``, ``_group_average_rows``).  Momentum
 blocks are complex, so the embedded eigenvectors of a T-symmetric rho are
 complex even when rho is real.  The spectral kernels of ``metrology`` read
-the blocks; ``spectrum()`` embeds them in the register.
+the blocks; ``spectrum()`` embeds them in the register, and the theta loop
+of ``metrology`` reads a mixed probe as that embedded spectrum, the weighted
+ensemble of its eigenvectors.  A phase imprint (``evolve_phase``) of a mixed
+state is a new state: it carries no spectrum over.
 
 All operations are pure functions of immutable inputs and safe for
 concurrent read-only use.  The internal mutable state is lazy caches: the
@@ -810,14 +813,18 @@ class MixedState:
 
     n_qubits: int
     matrix: np.ndarray
-    _blocks: tuple[SectorBlock, ...] | None = field(default=None, repr=False, compare=False)
+    _blocks: tuple[SectorBlock, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
     _spectrum: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
     _group: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_qubits
+        if n < 1:
+            raise ValueError("n_qubits must be >= 1")
         dim = 1 << n
         mat = np.asarray(self.matrix)
         mat = mat.astype(np.complex128 if np.iscomplexobj(mat) else np.float64, copy=False)
@@ -860,8 +867,7 @@ class MixedState:
         so its eigenpairs are those at k, conjugated, not a second ``eigh``.
         A character without states gives no block.  A rho that passes
         neither check is one block spanning the whole register (P = I): one
-        full ``eigh``.  A spectrum carried over by a phase imprint is such a
-        block too.  The real-symmetric solver runs on real blocks: the
+        full ``eigh``.  The real-symmetric solver runs on real blocks: the
         parity blocks of a real-valued rho (a complex rho whose imaginary
         parts all stay below ``POLICY.imag_cut`` counts as real), and its T
         blocks at k = 0 and k = pi; the other momenta are complex Hermitian.
@@ -869,10 +875,7 @@ class MixedState:
         naming the minimum eigenvalue and the excess (``POLICY.check``).
         """
         if self._blocks is None:
-            if self._spectrum is not None:
-                self._blocks = (SectorBlock(None, *self._spectrum),)
-            else:
-                self._blocks = self._diagonalize()
+            self._blocks = self._diagonalize()
         return self._blocks
 
     def _diagonalize(self) -> tuple[SectorBlock, ...]:
@@ -1048,11 +1051,13 @@ def evolve_phase(state: State, gen: PauliOperator, theta: float) -> State:
     """e^{i theta gen}|psi>, or U rho U^dagger with U = e^{i theta gen}, for a
     Hermitian generator.
 
-    Diagonal generators (I/Z letters only) are applied as a pure phase; the
-    general case goes through a Krylov evaluation of the matrix exponential
-    action (pure states) or the dense unitary (mixed states).  The norm is
-    preserved to 1e-12.  A mixed state's cached spectrum is carried over:
-    the eigenvalues are imprint invariant and the eigenvectors are rotated.
+    Diagonal generators (I/Z letters only) are applied as a pure phase, to a
+    mixed state as rho * u u^dagger with u = e^{i theta diag}, u from the
+    phase table.  The general case goes through a Krylov evaluation of the
+    matrix exponential action (pure states) or the dense unitary from
+    ``eigh(to_matrix(gen))`` (mixed states).  The norm is preserved to
+    1e-12.  An imprinted mixed state is a new ``MixedState``, certified and
+    diagonalized afresh.
     """
     if not gen.is_hermitian:
         raise ValueError("phase generator must be Hermitian")
@@ -1061,34 +1066,17 @@ def evolve_phase(state: State, gen: PauliOperator, theta: float) -> State:
     if theta == 0.0:
         return state
     if isinstance(state, MixedState):
-        return _imprint_mixed(state, gen, theta)
+        if gen.is_diagonal:
+            values, index = gen.phase_table()
+            u = gen._register(np.exp(1j * theta * values).take(index))
+            return MixedState(state.n_qubits, state.matrix * np.outer(u, u.conj()))
+        w, vv = np.linalg.eigh(to_matrix(gen))
+        uu = (vv * np.exp(1j * theta * w)) @ vv.conj().T
+        return MixedState(state.n_qubits, uu @ state.matrix @ uu.conj().T)
     amp = apply_exponential(gen, 1j * theta, state.amplitudes)
     if not gen.is_diagonal:
         amp = amp / np.linalg.norm(amp)
     return PureState(state.n_qubits, amp)
-
-
-def _imprint_mixed(
-    rho: MixedState, gen: PauliOperator, theta: float,
-    factors: tuple[np.ndarray, np.ndarray] | None = None,
-) -> MixedState:
-    """``evolve_phase`` of a mixed state.  A generator with X/Y letters is
-    exponentiated from its eigenpairs, ``factors`` when given (the
-    ``eigh(to_matrix(gen))`` of a caller that imprints many angles), else
-    factored here."""
-    diagonal = gen.is_diagonal
-    if diagonal:
-        values, index = gen.phase_table()
-        u = gen._register(np.exp(1j * theta * values).take(index))
-        out = MixedState(rho.n_qubits, rho.matrix * np.outer(u, u.conj()))
-    else:
-        w, vv = np.linalg.eigh(to_matrix(gen)) if factors is None else factors
-        uu = (vv * np.exp(1j * theta * w)) @ vv.conj().T
-        out = MixedState(rho.n_qubits, uu @ rho.matrix @ uu.conj().T)
-    if rho._spectrum is not None:  # the full-register form only: an imprint breaks the parity
-        lam, v = rho._spectrum
-        out._spectrum = (lam, u[:, None] * v if diagonal else uu @ v)
-    return out
 
 
 def apply_exponential(
@@ -1127,6 +1115,8 @@ def partial_trace(rho: MixedState, kept_sites: Sequence[int]) -> MixedState:
     """Reduced density matrix on ``kept_sites`` (order preserved)."""
     n = rho.n_qubits
     kept = list(kept_sites)
+    if not kept:
+        raise ValueError("kept_sites must name at least one site")
     if any(not 0 <= s < n for s in kept) or len(set(kept)) != len(kept):
         raise ValueError("kept_sites must be distinct sites of the register")
     traced = [s for s in range(n) if s not in kept]

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .policy import POLICY
-from .qcore import PauliOperator, PureState, _conjugate, _sign_table, pauli_word
+from .qcore import PauliOperator, PureState, _check_register, _conjugate, _sign_table, pauli_word
 
 KINDS = ("parity_x", "parity_z", "translation", "reflection")
 SIGN_SITES = 12  # sites of the one sign table apply_vec builds: 2^12 floats
@@ -205,7 +205,9 @@ def anticommutes(sym: SymmetryOperator, op: PauliOperator) -> bool:
 
 
 def symmetry_eigenvalue(state: PureState, sym: SymmetryOperator) -> tuple[bool, complex]:
-    """(is_eigenstate, s) with s = <psi|A|psi>; eigenstate iff |A psi - s psi| < 1e-8."""
+    """(is_eigenstate, s) with s = <psi|A|psi>; eigenstate iff |A psi - s psi| < 1e-8.
+    A symmetry of another register is refused (ValueError) before any product."""
+    _check_register(state, sym)
     avec = sym @ state.amplitudes
     s = complex(np.vdot(state.amplitudes, avec))
     resid = float(np.linalg.norm(avec - s * state.amplitudes))
@@ -237,7 +239,9 @@ def hadamard_test(state: PureState, unitary: SymmetryOperator) -> HadamardTestRe
     The doubled register (|0> psi + |1> U psi)/sqrt(2) is simulated directly;
     after the final ancilla mixing, p_plus = |psi + U psi|^2/4, which equals
     (1 + Re<psi|U|psi>)/2.  The phased variant gives the imaginary part.
+    A unitary of another register is refused (ValueError) before any product.
     """
+    _check_register(state, unitary)
     psi = state.amplitudes
     upsi = unitary @ psi
     POLICY.check("controlled operator must be unitary: | |U psi| - 1 |",

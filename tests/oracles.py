@@ -22,7 +22,6 @@ from functools import reduce
 from critsense.metrology import PrecisionCurve
 from critsense.policy import POLICY
 from critsense.qcore import (
-    MixedState,
     PauliOperator,
     PureState,
     evolve_phase,
@@ -481,11 +480,11 @@ def _delta_theta(theta: float, var: float, deriv: float, exact: float) -> float:
 
 def general_precision_curve(state, gen, obs, theta_grid) -> PrecisionCurve:
     """``precision_curve`` by its general loop: a fresh evolved state per
-    call, the signal, variance and commutator derivative from the one at the
-    grid angle, the reported derivative from up to four more."""
+    call (a mixed one a new ``MixedState``, diagonalized afresh for an
+    involution's branch probabilities), the signal, variance and commutator
+    derivative from the one at the grid angle, the reported derivative from
+    up to four more."""
     thetas = np.asarray(theta_grid, dtype=float)
-    if isinstance(state, MixedState) and _is_involution(obs):
-        state.spectrum()  # warm the cache once; evolutions inherit it
     sig = np.empty_like(thetas)
     var = np.empty_like(thetas)
     dth = np.empty_like(thetas)

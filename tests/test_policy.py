@@ -68,9 +68,10 @@ def test_cap_and_floor_name_the_field_and_the_excess():
 # -- every routed bound refuses NaN and an over-tolerance value --------------
 
 class _Scaled:
-    """A stand-in controlled operator: ``factor`` times the state."""
+    """A stand-in one-qubit controlled operator: ``factor`` times the state."""
 
     toffoli_count = 0
+    shape = (2, 2)
 
     def __init__(self, factor):
         self.factor = factor

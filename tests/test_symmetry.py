@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -192,6 +193,7 @@ class _HalfT:
 
     def __init__(self, sym):
         self.sym = sym
+        self.shape = sym.shape
         self.toffoli_count = sym.toffoli_count
 
     def __matmul__(self, vec):
@@ -204,6 +206,34 @@ def test_hadamard_test_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary_tol"):
         hadamard_test(psi, _HalfT(T))
     hadamard_test(psi, T)  # the unscaled operator passes
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("call", [hadamard_test, symmetry_eigenvalue])
+def test_wrong_register_symmetry_refused_before_any_product(kind, call):
+    sym = build_symmetry(kind, 5, bond_center=1)
+    with pytest.raises(ValueError, match="register size mismatch"):
+        call(ghz_state(4), sym)
+
+
+@pytest.mark.parametrize("L", range(2, 9))
+@pytest.mark.parametrize("kind", KINDS)
+def test_hadamard_povm_is_the_hadamard_test(rng, kind, L):
+    # the two effects sum to the identity exactly (every entry is dyadic),
+    # and on evolved probes their expectations are the test's p+- = (1 +-
+    # Re<T>) / 2 to rounding
+    sym = build_symmetry(kind, L, bond_center=(L - 2) // 2)
+    povm = hadamard_test_povm(sym)
+    dim = 1 << L
+    assert abs(povm[0] + povm[1] - sp.identity(dim, format="csr")).max() == 0.0
+    gen = PauliOperator(L, [(float(w), "I" * j + "Z" + "I" * (L - 1 - j))
+                            for j, w in enumerate(rng.uniform(-1.0, 1.0, L))])
+    for theta in (0.0, 0.3, -1.1):
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        probe = evolve_phase(PureState(L, v / np.linalg.norm(v)), gen, theta)
+        res = hadamard_test(probe, sym)
+        for eff, p in zip(povm, (res.p_plus, res.p_minus)):
+            assert abs(expectation(probe, eff).real - p) < 1e-14
 
 
 def test_derivative_curvature_matches_variance(critical_states):
