@@ -36,7 +36,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+import numpy.fft  # noqa: F401  numpy loads it lazily; at import time it stays out of a run
 
 from .policy import POLICY
 
@@ -178,7 +178,9 @@ def _add_pair(m: np.ndarray, a: int, b: int, coeff: float) -> None:
 
 def _ground_covariance(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Ground-state Omega and energy of H = (i/4) gamma^T M gamma."""
-    s, q = sla.schur(m, output="real")
+    from scipy.linalg import schur  # loaded on first use: only open chains need it
+
+    s, q = schur(m, output="real")
     n2 = m.shape[0]
     energy = 0.0
     tilde = np.zeros_like(m)

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .policy import POLICY
 from .qcore import (
@@ -30,6 +29,9 @@ from .qcore import (
     variance,
 )
 from .symmetry import SymmetryOperator, build_symmetry
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _KINDS = ("tfim", "xxz", "rydberg", "cluster_ladder")
 
@@ -185,6 +187,8 @@ def _check_residual(mat, vec: np.ndarray, energy: float) -> None:
 
 def _selection(n: int, basis: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray, float]:
     """Isometry onto the sorted basis states ``basis``: column i is |basis[i]>."""
+    import scipy.sparse as sp  # loaded on first use
+
     cols = np.arange(basis.size)
     P = sp.csr_matrix((np.ones(basis.size), (basis, cols)), shape=(1 << n, basis.size))
     return P, basis, 1.0
@@ -263,6 +267,8 @@ def _lowest_levels(mat) -> tuple[np.ndarray, np.ndarray]:
     Asks for k = 2 levels and doubles k while the highest returned level is
     still within ``POLICY.degeneracy_tol`` of E0, capped at dim - 1.
     """
+    import scipy.sparse.linalg as spla  # loaded on first use
+
     dim = mat.shape[0]
     v0 = _deterministic_start(dim)
     k = min(2, dim - 1)

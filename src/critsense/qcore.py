@@ -85,13 +85,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .policy import POLICY
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LETTERS = "IXYZ"
 
@@ -294,6 +295,7 @@ def _orbit_isometry(
     reps = np.flatnonzero(is_rep)
     col = (np.cumsum(is_rep) - 1)[rep[rows]]
     indptr = np.concatenate(([0], np.cumsum(allowed)))
+    import scipy.sparse as sp  # loaded on first use
     P = sp.csr_matrix(
         (chi / norm[rep[rows]], col, indptr), shape=(dim, reps.size)
     )
@@ -664,6 +666,7 @@ class PauliOperator:
             phase = self._register(phase, g)
             data[:, g] = phase if np.isscalar(phase) else phase[cols[:, g]]
         indptr = np.arange(idx.size + 1, dtype=index_dtype) * n_groups
+        import scipy.sparse as sp  # loaded on first use
         mat = sp.csr_matrix((data.reshape(-1), cols.reshape(-1), indptr), shape=(idx.size, dim))
         mat.eliminate_zeros()
         mat.sort_indices()
@@ -1104,6 +1107,7 @@ def apply_exponential(
             out = np.empty(vec.shape, dtype=np.result_type(factors, vec))
         np.multiply(factors, vec.reshape(shape + cols), out=out.reshape(shape + cols))
         return out
+    import scipy.sparse.linalg as spla  # loaded on first use
     result = spla.expm_multiply(scale * gen.to_sparse(), vec)
     if out is None:
         return result

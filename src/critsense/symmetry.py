@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .policy import POLICY
 from .qcore import PauliOperator, PureState, _check_register, _conjugate, _sign_table, pauli_word
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 KINDS = ("parity_x", "parity_z", "translation", "reflection")
 SIGN_SITES = 12  # sites of the one sign table apply_vec builds: 2^12 floats
@@ -133,6 +136,8 @@ class SymmetryOperator:
     def to_sparse(self) -> sp.csr_matrix:
         """complex128 CSR: row c holds A's sign at column src[c], the move of
         the basis indices, so that A|src[c]> = +-|c>."""
+        import scipy.sparse as sp  # loaded on first use
+
         POLICY.cap("qubits", self.L, "sparse_cap")
         dim = 1 << self.L
         index = np.int32 if dim < 2**31 - 1 else np.int64
@@ -263,6 +268,8 @@ def hadamard_test(state: PureState, unitary: SymmetryOperator) -> HadamardTestRe
 
 def hadamard_test_povm(unitary: SymmetryOperator) -> list[sp.csr_matrix]:
     """System-side effects {(I +- (U + U^dag)/2)/2} of the ancilla readout."""
+    import scipy.sparse as sp  # loaded on first use
+
     u = unitary.to_sparse()
     dim = u.shape[0]
     half = 0.5 * (u + u.conj().T)

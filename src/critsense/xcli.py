@@ -193,7 +193,17 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        """Range checks on every field, then the scenario's own checks."""
+        """Range checks on every field, then the scenario's own checks.
+
+        A config with any exact-diagonalization point (every config but a
+        qfi_scaling one without ``_ed_sizes``) then loads the exact path's
+        stack: ``scipy.sparse.linalg``, and with it ``scipy.sparse`` and
+        ``scipy.linalg``.  The library imports scipy only where it uses
+        it, so this import decides when the load happens: here, in set-up,
+        rather than inside the run, which then imports no module.
+        A config whose every point takes the free-fermion path loads numpy
+        alone.
+        """
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed: must be a 64-bit unsigned integer")
         for probe in self.probes:
@@ -222,6 +232,8 @@ class ExperimentConfig:
         if self.n_samples < 1:
             raise ConfigError("n_samples: must be positive")
         _SCENARIOS[self.scenario].check(self)
+        if self.scenario != "qfi_scaling" or _ed_sizes(self):  # an exact point
+            import scipy.sparse.linalg  # noqa: F401
 
     def to_canonical_json(self) -> str:
         payload = {}
@@ -377,11 +389,17 @@ def _qfi_scaling_check(cfg: ExperimentConfig) -> None:
         L = max(fermion_sizes)
         POLICY.cap("bytes of string-block work", string_block_bytes(L // 2),
                    "fermion_bytes_cap", error=lambda msg: ConfigError(f"L_list: L={L}: {msg}"))
-    # every other (probe, size) point goes through exact diagonalization
-    fermion_only = set(cfg.probes) == {"critical_fm"}
-    ed_sizes = [l for l in cfg.L_list if not fermion_only or l <= cfg.use_fermion_above]
+    ed_sizes = _ed_sizes(cfg)
     if ed_sizes:
         _check_cap("L_list", max(ed_sizes))
+
+
+def _ed_sizes(cfg: ExperimentConfig) -> list[int]:
+    """The sizes of a qfi_scaling config with a point off the free-fermion
+    path: every (probe, size) point but critical_fm above use_fermion_above
+    goes through exact diagonalization."""
+    fermion_only = set(cfg.probes) == {"critical_fm"}
+    return [l for l in cfg.L_list if not fermion_only or l <= cfg.use_fermion_above]
 
 
 def _qfi_scaling_tasks(cfg: ExperimentConfig) -> list[Task]:

@@ -682,14 +682,10 @@ def test_golden_outputs(tmp_path, scenario):
     threaded eigh moves the L = 8 ground state in its last bits, which the
     differenced reflection rows of theta_curves amplify to ~1e-10.
     """
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env.pop("CRITSENSE_THREADS", None)
-    src = str(Path(critsense.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     subprocess.run(
         [sys.executable, "-m", "critsense.xcli", scenario,
          "--config", str(GOLDEN / f"{scenario}.json"), "--out", str(tmp_path)],
-        env=env, check=True, timeout=300,
+        env=_child_env(), check=True, timeout=300,
     )
     with open(GOLDEN / f"{scenario}.csv", newline="") as handle:
         want = list(csv.reader(handle))
@@ -706,13 +702,90 @@ def test_golden_outputs(tmp_path, scenario):
                 assert g == w, (name, w_row)
 
 
-def test_cli_import_leaves_quadrature_unloaded():
-    """``scipy.integrate`` (and the ``scipy.optimize`` it pulls in) loads on
-    first use of a quadrature, not when the CLI starts."""
-    env = dict(os.environ)
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this critsense,
+    with BLAS pinned to one thread and the CLI's thread count unset."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("CRITSENSE_THREADS", None)
     src = str(Path(critsense.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, critsense.xcli; print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
+    return env
+
+
+_FERMION_ONLY = {"scenario": "qfi_scaling", "probes": ["critical_fm"], "L_list": [64, 128, 256]}
+
+
+def test_cli_import_leaves_quadrature_unloaded(tmp_path):
+    """Importing the package or the CLI loads no scipy module, so
+    ``scipy.integrate`` (and the ``scipy.optimize`` it pulls in) loads on
+    first use of a quadrature; and a fermion-only qfi_scaling run, whose
+    every point takes the free-fermion path, runs with scipy blocked and
+    writes the bytes of an unblocked run."""
+    code = ("import sys, critsense; a = sorted(m for m in sys.modules if m.startswith('scipy')); "
+            "import critsense.xcli; b = sorted(m for m in sys.modules if m.startswith('scipy')); "
+            "print(a, b)")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+                         timeout=120, capture_output=True, text=True)
+    assert out.stdout.strip() == "[] []"
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_FERMION_ONLY))
+    blocked = ("import sys; sys.modules['scipy'] = None; from critsense import xcli; "
+               "sys.exit(xcli.main(sys.argv[1:]))")
+    for name, argv in (("blocked", ["-c", blocked]), ("plain", ["-m", "critsense.xcli"])):
+        subprocess.run(
+            [sys.executable, *argv, "qfi_scaling", "--config", str(cfg_path),
+             "--out", str(tmp_path / name)],
+            env=_child_env(), check=True, timeout=120,
+        )
+    for name in ("qfi_scaling.csv", "qfi_scaling_plot.csv", "qfi_scaling_plot.gp"):
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+# Runs ``xcli.main`` with ``from_dict`` hooked where the benchmark ends its
+# set-up, and prints the exit code and the modules the run imported after it.
+_SPLIT_PROBE = """
+import sys
+from critsense import xcli
+
+from_dict = xcli.ExperimentConfig.from_dict
+validated = set()
+
+def hooked(cls, payload):
+    cfg = from_dict(payload)
+    validated.update(sys.modules)
+    return cfg
+
+xcli.ExperimentConfig.from_dict = classmethod(hooked)
+code = xcli.main(sys.argv[1:])
+print(code, sorted(set(sys.modules) - validated))
+"""
+
+
+@pytest.mark.parametrize("payload", [
+    _FERMION_ONLY,
+    {"scenario": "qfi_scaling", "probes": ["critical_fm", "critical_afm", "ghz"],
+     "L_list": [4, 8, 12]},
+    {"scenario": "theta_curves", "L": 6, "theta_points": 8},
+    {"scenario": "channel_sweep", "probes": ["critical_fm", "ghz"], "L_list": [4, 6],
+     "channel": {"kind": "bitflip_x", "p": 0.1}},
+    {"scenario": "deformed", "L": 3, "n_samples": 50},
+    {"scenario": "subsystem", "L": 8, "L_sub_list": [4], "theta_points": 200},
+    {"scenario": "hadamard", "L_list": [4, 6]},
+], ids=["qfi_scaling-fermion", "qfi_scaling-exact", "theta_curves", "channel_sweep",
+        "deformed", "subsystem", "hadamard"])
+def test_cli_run_imports_no_module_after_validation(tmp_path, payload):
+    """Whatever a run needs is imported by the time ``from_dict`` returns,
+    so import time counts as set-up and never inside the run: validation
+    loads the exact path's scipy stack for every config with an exact
+    point (the qfi_scaling-exact config reaches the Lanczos solver at
+    L = 12), and the fermion-only run needs nothing beyond the import of
+    the CLI."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(payload))
+    out = subprocess.run(
+        [sys.executable, "-c", _SPLIT_PROBE, payload["scenario"], "--config", str(cfg_path),
+         "--out", str(tmp_path / "out")],
+        env=_child_env(), check=True, timeout=120, capture_output=True, text=True,
+    )
+    assert out.stdout.strip() == "0 []", out.stderr
