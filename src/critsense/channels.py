@@ -30,7 +30,7 @@ against exact diagonalization must use that generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
 
@@ -83,24 +83,6 @@ class ChannelSpec:
         repeated = sorted({j for j in mask if mask.count(j) > 1})
         if repeated:  # a repeat would apply the channel to that site again
             raise ValueError(f"site_mask may name each site once; repeated: {repeated}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "p": self.p, "chi": self.chi, "t": self.t,
-            "site_mask": list(self.site_mask) if self.site_mask else None,
-            "after_imprint": self.after_imprint,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ChannelSpec":
-        """Spec from a JSON object; a key that is not a field is refused."""
-        if not isinstance(payload, dict):
-            raise TypeError(f"must be an object, got {payload!r}")
-        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown key(s) {unknown}")
-        mask = payload.get("site_mask")
-        return cls(**{**payload, "site_mask": tuple(mask) if mask else None})
 
 
 @dataclass(frozen=True)

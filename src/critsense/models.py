@@ -8,7 +8,7 @@ laid out interleaved: rung j (1-based), chain y in {1, 2} -> qubit
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -71,23 +71,6 @@ class ModelSpec:
     @property
     def n_qubits(self) -> int:
         return 2 * self.L if self.kind == "cluster_ladder" else self.L
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "L": self.L, "J": self.J, "h": self.h,
-            "delta": self.delta, "omega": self.omega, "detuning": self.detuning,
-            "v1": self.v1, "v2": self.v2, "boundary": self.boundary,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelSpec":
-        """Spec from a JSON object; a key that is not a field is refused."""
-        if not isinstance(payload, dict):
-            raise TypeError(f"must be an object, got {payload!r}")
-        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown key(s) {unknown}")
-        return cls(**payload)
 
 
 @dataclass

@@ -255,10 +255,11 @@ def xxz_window_scaling(
     L_sub_list: list[int],
     psi: PureState,
     theta_grid: np.ndarray | None = None,
-    alpha: int = 1,
-    beta: int = 1,
 ) -> list[XxzWindowRow]:
     """Measured window quantities next to the Luttinger-parameter predictions.
+
+    Each block is read out by ``make_xxz_protocol``'s (1, 2) string pair,
+    whose signal does not vanish on odd blocks.
 
     Predicted size exponents: delta_theta_min ~ L^{-1+3/(4K)},
     theta_min ~ L^{-1+1/(4K)}, theta_l ~ L^{-3/2+1/K}, theta_r ~ L^{-1/2-1/(2K)};
@@ -276,7 +277,7 @@ def xxz_window_scaling(
     grid = default_theta_grid() if theta_grid is None else theta_grid
     rows = []
     for L_sub in L_sub_list:
-        proto = make_xxz_protocol(psi.n_qubits, L_sub, alpha=alpha, beta=beta)
+        proto = make_xxz_protocol(psi.n_qubits, L_sub)
         curve = parity_theta_curve(psi, proto, grid)
         rows.append(
             XxzWindowRow(

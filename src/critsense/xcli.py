@@ -7,7 +7,10 @@ readout), ``channel_sweep`` (noisy Fisher information vs size), ``deformed``
 (outcome-decoded ladder protocol), ``subsystem`` (restricted parity windows),
 and ``hadamard`` (translation-readout Fisher information at ``theta0``).
 Everything the CLI knows about a scenario (the config fields it reads, its
-checks, its point tasks and its fit) is one entry of ``_SCENARIOS``.
+checks, its point tasks and its fit) is one entry of ``_SCENARIOS``.  The
+config and CSV formats are declared here too: ``_FIELD_SHAPES`` is the JSON
+a config may hold, its hash is taken over the fields of ``ExperimentConfig``
+and the specs it holds, and the fields of ``ExperimentRecord`` are the columns.
 
 Every scenario is a list of point tasks run through one thread pool; serial
 is a pool of one worker.  For a fixed BLAS thread count the output bytes do
@@ -29,7 +32,7 @@ import sys
 import tempfile
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -87,15 +90,12 @@ class ConfigError(ValueError):
 
 # The JSON shape of every settable config field: a type (int excludes bool,
 # float takes any finite number), a one-element list for a non-empty list of
-# that type, a dict of the keys an object may hold (unknown keys are refused
-# by the spec it becomes), or a ``(shape, None)`` pair that also takes null.
-_MODEL_SHAPE = {
-    "kind": str, "L": int, "boundary": str,
-    **dict.fromkeys(("J", "h", "delta", "omega", "detuning", "v1", "v2"), float),
-}
+# that type, a dict of the keys an object may hold (any other key is refused),
+# or a ``(shape, None)`` pair that also takes null.  An object holds only the
+# keys a run reads: subsystem, the one reader of ``model``, runs the tfim kind.
+_MODEL_SHAPE = {"kind": str, "L": int, "boundary": str, "J": float, "h": float}
 _CHANNEL_SHAPE = {
-    "kind": str, "p": (float, None), "chi": (float, None), "t": (float, None),
-    "site_mask": ([int], None), "after_imprint": bool,
+    "kind": str, "p": (float, None), "chi": (float, None), "site_mask": ([int], None),
 }
 _FIELD_SHAPES = {
     "seed": int, "probes": [str], "L_list": [int], "L": int, "L_sub_list": [int],
@@ -130,10 +130,10 @@ def _typed(name: str, value, shape, what: str = ""):
     if isinstance(shape, dict):
         if type(value) is not dict:
             raise ConfigError(f"{name}: must be an object, got {value!r}")
-        for key, val in value.items():
-            if key in shape:
-                _typed(name, val, shape[key], f"{key} ")
-        return value
+        unknown = sorted(set(value) - set(shape))
+        if unknown:
+            raise ConfigError(f"{name}: unknown key(s) {unknown}")
+        return {key: _typed(name, val, shape[key], f"{key} ") for key, val in value.items()}
     if not _fits(value, shape):
         raise ConfigError(f"{name}: {what}must be {_SHAPE_NAMES[shape]}, got {value!r}")
     return value
@@ -185,7 +185,7 @@ class ExperimentConfig:
         for key, spec_cls in (("model", ModelSpec), ("channel", ChannelSpec)):
             if data.get(key) is not None:
                 try:
-                    data[key] = spec_cls.from_dict(data[key])
+                    data[key] = spec_cls(**data[key])
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{key}: {exc}") from exc
         cfg = cls(scenario=name, **data)
@@ -236,17 +236,7 @@ class ExperimentConfig:
             import scipy.sparse.linalg  # noqa: F401
 
     def to_canonical_json(self) -> str:
-        payload = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if isinstance(val, ModelSpec):
-                val = val.to_dict()
-            elif isinstance(val, ChannelSpec):
-                val = val.to_dict()
-            elif isinstance(val, tuple):
-                val = list(val)
-            payload[f.name] = val
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @cached_property
     def config_hash(self) -> str:
@@ -274,18 +264,13 @@ def _check_even(name: str, sizes) -> None:
         raise ConfigError(f"{name}: the staggered probe needs even sizes; got {odd}")
 
 
-COLUMNS = (
-    "schema_version", "scenario", "probe", "model_kind", "boundary", "L", "L_sub",
-    "channel_kind", "p", "chi", "theta", "beta", "observable", "value",
-    "variance", "delta_theta", "qfi", "fit_exponent", "fit_r2",
-    "point_seed", "seed", "config_hash", "code_version",
-)
-
-
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentRecord:
-    observable: str
-    value: float
+    """One CSV row; the fields are the columns, in order.  ``run`` stamps
+    ``scenario``, ``seed`` and ``config_hash`` on every row."""
+
+    schema_version: int = SCHEMA_VERSION
+    scenario: str = ""
     probe: str = ""
     model_kind: str = ""
     boundary: str = ""
@@ -296,21 +281,23 @@ class ExperimentRecord:
     chi: float | None = None
     theta: float | None = None
     beta: float | None = None
+    observable: str
+    value: float
     variance: float | None = None
     delta_theta: float | None = None
     qfi: float | None = None
     fit_exponent: float | None = None
     fit_r2: float | None = None
     point_seed: int | None = None
-    # run-level columns, stamped by ``run``
-    scenario: str = ""
     seed: int | None = None
     config_hash: str = ""
-    schema_version: int = SCHEMA_VERSION
     code_version: str = __version__
 
     def row(self) -> list[str]:
         return [_fmt(getattr(self, c)) for c in COLUMNS]
+
+
+COLUMNS = tuple(f.name for f in fields(ExperimentRecord))
 
 
 def _fmt(val) -> str:
@@ -456,8 +443,6 @@ def _channel_sweep_check(cfg: ExperimentConfig) -> None:
     chan = cfg.channel
     if chan is None:
         raise ConfigError("channel: required for the channel_sweep scenario")
-    if chan.after_imprint:
-        raise ConfigError("channel: after_imprint must be false; channel_sweep imprints no phase")
     mask = chan.site_mask or ()
     outside = [j for j in mask if not 0 <= j < min(cfg.L_list)]
     if outside:

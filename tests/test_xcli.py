@@ -339,7 +339,33 @@ def test_scenario_table_lists_the_fields_each_scenario_reads():
     assert set(xc._FIELD_SHAPES) == settable == set().union(*_READS.values())
 
 
+def test_config_object_keys_are_fields_of_their_spec():
+    import dataclasses
+
+    import critsense.xcli as xc
+    from critsense import ChannelSpec, ModelSpec
+
+    for shape, spec in ((xc._MODEL_SHAPE, ModelSpec), (xc._CHANNEL_SHAPE, ChannelSpec)):
+        assert set(shape) <= {f.name for f in dataclasses.fields(spec)}
+
+
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+
+
+@pytest.mark.parametrize("name, config_hash", [
+    ("ed_ground", "c0c5624597a0c0e3"), ("fermion_chain", "e40435be26325baa"),
+    ("mixed_noise", "225b082723b46516"), ("theta_sweep", "52e56ca1851ed77e"),
+])
+def test_benchmark_workload_config_hashes(name, config_hash):
+    # the hash every row of a workload carries; no golden pins a qfi_scaling one
+    payload = json.loads((_WORKLOADS / f"{name}.json").read_text())
+    assert ExperimentConfig.from_dict(payload).config_hash == config_hash
+
+
 _BITFLIP = {"kind": "bitflip_x", "p": 0.1}
+# ModelSpec fields of the xxz and rydberg kinds, which no scenario runs
+_UNREAD_MODEL_KEYS = [("delta", 0.0), ("omega", 1.0), ("detuning", 0.0), ("v1", 50.0),
+                      ("v2", 0.0)]
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -364,11 +390,17 @@ _BITFLIP = {"kind": "bitflip_x", "p": 0.1}
     ({"scenario": "qfi_scaling", "probes": ["ghz"], "L_list": [4, 6, 8], "seed": True}, "seed"),
     ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4], "channel": [1]},
      "channel"),
-    # a channel key that is not a field, or that channel_sweep never applies
+    # a spec key that is not a field, or that no run reads
     ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4],
       "channel": {**_BITFLIP, "probability": 0.1}}, "channel"),
     ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4],
       "channel": {**_BITFLIP, "after_imprint": True}}, "channel"),
+    ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4],
+      "channel": {**_BITFLIP, "after_imprint": False}}, "channel"),
+    ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4],
+      "channel": {**_BITFLIP, "t": 1.0}}, "channel"),
+    *[({"scenario": "subsystem", "model": {"kind": "tfim", "L": 8, key: value},
+        "L_sub_list": [4]}, "model") for key, value in _UNREAD_MODEL_KEYS],
     ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4, 6],
       "channel": {**_BITFLIP, "site_mask": [0, 5]}}, "channel"),
     ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4],
@@ -387,6 +419,8 @@ _BITFLIP = {"kind": "bitflip_x", "p": 0.1}
         "subsystem_L_and_model", "probe_alias", "critical_alias", "probes_string",
         "L_string", "L_list_int", "L_list_float_entry", "theta_points_float", "seed_bool",
         "channel_list", "channel_unknown_key", "channel_after_imprint",
+        "channel_after_imprint_false", "channel_t",
+        *[f"model_{key}" for key, _ in _UNREAD_MODEL_KEYS],
         "channel_site_outside", "channel_site_repeated", "beta_negative", "beta_infinite",
         "probes_repeated", "L_list_repeated", "L_sub_list_repeated", "beta_list_repeated",
         "beta_list_int_float"])
