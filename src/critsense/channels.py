@@ -56,8 +56,10 @@ class ChannelSpec:
 
     Per-site kinds use the flip probability ``p``; the global kind is
     parameterized by the accumulated noise kernel ``chi`` (and the evolution
-    time ``t`` it was derived from, kept for bookkeeping).  ``site_mask``
-    restricts per-site kinds to a subset of sites (bond start sites for zz).
+    time ``t`` it was derived from, kept for bookkeeping).  Each kind
+    refuses the other's field (ValueError naming it): it would act on
+    nothing, yet reach the CSV.  ``site_mask`` restricts per-site kinds to a
+    subset of sites (bond start sites for zz).
     """
 
     kind: str
@@ -76,9 +78,13 @@ class ChannelSpec:
         if self.kind == "global_dephase":
             if self.chi is None or self.chi < 0.0:
                 raise ValueError("global dephasing needs chi >= 0")
+            if self.p is not None:
+                raise ValueError("p acts on no global dephasing; leave it unset")
         else:
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError("per-site channels need p in [0, 1]")
+            if self.chi is not None:
+                raise ValueError(f"chi acts on no {self.kind} channel; leave it unset")
         mask = self.site_mask or ()
         repeated = sorted({j for j in mask if mask.count(j) > 1})
         if repeated:  # a repeat would apply the channel to that site again

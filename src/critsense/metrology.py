@@ -15,9 +15,11 @@ cross-checks it to ``derivative_agree_tol``.  One reader serves every probe
 and readout (``_reader``): the probe is a column block Phi with rho = Phi
 Phi^dagger (``_ensemble``), a pure state's amplitudes as they are, a mixed
 state's weighted spectral ensemble, evolved into three buffers of its shape
-allocated once per curve.  Each trace is a flat ``vdot`` over the evolved
-block, so a mixed probe builds no state per point.  ``classical_fisher``
-evolves the same block by the same step (``_evolve``).
+allocated once per curve.  Every generator evolves the block by one
+exponential in its product frame (``qcore.apply_exponential``), unitary to
+rounding, so nothing is renormalized.  Each trace is a flat ``vdot`` over
+the evolved block, so a mixed probe builds no state per point.
+``classical_fisher`` evolves the same block by the same step (``_evolve``).
 """
 from __future__ import annotations
 
@@ -236,14 +238,11 @@ def _ensemble(state: State) -> np.ndarray:
 
 def _evolve(gen: PauliOperator, theta: float, base: np.ndarray, out: np.ndarray) -> np.ndarray:
     """e^{i theta gen} base into ``out``, as ``evolve_phase`` has it: a copy
-    at theta = 0, renormalized (the whole block) after a generator with X/Y
-    letters."""
+    at theta = 0, else ``apply_exponential`` in the generator's frame."""
     if theta == 0.0:
         out[:] = base
     else:
         apply_exponential(gen, 1j * theta, base, out=out)
-        if not gen.is_diagonal:
-            np.divide(out, np.linalg.norm(out), out=out)
     return out
 
 
@@ -294,9 +293,10 @@ def precision_curve(
 ) -> PrecisionCurve:
     """Signal, variance and delta theta of ``obs`` at each grid angle.
 
-    A grid angle that is not finite or does not exceed the one before it is
-    refused (ValueError naming it) before anything of the register's size is
-    allocated.  ``read(theta, full)`` evolves the probe to theta and returns
+    A grid angle that is not finite or does not exceed the one before it,
+    and a generator with no product frame (``PauliOperator.frame``), are
+    refused (ValueError naming them) before anything of the register's size
+    is allocated.  ``read(theta, full)`` evolves the probe to theta and returns
     the differenced quantity, the minus-branch probability of an involution
     or <obs>, or with ``full`` the signal, the variance and the commutator
     derivative.  A reported derivative that misses the commutator one raises
@@ -309,6 +309,7 @@ def precision_curve(
         raise ValueError("phase generator and readout must be Hermitian")
     _check_register(state, gen)
     _check_register(state, obs)
+    gen.frame()  # refuses a generator with no product frame, ahead of the buffers
     involution = _is_involution(obs)
     read = _reader(state, gen, obs, involution)
 
@@ -344,9 +345,9 @@ def classical_fisher(
     """sum_k (d_theta P_k)^2 / P_k over outcomes with P_k above the floor, at
     each grid angle of e^{i theta gen}|psi>, differenced at ``POLICY.fd_step``.
 
-    The grid, the generator and every register are checked (ValueError)
-    before any evolution; POVM completeness once per call, on two seeded
-    random vectors.  P_k = <Phi_theta|E_k Phi_theta> over the probe's block
+    The grid, the generator, its product frame and every register are
+    checked (ValueError) before any evolution; POVM completeness once per
+    call, on two seeded random vectors.  P_k = <Phi_theta|E_k Phi_theta> over the probe's block
     (``_ensemble``), evolved by the theta loop's step (``_evolve``).
     """
     thetas = np.asarray(theta_grid, dtype=float)
@@ -355,6 +356,7 @@ def classical_fisher(
         raise ValueError("phase generator must be Hermitian")
     for op in (gen, *povm):
         _check_register(state, op)
+    gen.frame()  # refuses a generator with no product frame, ahead of the POVM check
     dim = 1 << state.n_qubits
     rng = np.random.default_rng(np.random.Philox(7))
     for _ in range(2):

@@ -43,6 +43,17 @@ the register.  Each entry is the same elementwise exp of the same float,
 multiplied in the same operand order, so the result is bit for bit the
 direct one.
 
+Every other generator is exponentiated through the same table, in its
+product frame G = W D W^dagger (``PauliOperator.frame``, cached on the
+operator): W a product of single-site unitaries, one axis per site, and D
+diagonal.  An X site takes H, a Y site S H, a site that only single-site
+terms touch the axis of their summed weights (D H with D = diag(1,
+e^{i phi}) for the in-plane spin); a site with two letters and a
+multi-site term has no frame, and the generator is refused by name.  The
+exponential is a rotation by W^dagger, D's phase factors and the rotation
+back, one 2x2 pass per rotated site each way, unitary to rounding, so
+nothing is renormalized; a diagonal generator rotates nothing.
+
 Dense density matrices follow one dtype rule: real in, real out; complex only
 when the data is.  A real matrix is kept as float64 and anything complex as
 complex128, so real probes and real channels run in real arithmetic end to
@@ -76,8 +87,8 @@ spectral cache on MixedState, which holds the sector blocks and, once
 ``spectrum()`` asks for it, their full-register embedding, and which should
 be populated once (call ``sector_spectrum()``, or ``spectrum()`` when the
 embedded form is read too) before sharing across threads; and the grouped
-form and phase table of a PauliOperator, which two threads may at worst
-both build.  The sector isometries sit in an ``lru_cache``.
+form, phase table and product frame of a PauliOperator, which two threads
+may at worst both build.  The sector isometries sit in an ``lru_cache``.
 """
 from __future__ import annotations
 
@@ -452,10 +463,12 @@ class PauliOperator:
     A diagonal operator (I/Z letters only, ``is_diagonal``, fixed at
     construction) also caches its phase table on first use: its distinct
     diagonal values and each table entry's index into them, the form every
-    diagonal exponential reads.  No other form of the diagonal is kept.
+    diagonal exponential reads.  No other form of the diagonal is kept.  Any
+    other operator caches its product frame (``frame``), whose diagonal
+    operator holds the phase table.
     """
 
-    __slots__ = ("n_qubits", "terms", "is_diagonal", "_form", "_table")
+    __slots__ = ("n_qubits", "terms", "is_diagonal", "_form", "_table", "_frame")
 
     def __init__(self, n_qubits: int, terms: Iterable[tuple[complex, str]] = ()):
         if n_qubits < 1:
@@ -479,6 +492,7 @@ class PauliOperator:
         self.is_diagonal = all(set(s) <= {"I", "Z"} for _, s in self.terms)
         self._form: _Grouped | None = None
         self._table: tuple[np.ndarray, np.ndarray] | None = None
+        self._frame: _Frame | None = None
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -577,6 +591,17 @@ class PauliOperator:
             self._table = (values, index)
         return self._table
 
+    def frame(self) -> _Frame:
+        """The product frame W D W^dagger of the operator (``_Frame``):
+        ``((), self)`` for a diagonal operator, which derives nothing, and
+        for any other one ``_product_frame``'s, derived on first use and
+        cached; ValueError naming the site of an operator that has none."""
+        if self.is_diagonal:
+            return _Frame((), self)
+        if self._frame is None:
+            self._frame = _product_frame(self)
+        return self._frame
+
     @property
     def shape(self) -> tuple[int, int]:
         dim = 1 << self.n_qubits
@@ -671,6 +696,103 @@ class PauliOperator:
         mat.eliminate_zeros()
         mat.sort_indices()
         return mat
+
+
+class _Frame(NamedTuple):
+    """An operator G as W D W^dagger: W the product of the 2x2 unitaries U_j
+    of ``rotations``, ``(site, U_j)`` pairs in site order, each with U_j Z
+    U_j^dagger the site's axis, and D the I/Z-letter ``diagonal``."""
+
+    rotations: tuple[tuple[int, np.ndarray], ...]
+    diagonal: PauliOperator
+
+
+_AXES = {"X": (1.0, 0.0, 0.0), "Y": (0.0, 1.0, 0.0)}
+
+
+def _axis_unitary(x: float, y: float, z: float) -> np.ndarray:
+    """U with U Z U^dagger = x X + y Y + z Z for a unit axis off Z: columns
+    (c, e s) and (s, -e c), c = sqrt((1 + z)/2), s = sqrt((1 - z)/2),
+    e = (x + i y)/|x + i y|, so H for X and S H for Y, exactly; float64
+    when e is real."""
+    c, s = math.sqrt(0.5 * (1.0 + z)), math.sqrt(0.5 * (1.0 - z))
+    e = complex(x, y) / math.hypot(x, y)
+    u = np.array([[c, s], [e * s, -e * c]])
+    return u.real.copy() if e.imag == 0.0 else u
+
+
+def _product_frame(op: PauliOperator) -> _Frame:
+    """The product frame of a Pauli sum with X/Y letters, one axis per site.
+
+    A site whose every term carries one letter there has that letter's
+    axis: Z sites are not rotated, and an X or Y letter becomes Z in D.  A
+    site that only single-site terms touch has the axis of their sum c_x X
+    + c_y Y + c_z Z (real weights), which becomes |c| Z in D.  Any other
+    site, or complex weights on such a sum, has no frame: ValueError naming
+    the site and its letters, raised before anything of the register's size
+    is built.
+    """
+    n = op.n_qubits
+    letters: list[set[str]] = [set() for _ in range(n)]
+    shared = [False] * n  # the site is touched by a multi-site term
+    for _, word in op.terms:
+        sites = [j for j, c in enumerate(word) if c != "I"]
+        for j in sites:
+            letters[j].add(word[j])
+            shared[j] = shared[j] or len(sites) > 1
+    rotations = []
+    summed: dict[int, list[complex]] = {}  # site -> single-site weights of X, Y, Z
+    for j, used in enumerate(letters):
+        if used <= {"Z"}:
+            continue
+        if len(used) == 1:
+            (letter,) = used
+            rotations.append((j, _axis_unitary(*_AXES[letter])))
+            continue
+        if shared[j]:
+            raise ValueError(f"generator has no product frame: site {j} carries letters "
+                             f"{''.join(sorted(used))} and a multi-site term touches it")
+        summed[j] = [0.0, 0.0, 0.0]
+    terms = []
+    for c, word in op.terms:
+        site = next((j for j in summed if word[j] != "I"), None)
+        if site is None:
+            terms.append((c, "".join("Z" if a in "XY" else a for a in word)))
+        else:
+            summed[site]["XYZ".index(word[site])] += c
+    for j, weights in summed.items():
+        if any(w.imag != 0.0 for w in weights):
+            raise ValueError(f"generator has no product frame: site {j} carries letters "
+                             f"{''.join(sorted(letters[j]))} with complex weights")
+        x, y, z = (w.real for w in weights)
+        r = math.sqrt(x * x + y * y + z * z)
+        rotations.append((j, _axis_unitary(x / r, y / r, z / r)))
+        terms.append((r, pauli_word(n, {j: "Z"})))
+    return _Frame(tuple(sorted(rotations, key=lambda pair: pair[0])), PauliOperator(n, terms))
+
+
+def _rotate(x: np.ndarray, rotations, adjoint: bool = False, columns: bool = False) -> None:
+    """x <- W x, or W^dagger x with ``adjoint``, in place, one site at a
+    time, W the product of the ``(site, U)`` rotations of a ``_Frame``.
+
+    ``x`` is C-contiguous and complex (or real while every U is), its first
+    axis the register, trailing axes columns.  With ``columns`` x is a
+    square matrix and the rotation acts on its column index from the right,
+    x <- x W^dagger (or x W with ``adjoint``): entry b of a row takes
+    conj(U) (or U^T), so that rows then columns give W rho W^dagger.
+    """
+    lead = x.shape[0] if columns else 1
+    for site, u in rotations:
+        m = u.conj().T if adjoint else u
+        if columns:
+            m = m.conj()
+        pair = x.reshape(lead << site, 2, -1)
+        a, b = pair[:, 0], pair[:, 1]
+        top = m[0, 0] * a
+        top += m[0, 1] * b
+        b *= m[1, 1]
+        b += m[1, 0] * a
+        a[...] = top
 
 
 def to_matrix(op: PauliOperator) -> np.ndarray:
@@ -1054,12 +1176,13 @@ def evolve_phase(state: State, gen: PauliOperator, theta: float) -> State:
     """e^{i theta gen}|psi>, or U rho U^dagger with U = e^{i theta gen}, for a
     Hermitian generator.
 
-    Diagonal generators (I/Z letters only) are applied as a pure phase, to a
-    mixed state as rho * u u^dagger with u = e^{i theta diag}, u from the
-    phase table.  The general case goes through a Krylov evaluation of the
-    matrix exponential action (pure states) or the dense unitary from
-    ``eigh(to_matrix(gen))`` (mixed states).  The norm is preserved to
-    1e-12.  An imprinted mixed state is a new ``MixedState``, certified and
+    Every generator is applied in its product frame, gen = W D W^dagger
+    (``PauliOperator.frame``): a pure state by ``apply_exponential``; a
+    mixed one rotated into the frame, rows then columns, multiplied by u
+    u^dagger with u = e^{i theta D} from D's phase table, and rotated back.
+    A diagonal generator rotates nothing, so rho goes into the product as
+    it is.  The rotations are unitary, so nothing is renormalized.  An
+    imprinted mixed state is a new ``MixedState``, certified and
     diagonalized afresh.
     """
     if not gen.is_hermitian:
@@ -1068,50 +1191,58 @@ def evolve_phase(state: State, gen: PauliOperator, theta: float) -> State:
         raise ValueError("register size mismatch")
     if theta == 0.0:
         return state
-    if isinstance(state, MixedState):
-        if gen.is_diagonal:
-            values, index = gen.phase_table()
-            u = gen._register(np.exp(1j * theta * values).take(index))
-            return MixedState(state.n_qubits, state.matrix * np.outer(u, u.conj()))
-        w, vv = np.linalg.eigh(to_matrix(gen))
-        uu = (vv * np.exp(1j * theta * w)) @ vv.conj().T
-        return MixedState(state.n_qubits, uu @ state.matrix @ uu.conj().T)
-    amp = apply_exponential(gen, 1j * theta, state.amplitudes)
-    if not gen.is_diagonal:
-        amp = amp / np.linalg.norm(amp)
-    return PureState(state.n_qubits, amp)
+    if isinstance(state, PureState):
+        return PureState(state.n_qubits, apply_exponential(gen, 1j * theta, state.amplitudes))
+    rotations, diag = gen.frame()
+    values, index = diag.phase_table()
+    u = diag._register(np.exp(1j * theta * values).take(index))
+    rho = state.matrix
+    if rotations:
+        rho = into_frame(rotations, rho)
+        _rotate(rho, rotations, adjoint=True, columns=True)
+    rho = rho * np.outer(u, u.conj())
+    if rotations:
+        _rotate(rho, rotations)
+        _rotate(rho, rotations, columns=True)
+    return MixedState(state.n_qubits, rho)
+
+
+def into_frame(rotations, vec: np.ndarray) -> np.ndarray:
+    """W^dagger vec for the ``rotations`` of a ``_Frame`` (``_rotate``):
+    ``vec`` itself when there are none, a rotated complex copy otherwise."""
+    if not rotations:
+        return vec
+    vec = np.array(vec, dtype=np.complex128, order="C")
+    _rotate(vec, rotations, adjoint=True)
+    return vec
 
 
 def apply_exponential(
     gen: PauliOperator, scale: complex, vec: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Raw action e^{scale * gen} vec, without any normalization.
+    """Raw action e^{scale * gen} vec = W e^{scale * D} W^dagger vec in the
+    generator's product frame (``PauliOperator.frame``).
 
-    A diagonal generator exponentiates its phase table, one exp per
-    distinct eigenvalue, gathers the factors into the table's layout
-    (``phase_table``) and multiplies them, broadcast over the diagonal
-    group's coalesced register view, into ``vec``: factor times amplitude,
-    in that operand order, so the result is bit for bit ``np.exp(scale *
-    gen.diagonal()) * vec`` with one register-sized array, the result.  Any
-    other generator goes through a Krylov ``expm_multiply``.  ``out``, a C-contiguous
-    complex array of ``vec``'s shape that does not overlap it, receives the
-    result.
+    ``vec`` is rotated into the frame (``into_frame``), D exponentiates its
+    phase table, one exp per distinct eigenvalue, gathers the factors into
+    the table's layout (``phase_table``) and multiplies them, broadcast over
+    the diagonal group's coalesced register view, into the rotated vector,
+    and the product is rotated back in place.  A diagonal generator rotates
+    nothing: factor times amplitude, in that operand order, so the result
+    is bit for bit ``np.exp(scale * gen.diagonal()) * vec`` with one
+    register-sized array, the result.  ``out``, a C-contiguous complex array
+    of ``vec``'s shape that does not overlap it, receives the result.
     """
-    if gen.is_diagonal:
-        values, index = gen.phase_table()
-        shape = gen._view_shape()
-        vec = np.asarray(vec)
-        cols = vec.shape[1:]
-        factors = np.exp(scale * values).take(index).reshape(index.shape + (1,) * len(cols))
-        if out is None:
-            out = np.empty(vec.shape, dtype=np.result_type(factors, vec))
-        np.multiply(factors, vec.reshape(shape + cols), out=out.reshape(shape + cols))
-        return out
-    import scipy.sparse.linalg as spla  # loaded on first use
-    result = spla.expm_multiply(scale * gen.to_sparse(), vec)
+    rotations, diag = gen.frame()
+    values, index = diag.phase_table()
+    shape = diag._view_shape()
+    vec = into_frame(rotations, np.asarray(vec))
+    cols = vec.shape[1:]
+    factors = np.exp(scale * values).take(index).reshape(index.shape + (1,) * len(cols))
     if out is None:
-        return result
-    out[...] = result
+        out = np.empty(vec.shape, dtype=np.result_type(factors, vec))
+    np.multiply(factors, vec.reshape(shape + cols), out=out.reshape(shape + cols))
+    _rotate(out, rotations)
     return out
 
 

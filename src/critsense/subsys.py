@@ -21,7 +21,14 @@ import numpy as np
 from .metrology import PrecisionCurve, precision_curve
 from .models import luttinger_K
 from .policy import POLICY
-from .qcore import PauliOperator, PureState, apply_exponential, expectation, pauli_word
+from .qcore import (
+    PauliOperator,
+    PureState,
+    apply_exponential,
+    expectation,
+    into_frame,
+    pauli_word,
+)
 
 
 @dataclass(frozen=True)
@@ -150,26 +157,25 @@ def parity_theta_curve(
     centered difference), all in the register buffers it allocates once per
     curve for a pure probe.  Each signal is also checked against the
     anticommutation pull-through <psi|e^{-2 i theta O} Pi|psi>; the two must
-    agree to ``POLICY.pull_through_tol``.  For a diagonal imprinter with
-    phase table ``(values, index)`` that is sum_j e^{-2 i theta v_j} M_j,
-    with M = bincount(inverse, conj(psi) Pi psi), ``inverse`` the index
-    broadcast over the register: one pass over the register per curve.  Any
-    other imprinter takes one exponential per point.
+    agree to ``POLICY.pull_through_tol``.  In the imprinter's product frame
+    O = W D W^dagger (``PauliOperator.frame``), with D's phase table
+    ``(values, index)``, that is sum_j e^{-2 i theta v_j} M_j, with M =
+    bincount(inverse, conj(W^dagger psi) W^dagger Pi psi), ``inverse`` the
+    index broadcast over the register: one pass over the register per
+    curve, and no rotation for a diagonal imprinter.
     """
     pi_op = protocol.measurement
     gen = protocol.imprinter
     curve = precision_curve(psi, gen, pi_op, theta_grid)
-    pi_vec = pi_op @ psi.amplitudes
-    if gen.is_diagonal:
-        values, index = gen.phase_table()
-        inverse = gen._register(index)
-        weight = psi.amplitudes.conj() * pi_vec
-        moments = (np.bincount(inverse, weight.real, values.size)
-                   + 1j * np.bincount(inverse, weight.imag, values.size))
-        pulled = [np.dot(np.exp(-2j * th * values), moments) for th in curve.theta]
-    else:
-        pulled = [np.vdot(apply_exponential(gen, 2j * th, psi.amplitudes), pi_vec)
-                  for th in curve.theta]
+    rotations, diag = gen.frame()
+    amp = into_frame(rotations, psi.amplitudes)
+    pi_vec = into_frame(rotations, pi_op @ psi.amplitudes)
+    values, index = diag.phase_table()
+    inverse = diag._register(index)
+    weight = amp.conj() * pi_vec
+    moments = (np.bincount(inverse, weight.real, values.size)
+               + 1j * np.bincount(inverse, weight.imag, values.size))
+    pulled = [np.dot(np.exp(-2j * th * values), moments) for th in curve.theta]
     for th, direct, pull in zip(curve.theta, curve.signal, pulled):
         POLICY.check(lambda: f"pull-through mismatch at theta={th}: {direct} vs {pull}; "
                      "|direct - pull|", abs(direct - pull), "pull_through_tol",

@@ -24,8 +24,10 @@ from critsense.policy import POLICY
 from critsense.qcore import (
     PauliOperator,
     PureState,
+    _rotate,
     evolve_phase,
     expectation,
+    into_frame,
     trace_product,
     variance,
 )
@@ -328,23 +330,22 @@ def flip_apply_vec(op, vec, out=None, form=None):
 
 def gathered_exponential(gen, scale, vec, out=None):
     """``apply_exponential`` by gathering a 2^n factor array: the phase
-    table exponentiated and taken over every basis state (its index
-    broadcast over the register), then multiplied into ``vec``
-    (``expm_multiply`` for a generator with X/Y letters)."""
-    import scipy.sparse.linalg as spla
-
-    if gen.is_diagonal:
-        values, index = gen.phase_table()
-        inverse = gen._register(index)
-        factors = np.exp(scale * values)
-        if out is None:
-            return factors.take(inverse) * vec
-        factors.take(inverse, out=out, mode="clip")
-        return np.multiply(out, vec, out=out)
-    result = spla.expm_multiply(scale * gen.to_sparse(), vec)
+    table of the generator's frame diagonal D exponentiated and taken over
+    every basis state (its index broadcast over the register), then
+    multiplied into ``vec`` rotated into the frame, and the product rotated
+    back (``qcore.into_frame`` and ``qcore._rotate``, the frame's own
+    rotation; a diagonal generator rotates nothing)."""
+    rotations, diag = gen.frame()
+    values, index = diag.phase_table()
+    inverse = diag._register(index)
+    factors = np.exp(scale * values)
+    vec = into_frame(rotations, vec)
     if out is None:
-        return result
-    out[...] = result
+        out = factors.take(inverse) * vec
+    else:
+        factors.take(inverse, out=out, mode="clip")
+        np.multiply(out, vec, out=out)
+    _rotate(out, rotations)
     return out
 
 

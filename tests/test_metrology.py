@@ -32,10 +32,11 @@ from critsense import (
 import critsense.metrology as metrology
 from critsense.channels import ChannelSpec, apply_channel, in_plane_spin
 from critsense.metrology import precision_curve
-from critsense.models import ModelSpec, solve_model
+from critsense.models import ModelSpec, oat_optimal_generator, oat_squeezed_state, solve_model
 from critsense.policy import POLICY
 import critsense.qcore as qcore
-from critsense.qcore import collective_spin
+from critsense.qcore import apply_exponential, collective_spin, pauli_word
+from critsense.subsys import make_xxz_protocol
 from critsense.symmetry import build_symmetry
 
 from conftest import staggered_z, sum_z
@@ -806,7 +807,13 @@ def test_mixed_curve_factors_a_non_diagonal_generator_once(critical_states, monk
     """A dephased probe under the X-sum imprinter: the curve evolves the
     probe's spectral block, so it calls no ``to_matrix`` and builds no
     ``MixedState``, whatever the readout (the agreement with the per-point
-    loop is ``test_theta_loop_matches_the_general_loop_oracle[mixed-6]``)."""
+    loop is ``test_theta_loop_matches_the_general_loop_oracle[mixed-6]``).
+
+    For this real probe under the real X sum, <Z_0 Z_1>_theta is even in
+    theta, so its exact derivative at theta = 0 vanishes and the exact
+    answer there is the +inf sentinel; the centered difference of the two
+    evolutions leaves rounding, so the loop reports the sentinel or a
+    rounding-level delta theta, above 1e9.  Every other cell is finite."""
     L = 6
     probe = apply_channel(MixedState.from_pure(critical_states(L).state),
                           ChannelSpec("dephase_z", p=0.05))
@@ -831,8 +838,11 @@ def test_mixed_curve_factors_a_non_diagonal_generator_once(critical_states, monk
 
     monkeypatch.setattr(qcore.MixedState, "__post_init__", counted)
     for obs in cases:
-        curve = precision_curve(probe, gen, obs, grid)
-        assert np.all(np.isfinite(curve.delta_theta)), obs
+        dth = precision_curve(probe, gen, obs, grid).delta_theta
+        if obs is cases[1]:  # the even signal at theta = grid[1] = 0
+            assert dth[1] > 1e9
+            dth = np.delete(dth, 1)
+        assert np.all(np.isfinite(dth)), obs
     assert spied == []
 
 
@@ -1032,6 +1042,69 @@ def test_mixed_variance_and_commutator_from_grouped_form(rng, n, cplx):
             a, g = to_matrix(obs), to_matrix(gen)
             want = 1j * np.trace(rho.matrix @ (a @ g - g @ a))
             assert abs(got - want) <= 1e-12 * scale * (1.0 + sum(abs(c) for c, _ in gen.terms)), name
+
+
+# -- one exponential: every imprinter in its product frame ----------------
+
+def _frame_generators(n):
+    """Every imprinter family the library evolves (n >= 4): the parity and
+    sector families, the grouped-route ones, the XXZ block imprinter, the
+    OAT quadrature and a mixed-letter sum with an X and a Y site."""
+    gens = {name: make(n) for name, make in SECTOR_GENERATORS.items()}
+    gens.update({f"grouped_{name}": op for name, op in _grouped_route_ops(n).items()})
+    gens["xxz_block"] = make_xxz_protocol(n, 3).imprinter
+    gens["oat"] = oat_optimal_generator(oat_squeezed_state(n, 0.3))[0]
+    gens["x0_y1z2"] = PauliOperator(n, [(0.7, pauli_word(n, {0: "X"})),
+                                        (0.2, pauli_word(n, {1: "Y", 2: "Z"}))])
+    return gens
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_frame_exponential_matches_dense_expm(rng, n):
+    # vectors, (2^n, k) blocks and a mixed rho against scipy's dense expm,
+    # to 1e-12, with norms and the trace held to 1e-13 and nothing
+    # renormalized
+    from scipy.linalg import expm
+
+    dim, theta = 1 << n, 0.83
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    vec /= np.linalg.norm(vec)
+    block = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    block /= np.linalg.norm(block, axis=0)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = MixedState(n, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    for name, gen in _frame_generators(n).items():
+        u = expm(1j * theta * to_matrix(gen))
+        got = apply_exponential(gen, 1j * theta, vec)
+        assert np.max(np.abs(got - u @ vec)) <= 1e-12, name
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-13, name
+        pure = evolve_phase(PureState(n, vec), gen, theta).amplitudes
+        assert np.max(np.abs(pure - u @ vec)) <= 1e-12, name
+        out = np.full(block.shape, np.nan, dtype=complex)
+        assert apply_exponential(gen, 1j * theta, block, out=out) is out
+        assert np.max(np.abs(out - u @ block)) <= 1e-12, name
+        assert np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0)) <= 1e-13, name
+        mixed = evolve_phase(rho, gen, theta).matrix
+        assert np.max(np.abs(mixed - u @ rho.matrix @ u.conj().T)) <= 1e-12, name
+        assert abs(np.trace(mixed) - 1.0) <= 1e-13, name
+
+
+def test_frame_rotations_are_the_axis_unitaries():
+    # H on an X site, S H on a Y site, D H with D = diag(1, e^{i phi}) for
+    # the in-plane axis; D carries the axis weight as a Z letter
+    n, phi, s = 3, 0.4, math.sqrt(0.5)
+    axes = {"X": np.array([[s, s], [s, -s]]),
+            "Y": np.array([[s, s], [1j * s, -1j * s]]),
+            "in_plane": np.array([[s, s], [s * np.exp(1j * phi), -s * np.exp(1j * phi)]])}
+    for name, want in axes.items():
+        gen = in_plane_spin(n, phi) if name == "in_plane" else collective_spin(n, name)
+        rotations, diag = gen.frame()
+        assert [site for site, _ in rotations] == list(range(n)), name
+        for _, u in rotations:
+            assert np.max(np.abs(u - want)) <= 1e-16, name
+        assert np.max(np.abs(to_matrix(diag) - to_matrix(collective_spin(n, "Z")))) <= 1e-16
+    diag_gen = sum_z(n)
+    assert diag_gen.frame() == ((), diag_gen)
 
 
 # -- one theta reader: a mixed probe is its weighted spectral ensemble -----

@@ -21,6 +21,7 @@ from critsense import (
     variance,
 )
 import critsense.qcore as qcore
+from critsense.metrology import classical_fisher, precision_curve
 from critsense.models import (
     ModelSpec, build_hamiltonian, ghz_state, solve_model, spin_coherent_state,
 )
@@ -149,7 +150,7 @@ def test_evolve_phase_norm_and_variance_invariance(rng):
 
 
 def test_evolve_phase_general_generator_matches_dense():
-    # X-sum generator exercises the Krylov path
+    # an X-sum generator, evolved in its product frame (Hadamard on every site)
     gen = PauliOperator(3, [(1.0, "XII"), (1.0, "IXI"), (1.0, "IIX")])
     st = ghz_state(3)
     out = evolve_phase(st, gen, 0.3)
@@ -690,6 +691,33 @@ def test_block_imprinter_holds_only_its_support_table():
     held, peak = _held(warm)
     assert held < 1 << 20 and peak < 1 << 20
     assert gen.phase_table()[1].size == 1 << 8
+
+
+@pytest.mark.parametrize("terms", [
+    [(1.0, {0: "X"}), (1.0, {0: "Z", 1: "Z"})],
+    [(1.0, {0: "X", 1: "X"}), (1.0, {0: "Z", 1: "Z"})],
+], ids=["x0_plus_z0z1", "x0x1_plus_z0z1"])
+def test_generator_without_a_frame_is_refused_before_allocating(terms):
+    # site 0 carries X and Z, and a multi-site term touches it: no product
+    # of single-site unitaries diagonalizes the sum, so every evolution
+    # refuses it by name, its peak below one register
+    n = 14
+    gen = PauliOperator(n, [(c, qcore.pauli_word(n, sites)) for c, sites in terms])
+    psi = spin_coherent_state(n)
+    grid = np.linspace(0.1, 0.5, 4)
+    readout = PauliOperator.single(n, 1, "Z")
+    calls = {"frame": gen.frame,
+             "apply_exponential": lambda: qcore.apply_exponential(gen, 0.3j, psi.amplitudes),
+             "evolve_phase": lambda: evolve_phase(psi, gen, 0.3),
+             "precision_curve": lambda: precision_curve(psi, gen, readout, grid),
+             "classical_fisher": lambda: classical_fisher(psi, gen, [readout], grid)}
+    for name, call in calls.items():
+        def refused():
+            with pytest.raises(ValueError, match=r"no product frame: site 0 carries letters XZ"):
+                call()
+
+        _, peak = _held(refused)
+        assert peak < 16 << n, name
 
 
 def test_to_sparse_dtype_follows_operator():

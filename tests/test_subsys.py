@@ -168,8 +168,8 @@ def test_theta_loop_matches_the_general_loop_oracle(critical_states, monkeypatch
     # oracles.general_precision_curve), bit for bit for a pure probe and to
     # the named tolerances above for a mixed one: every readout form (a
     # Pauli string, a Pauli sum, two symmetry permutations and the CSR and
-    # dense reflection), a diagonal imprinter and an X-sum one (evolved by
-    # expm_multiply), and theta = 0 (at a grid point and as theta + step).
+    # dense reflection), a diagonal imprinter and an X-sum one (evolved in
+    # its product frame), and theta = 0 (at a grid point and as theta + step).
     # The curves are also pinned to the oracle on the (2,) * n flip and
     # gathered-factor kernels.
     import critsense.metrology as metrology
@@ -208,7 +208,7 @@ def test_theta_loop_matches_the_general_loop_oracle(critical_states, monkeypatch
 def test_workspace_theta_loop_matches_the_general_loop(critical_states, monkeypatch, L, check):
     # the per-curve buffers change where the intermediates live, not their
     # bits: the Ising blocks (diagonal imprinter) and one XXZ string readout
-    # (an X-sum imprinter, evolved by expm_multiply), through
+    # (an X-sum imprinter, evolved in its product frame), through
     # parity_theta_curve with its pull-through check and through the bare
     # loop it calls, ``subsys.precision_curve``.  The one loop and the
     # general loop (oracles.general_precision_curve) are both pinned to the

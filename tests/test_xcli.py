@@ -399,6 +399,10 @@ _UNREAD_MODEL_KEYS = [("delta", 0.0), ("omega", 1.0), ("detuning", 0.0), ("v1", 
       "channel": {**_BITFLIP, "after_imprint": False}}, "channel"),
     ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4],
       "channel": {**_BITFLIP, "t": 1.0}}, "channel"),
+    ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4],
+      "channel": {**_BITFLIP, "chi": 5.0}}, "channel"),
+    ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4],
+      "channel": {"kind": "global_dephase", "chi": 0.2, "p": 0.7}}, "channel"),
     *[({"scenario": "subsystem", "model": {"kind": "tfim", "L": 8, key: value},
         "L_sub_list": [4]}, "model") for key, value in _UNREAD_MODEL_KEYS],
     ({"scenario": "channel_sweep", "probes": ["ghz"], "L_list": [4, 6],
@@ -419,7 +423,8 @@ _UNREAD_MODEL_KEYS = [("delta", 0.0), ("omega", 1.0), ("detuning", 0.0), ("v1", 
         "subsystem_L_and_model", "probe_alias", "critical_alias", "probes_string",
         "L_string", "L_list_int", "L_list_float_entry", "theta_points_float", "seed_bool",
         "channel_list", "channel_unknown_key", "channel_after_imprint",
-        "channel_after_imprint_false", "channel_t",
+        "channel_after_imprint_false", "channel_t", "channel_chi_per_site",
+        "channel_p_global",
         *[f"model_{key}" for key, _ in _UNREAD_MODEL_KEYS],
         "channel_site_outside", "channel_site_repeated", "beta_negative", "beta_infinite",
         "probes_repeated", "L_list_repeated", "L_sub_list_repeated", "beta_list_repeated",
@@ -774,6 +779,20 @@ def test_cli_import_leaves_quadrature_unloaded(tmp_path):
         )
     for name in ("qfi_scaling.csv", "qfi_scaling_plot.csv", "qfi_scaling_plot.gp"):
         assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_non_diagonal_imprints_load_no_scipy():
+    """An X-sum imprint of a pure probe and of its density matrix runs in
+    the generator's product frame, on numpy alone: no scipy module is
+    loaded afterwards."""
+    code = ("import sys; from critsense import MixedState, evolve_phase, spin_coherent_state; "
+            "from critsense.qcore import collective_spin; "
+            "psi = spin_coherent_state(4); gen = collective_spin(4, 'X'); "
+            "evolve_phase(psi, gen, 0.3); evolve_phase(MixedState.from_pure(psi), gen, 0.3); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True,
+                         timeout=120, capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
 
 
 # Runs ``xcli.main`` with ``from_dict`` hooked where the benchmark ends its
