@@ -4,21 +4,24 @@ Phase is always imprinted as |psi_theta> = e^{i theta O}|psi>; quantum Fisher
 information (QFI) values follow the convention F_Q = 4 Var(O) for pure probes.
 
 Error propagation, delta theta = sqrt(Var_theta(A)) / |d<A>/dtheta|, has one
-theta loop, ``precision_curve``; ``error_propagation`` is its one-point case.
-The loop owns the arithmetic.  Each grid point evolves the probe once and
-reads from that state the signal <A>, the variance (branch probabilities for
-an involution A, A^2 = I) and the exact derivative i<[A, O]>.  The reported
-derivative is a centered difference of the minus-branch probability (an
-involution) or of <A>: one step for a PauliOperator readout, Richardson
-extrapolation of two steps for any other form.  The commutator value
-cross-checks it to ``derivative_agree_tol``.  One reader serves every probe
-and readout (``_reader``): the probe is a column block Phi with rho = Phi
-Phi^dagger (``_ensemble``), a pure state's amplitudes as they are, a mixed
-state's weighted spectral ensemble, evolved into three buffers of its shape
-allocated once per curve.  Every generator evolves the block by one
-exponential in its product frame (``qcore.apply_exponential``), unitary to
-rounding, so nothing is renormalized.  Each trace is a flat ``vdot`` over
-the evolved block, so a mixed probe builds no state per point.
+entry point, ``precision_curve``; ``error_propagation`` is its one-point case.
+It owns the arithmetic: along the whole grid it reads the signal <A>, the
+variance (branch probabilities for an involution A, A^2 = I) and the exact
+derivative i<[A, O]>.  The reported derivative is a centered difference of
+the minus-branch probability (an involution) or of <A>: one step for a
+PauliOperator readout, Richardson extrapolation of two steps for any other
+form.  The commutator value cross-checks it to ``derivative_agree_tol``.
+
+A pure probe is read from one moment matrix per curve (``_moment_reader``):
+in the generator's product frame O = W D W^dagger (``PauliOperator.frame``)
+each angle is a sum over pairs of D's distinct values, evaluated in
+np.longdouble, so no angle evolves the probe.  Two direct evolutions check
+it, at the first and last grid angle.  A mixed probe is evolved per angle
+(``_reader``): it is a column block Phi with rho = Phi Phi^dagger
+(``_ensemble``), its weighted spectral ensemble, evolved into three buffers
+of its shape allocated once per curve by one exponential in the frame
+(``qcore.apply_exponential``), unitary to rounding, so nothing is
+renormalized; each trace is a flat ``vdot`` over the evolved block.
 ``classical_fisher`` evolves the same block by the same step (``_evolve``).
 """
 from __future__ import annotations
@@ -39,7 +42,9 @@ from .qcore import (
     _check_register,
     _deviations,
     apply_exponential,
+    _rotate,
     charge,
+    into_frame,
     to_matrix,
     variance,
 )
@@ -202,8 +207,8 @@ def _check_grid(theta: np.ndarray) -> None:
     exceed the one before it.
 
     A scalar loop: it leaves no array temporaries on the heap ahead of the
-    curve's register buffers, whose placement moves theta_sweep's run time
-    by a few percent.
+    curve's register buffers, whose placement moved the per-angle loop's run
+    time by a few percent.
     """
     prev = None
     for i, th in enumerate(theta):
@@ -285,6 +290,184 @@ def _reader(state: State, gen: PauliOperator, obs, involution: bool) -> Callable
     return read
 
 
+def _monomial_source(obs):
+    """For a readout with one entry per row, a single Pauli string or a
+    symmetry permutation: the function taking a register array to its
+    entries at each row's source, A|src(b)> ~ |b>, in ``apply_vec``'s own
+    view of the move; None for any other form."""
+    if isinstance(obs, SymmetryOperator):
+        def moved(table):
+            out = np.empty(table.shape, dtype=table.dtype)
+            out.reshape(obs._view[2])[...] = obs._move(table)
+            return out
+        return moved
+    if isinstance(obs, PauliOperator) and len(obs.terms) == 1:
+        shape, flip = obs._grouped().views[0]
+        return lambda table: table.reshape(shape)[flip].reshape(-1)
+    return None
+
+
+def _split_sums(keys: np.ndarray, part: np.ndarray, length: int, scratch: np.ndarray) -> np.ndarray:
+    """``np.bincount(keys, part, length)`` nearly to the bits of the exact
+    sums, as np.longdouble.
+
+    Each entry splits as hi + lo, hi rounded to a multiple of 2^(e - 26)
+    with 2^e above every |entry|: up to 2^26 such multiples sum exactly in
+    float64 in any order, and lo, under 2^(e - 27) each, carries the rest.
+    ``scratch``, a float64 array twice ``part``'s length, holds both.
+    """
+    hi, lo = scratch[:part.size], scratch[part.size:]
+    top = max(float(np.max(part)), -float(np.min(part)))  # max |part|, with no temporary
+    if top == 0.0:
+        return np.zeros(length, dtype=np.longdouble)
+    quantum = math.ldexp(1.0, math.frexp(top)[1] - 26)
+    np.multiply(part, 1.0 / quantum, out=hi)
+    np.rint(hi, out=hi)
+    hi *= quantum
+    np.subtract(part, hi, out=lo)
+    return np.bincount(keys, hi, length).astype(np.longdouble) + np.bincount(keys, lo, length)
+
+
+def _moment_reader(state: PureState, gen: PauliOperator, obs, involution: bool):
+    """``(read, check)`` of a pure probe along a whole grid, from its
+    moments in the generator's product frame G = W D W^dagger
+    (``PauliOperator.frame``).
+
+    With chi = W^dagger psi, A' = W^dagger A W, and D's distinct values v_j
+    and projectors P_j (``phase_table``): <A>_theta = sum_jk e^{i theta (v_j
+    - v_k)} M_jk with M_jk = <P_k chi|A'|P_j chi>, and <A^2>_theta the same
+    sum over N_jk = <P_k chi|A'^2|P_j chi>.  A single Pauli string or a
+    symmetry permutation under a diagonal G gives M in one 2-D bincount of
+    chi conj(A chi) over the pair (the table index at the row's source, at
+    the row), in the table index's narrow dtype; any other readout takes
+    one product A' P_j chi per value j, and one more for N.  Every bincount
+    is summed nearly exactly (``_split_sums``).  Two register buffers are
+    allocated (three for N), next to chi, a rotated copy of psi when G has
+    rotations.
+
+    ``read(thetas, full)`` adds to the theta = 0 values the pair terms j < k
+    in cos(theta Delta) - 1 = -2 sin^2(theta Delta / 2) and sin(theta Delta),
+    Delta = v_j - v_k, and returns np.longdouble arrays, so that the stencil
+    differences the signal before it is rounded.  An involution's branch
+    probabilities start from 0.25 ||psi +- A psi||^2, so a probe near an
+    A-eigenstate keeps its small outcome's relative accuracy.
+    ``check(theta, signal)`` compares a signal with a direct evolution.
+    """
+    psi = state.amplitudes
+    rotations, diag = gen.frame()
+    values, index = diag.phase_table()
+    inverse = diag._register(index)
+    size = values.size
+    chi = into_frame(rotations, psi)
+    image, work = np.empty_like(psi), np.empty_like(psi)
+    split = work.view(np.float64)
+    in_place = isinstance(obs, (PauliOperator, SymmetryOperator))
+
+    def apply(vec, out):
+        if in_place:
+            return obs.apply_vec(vec, out=out)
+        out[...] = obs @ vec
+        return out
+
+    def sums(keys, vec, length):  # sum of conj(chi) vec over keys, vec overwritten
+        np.conjugate(vec, out=vec)
+        vec *= chi
+        return (_split_sums(keys, vec.real, length, split),
+                -_split_sums(keys, vec.imag, length, split))
+
+    apply(psi, image)
+    if involution:
+        branches = []
+        for sign in (np.add, np.subtract):  # ||(psi +- A psi) / 2||^2
+            sign(psi, image, out=work)
+            branches.append(0.25 * float(np.vdot(work, work).real))
+    else:
+        square = float(np.vdot(image, image).real)
+    squares = None
+    source = None if rotations else _monomial_source(obs)
+    if source is not None:  # A^2 = c^2 I: <A^2> does not move
+        keys = source(inverse).astype(np.min_scalar_type(size * size - 1))
+        keys *= size
+        keys += inverse
+        moments = [part.reshape(size, size) for part in sums(keys, image, size * size)]
+    else:
+        spare = None if involution else np.empty_like(psi)
+        moments = [np.empty((size, size), dtype=np.longdouble) for _ in range(2)]
+        if spare is not None:
+            squares = [np.empty_like(part) for part in moments]
+        for j in range(size):
+            np.multiply(chi, inverse == j, out=work)
+            _rotate(work, rotations)
+            apply(work, image)
+            if spare is not None:
+                apply(image, spare)
+                _rotate(spare, rotations, adjoint=True)
+                squares[0][j], squares[1][j] = sums(inverse, spare, size)
+            _rotate(image, rotations, adjoint=True)
+            moments[0][j], moments[1][j] = sums(inverse, image, size)
+        if squares is not None:
+            square = np.sum(squares[0])
+    scale = max(1.0, float(np.sum(np.hypot(*moments))))
+    signal0 = np.sum(moments[0])
+    upper = np.triu_indices(size, 1)
+    wide = values.astype(np.longdouble)
+    delta = (wide[:, None] - wide[None, :])[upper]
+    # the pairs (j, k) and (k, j) as one term: (cos - 1) (re_jk + re_kj) - sin (im_jk - im_kj)
+    pairs = [((re + re.T)[upper], (im - im.T)[upper])
+             for re, im in ([moments] if squares is None else [moments, squares])]
+    live = np.flatnonzero(np.any([part != 0.0 for pair in pairs for part in pair], axis=0))
+
+    def shifts(thetas: np.ndarray, full: bool):
+        """The pair sums along ``thetas``: the signal's and, with ``full``,
+        the square's and the exact derivative."""
+        x0 = thetas.astype(np.longdouble)
+        signal, second, slope = (np.zeros_like(x0) for _ in range(3))
+        for p in live.tolist():
+            x = x0 * delta[p]
+            sin = np.sin(x)
+            half = np.sin(0.5 * x)
+            cos_m1 = -2.0 * half * half
+            re, im = pairs[0]
+            signal += cos_m1 * re[p] - sin * im[p]
+            if full:
+                slope -= delta[p] * (sin * re[p] + (cos_m1 + 1.0) * im[p])
+                if squares is not None:
+                    re, im = pairs[1]
+                    second += cos_m1 * re[p] - sin * im[p]
+        return signal, second, slope
+
+    def read(thetas: np.ndarray, full: bool):
+        shift, second, slope = shifts(thetas, full)
+        if involution and not full:
+            return branches[1] - 0.5 * shift
+        signal = signal0 + shift
+        if not full:
+            return signal
+        if involution:
+            var = _branch_variance(branches[0] + 0.5 * shift, branches[1] - 0.5 * shift)
+        else:
+            var = square + second - signal * signal
+        return signal, var, slope
+
+    def check(theta: float, signal: float) -> None:
+        _evolve(gen, theta, psi, work)
+        direct = complex(np.vdot(work, apply(work, image))).real
+        POLICY.check(lambda: f"moment form misses the evolved signal at theta={theta!r}: form "
+                     f"{signal!r}, evolved {direct!r}; |form - evolved|", abs(signal - direct),
+                     "pull_through_tol", scale=scale, scaled_by="max(1, sum |M_jk|)",
+                     error=ArithmeticError)
+
+    return read, check
+
+
+def _pointwise(read: Callable) -> Callable:
+    """A one-angle ``read`` of ``_reader`` as a grid ``read``, point by point."""
+    def batch(thetas: np.ndarray, full: bool):
+        rows = np.array([read(th, full) for th in thetas.tolist()], dtype=float)
+        return tuple(rows.reshape(-1, 3).T) if full else rows
+    return batch
+
+
 def precision_curve(
     state: State,
     gen: PauliOperator,
@@ -296,12 +479,18 @@ def precision_curve(
     A grid angle that is not finite or does not exceed the one before it,
     and a generator with no product frame (``PauliOperator.frame``), are
     refused (ValueError naming them) before anything of the register's size
-    is allocated.  ``read(theta, full)`` evolves the probe to theta and returns
-    the differenced quantity, the minus-branch probability of an involution
-    or <obs>, or with ``full`` the signal, the variance and the commutator
-    derivative.  A reported derivative that misses the commutator one raises
-    ArithmeticError; a vanishing one gives the +inf sentinel, so sweeps
-    tolerate dead points.
+    is allocated.  ``read(thetas, full)`` returns along a grid the
+    differenced quantity, the minus-branch probability of an involution or
+    <obs>, or with ``full`` the signal, the variance and the commutator
+    derivative: for a pure probe from one moment matrix per curve
+    (``_moment_reader``), whose signal must match a direct evolution at the
+    first and last grid angle to ``pull_through_tol`` (ArithmeticError
+    otherwise); for a mixed probe by one evolution per angle
+    (``_reader``).  The reported derivative is the same stencil on both: a
+    centered difference at ``fd_step`` for a PauliOperator readout,
+    Richardson extrapolation of two steps for any other form.  One that
+    misses the commutator derivative raises ArithmeticError; a vanishing one
+    gives the +inf sentinel, so sweeps tolerate dead points.
     """
     thetas = np.asarray(theta_grid, dtype=float)
     _check_grid(thetas)
@@ -311,25 +500,31 @@ def precision_curve(
     _check_register(state, obs)
     gen.frame()  # refuses a generator with no product frame, ahead of the buffers
     involution = _is_involution(obs)
-    read = _reader(state, gen, obs, involution)
+    check = None
+    if isinstance(state, PureState):
+        read, check = _moment_reader(state, gen, obs, involution)
+    else:
+        read = _pointwise(_reader(state, gen, obs, involution))
 
-    def slope(theta: float, step: float) -> float:
+    def slope(step: float) -> np.ndarray:
         # d<A>/dtheta = -2 dp_minus/dtheta exactly for an involution (the
         # normalization is imprint invariant), which keeps the quotient
         # clean when the probe is nearly an A-eigenstate
-        up, dn = read(theta + step, False), read(theta - step, False)
+        up, dn = read(thetas + step, False), read(thetas - step, False)
         return -(up - dn) / step if involution else (up - dn) / (2.0 * step)
 
+    sig, var, exact = (np.asarray(part, dtype=float) for part in read(thetas, True))
+    var = np.maximum(var, 0.0)
+    if check is not None and thetas.size:
+        for i in dict.fromkeys((0, thetas.size - 1)):  # each end once, first first
+            check(float(thetas[i]), float(sig[i]))
     step = POLICY.fd_step
-    sig, var, dth = (np.empty_like(thetas) for _ in range(3))
-    for i, th in enumerate(thetas):
-        th = float(th)
-        sig[i], v, exact = read(th, True)
-        var[i] = max(v, 0.0)
-        deriv = slope(th, step)
-        if not isinstance(obs, PauliOperator):  # Richardson over two steps
-            deriv = (4.0 * slope(th, 0.5 * step) - deriv) / 3.0
-        dth[i] = _delta_theta(th, var[i], deriv, exact)
+    deriv = slope(step)
+    if not isinstance(obs, PauliOperator):  # Richardson over two steps
+        deriv = (4.0 * slope(0.5 * step) - deriv) / 3.0
+    dth = np.array([_delta_theta(*point) for point in
+                    zip(thetas.tolist(), var.tolist(), deriv.astype(float).tolist(),
+                        exact.tolist())])
     return PrecisionCurve(theta=thetas, signal=sig, variance=var, delta_theta=dth)
 
 

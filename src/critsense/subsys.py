@@ -7,9 +7,12 @@ expectation behaves as a two-point function of dual disorder operators.  The
 precision curve then has an interior optimum instead of the theta -> 0 one.
 
 The subregion is placed centrally on a periodic chain by default; the offset
-is configurable.  Desk-scale caveat: the asymptotic window exponents are not
-reachable by exact diagonalization, so assertions here cover curve structure
-and monotone trends while exponent fits are emitted as indicative data only.
+is configurable.  A readout that vanishes identically reads the +inf
+sentinel at every angle (its derivative is rounding, under
+``POLICY.signal_floor``), so its window report is degenerate.  Desk-scale
+caveat: the asymptotic window exponents are not reachable by exact
+diagonalization, so assertions here cover curve structure and monotone
+trends while exponent fits are emitted as indicative data only.
 """
 from __future__ import annotations
 
@@ -152,12 +155,12 @@ def parity_theta_curve(
 ) -> PrecisionCurve:
     """Signal, variance, and precision of the restricted parity along theta.
 
-    The curve is ``precision_curve`` of the block parity, the one theta loop
-    of every readout: three evolutions per point (the grid angle and its
-    centered difference), all in the register buffers it allocates once per
-    curve for a pure probe.  Each signal is also checked against the
-    anticommutation pull-through <psi|e^{-2 i theta O} Pi|psi>; the two must
-    agree to ``POLICY.pull_through_tol``.  In the imprinter's product frame
+    The curve is ``precision_curve`` of the block parity, read for a pure
+    probe from one moment matrix per curve, with no evolution per angle
+    (two direct evolutions check it at the grid's ends).  Each signal is
+    also checked against the anticommutation pull-through
+    <psi|e^{-2 i theta O} Pi|psi>; the two must agree to
+    ``POLICY.pull_through_tol``.  In the imprinter's product frame
     O = W D W^dagger (``PauliOperator.frame``), with D's phase table
     ``(values, index)``, that is sum_j e^{-2 i theta v_j} M_j, with M =
     bincount(inverse, conj(W^dagger psi) W^dagger Pi psi), ``inverse`` the

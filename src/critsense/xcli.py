@@ -17,9 +17,12 @@ is a pool of one worker.  For a fixed BLAS thread count the output bytes do
 not depend on the pool size: fixed column set (schema version in every row),
 17-significant-digit decimals, canonical row ordering, per-point seeds derived
 from the global seed by a splitmix64 mix, and write-to-temp + atomic rename.
-The BLAS thread count itself can move differenced columns in their last bits
-(up to ~1e-10 relative between one and two OpenBLAS threads), so byte
-comparisons pin it, e.g. ``OPENBLAS_NUM_THREADS=1``.
+The output is not bit-reproducible across BLAS thread counts, which move a
+ground state in its last bits: between one and two OpenBLAS threads the
+goldens' subsystem, theta_curves, hadamard and channel_sweep configs write
+the same bytes, deformed moves by up to 1e-15 relative, and an L = 14
+subsystem run by up to 6e-13 in ``delta_theta``.  Byte comparisons pin it,
+e.g. ``OPENBLAS_NUM_THREADS=1``.
 """
 from __future__ import annotations
 

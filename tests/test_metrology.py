@@ -1171,3 +1171,134 @@ def test_reader_matches_the_dense_mixed_formulas(case):
     assert abs(exact - np.real(1j * np.trace(rho @ (a @ g - g @ a)))) <= 1e-12 * scale
     if involution:
         assert abs(read(theta, False) - 0.5 * (1.0 - want)) <= 1e-12 * scale
+
+
+# -- pure curves: one moment matrix per curve -------------------------------
+
+@st.composite
+def pure_curve_cases(draw):
+    """(state, gen, obs, dense obs, grid) for a pure probe on n <= 8 qubits.
+
+    The probe is a random complex state, or GHZ read out through the product
+    of X at theta in {-1e-5, 0, 1e-7, 1e-5, 1e-3}, nearly an eigenstate of
+    it.  The generator is a Z-sum (diagonal) or an X-sum (read in its
+    product frame) with random weights; the readout a Pauli string (+-1, an
+    involution) or sum, or a Hermitian symmetry, in its own form, as CSR or
+    dense.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    near = draw(st.booleans())
+    n = draw(st.integers(2 if near else 1, 8))
+    letter = "Z" if near else draw(st.sampled_from("ZX"))
+    gen = PauliOperator(n, [(float(w), pauli_word(n, {j: letter}))
+                            for j, w in enumerate(rng.uniform(-1.0, 1.0, n))])
+    if near:
+        state = ghz_state(n)
+        obs = draw(st.sampled_from([PauliOperator(n, [(1.0, "X" * n)]),
+                                    build_symmetry("parity_x", n)]))
+        grid = np.array([-1e-5, 0.0, 1e-7, 1e-5, 1e-3])
+    else:
+        amp = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        state = PureState(n, amp / np.linalg.norm(amp))
+        kinds = ["string", "sum"] + (["parity_x", "parity_z", "reflection"] if n > 1 else [])
+        kind = draw(st.sampled_from(kinds))
+        words = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(3)]
+        if kind == "string":
+            obs = PauliOperator(n, [(float(rng.choice([-1.0, 1.0])), words[0])])
+        elif kind == "sum":
+            obs = PauliOperator(n, [(float(c), w) for c, w in zip(rng.uniform(-1.0, 1.0, 3), words)])
+        else:
+            obs = build_symmetry(kind, n, bond_center=0)
+        grid = np.sort(rng.uniform(-1.0, 1.0, 3))
+    dense = to_matrix(obs) if isinstance(obs, PauliOperator) else obs.to_matrix()
+    form = draw(st.sampled_from(["own", "csr", "dense"]))
+    if form != "own":
+        obs = dense if form == "dense" else sp.csr_matrix(dense)
+    return state, gen, obs, dense, grid
+
+
+def _reported_slope(curve):
+    root = np.sqrt(curve.variance)
+    return np.divide(root, curve.delta_theta, out=np.zeros_like(root),
+                     where=curve.delta_theta > 0)
+
+
+@given(pure_curve_cases())
+def test_moment_form_matches_the_general_loop_and_dense_expm(case):
+    # a pure curve from its moment matrix gives, at every angle, the general
+    # loop's signal and variance (oracles.general_precision_curve) and those
+    # of the probe evolved by a dense expm, relative to the variance itself
+    # near an A-eigenstate; the moment form's exact derivative is the dense
+    # i<[A, G]>, and the reported stencil meets it to its truncation
+    from scipy.linalg import expm
+
+    from oracles import general_precision_curve
+
+    state, gen, obs, a, grid = case
+    curve = precision_curve(state, gen, obs, grid)
+    oracle = general_precision_curve(state, gen, obs, grid)
+    involution = metrology._is_involution(obs)
+    read, _ = metrology._moment_reader(state, gen, obs, involution)
+    exact = np.asarray(read(grid, True)[2], dtype=float)
+    g = to_matrix(gen)
+    scale = (1.0 + np.linalg.norm(a, 2)) ** 2 * (1.0 + np.linalg.norm(g, 2))
+    for i, th in enumerate(grid):
+        psi = expm(1j * th * g) @ state.amplitudes
+        apsi = a @ psi
+        signal = np.vdot(psi, apsi).real
+        if involution:
+            plus, minus = (0.25 * np.linalg.norm(psi + sign * apsi) ** 2 for sign in (1, -1))
+            var = 4.0 * plus * minus / (plus + minus) ** 2
+        else:
+            var = np.vdot(apsi, apsi).real - signal * signal
+        deriv = np.real(1j * np.vdot(psi, (a @ g - g @ a) @ psi))
+        for got in (curve, oracle):
+            assert abs(got.signal[i] - signal) <= 1e-12 * scale
+            assert abs(got.variance[i] - var) <= 1e-12 * scale * (var if involution else 1.0) + 1e-300
+        assert abs(exact[i] - deriv) <= 1e-12 * scale
+        assert abs(_reported_slope(curve)[i] - abs(deriv)) <= 1e-8 * scale * (1.0 + np.linalg.norm(g, 2)) ** 2
+    assert np.all(np.abs(_reported_slope(curve) - _reported_slope(oracle)) <= 1e-9 * scale)
+
+
+def test_pure_curve_register_work_does_not_grow_with_the_grid(critical_states, monkeypatch):
+    # the register-sized passes of a pure curve, counted on grids of 8 and
+    # 64 angles, are the same: readout products, frame rotations and the two
+    # exponentials that check the form at the grid's ends.  A single Pauli
+    # string or symmetry under the diagonal imprinter takes one product for
+    # all its moments; the X-sum imprinter rotates the probe into its frame
+    # once and each value's vector there and back
+    import collections
+
+    from critsense.symmetry import SymmetryOperator
+
+    counts = collections.Counter()
+
+    def spied(name, fn):
+        def counted(*args, **kwargs):
+            rotations = {"into_frame": args[0], "_rotate": args[1]}.get(name, True)
+            counts[name] += bool(rotations)  # a frame pass only with rotations
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("apply_exponential", "into_frame", "_rotate"):
+        monkeypatch.setattr(metrology, name, spied(name, getattr(metrology, name)))
+    for cls in (PauliOperator, SymmetryOperator):
+        monkeypatch.setattr(cls, "apply_vec", spied("apply_vec", cls.apply_vec))
+    L = 8
+    psi = critical_states(L).state
+    proto = make_xxz_protocol(L, 3)
+    x_sum, string = proto.imprinter, proto.measurement
+    diagonal = x_sum.frame().diagonal
+    refl = build_symmetry("reflection", L, bond_center=(L - 2) // 2)
+    size = x_sum.frame().diagonal.phase_table()[0].size
+    cases = {"string": (diagonal, string, {"apply_vec": 3, "apply_exponential": 2}),
+             "symmetry": (diagonal, refl, {"apply_vec": 3, "apply_exponential": 2}),
+             "sum": (diagonal, collective_spin(L, "X"),
+                     {"apply_vec": 3 + 2 * size, "apply_exponential": 2}),
+             "frame": (x_sum, string, {"apply_vec": 3 + size, "apply_exponential": 2,
+                                       "into_frame": 1, "_rotate": 2 * size})}
+    for name, (gen, obs, want) in cases.items():
+        for points in (8, 64):
+            counts.clear()
+            precision_curve(psi, gen, obs, np.linspace(-0.5, 0.5, points))
+            assert +counts == want, (name, points)

@@ -1,11 +1,18 @@
 import mpmath
 import numpy as np
 
-from critsense import ModelSpec, build_hamiltonian, solve_model, solve_tfim_fermion, zz_correlators
+from critsense import (
+    ModelSpec, build_hamiltonian, ghz_state, solve_model, solve_tfim_fermion, zz_correlators,
+)
 from critsense.fermion import qfi_generator_second_moment
-from critsense.qcore import sector_isometry
+from critsense.metrology import precision_curve
+from critsense.policy import POLICY
+from critsense.qcore import collective_spin, parity_x_operator, sector_isometry
+from critsense.symmetry import build_symmetry
 
-from mpref import block_coordinates, block_matrix, lowest_eigenpair, ray_distance, toeplitz_minors
+from mpref import (
+    block_coordinates, block_matrix, lowest_eigenpair, ray_distance, theta_curve, toeplitz_minors,
+)
 
 
 def test_lowest_eigenpair_matches_the_critical_ising_closed_form():
@@ -47,3 +54,43 @@ def test_string_minors_and_second_moment_match_the_40_digit_elimination():
         half = L // 2
         moment = L + L * (2 * mpmath.fsum(ref[:half - 1]) + ref[half - 1])
         assert abs(qfi_generator_second_moment(sol) - moment) <= mpmath.mpf(1e-13) * moment
+
+
+def test_theta_curve_matches_the_ghz_closed_form():
+    # GHZ read by the product of X under S_z: s = n cos(L theta), n =
+    # ||psi||^2 of the float amplitudes (1 to rounding), the branch variance
+    # sin^2(L theta) and the exact derivative -n L sin(L theta), so the
+    # exact delta theta is 1 / (n L); the stencil differences n cos(L t) at
+    # the float points t = theta +- h, Richardson-extrapolated over h and
+    # h / 2 for a readout that is not a PauliOperator
+    dps, h = 50, POLICY.fd_step
+    thetas = [-0.4, 0.013, 0.2, 0.77]
+    for L in (2, 4, 6):
+        psi, gen = ghz_state(L), collective_spin(L, "Z")
+        for obs, richardson in ((parity_x_operator(L), False),
+                                (build_symmetry("parity_x", L), True)):
+            out = theta_curve(psi, gen, obs, thetas, h, richardson, dps)
+            with mpmath.workdps(dps):
+                n = 2 * mpmath.mpf(float(psi.amplitudes[0].real)) ** 2
+
+                def centered(th, step):
+                    up, dn = mpmath.mpf(th + step), mpmath.mpf(th - step)
+                    return n * (mpmath.cos(L * up) - mpmath.cos(L * dn)) / (2 * mpmath.mpf(step))
+
+                tiny = mpmath.mpf(10) ** -40
+                for i, th in enumerate(thetas):
+                    t = mpmath.mpf(th)
+                    stencil = centered(th, h)
+                    if richardson:
+                        stencil = (4 * centered(th, 0.5 * h) - stencil) / 3
+                    assert abs(out["signal"][i] - n * mpmath.cos(L * t)) < tiny
+                    assert abs(out["variance"][i] - mpmath.sin(L * t) ** 2) < tiny
+                    assert abs(out["exact"][i] + n * L * mpmath.sin(L * t)) < tiny
+                    assert abs(out["delta_theta_exact"][i] - 1 / (n * L)) < tiny
+                    assert abs(out["stencil"][i] - stencil) < tiny
+            # the float curve reads the stencil to a few ulp, and 1 / L to the
+            # stencil's own truncation, (L h)^2 / 6 or less
+            curve = precision_curve(psi, gen, obs, thetas)
+            for got, want in zip(curve.delta_theta, out["delta_theta"]):
+                assert abs(got / float(want) - 1.0) < 1e-13
+                assert abs(got * L - 1.0) < (L * h) ** 2

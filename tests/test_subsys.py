@@ -95,12 +95,13 @@ def test_parity_theta_curve_pull_through(critical_states):
     assert np.max(np.abs(curve.signal - neg.signal[::-1])) < 1e-10
 
 
-@pytest.mark.parametrize("check, per_point", [(True, 3), (False, 3)])
-def test_parity_theta_curve_exponentials_per_point(critical_states, monkeypatch, check, per_point):
-    # one evolution for signal, variance and commutator and two for the
-    # centered difference, in the bare loop and through parity_theta_curve:
-    # the pull-through check reads the imprinter's phase table once per
-    # curve, with no exponential over the register
+@pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
+def test_parity_theta_curve_exponentials_per_curve(critical_states, monkeypatch, check):
+    # a pure curve reads every angle from one moment matrix: the only
+    # exponentials over the register are the two direct evolutions that
+    # check the form at the first and last grid angle, in the bare loop and
+    # through parity_theta_curve, whose pull-through check reads the
+    # imprinter's phase table once per curve with no exponential either
     import critsense.metrology as metrology
     import critsense.qcore as qcore
     import critsense.subsys as subsys
@@ -114,13 +115,14 @@ def test_parity_theta_curve_exponentials_per_point(critical_states, monkeypatch,
 
     for module in (qcore, metrology, subsys):
         monkeypatch.setattr(module, "apply_exponential", counted)
-    grid = np.linspace(0.05, 0.5, 7)
     psi, proto = critical_states(8).state, make_ising_protocol(8, 4)
-    if check:
-        parity_theta_curve(psi, proto, grid)
-    else:
-        metrology.precision_curve(psi, proto.imprinter, proto.measurement, grid)
-    assert len(calls) == per_point * grid.size
+    for grid in (np.linspace(0.05, 0.5, 7), np.linspace(0.05, 0.5, 70)):
+        calls.clear()
+        if check:
+            parity_theta_curve(psi, proto, grid)
+        else:
+            metrology.precision_curve(psi, proto.imprinter, proto.measurement, grid)
+        assert calls == [1j * grid[0], 1j * grid[-1]]
 
 
 def test_pull_through_check_catches_a_moved_signal(critical_states, monkeypatch):
@@ -155,22 +157,45 @@ def test_pull_through_check_catches_a_moved_signal(critical_states, monkeypatch)
 # (3.2e-10 at L = 6, 1.7e-9 at L = 8).
 MIXED_MOMENT_TOL = 1e-13
 MIXED_SLOPE_TOL = 5e-9
+# A pure probe's curve reads every angle from one moment matrix, the general
+# loop evolves the probe per point.  Over the twelve cases below at L = 8
+# and 10, signal and variance agree to 3.1e-15 and 1.3e-14 (the Sum X
+# readout's, |A| up to 5); the slopes to 1.3e-10, the rounding of the
+# general loop's differences at fd_step, which the form takes before
+# rounding the signal.  The curves of test_workspace_theta_loop_... agree
+# to 3.3e-16, 5.6e-16 and 5.5e-11.
+PURE_MOMENT_TOL = 5e-14
+PURE_SLOPE_TOL = 5e-10
 
 
 def _slope(curve):
-    return np.sqrt(curve.variance) / curve.delta_theta
+    """|d<A>/dtheta| as the curve reports it, sqrt(variance) / delta_theta:
+    0 at the +inf sentinel and where both vanish (an A-eigenstate)."""
+    root = np.sqrt(curve.variance)
+    return np.divide(root, curve.delta_theta, out=np.zeros_like(root),
+                     where=curve.delta_theta > 0)
+
+
+def _assert_close(got, want, moment_tol, slope_tol, what):
+    for name in ("signal", "variance"):
+        miss = np.abs(getattr(got, name) - getattr(want, name))
+        assert np.all(miss <= moment_tol), (what, name, np.max(miss))
+    miss = np.abs(_slope(got) - _slope(want))
+    assert np.all(miss <= slope_tol), (what, np.max(miss))
 
 
 @pytest.mark.parametrize("L, mixed", [(8, False), (10, False), (6, True)],
                          ids=["pure-8", "pure-10", "mixed-6"])
 def test_theta_loop_matches_the_general_loop_oracle(critical_states, monkeypatch, L, mixed):
     # the one loop gives the general loop it replaced (kept in
-    # oracles.general_precision_curve), bit for bit for a pure probe and to
-    # the named tolerances above for a mixed one: every readout form (a
-    # Pauli string, a Pauli sum, two symmetry permutations and the CSR and
-    # dense reflection), a diagonal imprinter and an X-sum one (evolved in
-    # its product frame), and theta = 0 (at a grid point and as theta + step).
-    # The curves are also pinned to the oracle on the (2,) * n flip and
+    # oracles.general_precision_curve) to the named tolerances above: every
+    # readout form (a Pauli string, a Pauli sum, two symmetry permutations
+    # and the CSR and dense reflection), a diagonal imprinter and an X-sum
+    # one (read in its product frame), and theta = 0 (at a grid point and as
+    # theta + step).  A readout that commutes with the imprinter (parity_z
+    # under the Z sum) or has the probe as an eigenstate (the reflection)
+    # reads the +inf sentinel where the general loop differences rounding.
+    # The curves are also compared with the oracle on the (2,) * n flip and
     # gathered-factor kernels.
     import critsense.metrology as metrology
     import critsense.qcore as qcore
@@ -191,28 +216,23 @@ def test_theta_loop_matches_the_general_loop_oracle(critical_states, monkeypatch
     for module in (qcore, metrology):
         monkeypatch.setattr(module, "apply_exponential", gathered_exponential)
     curves["pinned"] = [general_precision_curve(probe, gen, obs, grid) for gen, obs in cases]
+    tols = (MIXED_MOMENT_TOL, MIXED_SLOPE_TOL) if mixed else (PURE_MOMENT_TOL, PURE_SLOPE_TOL)
     for path in ("oracle", "pinned"):
         for case, got, want in zip(cases, curves["loop"], curves[path]):
-            if mixed:
-                for name in ("signal", "variance"):
-                    miss = np.abs(getattr(got, name) - getattr(want, name))
-                    assert np.all(miss <= MIXED_MOMENT_TOL), (path, case, name)
-                assert np.all(np.abs(_slope(got) - _slope(want)) <= MIXED_SLOPE_TOL), (path, case)
-                continue
-            for name in ("signal", "variance", "delta_theta"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), (path, case, name)
+            _assert_close(got, want, *tols, (path, case))
 
 
 @pytest.mark.parametrize("check", [True, False], ids=["checked", "unchecked"])
 @pytest.mark.parametrize("L", [8, 10])
 def test_workspace_theta_loop_matches_the_general_loop(critical_states, monkeypatch, L, check):
-    # the per-curve buffers change where the intermediates live, not their
-    # bits: the Ising blocks (diagonal imprinter) and one XXZ string readout
-    # (an X-sum imprinter, evolved in its product frame), through
-    # parity_theta_curve with its pull-through check and through the bare
-    # loop it calls, ``subsys.precision_curve``.  The one loop and the
-    # general loop (oracles.general_precision_curve) are both pinned to the
-    # general loop on the (2,) * n flip and gathered-factor kernels.
+    # the Ising blocks (diagonal imprinter) and one XXZ string readout (an
+    # X-sum imprinter, read in its product frame; the string's Y letter makes
+    # the moment matrix complex), through parity_theta_curve with its
+    # pull-through check and through the bare loop it calls,
+    # ``subsys.precision_curve``.  The general loop
+    # (oracles.general_precision_curve) is pinned bit for bit to itself on
+    # the (2,) * n flip and gathered-factor kernels; the moment form agrees
+    # with it to PURE_MOMENT_TOL and PURE_SLOPE_TOL.
     import critsense.metrology as metrology
     import critsense.qcore as qcore
     import critsense.subsys as subsys
@@ -237,10 +257,11 @@ def test_workspace_theta_loop_matches_the_general_loop(critical_states, monkeypa
             for module in (qcore, metrology):
                 monkeypatch.setattr(module, "apply_exponential", gathered_exponential)
         curves[path] = [curve_of(proto) for proto in protocols]
-    for path in ("workspace", "general"):
-        for got, want in zip(curves[path], curves["oracle"]):
-            for name in ("signal", "variance", "delta_theta"):
-                assert np.array_equal(getattr(got, name), getattr(want, name)), (path, name)
+    for proto, got, want in zip(protocols, curves["workspace"], curves["oracle"]):
+        _assert_close(got, want, PURE_MOMENT_TOL, PURE_SLOPE_TOL, proto.kind)
+    for got, want in zip(curves["general"], curves["oracle"]):
+        for name in ("signal", "variance", "delta_theta"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_workspace_theta_loop_allocates_no_register_array(critical_states):
@@ -374,12 +395,36 @@ def test_xxz_window_scaling_predictions():
     assert pred["theta_min"] == pytest.approx(-5.0 / 6.0)
     assert pred["theta_r"] == pytest.approx(-5.0 / 6.0)
     # K = 1 predicts no sub-SQL window; the (1, 2) readout carries a signal,
-    # so its best precision is finite (a vanishing readout reads ~1e10)
+    # so its best precision is finite (a vanishing readout reads the +inf
+    # sentinel, test_a_vanishing_string_readout_has_no_optimum)
     rows = xxz_window_scaling(0.0, [3, 5], sol.state, theta_grid=default_theta_grid(200))
     assert not rows[0].window_predicted
     for row in rows:
         assert not row.report.has_window
         assert row.report.delta_theta_min < 10.0
+
+
+def test_a_vanishing_string_readout_has_no_optimum():
+    # on the real XX ground state the single-Y strings (alpha = beta) vanish
+    # identically: the signal is rounding (under 1e-16), and so is its
+    # derivative, below POLICY.signal_floor, so every cell is the +inf
+    # sentinel and the report is degenerate.  The finite differences of the
+    # evolved signal used to read noise of about 1e-11 and name an optimum
+    # near delta theta = 3e10.  The (1, 2) pair keeps its finite optimum.
+    sol = solve_model(ModelSpec(kind="xxz", L=10, delta=0.0))
+    grid = default_theta_grid()
+    for L_sub, best in ((3, 2.736037869), (5, 2.363266296)):
+        for alpha in (1, 2):
+            proto = make_xxz_protocol(10, L_sub, alpha=alpha, beta=alpha)
+            curve = parity_theta_curve(sol.state, proto, grid)
+            assert np.max(np.abs(curve.signal)) < 1e-15
+            assert np.all(curve.delta_theta == math.inf), (L_sub, alpha)
+            report = window_report(curve, L_sub)
+            assert report.degenerate and report.delta_theta_min == math.inf
+        curve = parity_theta_curve(sol.state, make_xxz_protocol(10, L_sub, alpha=1, beta=2), grid)
+        report = window_report(curve, L_sub)
+        assert not report.degenerate
+        assert report.delta_theta_min == pytest.approx(best, rel=1e-9)
 
 
 def test_disorder_operator_zeta_limit():
